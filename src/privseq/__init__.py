@@ -18,7 +18,6 @@ from privseq.core import (
     InternalInvariantError,
     MechanismReport,
     ParameterError,
-    PrivacyParams,
     chunk_plan,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "InternalInvariantError",
     "MechanismReport",
     "ParameterError",
-    "PrivacyParams",
     "chunk_plan",
     "__version__",
 ]

@@ -178,7 +178,7 @@ def synth(
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length].")
 @click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV.")
-@click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV; recomputed when absent.")
+@click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV, built for this run's chunk plan; recomputed when absent.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
 @click.option("--conservative", is_flag=True, help="Account chunk budgets by sum instead of max.")

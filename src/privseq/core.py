@@ -1,15 +1,15 @@
 """Shared domain types and the error hierarchy.
 
-Everything downstream operates on the types defined here: validated
-float64 sample vectors, recordings (time x feature grids), corpora of
-recordings, chunk partitions, privacy parameters, and the per-release
-accounting report. Construction validates invariants and raises typed
-errors; nothing is silently repaired.
+Everything downstream operates on the types defined here: float64
+sample vectors, recordings (time x feature grids), corpora of
+recordings, chunk partitions, and the per-release accounting report.
+Construction validates invariants and raises typed errors; nothing is
+silently repaired.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -21,16 +21,12 @@ __all__ = [
     "InternalInvariantError",
     "RealSeq",
     "ComplexSeq",
-    "real_seq",
-    "complex_seq",
     "FeatureMatrix",
     "Corpus",
     "ChunkPlan",
     "chunk_plan",
-    "PrivacyParams",
     "ReportUnit",
     "MechanismReport",
-    "PARALLEL",
     "SEQUENTIAL",
 ]
 
@@ -57,42 +53,8 @@ class InternalInvariantError(AssertionError):
 
 # Canonical array aliases. A RealSeq is a 1-D float64 ndarray of finite
 # samples with length >= 1; a ComplexSeq is its complex128 counterpart.
-# The constructor functions below are the validating way to build them.
 RealSeq = np.ndarray
 ComplexSeq = np.ndarray
-
-
-def real_seq(values: Iterable[float] | np.ndarray) -> RealSeq:
-    """Validate and freeze a 1-D float64 sample vector.
-
-    Rejects empty input, non-1-D shapes, and non-finite samples. The
-    returned array is marked read-only so shared instances are safe
-    across concurrent workers.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ParameterError(f"sample vector must be 1-D, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ParameterError("sample vector must contain at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("sample vector contains NaN or infinite values")
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
-
-
-def complex_seq(values: Iterable[complex] | np.ndarray) -> ComplexSeq:
-    """Validate and freeze a 1-D complex128 coefficient vector."""
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ParameterError(f"coefficient vector must be 1-D, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ParameterError("coefficient vector must contain at least one value")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ParameterError("coefficient vector contains non-finite components")
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,27 +221,6 @@ def chunk_plan(total_length: int, chunk_size: int) -> ChunkPlan:
     return ChunkPlan(total_length, chunk_size, bounds)
 
 
-@dataclass(frozen=True, slots=True)
-class PrivacyParams:
-    """Per-mechanism privacy settings: budget, norm, retained count, seed."""
-
-    epsilon: float
-    norm_order: int = 2
-    k: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
-            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.norm_order not in (1, 2):
-            raise ParameterError(f"norm_order must be 1 or 2, got {self.norm_order}")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if not (0 <= self.seed < 2**64):
-            raise ParameterError("seed must be a 64-bit unsigned integer")
-
-
-PARALLEL = "parallel"
 SEQUENTIAL = "sequential"
 
 
@@ -311,7 +252,8 @@ class MechanismReport:
 
     per_feature_epsilon composes each feature's chunk budgets with the
     parallel rule (disjoint index ranges); total_epsilon composes the
-    per-feature budgets with the stated accounting rule.
+    per-feature budgets sequentially (sum). accounting records that rule
+    in report.json and must be SEQUENTIAL.
     """
 
     mechanism: str
@@ -323,16 +265,13 @@ class MechanismReport:
     def __post_init__(self) -> None:
         if self.mechanism not in ("lpa", "fpa", "cfpa", "dcfpa"):
             raise ParameterError(f"unknown mechanism {self.mechanism!r}")
-        if self.accounting not in (PARALLEL, SEQUENTIAL):
+        if self.accounting != SEQUENTIAL:
             raise ParameterError(f"unknown accounting mode {self.accounting!r}")
         object.__setattr__(self, "per_unit", tuple(self.per_unit))
         object.__setattr__(self, "per_feature_epsilon", dict(self.per_feature_epsilon))
         feats = self.per_feature_epsilon
         if feats:
-            if self.accounting == SEQUENTIAL:
-                expected = float(sum(feats.values()))
-            else:
-                expected = float(max(feats.values()))
+            expected = float(sum(feats.values()))
             if not np.isclose(expected, self.total_epsilon, rtol=0, atol=1e-12):
                 raise InternalInvariantError(
                     f"total_epsilon {self.total_epsilon} does not match "

@@ -432,7 +432,9 @@ def perturb_corpus(
     accounting report per label group.
 
     Sensitivities are computed per (label value, feature) group unless
-    precomputed tables are supplied. Recordings shorter than their
+    precomputed tables are supplied; a supplied table must have been
+    built for the plan this configuration uses on the group, or the run
+    fails with ConfigurationError. Recordings shorter than their
     group's maximum length are zero-padded for perturbation (matching
     the padded sensitivity definition) and trimmed back on release.
     Noise streams are addressed by (recording index, feature index), so
@@ -453,7 +455,19 @@ def perturb_corpus(
         if sens_tables is not None:
             if value not in sens_tables:
                 raise ConfigurationError(f"no sensitivity table for label {value!r}")
-            tables[value] = sens_tables[value]
+            table = sens_tables[value]
+            if table.plan != plans[value]:
+                built = (
+                    "no recorded chunk plan"
+                    if table.plan is None
+                    else f"chunk size {table.plan.chunk_size} over length {table.plan.total_length}"
+                )
+                raise ConfigurationError(
+                    f"sensitivity table for label {value!r} was built for {built}; "
+                    f"{config.mechanism} needs chunk size {plans[value].chunk_size} "
+                    f"over length {n}"
+                )
+            tables[value] = table
         else:
             tables[value] = build_group_table(
                 corpus,

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from privseq.core import ParameterError, RealSeq
+from privseq.core import ParameterError
 
-__all__ = ["NoiseSource", "sample_laplace", "laplace_vector", "unit_laplace"]
+__all__ = ["NoiseSource", "unit_laplace"]
 
 # 53-bit grid: (j + 0.5) * 2**-53 - 0.5 for j in [0, 2**53) covers
 # (-1/2, 1/2) symmetrically and never lands on 0 or an endpoint.
@@ -88,27 +88,3 @@ def unit_laplace(rng: np.random.Generator, count: int) -> np.ndarray:
         raise ParameterError("count must be >= 0")
     u = _unit_uniform(rng, count)
     return -np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def sample_laplace(lam: float, src: NoiseSource) -> float:
-    """One draw from zero-mean Laplace with scale lam.
-
-    Deterministic in the source address: the same source yields the same
-    draw. Derive a child per logical event to get fresh noise.
-    """
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
-    return float(lam * unit_laplace(src.generator(), 1)[0])
-
-
-def laplace_vector(n: int, lam: float, src: NoiseSource) -> RealSeq:
-    """n independent draws from Laplace(scale=lam) on the source's stream.
-
-    The first draw equals sample_laplace(lam, src): both read the same
-    stream from its origin.
-    """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
-    return lam * unit_laplace(src.generator(), n)

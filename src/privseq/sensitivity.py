@@ -27,6 +27,7 @@ from privseq.core import (
     InsufficientGroupError,
     ParameterError,
     RealSeq,
+    chunk_plan,
 )
 from privseq.transform import diff_transform
 
@@ -47,7 +48,7 @@ __all__ = [
 RAW = "raw"
 DIFFERENCE = "difference"
 
-_CSV_HEADER = ("feature", "chunk", "domain", "norm", "value", "group")
+_CSV_HEADER = ("feature", "chunk", "domain", "norm", "value", "group", "chunk_size", "length")
 
 
 def lw_distance(x: RealSeq, y: RealSeq, w: int) -> float:
@@ -133,12 +134,14 @@ class SensitivityTable:
     """Flat sensitivity lookup for one participant group.
 
     Keys are (feature_name, chunk_index, domain, norm_order); values are
-    the group sensitivities. One table corresponds to one chunking plan;
-    the chunk indices are only meaningful against that plan.
+    the group sensitivities. The chunk indices are only meaningful against
+    the chunking plan the table was built for, which plan records; a
+    table without a plan cannot be written or supplied to perturbation.
     """
 
     entries: Mapping[tuple[str, int, str, int], float]
     group_label: str = ""
+    plan: ChunkPlan | None = None
 
     def __post_init__(self) -> None:
         checked: dict[tuple[str, int, str, int], float] = {}
@@ -146,6 +149,10 @@ class SensitivityTable:
             feature, chunk, domain, norm = key
             if chunk < 0:
                 raise ParameterError(f"negative chunk index in key {key}")
+            if self.plan is not None and chunk >= len(self.plan):
+                raise ParameterError(
+                    f"chunk index in key {key} is outside the {len(self.plan)}-chunk plan"
+                )
             if domain not in (RAW, DIFFERENCE):
                 raise ParameterError(f"unknown domain in key {key}")
             if norm not in (1, 2):
@@ -202,20 +209,28 @@ def build_group_table(
                     values = chunk_sensitivities(group, plan, norm, domain)
                 for ci, v in enumerate(values):
                     entries[(feature, ci, domain, norm)] = v
-    return SensitivityTable(entries=entries, group_label=label_value)
+    return SensitivityTable(entries=entries, group_label=label_value, plan=plan)
+
+
+def _write_table_rows(writer, table: SensitivityTable, label: str) -> None:
+    if table.plan is None:
+        raise ParameterError(f"sensitivity table for group {label!r} records no chunk plan")
+    plan = table.plan
+    for key in sorted(table.entries):
+        feature, chunk, domain, norm = key
+        writer.writerow(
+            [feature, chunk, domain, norm, repr(table.entries[key]), label,
+             plan.chunk_size, plan.total_length]
+        )
 
 
 def write_sensitivity_csv(table: SensitivityTable, path) -> None:
-    """Serialize to the flat CSV shape (feature,chunk,domain,norm,value,group)."""
-    keys = sorted(table.entries)
+    """Serialize to the flat CSV shape
+    (feature,chunk,domain,norm,value,group,chunk_size,length)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for key in keys:
-            feature, chunk, domain, norm = key
-            writer.writerow(
-                [feature, chunk, domain, norm, repr(table.entries[key]), table.group_label]
-            )
+        _write_table_rows(writer, table, table.group_label)
 
 
 def _read_sensitivity_rows(path):
@@ -227,32 +242,51 @@ def _read_sensitivity_rows(path):
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(_CSV_HEADER):
                 raise DataError(f"{path}: row {row_no}: expected {len(_CSV_HEADER)} columns")
-            feature, chunk_s, domain, norm_s, value_s, group = row
+            feature, chunk_s, domain, norm_s, value_s, group, size_s, length_s = row
             try:
-                yield group, (feature, int(chunk_s), domain, int(norm_s)), float(value_s)
+                key = (feature, int(chunk_s), domain, int(norm_s))
+                yield group, key, float(value_s), (int(size_s), int(length_s))
             except ValueError as exc:
                 raise DataError(f"{path}: row {row_no}: {exc}") from None
+
+
+def _tables_from_rows(path, rows) -> dict[str, SensitivityTable]:
+    """Group rows into tables; every row of a group must name one plan."""
+    entries: dict[str, dict[tuple[str, int, str, int], float]] = {}
+    shapes: dict[str, tuple[int, int]] = {}
+    for group, key, value, shape in rows:
+        if shapes.setdefault(group, shape) != shape:
+            raise DataError(
+                f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
+                "(chunk_size, length)"
+            )
+        entries.setdefault(group, {})[key] = value
+    try:
+        return {
+            label: SensitivityTable(
+                entries=table,
+                group_label=label,
+                plan=chunk_plan(shapes[label][1], shapes[label][0]),
+            )
+            for label, table in entries.items()
+        }
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_sensitivity_csv(path) -> SensitivityTable:
     """Inverse of write_sensitivity_csv, validating every cell. The file
     must hold a single group; multi-group files load via
     load_sensitivity_tables."""
-    entries: dict[tuple[str, int, str, int], float] = {}
-    group_label: str | None = None
-    for group, key, value in _read_sensitivity_rows(path):
-        if group_label is None:
-            group_label = group
-        elif group != group_label:
-            raise DataError(
-                f"{path}: holds groups {group_label!r} and {group!r}; "
-                "use load_sensitivity_tables"
-            )
-        entries[key] = value
-    try:
-        return SensitivityTable(entries=entries, group_label=group_label or "")
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    tables = _tables_from_rows(path, _read_sensitivity_rows(path))
+    if len(tables) > 1:
+        first, second = list(tables)[:2]
+        raise DataError(
+            f"{path}: holds groups {first!r} and {second!r}; use load_sensitivity_tables"
+        )
+    if not tables:
+        return SensitivityTable(entries={})
+    return next(iter(tables.values()))
 
 
 def write_sensitivity_tables(tables: Mapping[str, SensitivityTable], path) -> None:
@@ -261,25 +295,12 @@ def write_sensitivity_tables(tables: Mapping[str, SensitivityTable], path) -> No
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for label in sorted(tables):
-            table = tables[label]
-            for key in sorted(table.entries):
-                feature, chunk, domain, norm = key
-                writer.writerow(
-                    [feature, chunk, domain, norm, repr(table.entries[key]), label]
-                )
+            _write_table_rows(writer, tables[label], label)
 
 
 def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
     """Group-keyed inverse of write_sensitivity_tables."""
-    by_group: dict[str, dict[tuple[str, int, str, int], float]] = {}
-    for group, key, value in _read_sensitivity_rows(path):
-        by_group.setdefault(group, {})[key] = value
-    if not by_group:
+    tables = _tables_from_rows(path, _read_sensitivity_rows(path))
+    if not tables:
         raise DataError(f"{path}: no entries")
-    try:
-        return {
-            label: SensitivityTable(entries=entries, group_label=label)
-            for label, entries in by_group.items()
-        }
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return tables

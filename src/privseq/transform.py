@@ -6,27 +6,26 @@ Conventions, fixed once here and assumed everywhere else:
   - "first k coefficients" means indices 0..k-1 literally, with no
     conjugate-symmetric completion; pad_and_invert therefore takes the
     real part of the inverse, discarding the imaginary residue the
-    one-sided truncation induces. truncate_symmetric is the documented
+    one-sided truncation induces. complete_symmetric is the documented
     alternative that synthesizes the mirrored bins from the retained
     ones.
 
-Power-of-2 lengths run through a radix-2 kernel (compiled when built,
-numpy fallback otherwise; the two are bit-identical). Every other
-length uses one shared direct-summation path so backend choice never
-changes a coefficient anywhere.
+dft_batch and idft_batch are the single entry point to numpy's FFT;
+every other transform here, and every mechanism, tuning and metrics
+path, goes through them. numpy transforms each row of a batch alike, so
+a batch of m rows is bit-identical to m single-row calls; that is what
+keeps batched sweeps and per-chunk perturbation bitwise in step.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from privseq._backend import fft_pow2_batch
 from privseq.core import ComplexSeq, ParameterError, RealSeq
 
 __all__ = [
     "dft",
     "idft",
     "truncate_low",
-    "truncate_symmetric",
     "complete_symmetric",
     "pad_and_invert",
     "diff_transform",
@@ -35,61 +34,15 @@ __all__ = [
     "idft_batch",
 ]
 
-# Per-length tables: bit-reversal permutation, forward twiddles,
-# conjugated twiddles. Direct-summation matrices are cached separately;
-# both caches are small in practice (one entry per distinct length).
-_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_DIRECT: dict[int, np.ndarray] = {}
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cached = _TABLES.get(n)
-    if cached is not None:
-        return cached
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    tw = np.empty(max(n - 1, 0), dtype=np.complex128)
-    h = 1
-    while h < n:
-        ang = -np.pi * np.arange(h, dtype=np.float64) / h
-        tw[h - 1 : 2 * h - 1] = np.cos(ang) + 1j * np.sin(ang)
-        h *= 2
-    entry = (rev, tw, np.conj(tw))
-    _TABLES[n] = entry
-    return entry
-
-
-def _direct_matrix(n: int) -> np.ndarray:
-    cached = _DIRECT.get(n)
-    if cached is not None:
-        return cached
-    t = np.arange(n, dtype=np.float64)
-    w = np.exp(-2j * np.pi * np.outer(t, t) / n)
-    _DIRECT[n] = w
-    return w
-
 
 def dft_batch(rows: np.ndarray) -> np.ndarray:
     """Forward transform of each row of a (m, n) float64 array."""
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ParameterError(f"expected a 2-D batch, got shape {x.shape}")
-    n = x.shape[1]
-    if n < 1:
+    if x.shape[1] < 1:
         raise ParameterError("rows must have length >= 1")
-    if _is_pow2(n):
-        rev, tw, _ = _tables(n)
-        return fft_pow2_batch(x.astype(np.complex128), rev, tw, 1.0)
-    # einsum keeps a fixed per-element summation order, so a batch of m
-    # rows is bit-identical to m single-row calls (BLAS gemm is not).
-    return np.einsum("mt,tj->mj", x.astype(np.complex128), _direct_matrix(n))
+    return np.fft.fft(x, axis=1)
 
 
 def idft_batch(rows: np.ndarray) -> np.ndarray:
@@ -97,13 +50,9 @@ def idft_batch(rows: np.ndarray) -> np.ndarray:
     f = np.asarray(rows, dtype=np.complex128)
     if f.ndim != 2:
         raise ParameterError(f"expected a 2-D batch, got shape {f.shape}")
-    n = f.shape[1]
-    if n < 1:
+    if f.shape[1] < 1:
         raise ParameterError("rows must have length >= 1")
-    if _is_pow2(n):
-        rev, _, tw_inv = _tables(n)
-        return fft_pow2_batch(f, rev, tw_inv, 1.0 / n)
-    return np.einsum("mj,jt->mt", f, np.conj(_direct_matrix(n))) * (1.0 / n)
+    return np.fft.ifft(f, axis=1)
 
 
 def dft(x: RealSeq) -> ComplexSeq:
@@ -164,22 +113,6 @@ def complete_symmetric(fk: ComplexSeq, n: int) -> ComplexSeq:
     out[: arr.size] = arr
     _reflect_conjugate(out, arr.size)
     return out
-
-
-def truncate_symmetric(f: ComplexSeq, k: int) -> ComplexSeq:
-    """Length-preserving truncation with conjugate completion.
-
-    Keeps indices 0..k-1, zeroes the rest, then mirrors the retained
-    bins per complete_symmetric. Depends only on the first k input
-    coefficients.
-    """
-    arr = np.asarray(f, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ParameterError("truncate_symmetric expects a 1-D sequence")
-    n = arr.size
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in [1, {n}], got {k}")
-    return complete_symmetric(arr[:k], n)
 
 
 def pad_and_invert(fk: ComplexSeq, n: int) -> RealSeq:

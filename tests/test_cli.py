@@ -164,6 +164,33 @@ def test_perturb_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
     assert a == b == c
 
 
+def test_perturb_sensitivity_file_must_match_the_chunk_plan(manifest, tmp_path):
+    from privseq.core import chunk_plan
+    from privseq.sensitivity import build_group_table, write_sensitivity_tables
+
+    corpus = load_corpus(manifest)
+    sens = tmp_path / "sens.csv"
+    write_sensitivity_tables(
+        {
+            label: build_group_table(corpus, "category", label, chunk_plan(40, 8))
+            for label in corpus.label_values("category")
+        },
+        sens,
+    )
+    base = ("perturb", "--manifest", manifest, "--mechanism", "cfpa",
+            "--epsilon", 4.8, "--seed", 5)
+    assert run_cli(*base, "--chunk-size", 8, "--out", tmp_path / "inline").exit_code == 0
+    result = run_cli(*base, "--chunk-size", 8, "--sensitivity-file", sens,
+                     "--out", tmp_path / "file")
+    assert result.exit_code == 0, result.output
+    assert _dir_bytes(tmp_path / "inline") == _dir_bytes(tmp_path / "file")
+
+    result = run_cli(*base, "--chunk-size", 16, "--sensitivity-file", sens,
+                     "--out", tmp_path / "wrong")
+    assert result.exit_code == 2
+    assert "chunk" in result.stderr
+
+
 def test_perturb_lpa_warns_and_ignores_chunk_size(manifest, tmp_path):
     result = run_cli(
         "perturb", "--manifest", manifest, "--mechanism", "lpa",

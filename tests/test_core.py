@@ -14,12 +14,8 @@ from privseq.core import (
     InternalInvariantError,
     MechanismReport,
     ParameterError,
-    PrivacyParams,
     ReportUnit,
     chunk_plan,
-    complex_seq,
-    real_seq,
-    PARALLEL,
     SEQUENTIAL,
 )
 
@@ -43,26 +39,6 @@ class TestErrors:
         assert issubclass(DataError, ValueError)
         assert issubclass(ConfigurationError, ValueError)
         assert issubclass(InternalInvariantError, AssertionError)
-
-
-class TestSeqConstructors:
-    def test_real_seq_is_readonly_float64(self):
-        v = real_seq([1, 2, 3])
-        assert v.dtype == np.float64 and not v.flags.writeable
-
-    def test_real_seq_rejects_bad_shapes(self):
-        with pytest.raises(ParameterError):
-            real_seq([[1.0, 2.0]])
-        with pytest.raises(ParameterError):
-            real_seq([])
-        with pytest.raises(ParameterError):
-            real_seq([1.0, float("nan")])
-
-    def test_complex_seq_rejects_nonfinite(self):
-        with pytest.raises(ParameterError):
-            complex_seq([1 + 1j, complex(float("inf"), 0)])
-        v = complex_seq([1 + 2j])
-        assert v.dtype == np.complex128 and not v.flags.writeable
 
 
 class TestFeatureMatrix:
@@ -154,17 +130,6 @@ class TestChunkPlan:
             chunk_plan(8, 0)
 
 
-class TestPrivacyParams:
-    def test_validation(self):
-        PrivacyParams(epsilon=1.0)
-        with pytest.raises(ParameterError):
-            PrivacyParams(epsilon=0.0)
-        with pytest.raises(ParameterError):
-            PrivacyParams(epsilon=1.0, norm_order=3)
-        with pytest.raises(ParameterError):
-            PrivacyParams(epsilon=1.0, seed=2**64)
-
-
 class TestMechanismReport:
     def _unit(self, feature="f0", chunk=0, eps=1.0):
         return ReportUnit(
@@ -181,15 +146,17 @@ class TestMechanismReport:
         )
         assert r.total_epsilon == 3.0
 
-    def test_parallel_total_is_max(self):
-        r = MechanismReport(
-            mechanism="cfpa",
-            per_unit=(self._unit(),),
-            accounting=PARALLEL,
-            per_feature_epsilon={"f0": 1.0, "f1": 2.0},
-            total_epsilon=2.0,
-        )
-        assert r.total_epsilon == 2.0
+    def test_parallel_accounting_is_rejected(self):
+        # features of one recording describe the same people, so their
+        # budgets only ever compose sequentially
+        with pytest.raises(ParameterError):
+            MechanismReport(
+                mechanism="cfpa",
+                per_unit=(self._unit(),),
+                accounting="parallel",
+                per_feature_epsilon={"f0": 1.0, "f1": 2.0},
+                total_epsilon=2.0,
+            )
 
     def test_inconsistent_total_is_an_invariant_failure(self):
         with pytest.raises(InternalInvariantError):

@@ -489,6 +489,36 @@ def test_perturb_corpus_precomputed_tables_match_inline():
         )
 
 
+def test_perturb_corpus_rejects_tables_built_for_another_plan(tmp_path):
+    # A table's chunk indices only mean something against the plan it was
+    # built for; read against another plan it gives too little noise while
+    # the report still claims the full budget.
+    from privseq.sensitivity import (
+        build_group_table,
+        load_sensitivity_tables,
+        write_sensitivity_tables,
+    )
+
+    corpus = _corpus()
+    path = tmp_path / "sens.csv"
+    write_sensitivity_tables(
+        {
+            value: build_group_table(corpus, "category", value, chunk_plan(12, 4))
+            for value in ("a", "b")
+        },
+        path,
+    )
+    tables = load_sensitivity_tables(path)
+    config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=6)
+    with pytest.raises(ConfigurationError, match="chunk"):
+        perturb_corpus(corpus, "category", config, NoiseSource(seed=13), sens_tables=tables)
+    matching = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)
+    pre, _ = perturb_corpus(corpus, "category", matching, NoiseSource(seed=13), sens_tables=tables)
+    inline, _ = perturb_corpus(corpus, "category", matching, NoiseSource(seed=13))
+    for m1, m2 in zip(inline.matrices, pre.matrices):
+        assert np.array_equal(m1.values, m2.values)
+
+
 def test_perturb_corpus_k_tables_change_retention():
     corpus = _corpus()
     config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)

@@ -12,34 +12,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privseq.core import ParameterError
-from privseq.noise import NoiseSource, laplace_vector, sample_laplace, unit_laplace
+from privseq.noise import NoiseSource, _unit_uniform, unit_laplace
 
 
 class TestNoiseSource:
     def test_same_address_same_stream(self):
         a = NoiseSource(42, 0)
         b = NoiseSource(42, 0)
-        assert np.array_equal(laplace_vector(64, 1.0, a), laplace_vector(64, 1.0, b))
+        assert np.array_equal(unit_laplace(a.generator(), 64), unit_laplace(b.generator(), 64))
 
     def test_source_is_an_address_not_a_cursor(self):
         src = NoiseSource(42, 0)
-        first = laplace_vector(16, 1.0, src)
-        second = laplace_vector(16, 1.0, src)
+        first = unit_laplace(src.generator(), 16)
+        second = unit_laplace(src.generator(), 16)
         assert np.array_equal(first, second)
 
     def test_derive_appends_coordinates(self):
         root = NoiseSource(7)
         assert root.derive(1, 2).stream_id == (1, 2)
         assert root.derive(1).derive(2).stream_id == (1, 2)
-        a = laplace_vector(32, 1.0, root.derive(1, 2))
-        b = laplace_vector(32, 1.0, root.derive(1).derive(2))
+        a = unit_laplace(root.derive(1, 2).generator(), 32)
+        b = unit_laplace(root.derive(1).derive(2).generator(), 32)
         assert np.array_equal(a, b)
 
     def test_distinct_addresses_distinct_streams(self):
         root = NoiseSource(7)
-        a = laplace_vector(32, 1.0, root.derive(0))
-        b = laplace_vector(32, 1.0, root.derive(1))
-        c = laplace_vector(32, 1.0, root.derive(0, 0))
+        a = unit_laplace(root.derive(0).generator(), 32)
+        b = unit_laplace(root.derive(1).generator(), 32)
+        c = unit_laplace(root.derive(0, 0).generator(), 32)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -54,44 +54,30 @@ class TestNoiseSource:
     def test_cross_correlation_between_streams_is_tiny(self):
         root = NoiseSource(123)
         n = 10**5
-        a = laplace_vector(n, 1.0, root.derive(0))
-        b = laplace_vector(n, 1.0, root.derive(1))
+        a = unit_laplace(root.derive(0).generator(), n)
+        b = unit_laplace(root.derive(1).generator(), n)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.01
 
 
 class TestSampleLaplace:
-    def test_single_draw_matches_vector_head(self):
-        src = NoiseSource(5, (1,))
-        assert sample_laplace(2.5, src) == laplace_vector(1, 2.5, src)[0]
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            sample_laplace(0.0, NoiseSource(0))
-        with pytest.raises(ParameterError):
-            sample_laplace(-1.0, NoiseSource(0))
-        with pytest.raises(ParameterError):
-            laplace_vector(4, 0.0, NoiseSource(0))
-        with pytest.raises(ParameterError):
-            laplace_vector(0, 1.0, NoiseSource(0))
-
     def test_mean_zero(self):
-        draws = laplace_vector(10**6, 1.0, NoiseSource(42, 0))
+        draws = unit_laplace(NoiseSource(42, 0).generator(), 10**6)
         assert abs(float(np.mean(draws))) < 0.01
 
     def test_variance_matches_two_lambda_squared(self):
-        draws = laplace_vector(10**6, 2.0, NoiseSource(42, 1))
+        draws = 2.0 * unit_laplace(NoiseSource(42, 1).generator(), 10**6)
         var = float(np.var(draws))
         assert abs(var - 8.0) < 0.05 * 8.0
 
     def test_adjacent_draws_uncorrelated(self):
-        draws = laplace_vector(10**6 + 1, 1.0, NoiseSource(42, 2))
+        draws = unit_laplace(NoiseSource(42, 2).generator(), 10**6 + 1)
         r = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(r) < 0.01
 
     def test_ks_statistic_against_analytic_cdf(self):
         lam = 1.0
-        draws = np.sort(laplace_vector(10**6, lam, NoiseSource(42, 3)))
+        draws = np.sort(lam * unit_laplace(NoiseSource(42, 3).generator(), 10**6))
         u = draws / lam
         cdf = np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-u))
         n = draws.size
@@ -121,7 +107,11 @@ class TestUnitLaplace:
         assert np.all(np.isfinite(draws))
 
     def test_lambda_scales_linearly(self):
+        # The inverse CDF at scale lam is lam times the unit draw, bit for
+        # bit, so a sweep can reuse one unit draw across its epsilon grid.
         src = NoiseSource(11, (0,))
+        u = _unit_uniform(src.generator(), 32)
         assert np.array_equal(
-            laplace_vector(32, 3.0, src), 3.0 * laplace_vector(32, 1.0, src)
+            -3.0 * np.sign(u) * np.log1p(-2.0 * np.abs(u)),
+            3.0 * unit_laplace(src.generator(), 32),
         )

@@ -337,6 +337,7 @@ def test_sensitivity_csv_round_trip(tmp_path):
     loaded = load_sensitivity_csv(path)
     assert loaded.group_label == "a"
     assert loaded.entries == table.entries
+    assert loaded.plan == table.plan == chunk_plan(6, 2)
 
     # byte-identical on rewrite
     path2 = tmp_path / "sens2.csv"
@@ -350,12 +351,30 @@ def test_sensitivity_csv_loader_errors(tmp_path):
     with pytest.raises(DataError):
         load_sensitivity_csv(path)
 
-    path.write_text("feature,chunk,domain,norm,value,group\nf0,zero,raw,1,1.0,a\n")
+    # files without the plan columns cannot say which chunking they index
+    path.write_text("feature,chunk,domain,norm,value,group\nf0,0,raw,1,1.0,a\n")
+    with pytest.raises(DataError, match="expected header"):
+        load_sensitivity_csv(path)
+
+    header = "feature,chunk,domain,norm,value,group,chunk_size,length\n"
+    path.write_text(header + "f0,zero,raw,1,1.0,a,2,6\n")
     with pytest.raises(DataError, match="row 2"):
         load_sensitivity_csv(path)
 
-    path.write_text("feature,chunk,domain,norm,value,group\nf0,0,raw,1,oops,a\n")
+    path.write_text(header + "f0,0,raw,1,oops,a,2,6\n")
     with pytest.raises(DataError, match="row 2"):
+        load_sensitivity_csv(path)
+
+    path.write_text(header + "f0,0,raw,1,1.0,a,2,six\n")
+    with pytest.raises(DataError, match="row 2"):
+        load_sensitivity_csv(path)
+
+    path.write_text(header + "f0,0,raw,1,1.0,a,2,6\nf0,1,raw,1,1.0,a,3,6\n")
+    with pytest.raises(DataError, match="chunk plans"):
+        load_sensitivity_csv(path)
+
+    path.write_text(header + "f0,3,raw,1,1.0,a,2,6\n")
+    with pytest.raises(DataError, match="outside"):
         load_sensitivity_csv(path)
 
 
@@ -384,12 +403,13 @@ def test_multi_group_round_trip(tmp_path):
     for label in tables:
         assert loaded[label].entries == tables[label].entries
         assert loaded[label].group_label == label
+        assert loaded[label].plan == chunk_plan(6, 3)
 
     path2 = tmp_path / "multi2.csv"
     write_sensitivity_tables(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
     empty = tmp_path / "empty.csv"
-    empty.write_text("feature,chunk,domain,norm,value,group\n")
+    empty.write_text("feature,chunk,domain,norm,value,group,chunk_size,length\n")
     with pytest.raises(DataError):
         load_sensitivity_tables(empty)

@@ -215,7 +215,12 @@ def perturb(
     k_tables = None
     if k_file is not None:
         table = tuning.load_k_csv(k_file)
-        k_tables = {label: table.mapping(label) for label in table.labels()}
+        tuned = table.labels()
+        k_tables = {}
+        for label in corpus.label_values(label_kind):
+            if label in tuned:
+                n = max(m.length for m in corpus.group(label_kind, label))
+                k_tables[label] = table.checked_mapping(label, config.plan_for(n))
     noisy, reports = perturb_corpus(
         corpus,
         label_kind,

@@ -5,11 +5,29 @@ maximum L_w distance between any two participants' observation vectors,
 after zero-padding every vector to the group's maximum length. Chunked
 variants restrict the padded vectors to each chunk range first;
 difference-domain variants apply the within-chunk difference transform
-before measuring distances.
+before measuring distances. Groups holding a NaN or infinite value are
+rejected: NaN never compares greater than a running maximum, so it
+would silently lower the result.
 
-Summation uses math.fsum, so every distance is the correctly rounded
-value of the exact real sum of its IEEE-rounded terms: results are
-bit-for-bit reproducible and independent of accumulation order.
+Each distance is math.fsum of its IEEE-rounded terms |x_i - y_i|^w, the
+correctly rounded value of their exact real sum, so results are
+bit-for-bit reproducible and independent of accumulation order. fsum
+runs only on the pairs that can hold a chunk's maximum:
+
+  - numpy forms the same terms for every pair (b - a rounds to exactly
+    -(a - b)) and sums each chunk in its own order;
+  - for L non-negative terms any float sum A lies within
+    gamma = (L-1)u / (1 - (L-1)u), u = 2**-53, of the exact sum S:
+    |A - S| <= gamma * S (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2);
+  - so the exact maximum S* has A >= S*(1 - gamma) and no A exceeds
+    S*(1 + gamma): its pair is among those with A >= max A (1-gamma)/(1+gamma).
+
+The cut multiplies max A by 1 - 2 gamma, with gamma taken for L + 1
+terms instead of L - 1: that lies below (1-gamma)/(1+gamma) by more
+than the rounding of the cut itself. fsum of those candidates gives the
+exhaustive result. A chunk whose largest A is 0 has only zero terms and
+returns 0.0; one whose largest A overflowed falls back to every pair.
 """
 from __future__ import annotations
 
@@ -73,9 +91,11 @@ def _padded_group(group: Sequence[RealSeq]) -> np.ndarray:
         raise InsufficientGroupError(
             f"sensitivity needs at least 2 vectors, got {len(vecs)}"
         )
-    for v in vecs:
+    for i, v in enumerate(vecs):
         if v.ndim != 1 or v.size < 1:
             raise ParameterError("group vectors must be non-empty and 1-D")
+        if not np.isfinite(v).all():
+            raise ParameterError(f"group vector {i} holds a non-finite value")
     n = max(v.size for v in vecs)
     padded = np.zeros((len(vecs), n), dtype=np.float64)
     for i, v in enumerate(vecs):
@@ -83,22 +103,53 @@ def _padded_group(group: Sequence[RealSeq]) -> np.ndarray:
     return padded
 
 
-def _max_pair_distance(rows: np.ndarray, w: int) -> float:
-    best = 0.0
-    m = rows.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = lw_distance(rows[i], rows[j], w)
-            if d > best:
-                best = d
-    return best
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2**-53 (Higham, section 3.1)."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
+
+
+def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[float]:
+    """Max lw_distance over row pairs, per chunk [starts[c], starts[c + 1]).
+
+    A numpy pass sums every (pair, chunk) approximately; lw_distance then
+    runs only on the pairs whose approximate sum can still be the exact
+    maximum, which keeps the result bitwise equal to the exhaustive loop.
+    """
+    m, n = rows.shape
+    approx = np.empty((m * (m - 1) // 2, len(starts)), dtype=np.float64)
+    buf = np.empty((m - 1, n), dtype=np.float64)
+    index = np.asarray(starts, dtype=np.intp)
+    pos = 0
+    for i in range(m - 1):
+        terms = buf[: m - 1 - i]
+        np.subtract(rows[i + 1 :], rows[i], out=terms)
+        if w == 1:
+            np.abs(terms, out=terms)
+        else:
+            np.multiply(terms, terms, out=terms)
+        np.add.reduceat(terms, index, axis=1, out=approx[pos : pos + len(terms)])
+        pos += len(terms)
+    first, second = np.triu_indices(m, 1)
+    ends = [*starts[1:], n]
+    keep = 1.0 - 2.0 * _gamma(max(e - s for s, e in zip(starts, ends)) + 1)
+    out: list[float] = []
+    for c, (s, e) in enumerate(zip(starts, ends)):
+        sums = approx[:, c]
+        top = float(sums.max())
+        if top == 0.0:
+            out.append(0.0)
+            continue
+        pairs = np.flatnonzero(sums >= top * keep) if math.isfinite(top) else range(len(sums))
+        out.append(max(lw_distance(rows[first[p], s:e], rows[second[p], s:e], w) for p in pairs))
+    return out
 
 
 def feature_sensitivity(group: Sequence[RealSeq], w: int) -> float:
     """Max pairwise L_w distance over the zero-padded group."""
     if w not in (1, 2):
         raise ParameterError(f"norm order must be 1 or 2, got {w}")
-    return _max_pair_distance(_padded_group(group), w)
+    return _pairwise_maxima(_padded_group(group), [0], w)[0]
 
 
 def chunk_sensitivities(
@@ -120,13 +171,12 @@ def chunk_sensitivities(
             f"plan covers {plan.total_length} samples but the padded group "
             f"has {padded.shape[1]}"
         )
-    out: list[float] = []
-    for s, e in plan.boundaries:
-        sub = padded[:, s:e]
-        if domain == DIFFERENCE:
-            sub = np.stack([diff_transform(row) for row in sub])
-        out.append(_max_pair_distance(sub, w))
-    return out
+    starts = [s for s, _ in plan.boundaries]
+    if domain == DIFFERENCE:
+        diffs = diff_transform(padded)
+        diffs[:, starts] = padded[:, starts]
+        padded = diffs
+    return _pairwise_maxima(padded, starts, w)
 
 
 @dataclass(frozen=True, slots=True)

@@ -130,13 +130,17 @@ def pad_and_invert(fk: ComplexSeq, n: int) -> RealSeq:
 
 
 def diff_transform(x: RealSeq) -> RealSeq:
-    """d[0] = x[0]; d[t] = x[t] - x[t-1] for t >= 1."""
+    """d[0] = x[0]; d[t] = x[t] - x[t-1] for t >= 1.
+
+    A (m, n) batch is differenced along its last axis, row by row; each
+    row is bit-identical to a single-row call.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("diff_transform expects a non-empty 1-D sequence")
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
+        raise ParameterError("diff_transform expects a non-empty 1-D sequence or (m, n) batch")
     out = np.empty_like(arr)
-    out[0] = arr[0]
-    np.subtract(arr[1:], arr[:-1], out=out[1:])
+    out[..., 0] = arr[..., 0]
+    np.subtract(arr[..., 1:], arr[..., :-1], out=out[..., 1:])
     return out
 
 

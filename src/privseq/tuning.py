@@ -22,7 +22,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from privseq import transform
-from privseq.core import ChunkPlan, Corpus, DataError, ParameterError, RealSeq, chunk_plan
+from privseq.core import (
+    ChunkPlan,
+    ConfigurationError,
+    Corpus,
+    DataError,
+    ParameterError,
+    RealSeq,
+    chunk_plan,
+)
 from privseq.mechanisms import MECHANISMS, fpa_lambda
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
@@ -35,7 +43,9 @@ __all__ = [
     "load_k_csv",
 ]
 
-_K_HEADER = ("group_label", "feature", "chunk_index", "k", "runs_used", "epsilon_used")
+_K_HEADER = (
+    "group_label", "feature", "chunk_index", "k", "runs_used", "epsilon_used", "chunk_size", "length",
+)
 
 # NMSE cells with a denominator below this are skipped, matching the
 # aggregate-metric convention.
@@ -125,8 +135,7 @@ def tune_k(
     for ci, (s, e) in enumerate(plan.boundaries):
         c_len = e - s
         chunks = np.ascontiguousarray(stacked[:, s:e])
-        base = transform.diff_transform if difference else None
-        seg = np.stack([transform.diff_transform(r) for r in chunks]) if base else chunks
+        seg = transform.diff_transform(chunks) if difference else chunks
         spectra = transform.dft_batch(seg)
         draws = np.stack(
             [
@@ -152,11 +161,17 @@ def tune_k(
 
 @dataclass(frozen=True, slots=True)
 class KTable:
-    """Tuned retention counts keyed by (group label, feature, chunk)."""
+    """Tuned retention counts keyed by (group label, feature, chunk).
+
+    Chunk indices and counts only mean something against the chunk plan
+    each group was tuned for, which plans records per group label; a
+    table without plans cannot be written or supplied to a release.
+    """
 
     entries: Mapping[tuple[str, str, int], int]
     runs_used: int
     epsilon_used: float
+    plans: Mapping[str, ChunkPlan] | None = None
 
     def __post_init__(self) -> None:
         frozen = {}
@@ -166,6 +181,20 @@ class KTable:
                 raise ParameterError(f"bad k table entry {key} -> {k}")
             frozen[(str(label), str(feature), int(ci))] = int(k)
         object.__setattr__(self, "entries", frozen)
+        if self.plans is not None:
+            plans = dict(self.plans)
+            labels = {label for label, _, _ in frozen}
+            if set(plans) != labels:
+                raise ParameterError(
+                    f"k table plans name groups {sorted(plans)}, its entries {sorted(labels)}"
+                )
+            for label, feature, ci in frozen:
+                if ci >= len(plans[label]):
+                    raise ParameterError(
+                        f"chunk index in k table key {(label, feature, ci)} is outside the "
+                        f"{len(plans[label])}-chunk plan"
+                    )
+            object.__setattr__(self, "plans", plans)
         if self.runs_used < 1:
             raise ParameterError(f"runs_used must be >= 1, got {self.runs_used}")
         if not self.epsilon_used > 0:
@@ -182,6 +211,22 @@ class KTable:
         if not out:
             raise ParameterError(f"no tuned entries for group {group_label!r}")
         return out
+
+    def checked_mapping(self, group_label: str, plan: ChunkPlan) -> dict[tuple[str, int], int]:
+        """mapping(group_label) for a release chunked by plan; raises
+        ConfigurationError unless the group was tuned for the same chunks."""
+        tuned = None if self.plans is None else self.plans.get(group_label)
+        if tuned is None or tuned.boundaries != plan.boundaries:
+            built = (
+                "no recorded chunk plan"
+                if tuned is None
+                else f"chunk size {tuned.chunk_size} over length {tuned.total_length}"
+            )
+            raise ConfigurationError(
+                f"k table for label {group_label!r} was tuned for {built}; the release "
+                f"needs chunk size {plan.chunk_size} over length {plan.total_length}"
+            )
+        return self.mapping(group_label)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({label for label, _, _ in self.entries}))
@@ -202,6 +247,7 @@ def tune_corpus(
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     entries: dict[tuple[str, str, int], int] = {}
+    plans: dict[str, ChunkPlan] = {}
     labels = corpus.label_values(label_kind)
     for li, label in enumerate(labels):
         group = corpus.group(label_kind, label)
@@ -218,21 +264,31 @@ def tune_corpus(
             ks = tune_k(signals, plan, mechanism, epsilon, runs, src.derive(li, col))
             for ci, k in enumerate(ks):
                 entries[(label, feature, ci)] = k
-    return KTable(entries=entries, runs_used=runs, epsilon_used=float(epsilon))
+            plans[label] = plan
+    return KTable(entries=entries, runs_used=runs, epsilon_used=float(epsilon), plans=plans)
 
 
 def write_k_csv(table: KTable, path) -> None:
+    """Serialize to the flat CSV shape (group_label, feature, chunk_index,
+    k, runs_used, epsilon_used, chunk_size, length)."""
+    if table.plans is None:
+        raise ParameterError("k table records no chunk plans")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_K_HEADER)
         for (label, feature, ci), k in sorted(table.entries.items()):
+            plan = table.plans[label]
             writer.writerow(
-                [label, feature, ci, k, table.runs_used, repr(table.epsilon_used)]
+                [label, feature, ci, k, table.runs_used, repr(table.epsilon_used),
+                 plan.chunk_size, plan.total_length]
             )
 
 
 def load_k_csv(path) -> KTable:
+    """Inverse of write_k_csv, validating every cell; all rows of a group
+    must name one chunk plan."""
     entries: dict[tuple[str, str, int], int] = {}
+    shapes: dict[str, tuple[int, int]] = {}
     runs_used: int | None = None
     epsilon_used: float | None = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -248,8 +304,14 @@ def load_k_csv(path) -> KTable:
                 k = int(row[3])
                 runs = int(row[4])
                 eps = float(row[5])
+                shape = (int(row[6]), int(row[7]))
             except ValueError as exc:
                 raise DataError(f"{path}: row {row_no}: {exc}") from None
+            if shapes.setdefault(key[0], shape) != shape:
+                raise DataError(
+                    f"{path}: row {row_no}: group {key[0]!r} rows name chunk plans "
+                    f"{shapes[key[0]]} and {shape} (chunk_size, length)"
+                )
             if key in entries:
                 raise DataError(f"{path}: row {row_no}: duplicate entry for {key}")
             if runs_used is None:
@@ -262,6 +324,9 @@ def load_k_csv(path) -> KTable:
     if not entries:
         raise DataError(f"{path}: no entries")
     try:
-        return KTable(entries=entries, runs_used=runs_used, epsilon_used=epsilon_used)
+        plans = {label: chunk_plan(length, size) for label, (size, length) in shapes.items()}
+        return KTable(
+            entries=entries, runs_used=runs_used, epsilon_used=epsilon_used, plans=plans
+        )
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from None

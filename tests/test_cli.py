@@ -349,6 +349,34 @@ def test_tune_k_writes_reusable_table(manifest, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_perturb_k_file_must_match_the_chunk_plan(manifest, tmp_path):
+    k_path = tmp_path / "k8.csv"
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--chunk-size", 8,
+        "--runs", 2, "--seed", 6, "--out", k_path,
+    )
+    assert result.exit_code == 0, result.output
+    for mechanism, size in (("cfpa", 16), ("dcfpa", 16), ("fpa", None)):
+        size_args = () if size is None else ("--chunk-size", size)
+        result = run_cli(
+            "perturb", "--manifest", manifest, "--mechanism", mechanism,
+            "--epsilon", 2.4, *size_args, "--k-file", k_path, "--out", tmp_path / "noisy",
+        )
+        assert result.exit_code == 2, (mechanism, result.output)
+        assert "tuned for chunk size 8 over length 40" in result.stderr
+
+    # a k file without the plan columns cannot say which chunking it indexes
+    old = tmp_path / "old_k.csv"
+    old.write_text("group_label,feature,chunk_index,k,runs_used,epsilon_used\n"
+                   "l0,f00,0,1,2,4.8\n")
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--k-file", old, "--out", tmp_path / "noisy_old",
+    )
+    assert result.exit_code == 3
+    assert "expected header" in result.stderr
+
+
 # --- corr ------------------------------------------------------------------------
 
 

@@ -255,6 +255,82 @@ def test_chunk_rejects_mismatched_plan_and_domain():
         chunk_sensitivities(group, chunk_plan(2, 2), 1, "log")
 
 
+def test_non_finite_values_are_rejected():
+    # a NaN participant compares False against the running maximum, so
+    # an exhaustive loop would skip it and report a lower sensitivity
+    for bad in (math.nan, math.inf, -math.inf):
+        group = [[0.0, 0.0], [1.0, 0.0], [bad, 100.0]]
+        with pytest.raises(ParameterError, match="non-finite"):
+            feature_sensitivity(group, 1)
+        for domain in (RAW, DIFFERENCE):
+            with pytest.raises(ParameterError, match="non-finite"):
+                chunk_sensitivities(group, chunk_plan(2, 1), 2, domain)
+
+
+# --- near-ties that a floating-point sum can misrank ----------------------
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        [[0.0, 0.0, 0.0, 0.0], [1e16, 1.0, 1.0, 1.0], [1e16 + 2, 0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0, 0.0], [1.0, 1e16, 1.0, 1.0], [0.0, 1e16 + 2, 0.0, 0.0]],
+    ],
+)
+def test_near_tie_that_a_float_sum_misranks(group):
+    # A left-to-right float sum gives pair (0, 1) 1e16 and pair (0, 2)
+    # 1e16 + 2; the correctly rounded sums are 1e16 + 4 and 1e16 + 2, so
+    # the winner flips. Which of the two groups a given summation order
+    # misranks depends on the order; the result must follow the exact sums.
+    assert oracle_feature(group, 1) == 1e16 + 4
+    assert feature_sensitivity(group, 1) == oracle_feature(group, 1)
+    for c in (1, 2, 3, 4):
+        plan = chunk_plan(4, c)
+        for domain in (RAW, DIFFERENCE):
+            for w in (1, 2):
+                assert chunk_sensitivities(group, plan, w, domain) == oracle_chunks(
+                    group, plan, w, domain
+                )
+
+
+def near_tie_group(rng):
+    """Rows whose pairwise distances tie in exact arithmetic, or nearly.
+
+    Every row is base + a signed, permuted copy of one offset vector;
+    offsets mix magnitudes 2**53 apart so float sums lose the small
+    terms, and some entries move by one ulp.
+    """
+    n = int(rng.integers(1, 13))
+    base = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3)
+    offset = rng.standard_normal(n) * np.where(rng.random(n) < 0.2, 2.0**53, 1.0)
+    rows = [base]
+    for _ in range(int(rng.integers(1, 6))):
+        row = base + rng.choice((-1.0, 1.0)) * offset[rng.permutation(n)]
+        bumps = rng.random(n) < 0.3
+        row[bumps] = np.nextafter(row[bumps], rng.choice((-np.inf, np.inf)))
+        rows.append(row)
+    # some recordings shorter than the group maximum, as in a ragged corpus
+    return [r[: int(rng.integers(1, n + 1))] if rng.random() < 0.2 else r for r in rows]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_near_tie_groups_match_oracle(seed):
+    # a few percent of near-tie groups make a float sum pick the wrong
+    # pair, so each example checks several
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        group = near_tie_group(rng)
+        n = max(len(v) for v in group)
+        plan = chunk_plan(n, int(rng.integers(1, n + 1)))
+        for w in (1, 2):
+            assert feature_sensitivity(group, w) == oracle_feature(group, w)
+            for domain in (RAW, DIFFERENCE):
+                assert chunk_sensitivities(group, plan, w, domain) == oracle_chunks(
+                    group, plan, w, domain
+                )
+
+
 # --- SensitivityTable and group tables ----------------------------------
 
 

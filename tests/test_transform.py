@@ -180,6 +180,19 @@ class TestDifference:
         scale = max(1.0, float(np.max(np.abs(x))))
         assert np.max(np.abs(back - x)) <= 1e-12 * scale * x.size
 
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 48, 1000):
+            rows = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 4, size=(5, 1))
+            batch = transform.diff_transform(rows)
+            assert batch.shape == rows.shape
+            for r in range(rows.shape[0]):
+                assert batch[r].tobytes() == transform.diff_transform(rows[r]).tobytes()
+        with pytest.raises(ParameterError):
+            transform.diff_transform(np.zeros((2, 0)))
+        with pytest.raises(ParameterError):
+            transform.diff_transform(np.zeros((2, 2, 2)))
+
     def test_roundtrip_bitwise_for_integer_valued_doubles(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

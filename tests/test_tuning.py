@@ -3,7 +3,14 @@ tables, and the tuned-count CSV format."""
 import numpy as np
 import pytest
 
-from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
+from privseq.core import (
+    ConfigurationError,
+    Corpus,
+    DataError,
+    FeatureMatrix,
+    ParameterError,
+    chunk_plan,
+)
 from privseq.noise import NoiseSource
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
 
@@ -116,6 +123,7 @@ def test_tune_corpus_covers_all_groups_and_chunks():
     assert set(mapping) == {(f, ci) for f in ("f0", "f1") for ci in range(2)}
     with pytest.raises(ParameterError):
         table.mapping("c")
+    assert table.plans == {"a": chunk_plan(16, 8), "b": chunk_plan(16, 8)}
 
 
 def test_tune_corpus_skips_excluded_and_pads_short_recordings():
@@ -147,6 +155,29 @@ def test_ktable_validation():
         KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=0.0)
 
 
+def test_ktable_plans_must_fit_the_entries():
+    plan = chunk_plan(16, 8)
+    KTable(entries={("a", "f0", 1): 8}, runs_used=4, epsilon_used=1.0, plans={"a": plan})
+    with pytest.raises(ParameterError, match="plans name groups"):
+        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=1.0, plans={"b": plan})
+    with pytest.raises(ParameterError, match="outside"):
+        KTable(entries={("a", "f0", 2): 2}, runs_used=4, epsilon_used=1.0, plans={"a": plan})
+
+
+def test_checked_mapping_needs_the_tuned_chunks():
+    table = tune_corpus(_corpus(), "category", 8, "cfpa", 2.4, 2, NoiseSource(seed=13))
+    assert table.checked_mapping("a", chunk_plan(16, 8)) == table.mapping("a")
+    with pytest.raises(ConfigurationError, match="chunk size 8 over length 16"):
+        table.checked_mapping("a", chunk_plan(16, 16))
+    with pytest.raises(ConfigurationError):
+        table.checked_mapping("a", chunk_plan(24, 8))
+    planless = KTable(entries=table.entries, runs_used=2, epsilon_used=2.4)
+    with pytest.raises(ConfigurationError, match="no recorded chunk plan"):
+        planless.checked_mapping("a", chunk_plan(16, 8))
+    with pytest.raises(ParameterError, match="no chunk plans"):
+        write_k_csv(planless, "unused.csv")
+
+
 def test_k_csv_round_trip(tmp_path):
     table = tune_corpus(_corpus(), "category", 8, "cfpa", 2.4, 4, NoiseSource(seed=12))
     path = tmp_path / "ks.csv"
@@ -155,6 +186,7 @@ def test_k_csv_round_trip(tmp_path):
     assert loaded.entries == table.entries
     assert loaded.runs_used == table.runs_used
     assert loaded.epsilon_used == table.epsilon_used
+    assert loaded.plans == table.plans
 
     path2 = tmp_path / "ks2.csv"
     write_k_csv(loaded, path2)
@@ -162,29 +194,50 @@ def test_k_csv_round_trip(tmp_path):
 
 
 def test_k_csv_loader_errors(tmp_path):
-    head = "group_label,feature,chunk_index,k,runs_used,epsilon_used\n"
+    head = "group_label,feature,chunk_index,k,runs_used,epsilon_used,chunk_size,length\n"
     path = tmp_path / "ks.csv"
 
     path.write_text("group,feature\n")
     with pytest.raises(DataError):
         load_k_csv(path)
 
+    # files without the plan columns cannot say which chunking they index
+    path.write_text("group_label,feature,chunk_index,k,runs_used,epsilon_used\na,f0,0,2,4,1.0\n")
+    with pytest.raises(DataError, match="expected header"):
+        load_k_csv(path)
+
     path.write_text(head)
     with pytest.raises(DataError, match="no entries"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0\na,f0,0,3,4,1.0\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,0,3,4,1.0,8,16\n")
     with pytest.raises(DataError, match="duplicate"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0\na,f0,1,2,8,1.0\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,1,2,8,1.0,8,16\n")
     with pytest.raises(DataError, match="inconsistent"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0\na,f0,1,2,4,2.0\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,1,2,4,2.0,8,16\n")
     with pytest.raises(DataError, match="inconsistent"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,zero,2,4,1.0\n")
+    path.write_text(head + "a,f0,zero,2,4,1.0,8,16\n")
     with pytest.raises(DataError, match="row 2"):
+        load_k_csv(path)
+
+    path.write_text(head + "a,f0,0,2,4,1.0,8,sixteen\n")
+    with pytest.raises(DataError, match="row 2"):
+        load_k_csv(path)
+
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,1,2,4,1.0,4,16\n")
+    with pytest.raises(DataError, match="chunk plans"):
+        load_k_csv(path)
+
+    path.write_text(head + "a,f0,2,2,4,1.0,8,16\n")
+    with pytest.raises(DataError, match="outside"):
+        load_k_csv(path)
+
+    path.write_text(head + "a,f0,0,2,4,1.0,0,16\n")
+    with pytest.raises(DataError, match="chunk_size"):
         load_k_csv(path)

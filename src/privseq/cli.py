@@ -177,7 +177,7 @@ def synth(
 @click.option("--epsilon", required=True, type=float)
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length].")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV.")
+@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's chunk plan and naming every group.")
 @click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV, built for this run's chunk plan; recomputed when absent.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
@@ -212,15 +212,7 @@ def perturb(
     sens_tables = (
         load_sensitivity_tables(sensitivity_file) if sensitivity_file else None
     )
-    k_tables = None
-    if k_file is not None:
-        table = tuning.load_k_csv(k_file)
-        tuned = table.labels()
-        k_tables = {}
-        for label in corpus.label_values(label_kind):
-            if label in tuned:
-                n = max(m.length for m in corpus.group(label_kind, label))
-                k_tables[label] = table.checked_mapping(label, config.plan_for(n))
+    k_table = tuning.load_k_csv(k_file) if k_file is not None else None
     noisy, reports = perturb_corpus(
         corpus,
         label_kind,
@@ -228,7 +220,7 @@ def perturb(
         NoiseSource(seed),
         jobs=_effective_jobs(jobs),
         sens_tables=sens_tables,
-        k_tables=k_tables,
+        k_table=k_table,
     )
     dataio.write_corpus(noisy, out_dir, step_seconds=loaded.step_seconds, reports=reports)
     for label in sorted(reports):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from privseq.core import (
 )
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable, build_group_table
+
+if TYPE_CHECKING:
+    from privseq.tuning import KTable
 
 __all__ = [
     "MECHANISMS",
@@ -426,7 +429,7 @@ def perturb_corpus(
     src: NoiseSource,
     jobs: int = 1,
     sens_tables: Mapping[str, SensitivityTable] | None = None,
-    k_tables: Mapping[str, Mapping[tuple[str, int], int]] | None = None,
+    k_table: KTable | None = None,
 ) -> tuple[Corpus, dict[str, MechanismReport]]:
     """Privatize every recording; returns the noisy corpus and one
     accounting report per label group.
@@ -434,7 +437,9 @@ def perturb_corpus(
     Sensitivities are computed per (label value, feature) group unless
     precomputed tables are supplied; a supplied table must have been
     built for the plan this configuration uses on the group, or the run
-    fails with ConfigurationError. Recordings shorter than their
+    fails with ConfigurationError. A supplied k table likewise must hold
+    every group, tuned for the plan the group is released with.
+    Recordings shorter than their
     group's maximum length are zero-padded for perturbation (matching
     the padded sensitivity definition) and trimmed back on release.
     Noise streams are addressed by (recording index, feature index), so
@@ -447,6 +452,7 @@ def perturb_corpus(
     plans: dict[str, ChunkPlan] = {}
     tables: dict[str, SensitivityTable] = {}
     reports: dict[str, MechanismReport] = {}
+    ks: dict[str, Mapping[tuple[str, int], int] | None] = {}
     for value in labels:
         group = corpus.group(label_kind, value)
         n = max(m.length for m in group)
@@ -477,13 +483,25 @@ def perturb_corpus(
                 norms=(config.norm_order,),
                 domains=(config.domain,),
             )
+        ks[value] = None
+        if k_table is not None:
+            if value not in k_table.plans:
+                raise ConfigurationError(f"no k table entries for label {value!r}")
+            tuned = k_table.plans[value]
+            if tuned != plans[value]:
+                raise ConfigurationError(
+                    f"k table for label {value!r} was tuned for chunk size {tuned.chunk_size} "
+                    f"over length {tuned.total_length}; {config.mechanism} needs chunk size "
+                    f"{plans[value].chunk_size} over length {n}"
+                )
+            ks[value] = k_table.mapping(value)
         reports[value] = build_report(
             config,
             tables[value],
             corpus.schema,
             n,
             excluded=corpus.excluded_features,
-            k_table=None if k_tables is None else k_tables.get(value),
+            k_table=ks[value],
         )
 
     def one_recording(index_matrix: tuple[int, FeatureMatrix]) -> FeatureMatrix:
@@ -492,7 +510,7 @@ def perturb_corpus(
         n_group = group_length[value]
         plan = plans[value]
         sens = tables[value]
-        k_table = None if k_tables is None else k_tables.get(value)
+        group_ks = ks[value]
         out = np.empty_like(m.values)
         for f, feature in enumerate(corpus.schema):
             x = m.values[:, f]
@@ -502,7 +520,7 @@ def perturb_corpus(
             padded = np.zeros(n_group, dtype=np.float64)
             padded[: x.size] = x
             noisy = _apply_mechanism(
-                padded, config, sens, feature, plan, src.derive(r, f, 0), k_table
+                padded, config, sens, feature, plan, src.derive(r, f, 0), group_ks
             )
             if config.clamp:
                 noisy = clamp_nonnegative(noisy)

@@ -112,36 +112,49 @@ def _gamma(n: int) -> float:
 def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[float]:
     """Max lw_distance over row pairs, per chunk [starts[c], starts[c + 1]).
 
-    A numpy pass sums every (pair, chunk) approximately; lw_distance then
-    runs only on the pairs whose approximate sum can still be the exact
-    maximum, which keeps the result bitwise equal to the exhaustive loop.
+    A numpy pass sums the pairs of one row at a time approximately, per
+    chunk, while a running maximum per chunk prunes the candidate pairs,
+    so memory holds the rows, one row's sums and the pairs still near a
+    maximum rather than every (pair, chunk) sum. lw_distance
+    then runs only on the pairs whose approximate sum can still be the
+    exact maximum, which keeps the result bitwise equal to the
+    exhaustive loop.
     """
     m, n = rows.shape
-    approx = np.empty((m * (m - 1) // 2, len(starts)), dtype=np.float64)
+    ends = [*starts[1:], n]
+    keep = 1.0 - 2.0 * _gamma(max(e - s for s, e in zip(starts, ends)) + 1)
     buf = np.empty((m - 1, n), dtype=np.float64)
+    approx = np.empty((m - 1, len(starts)), dtype=np.float64)
     index = np.asarray(starts, dtype=np.intp)
-    pos = 0
+    top = np.zeros(len(starts), dtype=np.float64)
+    # candidate (row i, row j, chunk, approximate sum); zero sums never win
+    cand = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0, dtype=np.float64)]
     for i in range(m - 1):
-        terms = buf[: m - 1 - i]
+        terms, sums = buf[: m - 1 - i], approx[: m - 1 - i]
         np.subtract(rows[i + 1 :], rows[i], out=terms)
         if w == 1:
             np.abs(terms, out=terms)
         else:
             np.multiply(terms, terms, out=terms)
-        np.add.reduceat(terms, index, axis=1, out=approx[pos : pos + len(terms)])
-        pos += len(terms)
-    first, second = np.triu_indices(m, 1)
-    ends = [*starts[1:], n]
-    keep = 1.0 - 2.0 * _gamma(max(e - s for s, e in zip(starts, ends)) + 1)
+        np.add.reduceat(terms, index, axis=1, out=sums)
+        np.maximum(top, sums.max(axis=0), out=top)
+        cut = np.maximum(top * keep, np.finfo(np.float64).smallest_subnormal)
+        held = cand[3] >= cut[cand[2]]
+        j, c = np.nonzero(sums >= cut)
+        cand = [
+            np.concatenate((old[held], new))
+            for old, new in zip(cand, (np.full(j.size, i), j + i + 1, c, sums[j, c]))
+        ]
     out: list[float] = []
     for c, (s, e) in enumerate(zip(starts, ends)):
-        sums = approx[:, c]
-        top = float(sums.max())
-        if top == 0.0:
+        if top[c] == 0.0:
             out.append(0.0)
             continue
-        pairs = np.flatnonzero(sums >= top * keep) if math.isfinite(top) else range(len(sums))
-        out.append(max(lw_distance(rows[first[p], s:e], rows[second[p], s:e], w) for p in pairs))
+        if math.isfinite(top[c]):
+            pairs = zip(cand[0][cand[2] == c], cand[1][cand[2] == c])
+        else:  # an approximate sum overflowed: no bound applies
+            pairs = zip(*np.triu_indices(m, 1))
+        out.append(max(lw_distance(rows[a, s:e], rows[b, s:e], w) for a, b in pairs))
     return out
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from privseq import transform
 from privseq.core import (
     ChunkPlan,
-    ConfigurationError,
     Corpus,
     DataError,
     ParameterError,
@@ -164,14 +163,13 @@ class KTable:
     """Tuned retention counts keyed by (group label, feature, chunk).
 
     Chunk indices and counts only mean something against the chunk plan
-    each group was tuned for, which plans records per group label; a
-    table without plans cannot be written or supplied to a release.
+    each group was tuned for, which plans records per group label.
     """
 
     entries: Mapping[tuple[str, str, int], int]
     runs_used: int
     epsilon_used: float
-    plans: Mapping[str, ChunkPlan] | None = None
+    plans: Mapping[str, ChunkPlan]
 
     def __post_init__(self) -> None:
         frozen = {}
@@ -181,20 +179,19 @@ class KTable:
                 raise ParameterError(f"bad k table entry {key} -> {k}")
             frozen[(str(label), str(feature), int(ci))] = int(k)
         object.__setattr__(self, "entries", frozen)
-        if self.plans is not None:
-            plans = dict(self.plans)
-            labels = {label for label, _, _ in frozen}
-            if set(plans) != labels:
+        plans = dict(self.plans)
+        labels = {label for label, _, _ in frozen}
+        if set(plans) != labels:
+            raise ParameterError(
+                f"k table plans name groups {sorted(plans)}, its entries {sorted(labels)}"
+            )
+        for label, feature, ci in frozen:
+            if ci >= len(plans[label]):
                 raise ParameterError(
-                    f"k table plans name groups {sorted(plans)}, its entries {sorted(labels)}"
+                    f"chunk index in k table key {(label, feature, ci)} is outside the "
+                    f"{len(plans[label])}-chunk plan"
                 )
-            for label, feature, ci in frozen:
-                if ci >= len(plans[label]):
-                    raise ParameterError(
-                        f"chunk index in k table key {(label, feature, ci)} is outside the "
-                        f"{len(plans[label])}-chunk plan"
-                    )
-            object.__setattr__(self, "plans", plans)
+        object.__setattr__(self, "plans", plans)
         if self.runs_used < 1:
             raise ParameterError(f"runs_used must be >= 1, got {self.runs_used}")
         if not self.epsilon_used > 0:
@@ -211,22 +208,6 @@ class KTable:
         if not out:
             raise ParameterError(f"no tuned entries for group {group_label!r}")
         return out
-
-    def checked_mapping(self, group_label: str, plan: ChunkPlan) -> dict[tuple[str, int], int]:
-        """mapping(group_label) for a release chunked by plan; raises
-        ConfigurationError unless the group was tuned for the same chunks."""
-        tuned = None if self.plans is None else self.plans.get(group_label)
-        if tuned is None or tuned.boundaries != plan.boundaries:
-            built = (
-                "no recorded chunk plan"
-                if tuned is None
-                else f"chunk size {tuned.chunk_size} over length {tuned.total_length}"
-            )
-            raise ConfigurationError(
-                f"k table for label {group_label!r} was tuned for {built}; the release "
-                f"needs chunk size {plan.chunk_size} over length {plan.total_length}"
-            )
-        return self.mapping(group_label)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({label for label, _, _ in self.entries}))
@@ -271,8 +252,6 @@ def tune_corpus(
 def write_k_csv(table: KTable, path) -> None:
     """Serialize to the flat CSV shape (group_label, feature, chunk_index,
     k, runs_used, epsilon_used, chunk_size, length)."""
-    if table.plans is None:
-        raise ParameterError("k table records no chunk plans")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_K_HEADER)

@@ -365,6 +365,17 @@ def test_perturb_k_file_must_match_the_chunk_plan(manifest, tmp_path):
         assert result.exit_code == 2, (mechanism, result.output)
         assert "tuned for chunk size 8 over length 40" in result.stderr
 
+    # a group the k file does not cover would silently keep every coefficient
+    partial = tmp_path / "k8_l0.csv"
+    lines = k_path.read_text().splitlines(keepends=True)
+    partial.write_text("".join(lines[:1] + [l for l in lines[1:] if l.startswith("l0,")]))
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--k-file", partial, "--out", tmp_path / "noisy_partial",
+    )
+    assert result.exit_code == 2, result.output
+    assert "no k table entries for label 'l1'" in result.stderr
+
     # a k file without the plan columns cannot say which chunking it indexes
     old = tmp_path / "old_k.csv"
     old.write_text("group_label,feature,chunk_index,k,runs_used,epsilon_used\n"

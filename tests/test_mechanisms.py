@@ -29,6 +29,7 @@ from privseq.mechanisms import (
 )
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable
+from privseq.tuning import KTable
 
 
 def _src(*coords):
@@ -519,20 +520,40 @@ def test_perturb_corpus_rejects_tables_built_for_another_plan(tmp_path):
         assert np.array_equal(m1.values, m2.values)
 
 
+def _k_table(values=("a", "b"), plan=chunk_plan(12, 4), k=2):
+    return KTable(
+        entries={(v, f, ci): k for v in values for f in ("f0", "f1") for ci in range(len(plan))},
+        runs_used=1,
+        epsilon_used=2.4,
+        plans={v: plan for v in values},
+    )
+
+
 def test_perturb_corpus_k_tables_change_retention():
     corpus = _corpus()
     config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)
-    k_tables = {
-        value: {(f, ci): 2 for f in ("f0", "f1") for ci in range(3)}
-        for value in ("a", "b")
-    }
     full, _ = perturb_corpus(corpus, "category", config, NoiseSource(seed=15))
     partial, reports = perturb_corpus(
-        corpus, "category", config, NoiseSource(seed=15), k_tables=k_tables
+        corpus, "category", config, NoiseSource(seed=15), k_table=_k_table()
     )
     assert not np.array_equal(full.matrices[0].values, partial.matrices[0].values)
     for report in reports.values():
         assert all(u.k == 2 for u in report.per_unit)
+
+
+def test_perturb_corpus_rejects_k_tables_for_another_plan_or_group():
+    corpus = _corpus()
+    config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)
+    for table, message in (
+        (_k_table(plan=chunk_plan(12, 6)), "tuned for chunk size 6 over length 12"),
+        (_k_table(plan=chunk_plan(8, 4)), "tuned for chunk size 4 over length 8"),
+        (_k_table(values=("a",)), "no k table entries for label 'b'"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            perturb_corpus(corpus, "category", config, NoiseSource(seed=16), k_table=table)
+    fpa = MechanismConfig(mechanism="fpa", epsilon=2.4)
+    with pytest.raises(ConfigurationError, match="fpa needs chunk size 12 over length 12"):
+        perturb_corpus(corpus, "category", fpa, NoiseSource(seed=16), k_table=_k_table())
 
 
 def test_perturb_corpus_rejects_bad_jobs():

@@ -3,14 +3,7 @@ tables, and the tuned-count CSV format."""
 import numpy as np
 import pytest
 
-from privseq.core import (
-    ConfigurationError,
-    Corpus,
-    DataError,
-    FeatureMatrix,
-    ParameterError,
-    chunk_plan,
-)
+from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
 from privseq.noise import NoiseSource
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
 
@@ -145,14 +138,15 @@ def test_tune_corpus_validation():
 
 
 def test_ktable_validation():
+    plans = {"a": chunk_plan(16, 8)}
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", 0): 0}, runs_used=4, epsilon_used=1.0)
+        KTable(entries={("a", "f0", 0): 0}, runs_used=4, epsilon_used=1.0, plans=plans)
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", -1): 2}, runs_used=4, epsilon_used=1.0)
+        KTable(entries={("a", "f0", -1): 2}, runs_used=4, epsilon_used=1.0, plans=plans)
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", 0): 2}, runs_used=0, epsilon_used=1.0)
+        KTable(entries={("a", "f0", 0): 2}, runs_used=0, epsilon_used=1.0, plans=plans)
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=0.0)
+        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=0.0, plans=plans)
 
 
 def test_ktable_plans_must_fit_the_entries():
@@ -162,20 +156,6 @@ def test_ktable_plans_must_fit_the_entries():
         KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=1.0, plans={"b": plan})
     with pytest.raises(ParameterError, match="outside"):
         KTable(entries={("a", "f0", 2): 2}, runs_used=4, epsilon_used=1.0, plans={"a": plan})
-
-
-def test_checked_mapping_needs_the_tuned_chunks():
-    table = tune_corpus(_corpus(), "category", 8, "cfpa", 2.4, 2, NoiseSource(seed=13))
-    assert table.checked_mapping("a", chunk_plan(16, 8)) == table.mapping("a")
-    with pytest.raises(ConfigurationError, match="chunk size 8 over length 16"):
-        table.checked_mapping("a", chunk_plan(16, 16))
-    with pytest.raises(ConfigurationError):
-        table.checked_mapping("a", chunk_plan(24, 8))
-    planless = KTable(entries=table.entries, runs_used=2, epsilon_used=2.4)
-    with pytest.raises(ConfigurationError, match="no recorded chunk plan"):
-        planless.checked_mapping("a", chunk_plan(16, 8))
-    with pytest.raises(ParameterError, match="no chunk plans"):
-        write_k_csv(planless, "unused.csv")
 
 
 def test_k_csv_round_trip(tmp_path):

@@ -113,12 +113,13 @@ def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[fl
     """Max lw_distance over row pairs, per chunk [starts[c], starts[c + 1]).
 
     A numpy pass sums the pairs of one row at a time approximately, per
-    chunk, while a running maximum per chunk prunes the candidate pairs,
-    so memory holds the rows, one row's sums and the pairs still near a
-    maximum rather than every (pair, chunk) sum. lw_distance
-    then runs only on the pairs whose approximate sum can still be the
-    exact maximum, which keeps the result bitwise equal to the
-    exhaustive loop.
+    chunk, and keeps a running maximum per chunk. Pairs that reach the
+    cut below that maximum are collected; the collection is pruned
+    against the grown maximum whenever it has more than doubled, so
+    memory holds the rows, one row's sums and the pairs near a maximum,
+    not every (pair, chunk) sum. lw_distance then runs only on the pairs
+    whose approximate sum can still be the exact maximum, which keeps
+    the result bitwise equal to the exhaustive loop.
     """
     m, n = rows.shape
     ends = [*starts[1:], n]
@@ -127,8 +128,9 @@ def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[fl
     approx = np.empty((m - 1, len(starts)), dtype=np.float64)
     index = np.asarray(starts, dtype=np.intp)
     top = np.zeros(len(starts), dtype=np.float64)
-    # candidate (row i, row j, chunk, approximate sum); zero sums never win
-    cand = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0, dtype=np.float64)]
+    # (row i, row j, chunk) columns and approximate sums; zero sums never win
+    found, found_sums = [np.empty((3, 0), dtype=np.intp)], [np.empty(0)]
+    stored = kept = 0
     for i in range(m - 1):
         terms, sums = buf[: m - 1 - i], approx[: m - 1 - i]
         np.subtract(rows[i + 1 :], rows[i], out=terms)
@@ -139,19 +141,23 @@ def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[fl
         np.add.reduceat(terms, index, axis=1, out=sums)
         np.maximum(top, sums.max(axis=0), out=top)
         cut = np.maximum(top * keep, np.finfo(np.float64).smallest_subnormal)
-        held = cand[3] >= cut[cand[2]]
         j, c = np.nonzero(sums >= cut)
-        cand = [
-            np.concatenate((old[held], new))
-            for old, new in zip(cand, (np.full(j.size, i), j + i + 1, c, sums[j, c]))
-        ]
+        found.append(np.stack((np.full(j.size, i), j + i + 1, c)))
+        found_sums.append(sums[j, c])
+        stored += j.size
+        if stored > 2 * kept + m or i == m - 2:
+            cand, cand_sums = np.concatenate(found, axis=1), np.concatenate(found_sums)
+            held = cand_sums >= cut[cand[2]]
+            found, found_sums = [cand[:, held]], [cand_sums[held]]
+            stored = kept = found_sums[0].size
+    (first, second, chunk), = found
     out: list[float] = []
     for c, (s, e) in enumerate(zip(starts, ends)):
         if top[c] == 0.0:
             out.append(0.0)
             continue
         if math.isfinite(top[c]):
-            pairs = zip(cand[0][cand[2] == c], cand[1][cand[2] == c])
+            pairs = zip(first[chunk == c], second[chunk == c])
         else:  # an approximate sum overflowed: no bound applies
             pairs = zip(*np.triu_indices(m, 1))
         out.append(max(lw_distance(rows[a, s:e], rows[b, s:e], w) for a, b in pairs))

@@ -87,12 +87,47 @@ def zscore_apply(
     return out
 
 
-def _vote(counts: np.ndarray, values: Sequence[str], src: NoiseSource) -> str:
+def _neighbour_counts(
+    train_x: np.ndarray, codes: np.ndarray, n_labels: int, queries: np.ndarray, k: int
+) -> np.ndarray:
+    """(queries, n_labels) label counts among each query's k nearest
+    training rows.
+
+    Squared Euclidean distances are summed from direct per-feature
+    differences, in feature order. The neighbours are the rows a stable
+    sort of the distances puts first: every row strictly closer than the
+    k-th smallest distance, then rows at that distance in index order.
+    """
+    d2 = np.zeros((queries.shape[0], train_x.shape[0]))
+    diff = np.empty_like(d2)
+    for f in range(train_x.shape[1]):
+        np.subtract(queries[:, f, np.newaxis], train_x[:, f], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    del diff
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    chosen = d2 < kth
+    at_kth = d2 == kth
+    room = k - np.count_nonzero(chosen, axis=1)
+    for q in np.flatnonzero(np.count_nonzero(at_kth, axis=1) > room):
+        # more rows tie at the k-th distance than places are left: keep
+        # the lowest indices
+        at_kth[q, np.flatnonzero(at_kth[q])[room[q] :]] = False
+    chosen |= at_kth
+    return np.stack(
+        [np.count_nonzero(chosen[:, codes == c], axis=1) for c in range(n_labels)], axis=1
+    )
+
+
+def _vote(counts: np.ndarray, values: Sequence[str], src: NoiseSource, *coords: int) -> str:
+    """The top label; a tie draws from stream src.derive(*coords) (src
+    itself without coords), derived only when there is a tie."""
     top = counts.max()
     tied = [values[i] for i in range(len(values)) if counts[i] == top]
     if len(tied) == 1:
         return tied[0]
-    pick = int(src.generator().integers(0, len(tied)))
+    stream = src.derive(*coords) if coords else src
+    pick = int(stream.generator().integers(0, len(tied)))
     return tied[pick]
 
 
@@ -116,12 +151,11 @@ def knn_predict(
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or x.shape[1] != q.size:
         raise ParameterError("query dimension does not match the training vectors")
-    d = x - q
-    order = np.argsort(np.einsum("ij,ij->i", d, d), kind="stable")[:k]
     values = sorted(set(labels))
     index = {v: i for i, v in enumerate(values)}
-    counts = np.bincount([index[labels[i]] for i in order], minlength=len(values))
-    return _vote(counts, values, src)
+    codes = np.asarray([index[lab] for lab in labels])
+    counts = _neighbour_counts(x, codes, len(values), q[np.newaxis, :], k)
+    return _vote(counts[0], values, src)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,18 +270,10 @@ def lopo_cv(
                 continue
             truth = m.labels[label_kind]
             test_x = zscore_apply(r, means, sds)
-            d2 = (
-                np.sum(test_x * test_x, axis=1)[:, np.newaxis]
-                - 2.0 * (test_x @ train_x.T)
-                + np.sum(train_x * train_x, axis=1)
-            )
-            rec_preds: list[str] = []
-            for q in range(test_x.shape[0]):
-                order = np.argsort(d2[q], kind="stable")[: config.neighbors]
-                counts = np.bincount(codes[order], minlength=len(values))
-                rec_preds.append(
-                    _vote(counts, values, src.derive(fold_i, rec_i, q))
-                )
+            counts = _neighbour_counts(train_x, codes, len(values), test_x, config.neighbors)
+            rec_preds = [
+                _vote(c, values, src, fold_i, rec_i, q) for q, c in enumerate(counts)
+            ]
             instance_preds.extend((truth, p) for p in rec_preds)
             if majority:
                 counts = np.bincount(
@@ -255,7 +281,7 @@ def lopo_cv(
                     minlength=len(values),
                 )
                 voted.append(
-                    (m.recording_id, truth, _vote(counts, values, src.derive(fold_i, rec_i)))
+                    (m.recording_id, truth, _vote(counts, values, src, fold_i, rec_i))
                 )
         folds.append(
             FoldResult(

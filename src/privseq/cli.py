@@ -294,21 +294,19 @@ def sweep(
 
     corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
     root = NoiseSource(seed)
-    k_tables = None
+    k_table = None
     if k_file is not None:
-        table = tuning.load_k_csv(k_file)
-        k_tables = {label: table.mapping(label) for label in table.labels()}
+        k_table = tuning.load_k_csv(k_file)
     elif tune:
         sizes = [int(c) for c in chunk_sizes]
         if len(sizes) != 1:
             raise ParameterError(
                 "--tune needs exactly one --chunk-sizes value; tune per size explicitly"
             )
-        table = tuning.tune_corpus(
+        k_table = tuning.tune_corpus(
             corpus, label_kind, sizes[0], tune_mechanism,
             tune_epsilon, tune_runs, root.derive(1),
         )
-        k_tables = {label: table.mapping(label) for label in table.labels()}
     result = metrics.run_sweep(
         corpus,
         label_kind,
@@ -318,7 +316,7 @@ def sweep(
         chunk_sizes=tuple(int(c) for c in chunk_sizes),
         runs=int(runs),
         jobs=_effective_jobs(jobs),
-        k_tables=k_tables,
+        k_table=k_table,
     )
     metrics.write_sweep_csv(result, out_path)
     click.echo(f"wrote {len(result.rows)} sweep rows to {out_path}")

@@ -251,9 +251,9 @@ def write_corpus(
 ) -> CorpusManifest:
     """Write manifest, schema, and one CSV per recording into out_dir.
 
-    Floats are rendered with repr so a subsequent load reproduces the
-    corpus exactly. When reports are given (one per label group), a
-    sibling report.json is written alongside the data.
+    Floats are rendered with repr (csv's own float format) so a later
+    load reproduces the corpus exactly. When reports are given (one per
+    label group), a sibling report.json is written alongside the data.
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -266,8 +266,7 @@ def write_corpus(
         with open(os.path.join(out_dir, file_name), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(corpus.schema)
-            for row in m.values:
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerows(m.values.tolist())
         entries.append(
             RecordingEntry(
                 file_path=file_name,

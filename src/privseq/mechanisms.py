@@ -11,17 +11,30 @@ real part and the imaginary part of each retained coefficient (2k real
 draws per chunk, real block first), which is what the sqrt(n)sqrt(k)
 noise scale assumes.
 
-Noise streams: every mechanism invocation consumes its NoiseSource
-sequentially from the origin, chunk by chunk in index order, drawing
-2k values per chunk (or n for LPA) whether or not the chunk's noise
-scale is zero. Consequently CFPA on a single full-length chunk is
-bit-identical to FPA on the same source, and draw positions depend only
-on the retention plan, never on epsilon or sensitivity values, so one
-unit draw serves a whole epsilon grid.
+FPA is linear in the retained coefficients, so every Fourier release is
+release = S + lam * N: S inverts the truncated clean coefficients, N
+inverts unit-scale Laplace coefficient noise, and lam is each chunk's
+noise scale broadcast over its samples. One batched core computes S and
+N (fpa_spectra, fpa_parts) for a (rows, n) block, one transform call per
+distinct chunk length; differencing, symmetric completion and the
+running sum act on S and N alike. fpa, cfpa and dcfpa are one-row
+calls, perturb_corpus sends each (group, feature) in blocks of rows, and
+the sweep and retention tuning evaluate the same fpa_release over their
+run grids.
+
+Noise streams: every mechanism invocation reads one unit-Laplace vector
+of 2 * sum(k) values from the origin of its NoiseSource (n for LPA);
+chunk i takes the 2 k_i values after those of chunks 0..i-1 (FpaLayout)
+whether or not its noise scale is zero. That vector equals per-chunk
+draws made one after another from one generator. So CFPA on a single
+full-length chunk is bit-identical to FPA on the same source, and draw
+positions depend only on the retention plan, never on epsilon or
+sensitivity values: one unit draw serves a whole epsilon grid.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -60,9 +73,19 @@ __all__ = [
     "build_report",
     "perturb_corpus",
     "clamp_nonnegative",
+    "FpaLayout",
+    "fpa_spectra",
+    "fpa_parts",
+    "fpa_release",
+    "group_k_mapping",
 ]
 
 MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
+
+# Callers of the core split large row sets into blocks of about this
+# many (row, sample) values, counting S and N rows, so its work arrays
+# stay small whatever the group size or run count.
+BLOCK_VALUES = 1 << 14
 
 
 def _validated_signal(x: RealSeq) -> np.ndarray:
@@ -103,40 +126,147 @@ def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
     return (math.sqrt(n) * math.sqrt(k) * delta2) / epsilon
 
 
-def _add_coefficient_noise(fk: np.ndarray, lam: float, draws: np.ndarray, k: int) -> np.ndarray:
-    """fk + lam * (draws[:k] + i draws[k:]), via component views.
+def _uniform_blocks(plan: ChunkPlan) -> list[tuple[int, int, int, int]]:
+    """(first chunk, chunk count, chunk length, first sample) of each run
+    of equal-length chunks: the full chunks, then any remainder chunk."""
+    full, rest = divmod(plan.total_length, plan.chunk_size)
+    blocks = [(0, full, plan.chunk_size, 0)] if full else []
+    return blocks + ([(full, 1, rest, full * plan.chunk_size)] if rest else [])
 
-    Written over the float64 component view so the elementary operation
-    sequence (multiply, then add per component) is the same one the
-    batched sweep runner uses, keeping the two paths bit-identical.
+
+class FpaLayout:
+    """Where FPA keeps coefficients and reads unit draws, for one chunk
+    plan and its per-chunk retention counts.
+
+    Chunk i retains bins 0..k_i-1 and reads 2*k_i consecutive unit draws
+    starting at 2*(k_0 + ... + k_{i-1}): the first k_i are the real parts
+    of its coefficient noise, the next k_i the imaginary parts. A row
+    therefore consumes draw_count = 2 * sum(k) draws, and its draws for
+    the leading chunks do not depend on later ones.
     """
-    noisy = fk.astype(np.complex128, copy=True)
-    if lam > 0.0:
-        v = noisy.view(np.float64)
-        v[0::2] += lam * draws[:k]
-        v[1::2] += lam * draws[k:]
-    return noisy
+
+    __slots__ = ("plan", "ks", "lengths", "draw_count", "_blocks")
+
+    def __init__(self, plan: ChunkPlan, ks: Sequence[int]):
+        ks = tuple(int(k) for k in ks)
+        lengths = plan.chunk_lengths()
+        if len(ks) != len(lengths):
+            raise ParameterError(f"{len(ks)} retention counts for {len(lengths)} chunks")
+        for k, length in zip(ks, lengths):
+            if not 1 <= k <= length:
+                raise ParameterError(f"k must be in [1, {length}], got {k}")
+        self.plan = plan
+        self.ks = ks
+        self.lengths = np.asarray(lengths)
+        self.draw_count = 2 * sum(ks)
+        # Per run of equal-length chunks: where it starts, and its sub-runs
+        # of equal k as (first, end, k, first draw), relative to the run.
+        self._blocks = []
+        offset = 0
+        for first, count, c, start in _uniform_blocks(plan):
+            runs = []
+            for k, same in itertools.groupby(range(count), lambda j: ks[first + j]):
+                same = list(same)
+                runs.append((same[0], same[-1] + 1, k, offset))
+                offset += 2 * k * len(same)
+            self._blocks.append((start, count, c, runs))
+
+    def noise_scale(self, deltas: Sequence[float], epsilon: float) -> np.ndarray:
+        """fpa_lambda of every chunk, given its sensitivity."""
+        lengths = self.plan.chunk_lengths()
+        return np.array([fpa_lambda(c, k, d, epsilon) for c, k, d in zip(lengths, self.ks, deltas)])
 
 
-def _fpa_core(
-    x: np.ndarray,
-    delta2: float,
-    epsilon: float,
-    k: int,
-    gen: np.random.Generator,
-    symmetric: bool,
+def fpa_spectra(block: np.ndarray, plan: ChunkPlan, difference: bool) -> list[np.ndarray]:
+    """Forward transforms of every chunk of every row of a (rows, n)
+    block, one (rows, count, c) array per run of count equal-length
+    chunks; difference transforms each chunk first."""
+    rows = block.shape[0]
+    out = []
+    for _, count, c, start in _uniform_blocks(plan):
+        seg = block[:, start : start + count * c].reshape(rows * count, c)
+        if difference:
+            seg = transform.diff_transform(seg)
+        out.append(transform.dft_batch(seg).reshape(rows, count, c))
+    return out
+
+
+def _literal_pairwise(nd: np.ndarray) -> np.ndarray:
+    # Adjacent-pair aggregation along the last axis: out[0] = nd[0],
+    # out[t] = nd[t] + nd[t-1].
+    out = np.empty_like(nd)
+    out[..., 0] = nd[..., 0]
+    np.add(nd[..., 1:], nd[..., :-1], out=out[..., 1:])
+    return out
+
+
+def fpa_parts(
+    spectra: Sequence[np.ndarray],
+    layout: FpaLayout,
+    draws: np.ndarray,
+    difference: bool,
+    symmetric: bool = False,
+    literal: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, N): S (a row per spectra row) inverts the truncated clean
+    coefficients, N (a row per draws row) the unit Laplace coefficient
+    noise read from draws (rows, >= layout.draw_count) in layout order.
+    Both are completed alike when symmetric is set and, when difference
+    is, summed back (or pair-aggregated when literal is set). Each run
+    of equal-length chunks is inverted in one transform call."""
+    rows_s = spectra[0].shape[0]
+    rows_n = draws.shape[0]
+    clean = np.empty((rows_s, layout.plan.total_length))
+    unit = np.empty((rows_n, layout.plan.total_length))
+    for spec, (start, count, c, runs) in zip(spectra, layout._blocks):
+        bins = np.zeros((rows_s + rows_n, count, c), dtype=np.complex128)
+        for j, end, k, offset in runs:
+            noise = draws[:, offset : offset + 2 * k * (end - j)].reshape(rows_n, end - j, 2 * k)
+            bins[:rows_s, j:end, :k] = spec[:, j:end, :k]
+            bins.real[rows_s:, j:end, :k] = noise[:, :, :k]
+            bins.imag[rows_s:, j:end, :k] = noise[:, :, k:]
+            if symmetric:
+                transform.reflect_conjugate(bins[:, j:end], k)
+        rec = transform.idft_batch(bins.reshape(-1, c)).real.reshape(-1, count, c)
+        if difference:
+            rec = _literal_pairwise(rec) if literal else transform.cumsum_reconstruct(rec)
+        rec = rec.reshape(-1, count * c)
+        clean[:, start : start + count * c] = rec[:rows_s]
+        unit[:, start : start + count * c] = rec[rows_s:]
+    return clean, unit
+
+
+def fpa_release(
+    clean: np.ndarray, unit: np.ndarray, layout: FpaLayout, lams: np.ndarray
 ) -> np.ndarray:
-    """FPA on one chunk, drawing 2k values from the shared generator."""
-    n = x.size
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in [1, {n}], got {k}")
-    lam = fpa_lambda(n, k, delta2, epsilon)
-    draws = unit_laplace(gen, 2 * k)
-    fk = transform.truncate_low(transform.dft(x), k)
-    noisy = _add_coefficient_noise(fk, lam, draws, k)
-    if symmetric:
-        noisy = transform.complete_symmetric(noisy, n)
-    return transform.pad_and_invert(noisy, n)
+    """S + lam_c * N, each chunk's noise scale (FpaLayout.noise_scale)
+    broadcast over its samples. (budgets, chunks) scales release
+    (budgets, rows, n) at once, each element as in a one-budget call."""
+    return clean + np.repeat(lams, layout.lengths, axis=-1)[..., np.newaxis, :] * unit
+
+
+def _fpa_block(
+    block: np.ndarray,
+    plan: ChunkPlan,
+    per_chunk: Sequence[tuple[float, int]],
+    epsilon: float,
+    streams: Sequence[NoiseSource],
+    difference: bool,
+    symmetric: bool = False,
+    literal: bool = False,
+) -> np.ndarray:
+    """Every row of a (rows, n) block through the core at per-chunk
+    (sensitivity, k); row i draws 2 * sum(k) values from streams[i]."""
+    if plan.total_length != block.shape[1]:
+        raise ParameterError(
+            f"plan covers {plan.total_length} samples but the signal has {block.shape[1]}"
+        )
+    layout = FpaLayout(plan, [k for _, k in per_chunk])
+    lams = layout.noise_scale([d for d, _ in per_chunk], epsilon)
+    draws = np.stack([unit_laplace(s.generator(), layout.draw_count) for s in streams])
+    spectra = fpa_spectra(block, plan, difference)
+    clean, unit = fpa_parts(spectra, layout, draws, difference, symmetric, literal)
+    return fpa_release(clean, unit, layout, lams)
 
 
 def fpa(
@@ -148,28 +278,9 @@ def fpa(
     symmetric: bool = False,
 ) -> RealSeq:
     """Whole-signal Fourier perturbation with k retained coefficients."""
-    arr = _validated_signal(x)
-    return _fpa_core(arr, delta2, epsilon, k, src.generator(), symmetric)
-
-
-def _check_per_chunk(
-    plan: ChunkPlan, per_chunk: Sequence[tuple[float, int]], n: int
-) -> list[tuple[float, int]]:
-    if plan.total_length != n:
-        raise ParameterError(
-            f"plan covers {plan.total_length} samples but the signal has {n}"
-        )
-    staged = [(float(d), int(k)) for d, k in per_chunk]
-    if len(staged) != len(plan):
-        raise ParameterError(
-            f"per_chunk has {len(staged)} entries for {len(plan)} chunks"
-        )
-    for (d, k), length in zip(staged, plan.chunk_lengths()):
-        if not (d >= 0.0 and math.isfinite(d)):
-            raise ParameterError(f"chunk sensitivity must be finite and >= 0, got {d}")
-        if not 1 <= k <= length:
-            raise ParameterError(f"chunk k must be in [1, {length}], got {k}")
-    return staged
+    arr = _validated_signal(x)[np.newaxis, :]
+    plan = chunk_plan(arr.size, arr.size)
+    return _fpa_block(arr, plan, [(delta2, k)], epsilon, [src], False, symmetric)[0]
 
 
 def cfpa(
@@ -185,22 +296,8 @@ def cfpa(
     Every chunk receives the full budget epsilon: the chunks partition
     the sample index range, so parallel composition applies.
     """
-    arr = _validated_signal(x)
-    staged = _check_per_chunk(plan, per_chunk, arr.size)
-    gen = src.generator()
-    parts = [
-        _fpa_core(arr[s:e], d, epsilon, k, gen, symmetric)
-        for (s, e), (d, k) in zip(plan.boundaries, staged)
-    ]
-    return np.concatenate(parts)
-
-
-def _literal_pairwise(nd: np.ndarray) -> np.ndarray:
-    # Adjacent-pair aggregation: out[0] = nd[0], out[t] = nd[t] + nd[t-1].
-    out = np.empty_like(nd)
-    out[0] = nd[0]
-    np.add(nd[1:], nd[:-1], out=out[1:])
-    return out
+    arr = _validated_signal(x)[np.newaxis, :]
+    return _fpa_block(arr, plan, per_chunk, epsilon, [src], False, symmetric)[0]
 
 
 def dcfpa(
@@ -220,14 +317,8 @@ def dcfpa(
     aggregation variant for comparison; it is not the inverse of the
     difference transform and is off by default.
     """
-    arr = _validated_signal(x)
-    staged = _check_per_chunk(plan, per_chunk, arr.size)
-    gen = src.generator()
-    parts = []
-    for (s, e), (d, k) in zip(plan.boundaries, staged):
-        nd = _fpa_core(transform.diff_transform(arr[s:e]), d, epsilon, k, gen, symmetric)
-        parts.append(_literal_pairwise(nd) if literal else transform.cumsum_reconstruct(nd))
-    return np.concatenate(parts)
+    arr = _validated_signal(x)[np.newaxis, :]
+    return _fpa_block(arr, plan, per_chunk, epsilon, [src], True, symmetric, literal)[0]
 
 
 def compose_sequential(epsilons: Sequence[float]) -> float:
@@ -394,32 +485,29 @@ def build_report(
     )
 
 
-def _apply_mechanism(
-    x: np.ndarray,
-    config: MechanismConfig,
-    sens: SensitivityTable,
-    feature: str,
-    plan: ChunkPlan,
-    src: NoiseSource,
-    k_table: Mapping[tuple[str, int], int] | None,
-) -> np.ndarray:
-    if config.mechanism == "lpa":
-        return lpa(x, sens.value(feature, 0, RAW, 1), config.epsilon, src)
-    if config.mechanism == "fpa":
-        k = _chunk_k(config, k_table, feature, 0, x.size)
-        return fpa(x, sens.value(feature, 0, RAW, 2), config.epsilon, k, src, config.symmetric)
-    per_chunk = [
-        (
-            sens.value(feature, ci, config.domain, 2),
-            _chunk_k(config, k_table, feature, ci, e - s),
+def _check_plan(what: str, built: ChunkPlan | None, plan: ChunkPlan, mechanism: str) -> None:
+    if built != plan:
+        had = (
+            "no recorded chunk plan"
+            if built is None
+            else f"chunk size {built.chunk_size} over length {built.total_length}"
         )
-        for ci, (s, e) in enumerate(plan.boundaries)
-    ]
-    if config.mechanism == "cfpa":
-        return cfpa(x, plan, per_chunk, config.epsilon, src, config.symmetric)
-    return dcfpa(
-        x, plan, per_chunk, config.epsilon, src, config.symmetric, config.literal_reconstruct
-    )
+        raise ConfigurationError(
+            f"{what} {had}; {mechanism} needs chunk size {plan.chunk_size} "
+            f"over length {plan.total_length}"
+        )
+
+
+def group_k_mapping(
+    k_table: KTable, label: str, plan: ChunkPlan, mechanism: str
+) -> dict[tuple[str, int], int]:
+    """One group's tuned counts, {(feature, chunk_index): k}, after
+    checking that the group was tuned for the plan it is released with;
+    a missing group or another plan is a ConfigurationError."""
+    if label not in k_table.plans:
+        raise ConfigurationError(f"no k table entries for label {label!r}")
+    _check_plan(f"k table for label {label!r} was tuned for", k_table.plans[label], plan, mechanism)
+    return k_table.mapping(label)
 
 
 def perturb_corpus(
@@ -439,16 +527,16 @@ def perturb_corpus(
     built for the plan this configuration uses on the group, or the run
     fails with ConfigurationError. A supplied k table likewise must hold
     every group, tuned for the plan the group is released with.
-    Recordings shorter than their
-    group's maximum length are zero-padded for perturbation (matching
-    the padded sensitivity definition) and trimmed back on release.
-    Noise streams are addressed by (recording index, feature index), so
-    output is independent of worker count.
+    Recordings shorter than their group's maximum length are
+    zero-padded for perturbation (matching the padded sensitivity
+    definition) and trimmed back on release. Each (group, feature) goes
+    through the core in blocks of rows; recording r's feature f draws from
+    stream (r, f, 0), exactly as a direct mechanism call on that stream
+    would, so output is independent of worker count.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     labels = corpus.label_values(label_kind)
-    group_length: dict[str, int] = {}
     plans: dict[str, ChunkPlan] = {}
     tables: dict[str, SensitivityTable] = {}
     reports: dict[str, MechanismReport] = {}
@@ -456,24 +544,15 @@ def perturb_corpus(
     for value in labels:
         group = corpus.group(label_kind, value)
         n = max(m.length for m in group)
-        group_length[value] = n
         plans[value] = config.plan_for(n)
         if sens_tables is not None:
             if value not in sens_tables:
                 raise ConfigurationError(f"no sensitivity table for label {value!r}")
-            table = sens_tables[value]
-            if table.plan != plans[value]:
-                built = (
-                    "no recorded chunk plan"
-                    if table.plan is None
-                    else f"chunk size {table.plan.chunk_size} over length {table.plan.total_length}"
-                )
-                raise ConfigurationError(
-                    f"sensitivity table for label {value!r} was built for {built}; "
-                    f"{config.mechanism} needs chunk size {plans[value].chunk_size} "
-                    f"over length {n}"
-                )
-            tables[value] = table
+            tables[value] = sens_tables[value]
+            _check_plan(
+                f"sensitivity table for label {value!r} was built for",
+                tables[value].plan, plans[value], config.mechanism,
+            )
         else:
             tables[value] = build_group_table(
                 corpus,
@@ -485,16 +564,7 @@ def perturb_corpus(
             )
         ks[value] = None
         if k_table is not None:
-            if value not in k_table.plans:
-                raise ConfigurationError(f"no k table entries for label {value!r}")
-            tuned = k_table.plans[value]
-            if tuned != plans[value]:
-                raise ConfigurationError(
-                    f"k table for label {value!r} was tuned for chunk size {tuned.chunk_size} "
-                    f"over length {tuned.total_length}; {config.mechanism} needs chunk size "
-                    f"{plans[value].chunk_size} over length {n}"
-                )
-            ks[value] = k_table.mapping(value)
+            ks[value] = group_k_mapping(k_table, value, plans[value], config.mechanism)
         reports[value] = build_report(
             config,
             tables[value],
@@ -504,44 +574,51 @@ def perturb_corpus(
             k_table=ks[value],
         )
 
-    def one_recording(index_matrix: tuple[int, FeatureMatrix]) -> FeatureMatrix:
-        r, m = index_matrix
-        value = m.labels[label_kind]
-        n_group = group_length[value]
+    outs = [m.values.copy() for m in corpus.matrices]
+
+    def one_block(value: str, f: int, rows: list[int]) -> None:
+        feature = corpus.schema[f]
         plan = plans[value]
         sens = tables[value]
-        group_ks = ks[value]
-        out = np.empty_like(m.values)
-        for f, feature in enumerate(corpus.schema):
-            x = m.values[:, f]
-            if feature in corpus.excluded_features:
-                out[:, f] = x
-                continue
-            padded = np.zeros(n_group, dtype=np.float64)
-            padded[: x.size] = x
-            noisy = _apply_mechanism(
-                padded, config, sens, feature, plan, src.derive(r, f, 0), group_ks
+        block = np.zeros((len(rows), plan.total_length))
+        for row, r in enumerate(rows):
+            x = corpus.matrices[r].values[:, f]
+            block[row, : x.size] = x
+        streams = [src.derive(r, f, 0) for r in rows]
+        if config.mechanism == "lpa":
+            delta = sens.value(feature, 0, RAW, 1)
+            noisy = np.stack([lpa(x, delta, config.epsilon, s) for x, s in zip(block, streams)])
+        else:
+            per_chunk = [
+                (sens.value(feature, ci, config.domain, 2), _chunk_k(config, ks[value], feature, ci, c))
+                for ci, c in enumerate(plan.chunk_lengths())
+            ]
+            noisy = _fpa_block(
+                block, plan, per_chunk, config.epsilon, streams, config.mechanism == "dcfpa",
+                config.symmetric, config.literal_reconstruct,
             )
-            if config.clamp:
-                noisy = clamp_nonnegative(noisy)
-            out[:, f] = noisy[: x.size]
-        return FeatureMatrix(
-            recording_id=m.recording_id,
-            participant_id=m.participant_id,
-            labels=dict(m.labels),
-            feature_names=m.feature_names,
-            values=out,
-        )
+        if config.clamp:
+            noisy = clamp_nonnegative(noisy)
+        for row, r in enumerate(rows):
+            outs[r][:, f] = noisy[row, : outs[r].shape[0]]
 
-    indexed = list(enumerate(corpus.matrices))
+    units = []
+    for value in labels:
+        rows = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
+        step = max(1, BLOCK_VALUES // (2 * plans[value].total_length))
+        for f, feature in enumerate(corpus.schema):
+            if feature not in corpus.excluded_features:
+                units += [(value, f, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
     if jobs == 1:
-        matrices = [one_recording(im) for im in indexed]
+        for u in units:
+            one_block(*u)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            matrices = list(pool.map(one_recording, indexed))
-    noisy_corpus = Corpus(
-        matrices=tuple(matrices),
-        schema=corpus.schema,
-        excluded_features=corpus.excluded_features,
+            list(pool.map(lambda u: one_block(*u), units))
+    # FeatureMatrix keeps its own copy; popping each buffer as it is used
+    # keeps a second copy of the whole corpus from being alive at once.
+    matrices = tuple(
+        FeatureMatrix(m.recording_id, m.participant_id, m.labels, m.feature_names, outs.pop(0))
+        for m in corpus.matrices
     )
-    return noisy_corpus, reports
+    return Corpus(matrices, corpus.schema, corpus.excluded_features), reports

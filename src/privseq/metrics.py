@@ -20,11 +20,10 @@ import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from privseq import transform
 from privseq.core import (
     ChunkPlan,
     Corpus,
@@ -33,14 +32,25 @@ from privseq.core import (
     ParameterError,
     RealSeq,
 )
-from privseq.mechanisms import MECHANISMS, MechanismConfig, fpa_lambda
+from privseq.mechanisms import (
+    MECHANISMS,
+    FpaLayout,
+    MechanismConfig,
+    _chunk_k,
+    fpa_parts,
+    fpa_release,
+    fpa_spectra,
+    group_k_mapping,
+)
 from privseq.noise import NoiseSource, unit_laplace
-from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable, build_group_table
+from privseq.sensitivity import SensitivityTable, build_group_table
+
+if TYPE_CHECKING:
+    from privseq.tuning import KTable
 
 __all__ = [
     "nmse",
     "utility",
-    "mean_utility",
     "corr_curve",
     "CorrelationCurve",
     "SweepRow",
@@ -109,44 +119,6 @@ def render_value(value: float | None) -> str:
     if value == math.inf:
         return "exact"
     return repr(float(value))
-
-
-def mean_utility(
-    corpus: Corpus, noisy: Corpus, excluded: frozenset[str] | set[str] = frozenset()
-) -> float:
-    """Two-stage mean utility of a released corpus against its source:
-    per-feature mean across recordings, then the unweighted mean across
-    included features. Undefined pairs and exhausted features are
-    skipped; if nothing remains the sweep is empty and that is an error.
-    """
-    if corpus.schema != noisy.schema:
-        raise ParameterError("corpora have different schemas")
-    if len(corpus.matrices) != len(noisy.matrices):
-        raise ParameterError(
-            f"corpora have {len(corpus.matrices)} and {len(noisy.matrices)} recordings"
-        )
-    for a, b in zip(corpus.matrices, noisy.matrices):
-        if a.recording_id != b.recording_id:
-            raise ParameterError(
-                f"recording order mismatch: {a.recording_id!r} vs {b.recording_id!r}"
-            )
-        if a.values.shape != b.values.shape:
-            raise ParameterError(f"recording {a.recording_id!r} changed shape")
-    skip = set(corpus.excluded_features) | set(excluded)
-    feature_means: list[float] = []
-    for f, feature in enumerate(corpus.schema):
-        if feature in skip:
-            continue
-        values = []
-        for a, b in zip(corpus.matrices, noisy.matrices):
-            u = utility(a.values[:, f], b.values[:, f])
-            if u is not None:
-                values.append(u)
-        if values:
-            feature_means.append(math.fsum(values) / len(values))
-    if not feature_means:
-        raise ParameterError("empty sweep: every feature excluded or undefined")
-    return math.fsum(feature_means) / len(feature_means)
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,10 +314,11 @@ def _sweep_configs(
 
 
 class _GroupContext:
-    """Per-label precomputation shared by all units of that group:
-    chunk plans and sensitivity tables for every configuration."""
+    """Per-label precomputation shared by all units of that group: for
+    every (configuration, feature), the core layout (None for lpa) and
+    the noise scales, one row per epsilon (per chunk; one value for lpa)."""
 
-    __slots__ = ("length", "plans", "deltas")
+    __slots__ = ("length", "cells")
 
     def __init__(
         self,
@@ -353,159 +326,96 @@ class _GroupContext:
         label_kind: str,
         label_value: str,
         configs: Sequence[tuple[str, int | None]],
+        epsilons: Sequence[float],
+        k_table: KTable | None,
     ):
         group = corpus.group(label_kind, label_value)
         self.length = max(m.length for m in group)
-        self.plans: dict[int | None, ChunkPlan] = {}
-        # deltas[(config, feature)] -> list of per-chunk sensitivities
-        self.deltas: dict[tuple[tuple[str, int | None], str], list[float]] = {}
-        tables: dict[tuple[int | None, str, int], SensitivityTable] = {}
-        for mech, c in configs:
-            plan_key = None if mech in ("lpa", "fpa") else c
-            if plan_key not in self.plans:
-                self.plans[plan_key] = (
-                    MechanismConfig(mechanism=mech, epsilon=1.0, chunk_size=c).plan_for(
-                        self.length
-                    )
+        self.cells: dict[tuple[int, str], tuple[FpaLayout | None, np.ndarray]] = {}
+        tables: dict[tuple[ChunkPlan, str, int], SensitivityTable] = {}
+        for cfg_idx, (mech, c) in enumerate(configs):
+            config = MechanismConfig(mechanism=mech, epsilon=1.0, chunk_size=c)
+            plan = config.plan_for(self.length)
+            domain, norm = config.domain, config.norm_order
+            if (plan, domain, norm) not in tables:
+                tables[(plan, domain, norm)] = build_group_table(
+                    corpus, label_kind, label_value, plan, norms=(norm,), domains=(domain,)
                 )
-            domain = DIFFERENCE if mech == "dcfpa" else RAW
-            norm = 1 if mech == "lpa" else 2
-            tkey = (plan_key, domain, norm)
-            if tkey not in tables:
-                tables[tkey] = build_group_table(
-                    corpus,
-                    label_kind,
-                    label_value,
-                    self.plans[plan_key],
-                    norms=(norm,),
-                    domains=(domain,),
-                )
-            table = tables[tkey]
-            for feature in corpus.schema:
-                if feature in corpus.excluded_features:
+            table = tables[(plan, domain, norm)]
+            ks = None
+            if k_table is not None and mech != "lpa":
+                ks = group_k_mapping(k_table, label_value, plan, mech)
+            for f in corpus.included_features:
+                deltas = [table.value(f, ci, domain, norm) for ci in range(len(plan))]
+                if mech == "lpa":
+                    scales = np.array([deltas[0] / e if deltas[0] > 0 else 0.0 for e in epsilons])
+                    self.cells[(cfg_idx, f)] = (None, scales)
                     continue
-                self.deltas[((mech, c), feature)] = [
-                    table.value(feature, ci, domain, norm)
-                    for ci in range(len(self.plans[plan_key]))
-                ]
+                layout = FpaLayout(
+                    plan,
+                    [_chunk_k(config, ks, f, ci, c) for ci, c in enumerate(plan.chunk_lengths())],
+                )
+                scales = np.stack([layout.noise_scale(deltas, e) for e in epsilons])
+                self.cells[(cfg_idx, f)] = (layout, scales)
 
 
-def _chunk_ks(
-    plan: ChunkPlan,
-    k_table: Mapping[tuple[str, int], int] | None,
-    feature: str,
-) -> list[int]:
-    lengths = plan.chunk_lengths()
-    if k_table is None:
-        return list(lengths)
-    ks = []
-    for ci, length in enumerate(lengths):
-        key = (feature, ci)
-        if key not in k_table:
-            raise ParameterError(f"k table missing entry for {key}")
-        k = int(k_table[key])
-        if not 1 <= k <= length:
-            raise ParameterError(f"k={k} out of [1, {length}] for {key}")
-        ks.append(k)
-    return ks
-
-
-def _unit_cells(
+def _unit_sums(
     x: np.ndarray,
     ctx: _GroupContext,
     configs: Sequence[tuple[str, int | None]],
-    epsilons: Sequence[float],
     runs: int,
     unit_src: NoiseSource,
     feature: str,
-    k_table: Mapping[tuple[str, int], int] | None,
 ) -> dict[tuple[int, int], tuple[float, int, int]]:
     """All NMSE cells of one (recording, feature) unit.
 
     Returns {(config_index, epsilon_index): (nmse_sum, valid, skipped)}.
-    Draw layout per run: one unit-Laplace vector of length 2N whose
-    prefix slices reproduce, bit for bit, what the mechanism functions
-    draw chunk by chunk from the same source.
+    Run t reads one unit-Laplace vector of length 2N from stream
+    (recording, feature, t); its prefix is exactly what a mechanism call
+    on that stream draws. S and N are built once per configuration; the
+    whole epsilon grid is then one S + lam * N and its NMSE cells.
     """
     n_orig = x.size
-    big_n = ctx.length
-    padded = np.zeros(big_n, dtype=np.float64)
-    padded[:n_orig] = x
+    padded = np.zeros((1, ctx.length))
+    padded[0, :n_orig] = x
     draws = np.stack(
         [
-            unit_laplace(unit_src.derive(run).generator(), 2 * big_n)
+            unit_laplace(unit_src.derive(run).generator(), 2 * ctx.length)
             for run in range(runs)
         ]
     )
     x_mean = float(np.mean(x))
     out: dict[tuple[int, int], tuple[float, int, int]] = {}
-
-    for cfg_idx, (mech, c) in enumerate(configs):
-        plan_key = None if mech in ("lpa", "fpa") else c
-        plan = ctx.plans[plan_key]
-        deltas = ctx.deltas[((mech, c), feature)]
-        if mech == "lpa":
-            base_noise = draws[:, :big_n]
-            for e_idx, eps in enumerate(epsilons):
-                lam = deltas[0] / eps if deltas[0] > 0 else 0.0
-                xt = padded + lam * base_noise if lam > 0 else np.broadcast_to(padded, (runs, big_n))
-                out[(cfg_idx, e_idx)] = _nmse_cells(x, x_mean, xt[:, :n_orig])
-            continue
-
-        ks = _chunk_ks(plan, k_table, feature)
-        lengths = plan.chunk_lengths()
-        # Data spectra once per chunk; noise offsets follow the 2k-per-chunk
-        # sequential draw layout of the mechanism implementations.
-        spectra: list[np.ndarray] = []
-        offsets: list[int] = []
-        pos = 0
-        for (s, e), k in zip(plan.boundaries, ks):
-            seg = padded[s:e]
-            if mech == "dcfpa":
-                seg = transform.diff_transform(seg)
-            spectra.append(transform.dft_batch(seg[np.newaxis, :])[0][:k])
-            offsets.append(pos)
-            pos += 2 * k
-        for e_idx, eps in enumerate(epsilons):
-            xt = np.empty((runs, big_n), dtype=np.float64)
-            by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
-            for ci, ((s, e), k) in enumerate(zip(plan.boundaries, ks)):
-                c_len = lengths[ci]
-                lam = fpa_lambda(c_len, k, deltas[ci], eps)
-                bins = np.zeros((runs, c_len), dtype=np.complex128)
-                bins[:, :k] = spectra[ci]
-                if lam > 0.0:
-                    off = offsets[ci]
-                    v = bins.view(np.float64)
-                    v[:, 0 : 2 * k : 2] += lam * draws[:, off : off + k]
-                    v[:, 1 : 2 * k : 2] += lam * draws[:, off + k : off + 2 * k]
-                by_length.setdefault(c_len, []).append((ci, bins))
-            for c_len, items in by_length.items():
-                stacked = np.concatenate([b for _, b in items], axis=0)
-                rec = transform.idft_batch(stacked).real
-                for slot, (ci, _) in enumerate(items):
-                    block = rec[slot * runs : (slot + 1) * runs]
-                    if mech == "dcfpa":
-                        block = np.cumsum(block, axis=1)
-                    s, e = plan.boundaries[ci]
-                    xt[:, s:e] = block
-            out[(cfg_idx, e_idx)] = _nmse_cells(x, x_mean, xt[:, :n_orig])
+    for cfg_idx, (mech, _) in enumerate(configs):
+        layout, scales = ctx.cells[(cfg_idx, feature)]
+        if layout is None:
+            xt = padded + scales[:, np.newaxis, np.newaxis] * draws[:, : ctx.length]
+        else:
+            difference = mech == "dcfpa"
+            spectra = fpa_spectra(padded, layout.plan, difference)
+            clean, unit = fpa_parts(spectra, layout, draws, difference)
+            xt = fpa_release(clean, unit, layout, scales)
+        for e_idx, cells in enumerate(_nmse_cells(x, x_mean, xt[..., :n_orig])):
+            out[(cfg_idx, e_idx)] = cells
     return out
 
 
 def _nmse_cells(
     x: np.ndarray, x_mean: float, xt: np.ndarray
-) -> tuple[float, int, int]:
-    """(sum of valid NMSE cells, valid count, skipped count) for a
-    (runs, n) block of reconstructions against the clean signal."""
+) -> list[tuple[float, int, int]]:
+    """(sum of valid NMSE cells, valid count, skipped count) for each
+    (runs, n) block of reconstructions in xt (blocks, runs, n) against
+    the clean signal."""
     d = xt - x
-    num = np.mean(d * d, axis=1)
-    den = x_mean * np.mean(xt, axis=1)
+    num = np.mean(d * d, axis=-1)
+    den = x_mean * np.mean(xt, axis=-1)
     defined = np.abs(den) >= _DENOM_FLOOR
     values = np.divide(num, den, out=np.zeros_like(num), where=defined)
     valid = defined & (values >= 0.0)
-    skipped = int(values.shape[0] - np.count_nonzero(valid))
-    return float(np.sum(values[valid])), int(np.count_nonzero(valid)), skipped
+    return [
+        (float(np.sum(v[ok])), int(np.count_nonzero(ok)), int(ok.size - np.count_nonzero(ok)))
+        for v, ok in zip(values, valid)
+    ]
 
 
 def run_sweep(
@@ -517,12 +427,15 @@ def run_sweep(
     chunk_sizes: Sequence[int] = DEFAULT_CHUNK_SIZES,
     runs: int = DEFAULT_RUNS,
     jobs: int = 1,
-    k_tables: Mapping[str, Mapping[tuple[str, int], int]] | None = None,
+    k_table: KTable | None = None,
 ) -> UtilitySweep:
     """Mean utility for every (mechanism, chunk size, epsilon) cell.
 
-    k_tables optionally maps label value -> {(feature, chunk_index): k};
-    absent entries default to full retention (k = chunk length).
+    Without k_table every chunk keeps all its coefficients. A k_table
+    supplies the counts of every group instead: each fpa, cfpa or dcfpa
+    configuration must use the chunk plan the group was tuned for, and a
+    missing group or another plan is a ConfigurationError. lpa keeps no
+    coefficients and ignores it.
     """
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
@@ -539,7 +452,7 @@ def run_sweep(
     if not features:
         raise ParameterError("empty sweep: every feature excluded")
     contexts = {
-        value: _GroupContext(corpus, label_kind, value, configs)
+        value: _GroupContext(corpus, label_kind, value, configs, eps, k_table)
         for value in corpus.label_values(label_kind)
     }
 
@@ -552,17 +465,13 @@ def run_sweep(
     def run_unit(unit: tuple[int, int, str]):
         r, col, label = unit
         matrix = corpus.matrices[r]
-        feature = corpus.schema[col]
-        k_table = None if k_tables is None else k_tables.get(label)
-        return _unit_cells(
+        return _unit_sums(
             matrix.values[:, col],
             contexts[label],
             configs,
-            eps,
             runs,
             src.derive(r, col),
-            feature,
-            k_table,
+            corpus.schema[col],
         )
 
     if jobs == 1:

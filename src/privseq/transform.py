@@ -27,6 +27,7 @@ __all__ = [
     "idft",
     "truncate_low",
     "complete_symmetric",
+    "reflect_conjugate",
     "pad_and_invert",
     "diff_transform",
     "cumsum_reconstruct",
@@ -81,8 +82,9 @@ def truncate_low(f: ComplexSeq, k: int) -> ComplexSeq:
     return arr[:k].copy()
 
 
-def _reflect_conjugate(full: np.ndarray, k: int) -> None:
-    """Fill bins n-1..n-k+1 with conjugates of bins 1..k-1, in place.
+def reflect_conjugate(full: np.ndarray, k: int) -> None:
+    """Fill bins n-1..n-k+1 with conjugates of bins 1..k-1, in place,
+    along the last axis (n is its length).
 
     Bins already inside the retained range [0, k) are left alone, so
     k = n is the identity and overlapping mirrors never clobber data.
@@ -111,7 +113,7 @@ def complete_symmetric(fk: ComplexSeq, n: int) -> ComplexSeq:
         raise ParameterError(f"cannot pad length {arr.size} to {n}")
     out = np.zeros(n, dtype=np.complex128)
     out[: arr.size] = arr
-    _reflect_conjugate(out, arr.size)
+    reflect_conjugate(out, arr.size)
     return out
 
 
@@ -145,8 +147,11 @@ def diff_transform(x: RealSeq) -> RealSeq:
 
 
 def cumsum_reconstruct(d: RealSeq) -> RealSeq:
-    """x[0] = d[0]; x[t] = x[t-1] + d[t]: running-sum inverse of diff."""
+    """x[0] = d[0]; x[t] = x[t-1] + d[t]: running-sum inverse of diff.
+
+    A batch of any shape is summed along its last axis, row by row.
+    """
     arr = np.asarray(d, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("cumsum_reconstruct expects a non-empty 1-D sequence")
-    return np.cumsum(arr)
+    if arr.ndim < 1 or arr.shape[-1] < 1:
+        raise ParameterError("cumsum_reconstruct expects a non-empty sequence or batch")
+    return np.cumsum(arr, axis=-1)

@@ -10,18 +10,19 @@ smaller (cheaper) count.
 Candidate evaluation reuses one noise draw per (signal, run, chunk):
 candidate k consumes the first k values as real perturbations and the
 next k as imaginary ones, so nearby candidates face correlated noise
-and the comparison is not dominated by draw luck.
+and the comparison is not dominated by draw luck. Candidates are scored
+on the mechanism core's release S + lam * N.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from privseq import transform
 from privseq.core import (
     ChunkPlan,
     Corpus,
@@ -30,7 +31,14 @@ from privseq.core import (
     RealSeq,
     chunk_plan,
 )
-from privseq.mechanisms import MECHANISMS, fpa_lambda
+from privseq.mechanisms import (
+    BLOCK_VALUES,
+    MECHANISMS,
+    FpaLayout,
+    fpa_parts,
+    fpa_release,
+    fpa_spectra,
+)
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 
@@ -51,48 +59,6 @@ _K_HEADER = (
 _DENOM_FLOOR = 1e-12
 
 
-def _chunk_objective(
-    chunks: np.ndarray,
-    spectra: np.ndarray,
-    delta: float,
-    epsilon: float,
-    runs: int,
-    draws: np.ndarray,
-    difference: bool,
-) -> list[float]:
-    """Mean NMSE over (signal, run) for every retention count.
-
-    chunks: (members, c_len) clean rows; spectra: their transforms (of
-    the differenced rows when difference is set); draws: (members, runs,
-    2 * c_len) unit noise. Returns objective[k - 1] for k in 1..c_len;
-    candidates whose every cell is flagged get math.inf.
-    """
-    members, c_len = chunks.shape
-    means = np.mean(chunks, axis=1)
-    out: list[float] = []
-    for k in range(1, c_len + 1):
-        lam = fpa_lambda(c_len, k, delta, epsilon)
-        bins = np.zeros((members, runs, c_len), dtype=np.complex128)
-        bins[:, :, :k] = spectra[:, np.newaxis, :k]
-        if lam > 0.0:
-            v = bins.view(np.float64)
-            v[:, :, 0 : 2 * k : 2] += lam * draws[:, :, :k]
-            v[:, :, 1 : 2 * k : 2] += lam * draws[:, :, k : 2 * k]
-        rec = transform.idft_batch(bins.reshape(members * runs, c_len)).real
-        rec = rec.reshape(members, runs, c_len)
-        if difference:
-            rec = np.cumsum(rec, axis=2)
-        d = rec - chunks[:, np.newaxis, :]
-        num = np.mean(d * d, axis=2)
-        den = means[:, np.newaxis] * np.mean(rec, axis=2)
-        defined = np.abs(den) >= _DENOM_FLOOR
-        values = np.divide(num, den, out=np.zeros_like(num), where=defined)
-        valid = defined & (values >= 0.0)
-        count = int(np.count_nonzero(valid))
-        out.append(float(np.sum(values[valid])) / count if count else math.inf)
-    return out
-
-
 def tune_k(
     signals: Sequence[RealSeq],
     plan: ChunkPlan,
@@ -106,7 +72,8 @@ def tune_k(
     Every k in 1..chunk_length is scored by mean reconstruction NMSE
     over (signal, run) noisy executions at the given budget; ties go to
     the smaller k. The group also supplies the sensitivity, so it must
-    contain at least two signals.
+    contain at least two signals. Candidate k is evaluated for every
+    chunk at once as S_k + lam_k * N_k through the mechanism core.
     """
     if mechanism not in MECHANISMS or mechanism == "lpa":
         raise ParameterError(
@@ -128,34 +95,51 @@ def tune_k(
     domain = DIFFERENCE if difference else RAW
     deltas = chunk_sensitivities(rows, plan, 2, domain=domain)
     stacked = np.stack(rows)
-    members = len(rows)
-
-    best: list[int] = []
-    for ci, (s, e) in enumerate(plan.boundaries):
-        c_len = e - s
-        chunks = np.ascontiguousarray(stacked[:, s:e])
-        seg = transform.diff_transform(chunks) if difference else chunks
-        spectra = transform.dft_batch(seg)
-        draws = np.stack(
-            [
-                np.stack(
-                    [
-                        unit_laplace(src.derive(m, t, ci).generator(), 2 * c_len)
-                        for t in range(runs)
-                    ]
-                )
-                for m in range(members)
-            ]
-        )
-        scores = _chunk_objective(
-            chunks, spectra, deltas[ci], epsilon, runs, draws, difference
-        )
-        k_best, s_best = 1, scores[0]
-        for k in range(2, c_len + 1):
-            if scores[k - 1] < s_best:
-                k_best, s_best = k, scores[k - 1]
-        best.append(k_best)
-    return tuple(best)
+    lengths = np.asarray(plan.chunk_lengths())
+    starts = np.asarray([s for s, _ in plan.boundaries])
+    longest = int(lengths.max())
+    # Stream (member, run, chunk) supplies 2 * chunk-length draws; candidate
+    # k reads the first 2k of each (fewer for a shorter remainder chunk).
+    stride = 2 * longest
+    totals = np.zeros((longest, len(plan)))
+    counts = np.zeros((longest, len(plan)), dtype=np.int64)
+    step = max(1, BLOCK_VALUES // ((runs + 1) * plan.total_length))
+    for lo in range(0, len(rows), step):
+        block = stacked[lo : lo + step]
+        members = block.shape[0]
+        draws = np.zeros((members * runs, len(plan), stride))
+        for i, (m, t) in enumerate(itertools.product(range(lo, lo + members), range(runs))):
+            for ci, c_len in enumerate(plan.chunk_lengths()):
+                draws[i, ci, : 2 * c_len] = unit_laplace(src.derive(m, t, ci).generator(), 2 * c_len)
+        draws = draws.reshape(members * runs, -1)
+        spectra = fpa_spectra(block, plan, difference)
+        means = np.add.reduceat(block, starts, axis=1)[:, np.newaxis, :] / lengths
+        for k in range(1, longest + 1):
+            ks = np.minimum(k, lengths)
+            layout = FpaLayout(plan, ks)
+            read = np.concatenate(
+                [ci * stride + np.arange(2 * kc) for ci, kc in enumerate(ks)]
+            )
+            clean, unit = fpa_parts(spectra, layout, draws[:, read], difference)
+            rec = fpa_release(
+                clean[:, np.newaxis, :],
+                unit.reshape(members, runs, -1),
+                layout,
+                layout.noise_scale(deltas, epsilon),
+            )
+            d = rec - block[:, np.newaxis, :]
+            num = np.add.reduceat(d * d, starts, axis=2) / lengths
+            den = means * (np.add.reduceat(rec, starts, axis=2) / lengths)
+            defined = np.abs(den) >= _DENOM_FLOOR
+            values = np.divide(num, den, out=np.zeros_like(num), where=defined)
+            valid = defined & (values >= 0.0)
+            totals[k - 1] += np.sum(values, axis=(0, 1), where=valid)
+            counts[k - 1] += np.count_nonzero(valid, axis=(0, 1))
+    # Candidates whose every cell is flagged, and counts beyond a chunk's
+    # length, score infinity; argmin keeps the smallest k among ties.
+    scores = np.divide(totals, counts, out=np.full_like(totals, math.inf), where=counts > 0)
+    scores[np.arange(1, longest + 1)[:, np.newaxis] > lengths] = math.inf
+    return tuple(int(i) + 1 for i in np.argmin(scores, axis=0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,9 +192,6 @@ class KTable:
         if not out:
             raise ParameterError(f"no tuned entries for group {group_label!r}")
         return out
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({label for label, _, _ in self.entries}))
 
 
 def tune_corpus(

@@ -6,6 +6,7 @@ import pytest
 
 from privseq.classify import (
     ClassifierConfig,
+    _neighbour_counts,
     decimate,
     knn_predict,
     lopo_cv,
@@ -123,6 +124,22 @@ def test_knn_matches_brute_force_oracle():
             assert got == tied[0]
         else:
             assert got in tied
+
+
+def test_neighbour_counts_match_stable_argsort_with_duplicate_rows():
+    # Exact duplicate training rows put many rows at the k-th distance;
+    # the selection must still be the first k of a stable sort.
+    rng = np.random.default_rng(21)
+    distinct = rng.integers(-2, 3, size=(6, 3)).astype(np.float64)
+    train = distinct[rng.integers(0, 6, size=120)]
+    codes = rng.integers(0, 3, size=120)
+    queries = np.concatenate([distinct, rng.integers(-3, 4, size=(20, 3)).astype(np.float64)])
+    d2 = np.sum((queries[:, np.newaxis, :] - train[np.newaxis, :, :]) ** 2, axis=2)
+    for k in (1, 2, 7, 19, 20, 21, 60, 119, 120):
+        got = _neighbour_counts(train, codes, 3, queries, k)
+        for q in range(queries.shape[0]):
+            order = np.argsort(d2[q], kind="stable")[:k]
+            assert np.array_equal(got[q], np.bincount(codes[order], minlength=3)), (k, q)
 
 
 def test_knn_tie_is_reproducible_per_seed():

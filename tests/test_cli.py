@@ -330,7 +330,7 @@ def test_tune_k_writes_reusable_table(manifest, tmp_path):
     )
     assert result.exit_code == 0, result.output
     table = load_k_csv(k_path)
-    assert table.labels() == ("l0", "l1")
+    assert sorted(table.plans) == ["l0", "l1"]
     assert all(1 <= k <= 8 for k in table.entries.values())
 
     out = tmp_path / "noisy"
@@ -386,6 +386,30 @@ def test_perturb_k_file_must_match_the_chunk_plan(manifest, tmp_path):
     )
     assert result.exit_code == 3
     assert "expected header" in result.stderr
+
+
+def test_sweep_k_file_must_match_every_plan(manifest, tmp_path):
+    # a chunk-8 table read as counts for 16-sample chunks, or for fpa's
+    # whole-signal chunk, is not the retention it was tuned for
+    k_path = tmp_path / "k8.csv"
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--chunk-size", 8,
+        "--runs", 2, "--seed", 6, "--out", k_path,
+    )
+    assert result.exit_code == 0, result.output
+    result = run_cli(
+        "sweep", "--manifest", manifest, "--mechanisms", "cfpa,fpa",
+        "--epsilons", "2.4", "--chunk-sizes", 16, "--runs", 1,
+        "--k-file", k_path, "--out", tmp_path / "sweep.csv",
+    )
+    assert result.exit_code == 2, result.output
+    assert "tuned for chunk size 8 over length 40" in result.stderr
+    result = run_cli(
+        "sweep", "--manifest", manifest, "--mechanisms", "lpa,cfpa",
+        "--epsilons", "2.4", "--chunk-sizes", 8, "--runs", 1,
+        "--k-file", k_path, "--out", tmp_path / "sweep8.csv",
+    )
+    assert result.exit_code == 0, result.output
 
 
 # --- corr ------------------------------------------------------------------------

@@ -129,6 +129,20 @@ def test_round_trip_is_exact(tmp_path):
         assert np.array_equal(a.values, b.values)
 
 
+def test_recording_file_bytes_are_pinned(tmp_path):
+    # every float is written as its repr, the shortest string that reads
+    # back to the same double
+    values = np.array([[-0.0, 1e-300], [1e22, 0.1]])
+    m = FeatureMatrix(
+        recording_id="r0", participant_id="p0", labels={"category": "a"},
+        feature_names=("f0", "f1"), values=values,
+    )
+    write_corpus(Corpus(matrices=(m,), schema=("f0", "f1")), tmp_path / "out")
+    assert (tmp_path / "out" / "r0.csv").read_bytes() == b"f0,f1\r\n-0.0,1e-300\r\n1e+22,0.1\r\n"
+    loaded = load_corpus(tmp_path / "out" / MANIFEST_NAME)
+    assert loaded.matrices[0].values.tobytes() == values.tobytes()
+
+
 def test_load_accepts_manifest_object_and_is_jobs_invariant(tmp_path):
     corpus = synth_corpus(_spec())
     manifest = write_corpus(corpus, tmp_path / "out")

@@ -15,6 +15,7 @@ from privseq.core import (
     chunk_plan,
 )
 from privseq.mechanisms import (
+    FpaLayout,
     MechanismConfig,
     build_report,
     cfpa,
@@ -27,7 +28,7 @@ from privseq.mechanisms import (
     lpa,
     perturb_corpus,
 )
-from privseq.noise import NoiseSource
+from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable
 from privseq.tuning import KTable
 
@@ -126,14 +127,32 @@ def test_fpa_noise_scale_via_degenerate_transform(monkeypatch):
     # With the transform replaced by a pass-through, the output of fpa on
     # a zero signal is exactly lam times the real-part draws, so the mean
     # absolute output measures the noise scale directly.
-    monkeypatch.setattr(transform, "dft", lambda x: np.asarray(x, dtype=np.complex128))
-    monkeypatch.setattr(
-        transform, "pad_and_invert", lambda fk, n: np.asarray(fk.real, dtype=np.float64).copy()
-    )
+    monkeypatch.setattr(transform, "dft_batch", lambda x: np.asarray(x, dtype=np.complex128))
+    monkeypatch.setattr(transform, "idft_batch", lambda f: np.asarray(f, dtype=np.complex128))
     n = 400_000
     lam = fpa_lambda(n, n, 2.0, 5.0)
     out = fpa(np.zeros(n), 2.0, 5.0, n, _src(5))
     assert abs(np.mean(np.abs(out)) / lam - 1.0) < 0.02
+
+
+def test_cfpa_draw_layout_via_degenerate_transform(monkeypatch):
+    # With pass-through transforms the real part of the inverse shows each
+    # chunk's real-part draws and, rotated by -i, its imaginary-part draws:
+    # chunk i reads 2*k_i values after those of the chunks before it.
+    plan = chunk_plan(10, 4)
+    per_chunk = [(1.0, 2), (2.0, 4), (3.0, 1)]
+    draws = unit_laplace(_src(21).generator(), 14)
+    lams = [fpa_lambda(c, k, d, 1.0) for c, (d, k) in zip(plan.chunk_lengths(), per_chunk)]
+    monkeypatch.setattr(transform, "dft_batch", lambda x: np.asarray(x, dtype=np.complex128))
+    for rotate, first in ((1.0, 0), (-1j, 1)):
+        monkeypatch.setattr(transform, "idft_batch", lambda f, r=rotate: r * np.asarray(f))
+        out = cfpa(np.zeros(10), plan, per_chunk, 1.0, _src(21))
+        expected = np.zeros(10)
+        offset = 0
+        for (s, e), (_, k), lam in zip(plan.boundaries, per_chunk, lams):
+            expected[s : s + k] = lam * draws[offset + first * k : offset + (first + 1) * k]
+            offset += 2 * k
+        assert np.array_equal(out, expected), rotate
 
 
 def test_fpa_zero_sensitivity_full_retention_is_roundtrip():
@@ -198,6 +217,20 @@ def test_cfpa_zero_sensitivity_full_retention_is_roundtrip():
     per_chunk = [(0.0, e - s) for s, e in plan.boundaries]
     out = cfpa(x, plan, per_chunk, 1.0, _src(12))
     assert np.max(np.abs(out - x)) < 1e-10
+
+
+def test_cfpa_symmetric_zero_noise_matches_transform_completion():
+    # with no noise, each chunk is the inverse of its conjugate-completed
+    # truncated spectrum, mirror overlaps and full retention included
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(23) * 5.0
+    plan = chunk_plan(23, 8)
+    for ks in ((1, 1, 1), (3, 5, 7), (8, 8, 7), (5, 2, 4)):
+        out = cfpa(x, plan, [(0.0, k) for k in ks], 1.0, _src(20), symmetric=True)
+        for (s, e), k in zip(plan.boundaries, ks):
+            fk = transform.truncate_low(transform.dft(x[s:e]), k)
+            expected = transform.pad_and_invert(transform.complete_symmetric(fk, e - s), e - s)
+            assert np.array_equal(out[s:e], expected), (ks, s)
 
 
 def test_cfpa_validation():
@@ -554,6 +587,85 @@ def test_perturb_corpus_rejects_k_tables_for_another_plan_or_group():
     fpa = MechanismConfig(mechanism="fpa", epsilon=2.4)
     with pytest.raises(ConfigurationError, match="fpa needs chunk size 12 over length 12"):
         perturb_corpus(corpus, "category", fpa, NoiseSource(seed=16), k_table=_k_table())
+
+
+def test_perturb_corpus_matches_per_recording_calls_bitwise():
+    # One block per (group, feature) through the core must give exactly
+    # what a direct mechanism call gives each zero-padded recording on
+    # stream (r, f, 0): remainder chunk, tuned counts, symmetric
+    # completion, literal aggregation and clamping included.
+    from privseq.sensitivity import build_group_table
+
+    corpus = _corpus(lengths=(13, 10, 13, 11))
+    names = corpus.schema
+    for config in (
+        MechanismConfig(mechanism="fpa", epsilon=2.4, symmetric=True),
+        MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4, symmetric=True),
+        MechanismConfig(mechanism="cfpa", epsilon=0.5, chunk_size=5, clamp=True),
+        MechanismConfig(mechanism="dcfpa", epsilon=2.4, chunk_size=4, literal_reconstruct=True),
+        MechanismConfig(mechanism="dcfpa", epsilon=4.8, chunk_size=5, symmetric=True, clamp=True),
+    ):
+        plans, tables, entries = {}, {}, {}
+        for value in ("a", "b"):
+            n = max(m.length for m in corpus.group("category", value))
+            plans[value] = config.plan_for(n)
+            tables[value] = build_group_table(
+                corpus, "category", value, plans[value], norms=(2,), domains=(config.domain,)
+            )
+            for f, feature in enumerate(names):
+                for ci, length in enumerate(plans[value].chunk_lengths()):
+                    entries[(value, feature, ci)] = 1 + (ci + f) % length
+        k_table = KTable(entries=entries, runs_used=1, epsilon_used=1.0, plans=plans)
+        src = NoiseSource(seed=17)
+        noisy, _ = perturb_corpus(
+            corpus, "category", config, src, sens_tables=tables, k_table=k_table
+        )
+        for r, (m, out) in enumerate(zip(corpus.matrices, noisy.matrices)):
+            value = m.labels["category"]
+            plan = plans[value]
+            for f, feature in enumerate(names):
+                padded = np.zeros(plan.total_length)
+                padded[: m.length] = m.values[:, f]
+                per_chunk = [
+                    (tables[value].value(feature, ci, config.domain, 2), entries[(value, feature, ci)])
+                    for ci in range(len(plan))
+                ]
+                stream = src.derive(r, f, 0)
+                if config.mechanism == "fpa":
+                    (d, k), = per_chunk
+                    direct = fpa(padded, d, config.epsilon, k, stream, config.symmetric)
+                elif config.mechanism == "cfpa":
+                    direct = cfpa(padded, plan, per_chunk, config.epsilon, stream, config.symmetric)
+                else:
+                    direct = dcfpa(
+                        padded, plan, per_chunk, config.epsilon, stream, config.symmetric,
+                        config.literal_reconstruct,
+                    )
+                if config.clamp:
+                    direct = clamp_nonnegative(direct)
+                assert np.array_equal(out.values[:, f], direct[: m.length]), (config, r, f)
+
+
+def test_one_draw_of_two_sum_k_equals_per_chunk_draws():
+    # The core reads one 2 * sum(k) vector per row; the mechanisms used to
+    # draw 2k per chunk, one chunk after another, from one generator.
+    ks = (3, 1, 4, 4, 2)
+    src = NoiseSource(seed=5).derive(2, 1, 0)
+    whole = unit_laplace(src.generator(), 2 * sum(ks))
+    gen = src.generator()
+    parts = np.concatenate([unit_laplace(gen, 2 * k) for k in ks])
+    assert np.array_equal(whole, parts)
+
+
+def test_fpa_layout_validation():
+    plan = chunk_plan(10, 4)
+    assert FpaLayout(plan, (4, 1, 2)).draw_count == 14
+    with pytest.raises(ParameterError):
+        FpaLayout(plan, (4, 4))
+    with pytest.raises(ParameterError):
+        FpaLayout(plan, (4, 4, 3))
+    with pytest.raises(ParameterError):
+        FpaLayout(plan, (0, 4, 2))
 
 
 def test_perturb_corpus_rejects_bad_jobs():

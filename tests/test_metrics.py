@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from privseq.core import (
+    ConfigurationError,
     Corpus,
     DataError,
     FeatureMatrix,
@@ -22,7 +23,6 @@ from privseq.metrics import (
     UtilitySweep,
     corr_curve,
     load_sweep_csv,
-    mean_utility,
     nmse,
     render_value,
     run_sweep,
@@ -32,6 +32,7 @@ from privseq.metrics import (
 )
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, build_group_table
+from privseq.tuning import KTable
 
 
 # --- nmse / utility ---------------------------------------------------------
@@ -76,99 +77,6 @@ def test_render_value():
     assert render_value(None) == "undefined"
     assert render_value(math.inf) == "exact"
     assert render_value(0.5) == "0.5"
-
-
-# --- mean_utility -----------------------------------------------------------
-
-
-def _single_feature_corpus(pairs, name="f0"):
-    clean, noisy = [], []
-    for i, (x, xt) in enumerate(pairs):
-        common = dict(
-            recording_id=f"r{i}",
-            participant_id=f"p{i}",
-            labels={"category": "a"},
-            feature_names=(name,),
-        )
-        clean.append(FeatureMatrix(values=np.asarray(x, dtype=np.float64)[:, None], **common))
-        noisy.append(FeatureMatrix(values=np.asarray(xt, dtype=np.float64)[:, None], **common))
-    return (
-        Corpus(matrices=tuple(clean), schema=(name,), excluded_features=frozenset()),
-        Corpus(matrices=tuple(noisy), schema=(name,), excluded_features=frozenset()),
-    )
-
-
-def test_mean_utility_averages_recordings():
-    clean, noisy = _single_feature_corpus(
-        [([2.0, 2.0], [1.0, 1.0]), ([2.0, 2.0], [1.0, 3.0])]
-    )
-    # utilities 2 and 4 -> mean 3
-    assert mean_utility(clean, noisy) == 3.0
-
-
-def test_mean_utility_exact_pair_propagates_infinity():
-    clean, noisy = _single_feature_corpus(
-        [([2.0, 2.0], [2.0, 2.0]), ([2.0, 2.0], [1.0, 1.0])]
-    )
-    assert mean_utility(clean, noisy) == math.inf
-
-
-def test_mean_utility_skips_undefined_pairs():
-    clean, noisy = _single_feature_corpus(
-        [([1.0, -1.0], [5.0, 5.0]), ([2.0, 2.0], [1.0, 1.0])]
-    )
-    assert mean_utility(clean, noisy) == 2.0
-
-
-def test_mean_utility_unweighted_across_features():
-    def matrices(cols_list, tag):
-        out = []
-        for i, cols in enumerate(cols_list):
-            out.append(
-                FeatureMatrix(
-                    recording_id=f"r{i}",
-                    participant_id=f"p{i}",
-                    labels={"category": "a"},
-                    feature_names=("f0", "f1"),
-                    values=np.column_stack(cols).astype(np.float64),
-                )
-            )
-        return out
-
-    clean = Corpus(
-        matrices=tuple(matrices([([2.0, 2.0], [2.0, 2.0]), ([2.0, 2.0], [2.0, 2.0])], "c")),
-        schema=("f0", "f1"),
-        excluded_features=frozenset(),
-    )
-    noisy = Corpus(
-        matrices=tuple(
-            matrices([([1.0, 1.0], [1.0, 3.0]), ([1.0, 3.0], [1.0, 3.0])], "n")
-        ),
-        schema=("f0", "f1"),
-        excluded_features=frozenset(),
-    )
-    # f0 utilities (2, 4) -> 3; f1 utilities (4, 4) -> 4; mean 3.5
-    assert mean_utility(clean, noisy) == 3.5
-
-
-def test_mean_utility_all_excluded_is_an_error():
-    clean, noisy = _single_feature_corpus([([2.0, 2.0], [1.0, 1.0])])
-    with pytest.raises(ParameterError, match="empty sweep"):
-        mean_utility(clean, noisy, excluded={"f0"})
-
-
-def test_mean_utility_validates_alignment():
-    clean, noisy = _single_feature_corpus(
-        [([2.0, 2.0], [1.0, 1.0]), ([2.0, 2.0], [1.0, 3.0])]
-    )
-    with pytest.raises(ParameterError):
-        mean_utility(clean, Corpus(matrices=noisy.matrices[:1], schema=("f0",),
-                                   excluded_features=frozenset()))
-    other = Corpus(
-        matrices=tuple(reversed(noisy.matrices)), schema=("f0",), excluded_features=frozenset()
-    )
-    with pytest.raises(ParameterError, match="order"):
-        mean_utility(clean, other)
 
 
 # --- correlation curves ------------------------------------------------------
@@ -458,19 +366,67 @@ def test_run_sweep_utility_grows_with_epsilon():
 
 def test_run_sweep_k_tables_change_results():
     corpus = _sweep_corpus()
-    ks = {}
-    for value in ("a", "b"):
-        n = max(m.length for m in corpus.group("category", value))
-        plan = chunk_plan(n, 8)
-        ks[value] = {(f, ci): 2 for f in corpus.schema for ci in range(len(plan))}
+    plans = {
+        value: chunk_plan(max(m.length for m in corpus.group("category", value)), 8)
+        for value in ("a", "b")
+    }
+    ks = KTable(
+        entries={
+            (value, f, ci): 2
+            for value, plan in plans.items()
+            for f in corpus.schema
+            for ci in range(len(plan))
+        },
+        runs_used=1,
+        epsilon_used=2.4,
+        plans=plans,
+    )
     kwargs = dict(mechanisms=("cfpa",), epsilons=(2.4,), chunk_sizes=(8,), runs=2)
     full = run_sweep(corpus, "category", NoiseSource(seed=7), **kwargs)
-    partial = run_sweep(corpus, "category", NoiseSource(seed=7), k_tables=ks, **kwargs)
+    partial = run_sweep(corpus, "category", NoiseSource(seed=7), k_table=ks, **kwargs)
     assert full.rows != partial.rows
 
-    bad = {value: {("f0", 0): 2} for value in ("a", "b")}
-    with pytest.raises(ParameterError):
-        run_sweep(corpus, "category", NoiseSource(seed=7), k_tables=bad, **kwargs)
+    bad = KTable(
+        entries={(value, "f0", 0): 2 for value in ("a", "b")},
+        runs_used=1,
+        epsilon_used=2.4,
+        plans=plans,
+    )
+    with pytest.raises(ConfigurationError):
+        run_sweep(corpus, "category", NoiseSource(seed=7), k_table=bad, **kwargs)
+
+
+def test_run_sweep_rejects_k_tables_for_another_plan_or_group():
+    # A chunk-8 table must not be read as counts for chunk-16 cfpa or for
+    # fpa's single whole-signal chunk; lpa keeps no coefficients.
+    corpus = _sweep_corpus()
+    plans = {"a": chunk_plan(24, 8), "b": chunk_plan(24, 8)}
+    table = KTable(
+        entries={(v, f, ci): 2 for v in plans for f in corpus.schema for ci in range(3)},
+        runs_used=1,
+        epsilon_used=2.4,
+        plans=plans,
+    )
+    kwargs = dict(epsilons=(2.4,), runs=1, k_table=table)
+    for mechanisms, sizes, message in (
+        (("cfpa",), (16,), "tuned for chunk size 8 over length 24; cfpa needs chunk size 16"),
+        (("fpa",), (8,), "fpa needs chunk size 24 over length 24"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(corpus, "category", NoiseSource(seed=7),
+                      mechanisms=mechanisms, chunk_sizes=sizes, **kwargs)
+    only_a = KTable(
+        entries={k: v for k, v in table.entries.items() if k[0] == "a"},
+        runs_used=1,
+        epsilon_used=2.4,
+        plans={"a": plans["a"]},
+    )
+    with pytest.raises(ConfigurationError, match="no k table entries for label 'b'"):
+        run_sweep(corpus, "category", NoiseSource(seed=7), mechanisms=("dcfpa",),
+                  chunk_sizes=(8,), epsilons=(2.4,), runs=1, k_table=only_a)
+    sweep = run_sweep(corpus, "category", NoiseSource(seed=7), mechanisms=("lpa", "cfpa"),
+                      chunk_sizes=(8,), **kwargs)
+    assert len(sweep.rows) == 2
 
 
 def test_run_sweep_validation():

@@ -102,7 +102,7 @@ def _corpus(lengths=(16, 16, 16, 16), excluded=()):
 
 def test_tune_corpus_covers_all_groups_and_chunks():
     table = tune_corpus(_corpus(), "category", 8, "cfpa", 2.4, 4, NoiseSource(seed=9))
-    assert table.labels() == ("a", "b")
+    assert sorted(table.plans) == ["a", "b"]
     assert table.runs_used == 4
     assert table.epsilon_used == 2.4
     expected_keys = {

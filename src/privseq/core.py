@@ -20,7 +20,6 @@ __all__ = [
     "ConfigurationError",
     "InternalInvariantError",
     "RealSeq",
-    "ComplexSeq",
     "FeatureMatrix",
     "Corpus",
     "ChunkPlan",
@@ -51,10 +50,9 @@ class InternalInvariantError(AssertionError):
     """A should-never-happen internal consistency violation."""
 
 
-# Canonical array aliases. A RealSeq is a 1-D float64 ndarray of finite
-# samples with length >= 1; a ComplexSeq is its complex128 counterpart.
+# Canonical array alias: a 1-D float64 ndarray of finite samples with
+# length >= 1.
 RealSeq = np.ndarray
-ComplexSeq = np.ndarray
 
 
 @dataclass(frozen=True, slots=True)

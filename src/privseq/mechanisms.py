@@ -8,8 +8,9 @@ reconstructs by running sum.
 
 Complex-coefficient noising draws independent Laplace noise for the
 real part and the imaginary part of each retained coefficient (2k real
-draws per chunk, real block first), which is what the sqrt(n)sqrt(k)
-noise scale assumes.
+draws per chunk, real block first). fpa_lambda scales it by the exact
+L1 sensitivity of those 2k values, sqrt(n) sqrt(g(n, k)) times the L2
+sensitivity; g = k until the retained bins include mirror pairs.
 
 FPA is linear in the retained coefficients, so every Fourier release is
 release = S + lam * N: S inverts the truncated clean coefficients, N
@@ -113,7 +114,15 @@ def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
 
 
 def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
-    """Noise scale sqrt(n) * sqrt(k) * delta2 / epsilon.
+    """Noise scale sqrt(n) * sqrt(g(n, k)) * delta2 / epsilon.
+
+    The core noises the 2k values (Re F_0..F_{k-1}, Im F_0..F_{k-1}) of
+    a length-n chunk. For real chunks at L2 distance delta2 their L1
+    distance is at most sqrt(n * g) * delta2, and the bound is attained.
+    g counts 1 for each retained bin whose mirror n - j is not retained
+    (or is the bin itself), and 4 for each pair of retained mirror bins,
+    whose values repeat up to sign: g = k while k <= n // 2 + 1, and
+    g = 3k - n - 2 + n % 2 above that (2n - 2 or 2n - 1 at k = n).
 
     epsilon enters through one final division, so doubling epsilon
     halves the result exactly in IEEE arithmetic.
@@ -123,7 +132,8 @@ def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     _check_budget(delta2, epsilon)
-    return (math.sqrt(n) * math.sqrt(k) * delta2) / epsilon
+    g = k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
+    return (math.sqrt(n) * math.sqrt(g) * delta2) / epsilon
 
 
 def _uniform_blocks(plan: ChunkPlan) -> list[tuple[int, int, int, int]]:

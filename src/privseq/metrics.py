@@ -50,7 +50,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "nmse",
-    "utility",
     "corr_curve",
     "CorrelationCurve",
     "SweepRow",
@@ -59,7 +58,6 @@ __all__ = [
     "write_sweep_csv",
     "load_sweep_csv",
     "write_correlation_csv",
-    "render_value",
     "DEFAULT_EPSILONS",
     "DEFAULT_CHUNK_SIZES",
     "DEFAULT_RUNS",
@@ -95,30 +93,19 @@ def nmse(x: RealSeq, xt: RealSeq) -> float | None:
         raise ParameterError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 1:
         raise ParameterError("nmse needs at least one sample")
-    den = float(np.mean(a)) * float(np.mean(b))
-    if abs(den) < _DENOM_FLOOR:
-        return None
     d = a - b
-    return float(np.mean(d * d)) / den
+    value, _ = _nmse_ratio(np.mean(d * d), float(np.mean(a)) * float(np.mean(b)))
+    return None if math.isnan(value) else float(value)
 
 
-def utility(x: RealSeq, xt: RealSeq) -> float | None:
-    """1/nmse; math.inf for an exact reconstruction; None propagates."""
-    value = nmse(x, xt)
-    if value is None:
-        return None
-    if value == 0.0:
-        return math.inf
-    return 1.0 / value
-
-
-def render_value(value: float | None) -> str:
-    """Human rendering: None -> 'undefined', inf -> 'exact', else repr."""
-    if value is None:
-        return "undefined"
-    if value == math.inf:
-        return "exact"
-    return repr(float(value))
+def _nmse_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """(values, valid) of NMSE cells num / den, elementwise: a cell whose
+    denominator magnitude is below 1e-12 is undefined (NaN), and valid
+    marks the cells that aggregates count, the defined non-negative ones."""
+    num = np.asarray(num, dtype=np.float64)
+    defined = np.abs(den) >= _DENOM_FLOOR
+    values = np.divide(num, den, out=np.full_like(num, math.nan), where=defined)
+    return values, values >= 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -407,11 +394,7 @@ def _nmse_cells(
     (runs, n) block of reconstructions in xt (blocks, runs, n) against
     the clean signal."""
     d = xt - x
-    num = np.mean(d * d, axis=-1)
-    den = x_mean * np.mean(xt, axis=-1)
-    defined = np.abs(den) >= _DENOM_FLOOR
-    values = np.divide(num, den, out=np.zeros_like(num), where=defined)
-    valid = defined & (values >= 0.0)
+    values, valid = _nmse_ratio(np.mean(d * d, axis=-1), x_mean * np.mean(xt, axis=-1))
     return [
         (float(np.sum(v[ok])), int(np.count_nonzero(ok)), int(ok.size - np.count_nonzero(ok)))
         for v, ok in zip(values, valid)

@@ -55,8 +55,6 @@ __all__ = [
     "chunk_sensitivities",
     "SensitivityTable",
     "build_group_table",
-    "write_sensitivity_csv",
-    "load_sensitivity_csv",
     "write_sensitivity_tables",
     "load_sensitivity_tables",
     "RAW",
@@ -281,28 +279,28 @@ def build_group_table(
     return SensitivityTable(entries=entries, group_label=label_value, plan=plan)
 
 
-def _write_table_rows(writer, table: SensitivityTable, label: str) -> None:
-    if table.plan is None:
-        raise ParameterError(f"sensitivity table for group {label!r} records no chunk plan")
-    plan = table.plan
-    for key in sorted(table.entries):
-        feature, chunk, domain, norm = key
-        writer.writerow(
-            [feature, chunk, domain, norm, repr(table.entries[key]), label,
-             plan.chunk_size, plan.total_length]
-        )
-
-
-def write_sensitivity_csv(table: SensitivityTable, path) -> None:
-    """Serialize to the flat CSV shape
-    (feature,chunk,domain,norm,value,group,chunk_size,length)."""
+def write_sensitivity_tables(tables: Mapping[str, SensitivityTable], path) -> None:
+    """All groups of a corpus in one CSV (feature, chunk, domain, norm,
+    value, group, chunk_size, length), rows sorted by group then key."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        _write_table_rows(writer, table, table.group_label)
+        for label in sorted(tables):
+            plan = tables[label].plan
+            if plan is None:
+                raise ParameterError(f"sensitivity table for group {label!r} records no chunk plan")
+            entries = tables[label].entries
+            for key in sorted(entries):
+                writer.writerow(
+                    [*key, repr(entries[key]), label, plan.chunk_size, plan.total_length]
+                )
 
 
-def _read_sensitivity_rows(path):
+def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
+    """Group-keyed inverse of write_sensitivity_tables, validating every
+    cell; all rows of a group must name one chunk plan."""
+    entries: dict[str, dict[tuple[str, int, str, int], float]] = {}
+    shapes: dict[str, tuple[int, int]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -314,22 +312,18 @@ def _read_sensitivity_rows(path):
             feature, chunk_s, domain, norm_s, value_s, group, size_s, length_s = row
             try:
                 key = (feature, int(chunk_s), domain, int(norm_s))
-                yield group, key, float(value_s), (int(size_s), int(length_s))
+                value = float(value_s)
+                shape = (int(size_s), int(length_s))
             except ValueError as exc:
                 raise DataError(f"{path}: row {row_no}: {exc}") from None
-
-
-def _tables_from_rows(path, rows) -> dict[str, SensitivityTable]:
-    """Group rows into tables; every row of a group must name one plan."""
-    entries: dict[str, dict[tuple[str, int, str, int], float]] = {}
-    shapes: dict[str, tuple[int, int]] = {}
-    for group, key, value, shape in rows:
-        if shapes.setdefault(group, shape) != shape:
-            raise DataError(
-                f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
-                "(chunk_size, length)"
-            )
-        entries.setdefault(group, {})[key] = value
+            if shapes.setdefault(group, shape) != shape:
+                raise DataError(
+                    f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
+                    "(chunk_size, length)"
+                )
+            entries.setdefault(group, {})[key] = value
+    if not entries:
+        raise DataError(f"{path}: no entries")
     try:
         return {
             label: SensitivityTable(
@@ -341,35 +335,3 @@ def _tables_from_rows(path, rows) -> dict[str, SensitivityTable]:
         }
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def load_sensitivity_csv(path) -> SensitivityTable:
-    """Inverse of write_sensitivity_csv, validating every cell. The file
-    must hold a single group; multi-group files load via
-    load_sensitivity_tables."""
-    tables = _tables_from_rows(path, _read_sensitivity_rows(path))
-    if len(tables) > 1:
-        first, second = list(tables)[:2]
-        raise DataError(
-            f"{path}: holds groups {first!r} and {second!r}; use load_sensitivity_tables"
-        )
-    if not tables:
-        return SensitivityTable(entries={})
-    return next(iter(tables.values()))
-
-
-def write_sensitivity_tables(tables: Mapping[str, SensitivityTable], path) -> None:
-    """All groups of a corpus in one file, rows sorted by group then key."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for label in sorted(tables):
-            _write_table_rows(writer, tables[label], label)
-
-
-def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
-    """Group-keyed inverse of write_sensitivity_tables."""
-    tables = _tables_from_rows(path, _read_sensitivity_rows(path))
-    if not tables:
-        raise DataError(f"{path}: no entries")
-    return tables

@@ -39,6 +39,7 @@ from privseq.mechanisms import (
     fpa_release,
     fpa_spectra,
 )
+from privseq.metrics import _nmse_ratio
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 
@@ -53,10 +54,6 @@ __all__ = [
 _K_HEADER = (
     "group_label", "feature", "chunk_index", "k", "runs_used", "epsilon_used", "chunk_size", "length",
 )
-
-# NMSE cells with a denominator below this are skipped, matching the
-# aggregate-metric convention.
-_DENOM_FLOOR = 1e-12
 
 
 def tune_k(
@@ -129,10 +126,7 @@ def tune_k(
             )
             d = rec - block[:, np.newaxis, :]
             num = np.add.reduceat(d * d, starts, axis=2) / lengths
-            den = means * (np.add.reduceat(rec, starts, axis=2) / lengths)
-            defined = np.abs(den) >= _DENOM_FLOOR
-            values = np.divide(num, den, out=np.zeros_like(num), where=defined)
-            valid = defined & (values >= 0.0)
+            values, valid = _nmse_ratio(num, means * (np.add.reduceat(rec, starts, axis=2) / lengths))
             totals[k - 1] += np.sum(values, axis=(0, 1), where=valid)
             counts[k - 1] += np.count_nonzero(valid, axis=(0, 1))
     # Candidates whose every cell is flagged, and counts beyond a chunk's

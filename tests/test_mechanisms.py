@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privseq import transform
+from privseq import mechanisms, transform
 from privseq.core import (
     ConfigurationError,
     Corpus,
@@ -120,6 +122,30 @@ def test_fpa_lambda_validation():
         fpa_lambda(4, 2, math.inf, 1.0)
 
 
+def _noised_coordinates(n, k):
+    # A maps a real chunk d to the 2k values the core noises:
+    # (Re F_0..F_{k-1}, Im F_0..F_{k-1}), F_j = sum_t d_t e^{-2 pi i j t / n}.
+    angles = 2.0 * math.pi * np.outer(np.arange(k), np.arange(n)) / n
+    return np.vstack([np.cos(angles), -np.sin(angles)])
+
+
+def test_fpa_lambda_covers_the_exact_l1_sensitivity_of_the_noised_coordinates():
+    # The release is eps-DP when lam >= sup ||A d||_1 * delta2 / eps over
+    # ||d||_2 <= 1, and sup ||A d||_1^2 / (n ||d||_2^2) = max over sign
+    # vectors s of ||A^T s||_2^2 / n. Enumerate every s (the first sign
+    # fixed, as s and -s agree) as one matrix product.
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            a = _noised_coordinates(n, k)
+            bits = np.arange(2 ** (2 * k - 1))[:, np.newaxis] >> np.arange(2 * k - 1) & 1
+            signs = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
+            sup = float(np.max(np.sum((signs @ a) ** 2, axis=1))) / n
+            g = k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
+            assert abs(sup - g) < 1e-9 * g, (n, k, sup, g)
+            assert fpa_lambda(n, k, 1.7, 0.3) == math.sqrt(n) * math.sqrt(g) * 1.7 / 0.3, (n, k)
+    assert abs(fpa_lambda(64, 8, 2.0, 1.0) - 32.0 * math.sqrt(2.0)) < 1e-12
+
+
 # --- fpa -----------------------------------------------------------------
 
 
@@ -228,9 +254,13 @@ def test_cfpa_symmetric_zero_noise_matches_transform_completion():
     for ks in ((1, 1, 1), (3, 5, 7), (8, 8, 7), (5, 2, 4)):
         out = cfpa(x, plan, [(0.0, k) for k in ks], 1.0, _src(20), symmetric=True)
         for (s, e), k in zip(plan.boundaries, ks):
-            fk = transform.truncate_low(transform.dft(x[s:e]), k)
-            expected = transform.pad_and_invert(transform.complete_symmetric(fk, e - s), e - s)
-            assert np.array_equal(out[s:e], expected), (ks, s)
+            f = np.fft.fft(x[s:e])
+            mirrored = np.zeros(e - s, dtype=np.complex128)
+            mirrored[:k] = f[:k]
+            for j in range(1, k):
+                if e - s - j >= k:
+                    mirrored[e - s - j] = np.conj(f[j])
+            assert np.array_equal(out[s:e], np.fft.ifft(mirrored).real), (ks, s)
 
 
 def test_cfpa_validation():
@@ -666,6 +696,86 @@ def test_fpa_layout_validation():
         FpaLayout(plan, (4, 4, 3))
     with pytest.raises(ParameterError):
         FpaLayout(plan, (0, 4, 2))
+
+
+@given(
+    lengths=st.lists(st.integers(1, 20), min_size=2, max_size=3),
+    mechanism=st.sampled_from(("fpa", "cfpa", "dcfpa")),
+    epsilon=st.floats(0.01, 50.0),
+    retention=st.sampled_from(("full", "uniform", "table")),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(lengths, mechanism, epsilon, retention, data):
+    # Every accounted scale is fpa_lambda of the chunk's own length, its k
+    # (above floor(c/2) + 1 included) and its sensitivity, and is bit for
+    # bit the scale the core multiplies that chunk's noise by.
+    names = ("f0", "f1")
+    rng = np.random.default_rng(len(lengths))
+    corpus = Corpus(
+        matrices=tuple(
+            _matrix(f"r{i}", f"p{i}", "a", rng.standard_normal((n, 2)), names)
+            for i, n in enumerate(lengths)
+        ),
+        schema=names,
+    )
+    n = max(lengths)
+    chunk = data.draw(st.integers(1, n + 2)) if mechanism != "fpa" else None
+    k = data.draw(st.integers(1, n)) if retention == "uniform" else None
+    config = MechanismConfig(mechanism=mechanism, epsilon=epsilon, chunk_size=chunk, k=k)
+    plan = config.plan_for(n)
+    sens = SensitivityTable(
+        entries={
+            (f, ci, config.domain, 2): data.draw(st.floats(0.0, 100.0))
+            for f in names
+            for ci in range(len(plan))
+        },
+        group_label="a",
+        plan=plan,
+    )
+    k_table = None
+    if retention == "table":
+        k_table = KTable(
+            entries={
+                ("a", f, ci): data.draw(st.integers(1, c))
+                for f in names
+                for ci, c in enumerate(plan.chunk_lengths())
+            },
+            runs_used=1,
+            epsilon_used=1.0,
+            plans={"a": plan},
+        )
+    if k is not None and k > min(plan.chunk_lengths()):
+        with pytest.raises(ConfigurationError):
+            perturb_corpus(corpus, "category", config, NoiseSource(3), sens_tables={"a": sens})
+        return
+
+    core_scales = []
+    real_release = mechanisms.fpa_release
+
+    def recording_release(clean, unit, layout, lams):
+        core_scales.append((layout.ks, lams))
+        return real_release(clean, unit, layout, lams)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanisms, "fpa_release", recording_release)
+        _, reports = perturb_corpus(
+            corpus, "category", config, NoiseSource(3), sens_tables={"a": sens}, k_table=k_table
+        )
+    assert len(core_scales) == len(names)
+    units = {(u.feature, u.chunk_index): u for u in reports["a"].per_unit}
+    for f, (ks, lams) in zip(names, core_scales):
+        for ci, c in enumerate(plan.chunk_lengths()):
+            want_k = k_table.entries[("a", f, ci)] if k_table else (k or c)
+            delta = sens.value(f, ci, config.domain, 2)
+            assert ks[ci] == want_k
+            if delta == 0.0:
+                assert (f, ci) not in units and lams[ci] == 0.0
+                continue
+            u = units[(f, ci)]
+            assert (u.k, u.sensitivity) == (want_k, delta)
+            assert u.lam == fpa_lambda(c, want_k, delta, epsilon)
+            assert u.lam.hex() == float(lams[ci]).hex()
 
 
 def test_perturb_corpus_rejects_bad_jobs():

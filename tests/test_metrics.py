@@ -24,9 +24,7 @@ from privseq.metrics import (
     corr_curve,
     load_sweep_csv,
     nmse,
-    render_value,
     run_sweep,
-    utility,
     write_correlation_csv,
     write_sweep_csv,
 )
@@ -35,7 +33,7 @@ from privseq.sensitivity import DIFFERENCE, RAW, build_group_table
 from privseq.tuning import KTable
 
 
-# --- nmse / utility ---------------------------------------------------------
+# --- nmse ---------------------------------------------------------
 
 
 def test_nmse_hand_value():
@@ -46,12 +44,10 @@ def test_nmse_hand_value():
 def test_nmse_exact_reconstruction_is_zero():
     x = [1.0, 2.0, 3.0]
     assert nmse(x, x) == 0.0
-    assert utility(x, x) == math.inf
 
 
 def test_nmse_zero_mean_is_undefined():
     assert nmse([1.0, -1.0], [2.0, 0.0]) is None
-    assert utility([1.0, -1.0], [2.0, 0.0]) is None
 
 
 def test_nmse_can_be_negative():
@@ -66,17 +62,6 @@ def test_nmse_validation():
         nmse([[1.0]], [[1.0]])
     with pytest.raises(ParameterError):
         nmse([], [])
-
-
-def test_utility_inverts_nmse():
-    assert utility([2.0, 2.0], [1.0, 1.0]) == 2.0
-    assert utility([2.0, 2.0], [1.0, 3.0]) == 4.0
-
-
-def test_render_value():
-    assert render_value(None) == "undefined"
-    assert render_value(math.inf) == "exact"
-    assert render_value(0.5) == "0.5"
 
 
 # --- correlation curves ------------------------------------------------------

@@ -24,10 +24,8 @@ from privseq.sensitivity import (
     build_group_table,
     chunk_sensitivities,
     feature_sensitivity,
-    load_sensitivity_csv,
     load_sensitivity_tables,
     lw_distance,
-    write_sensitivity_csv,
     write_sensitivity_tables,
 )
 
@@ -409,61 +407,54 @@ def test_sensitivity_csv_round_trip(tmp_path):
     corpus = _corpus()
     table = build_group_table(corpus, "category", "a", chunk_plan(6, 2))
     path = tmp_path / "sens.csv"
-    write_sensitivity_csv(table, path)
-    loaded = load_sensitivity_csv(path)
-    assert loaded.group_label == "a"
-    assert loaded.entries == table.entries
-    assert loaded.plan == table.plan == chunk_plan(6, 2)
+    write_sensitivity_tables({"a": table}, path)
+    loaded = load_sensitivity_tables(path)
+    assert list(loaded) == ["a"]
+    assert loaded["a"].group_label == "a"
+    assert loaded["a"].entries == table.entries
+    assert loaded["a"].plan == table.plan == chunk_plan(6, 2)
 
     # byte-identical on rewrite
     path2 = tmp_path / "sens2.csv"
-    write_sensitivity_csv(loaded, path2)
+    write_sensitivity_tables(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+    # a table without a plan cannot say which chunking it indexes
+    with pytest.raises(ParameterError, match="no chunk plan"):
+        write_sensitivity_tables({"a": SensitivityTable(table.entries, "a")}, tmp_path / "x.csv")
 
 
 def test_sensitivity_csv_loader_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("feature,chunk,domain,norm,value\n")
     with pytest.raises(DataError):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
     # files without the plan columns cannot say which chunking they index
     path.write_text("feature,chunk,domain,norm,value,group\nf0,0,raw,1,1.0,a\n")
     with pytest.raises(DataError, match="expected header"):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
     header = "feature,chunk,domain,norm,value,group,chunk_size,length\n"
     path.write_text(header + "f0,zero,raw,1,1.0,a,2,6\n")
     with pytest.raises(DataError, match="row 2"):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
     path.write_text(header + "f0,0,raw,1,oops,a,2,6\n")
     with pytest.raises(DataError, match="row 2"):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
     path.write_text(header + "f0,0,raw,1,1.0,a,2,six\n")
     with pytest.raises(DataError, match="row 2"):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
     path.write_text(header + "f0,0,raw,1,1.0,a,2,6\nf0,1,raw,1,1.0,a,3,6\n")
     with pytest.raises(DataError, match="chunk plans"):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
     path.write_text(header + "f0,3,raw,1,1.0,a,2,6\n")
     with pytest.raises(DataError, match="outside"):
-        load_sensitivity_csv(path)
-
-
-def test_single_group_loader_rejects_mixed_groups(tmp_path):
-    corpus = _corpus()
-    tables = {
-        "a": build_group_table(corpus, "category", "a", chunk_plan(6, 6)),
-        "b": build_group_table(corpus, "category", "b", chunk_plan(6, 6)),
-    }
-    path = tmp_path / "multi.csv"
-    write_sensitivity_tables(tables, path)
-    with pytest.raises(DataError, match="load_sensitivity_tables"):
-        load_sensitivity_csv(path)
+        load_sensitivity_tables(path)
 
 
 def test_multi_group_round_trip(tmp_path):

@@ -1,4 +1,6 @@
-"""Transform correctness against an independent direct-summation oracle."""
+"""Transform correctness against an independent direct-summation oracle,
+and the core's truncation (zero-sensitivity cfpa) against inline numpy
+full-spectrum references."""
 import math
 
 import numpy as np
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privseq import transform
-from privseq.core import ParameterError
+from privseq.core import ParameterError, chunk_plan
+from privseq.mechanisms import cfpa
+from privseq.noise import NoiseSource
 
 
 def dft_oracle(x):
@@ -37,28 +41,39 @@ def idft_oracle(f):
     return out
 
 
+def _dft(x):
+    """The library's forward transform of one sequence, as a one-row batch."""
+    return transform.dft_batch(np.asarray(x, dtype=np.float64)[np.newaxis, :])[0]
+
+
+def _idft(f):
+    return transform.idft_batch(np.asarray(f, dtype=np.complex128)[np.newaxis, :])[0]
+
+
 class TestDft:
     def test_impulse(self):
-        f = transform.dft(np.array([1.0, 0.0, 0.0, 0.0]))
+        f = _dft([1.0, 0.0, 0.0, 0.0])
         assert np.allclose(f, np.ones(4), atol=1e-12)
 
     def test_constant_concentrates_at_dc(self):
-        f = transform.dft(np.array([1.0, 1.0, 1.0, 1.0]))
+        f = _dft([1.0, 1.0, 1.0, 1.0])
         assert np.allclose(f, [4.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", list(range(1, 40)) + [64, 96, 128, 200, 256])
     def test_matches_direct_summation_oracle(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(0.0, 1.0, n)
-        got = transform.dft(x)
+        got = _dft(x)
         want = dft_oracle(x)
         tol = 1e-10 * max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) < tol
+        back = _idft(want)
+        assert np.max(np.abs(back - idft_oracle(want))) < tol
 
     def test_roundtrip_length_7(self):
         rng = np.random.default_rng(7)
         x = rng.normal(0.0, 1.0, 7)
-        back = transform.idft(transform.dft(x))
+        back = _idft(_dft(x))
         assert np.max(np.abs(back.real - x)) < 1e-10
         assert np.max(np.abs(idft_oracle(dft_oracle(x)).real - x)) < 1e-10
 
@@ -66,7 +81,7 @@ class TestDft:
         for n in (5, 16, 33, 128):
             rng = np.random.default_rng(n)
             x = rng.normal(0.0, 2.0, n)
-            f = transform.dft(x)
+            f = _dft(x)
             lhs = float(np.sum(np.abs(f) ** 2))
             rhs = n * float(np.sum(x * x))
             assert abs(lhs - rhs) < 1e-9 * rhs
@@ -79,53 +94,60 @@ class TestDft:
         for n in (12, 40, 48, 64, 1000):
             rows = rng.normal(0.0, 1.0, (5, n))
             batch = transform.dft_batch(rows)
-            singles = np.stack([transform.dft(r) for r in rows])
+            singles = np.stack([_dft(r) for r in rows])
             assert np.array_equal(batch.view(np.uint64), singles.view(np.uint64))
             inverse = transform.idft_batch(batch)
-            singles = np.stack([transform.idft(f) for f in batch])
+            singles = np.stack([_idft(f) for f in batch])
             assert np.array_equal(inverse.view(np.uint64), singles.view(np.uint64))
+        with pytest.raises(ParameterError):
+            transform.dft_batch(np.zeros(4))
+        with pytest.raises(ParameterError):
+            transform.idft_batch(np.zeros((2, 0)))
+
+
+def _truncated(x, k, symmetric=False):
+    """Zero-sensitivity cfpa of x as one chunk: the core's truncation and
+    inverse with no noise (lam = 0)."""
+    x = np.asarray(x, dtype=np.float64)
+    return cfpa(x, chunk_plan(x.size, x.size), [(0.0, k)], 1.0, NoiseSource(0), symmetric)
 
 
 class TestTruncatePad:
     def test_truncate_keeps_leading_indices(self):
-        f = np.arange(8, dtype=np.complex128)
-        assert np.array_equal(transform.truncate_low(f, 3), [0, 1, 2])
-        assert np.array_equal(transform.truncate_low(f, 8), f)
+        # Bins 0..k-1 kept literally, the rest zero, real part of the inverse.
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 7, 8, 33):
+            x = rng.normal(0.0, 1.0, n)
+            for k in range(1, n + 1):
+                kept = np.fft.fft(x)
+                kept[k:] = 0.0
+                assert np.max(np.abs(_truncated(x, k) - np.fft.ifft(kept).real)) < 1e-12, (n, k)
         with pytest.raises(ParameterError):
-            transform.truncate_low(f, 0)
+            _truncated(np.ones(8), 0)
         with pytest.raises(ParameterError):
-            transform.truncate_low(f, 9)
+            _truncated(np.ones(8), 9)
 
     def test_truncate_single_dc(self):
-        assert np.array_equal(
-            transform.truncate_low(np.array([4.0 + 0j, 0, 0, 0]), 1), [4.0 + 0j]
-        )
+        # k = 1 keeps the DC bin alone: every sample becomes the mean.
+        assert np.allclose(_truncated([4.0, 0.0, 0.0, 0.0], 1), np.ones(4), atol=1e-12)
 
-    def test_pad_and_invert_full_is_identity(self):
+    def test_full_retention_is_identity(self):
         rng = np.random.default_rng(1)
         for n in (6, 32):
             x = rng.normal(0.0, 1.0, n)
-            back = transform.pad_and_invert(transform.dft(x), n)
-            assert np.max(np.abs(back - x)) < 1e-10
+            for symmetric in (False, True):
+                assert np.max(np.abs(_truncated(x, n, symmetric) - x)) < 1e-10
 
     def test_dc_only_reconstructs_constant(self):
-        out = transform.pad_and_invert(np.array([7.0 * 16.0 + 0j]), 16)
+        out = _truncated(np.full(16, 7.0), 1)
         assert np.allclose(out, np.full(16, 7.0), atol=1e-12)
-
-    def test_rejects_overlong_input(self):
-        with pytest.raises(ParameterError):
-            transform.pad_and_invert(np.ones(5, dtype=np.complex128), 4)
 
     def test_truncation_error_non_increasing_in_k(self):
         rng = np.random.default_rng(2)
         for trial in range(100):
             n = int(rng.integers(4, 40))
             x = rng.normal(0.0, 1.0, n)
-            f = transform.dft(x)
-            errs = [
-                float(np.linalg.norm(x - transform.pad_and_invert(transform.truncate_low(f, k), n)))
-                for k in range(1, n + 1)
-            ]
+            errs = [float(np.linalg.norm(x - _truncated(x, k))) for k in range(1, n + 1)]
             for a, b in zip(errs, errs[1:]):
                 assert b <= a + 1e-9
 
@@ -135,21 +157,20 @@ class TestTruncatePad:
         # halves the amplitude; conjugate completion restores it exactly.
         n = 32
         x = np.cos(2.0 * np.pi * np.arange(n) / n)
-        fk = transform.truncate_low(transform.dft(x), 2)
-        literal = transform.pad_and_invert(fk, n)
-        assert np.max(np.abs(literal - 0.5 * x)) < 1e-10
-        completed = transform.pad_and_invert(transform.complete_symmetric(fk, n), n)
-        assert np.max(np.abs(completed - x)) < 1e-10
+        assert np.max(np.abs(_truncated(x, 2) - 0.5 * x)) < 1e-10
+        assert np.max(np.abs(_truncated(x, 2, symmetric=True) - x)) < 1e-10
 
     def test_symmetric_completion_with_k_n_is_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(0.0, 1.0, 16)
-        f = transform.dft(x)
-        assert np.array_equal(transform.complete_symmetric(f, 16), f)
+        f = np.fft.fft(np.random.default_rng(3).normal(0.0, 1.0, 16))
+        full = f.copy()
+        transform.reflect_conjugate(full, 16)
+        assert np.array_equal(full, f)
 
-    def test_complete_symmetric_mirrors_retained_bins(self):
-        f = transform.dft(np.random.default_rng(4).normal(0.0, 1.0, 8))
-        sym = transform.complete_symmetric(f[:3], 8)
+    def test_reflect_conjugate_mirrors_retained_bins(self):
+        f = np.fft.fft(np.random.default_rng(4).normal(0.0, 1.0, 8))
+        sym = np.zeros(8, dtype=np.complex128)
+        sym[:3] = f[:3]
+        transform.reflect_conjugate(sym, 3)
         assert np.array_equal(sym[:3], f[:3])
         assert sym[7] == np.conj(f[1]) and sym[6] == np.conj(f[2])
         assert sym[3] == 0 and sym[4] == 0 and sym[5] == 0

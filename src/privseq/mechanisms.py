@@ -24,21 +24,21 @@ the sweep and retention tuning evaluate the same fpa_release over their
 run grids.
 
 Noise streams: every mechanism invocation reads one unit-Laplace vector
-of 2 * sum(k) values from the origin of its NoiseSource (n for LPA);
-chunk i takes the 2 k_i values after those of chunks 0..i-1 (FpaLayout)
-whether or not its noise scale is zero. That vector equals per-chunk
-draws made one after another from one generator. So CFPA on a single
-full-length chunk is bit-identical to FPA on the same source, and draw
-positions depend only on the retention plan, never on epsilon or
-sensitivity values: one unit draw serves a whole epsilon grid.
+from the origin of its NoiseSource, n values for LPA and 2n for FPA;
+chunk i takes its 2 k_i values at the fixed offset 2 * start_i
+(FpaLayout) whether or not its noise scale is zero. A chunk's noise thus
+depends on its own k alone: CFPA on a single full-length chunk is
+bit-identical to FPA on the same source, tuning scores the releases the
+mechanisms make, and one unit draw serves a whole epsilon grid.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MECHANISMS",
     "lpa",
+    "lpa_lambda",
     "fpa_lambda",
     "fpa",
     "cfpa",
@@ -96,21 +97,31 @@ def _validated_signal(x: RealSeq) -> np.ndarray:
     return arr
 
 
-def _check_budget(delta: float, epsilon: float) -> None:
+def _noise_scale(delta: float, epsilon: float, factor: float = 1.0) -> float:
+    """factor * delta / epsilon for a valid budget; a positive delta whose
+    scale underflows (adding almost no noise) is a ParameterError."""
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     if not (delta >= 0.0 and math.isfinite(delta)):
         raise ParameterError(f"sensitivity must be finite and >= 0, got {delta}")
+    lam = factor * delta / epsilon
+    if delta > 0.0 and lam < sys.float_info.min:
+        raise ParameterError(f"noise scale {lam!r} for sensitivity {delta!r} underflows")
+    return lam
 
 
 def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
     """x + n i.i.d. Laplace(delta1/epsilon) draws; identity when delta1=0."""
     arr = _validated_signal(x)
-    _check_budget(delta1, epsilon)
-    if delta1 == 0.0:
+    lam = lpa_lambda(delta1, epsilon)
+    if lam == 0.0:
         return arr.copy()
-    lam = delta1 / epsilon
     return arr + lam * unit_laplace(src.generator(), arr.size)
+
+
+def lpa_lambda(delta1: float, epsilon: float) -> float:
+    """LPA's per-sample noise scale delta1 / epsilon (see _noise_scale)."""
+    return _noise_scale(delta1, epsilon)
 
 
 def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
@@ -125,15 +136,14 @@ def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
     g = 3k - n - 2 + n % 2 above that (2n - 2 or 2n - 1 at k = n).
 
     epsilon enters through one final division, so doubling epsilon
-    halves the result exactly in IEEE arithmetic.
+    halves the result exactly in IEEE arithmetic; _noise_scale rejects underflow.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    _check_budget(delta2, epsilon)
     g = k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
-    return (math.sqrt(n) * math.sqrt(g) * delta2) / epsilon
+    return _noise_scale(delta2, epsilon, math.sqrt(n) * math.sqrt(g))
 
 
 def _uniform_blocks(plan: ChunkPlan) -> list[tuple[int, int, int, int]]:
@@ -148,11 +158,11 @@ class FpaLayout:
     """Where FPA keeps coefficients and reads unit draws, for one chunk
     plan and its per-chunk retention counts.
 
-    Chunk i retains bins 0..k_i-1 and reads 2*k_i consecutive unit draws
-    starting at 2*(k_0 + ... + k_{i-1}): the first k_i are the real parts
-    of its coefficient noise, the next k_i the imaginary parts. A row
-    therefore consumes draw_count = 2 * sum(k) draws, and its draws for
-    the leading chunks do not depend on later ones.
+    A row holds draw_count = 2n unit draws. Chunk i, starting at sample
+    start_i, retains bins 0..k_i-1 and reads 2*k_i consecutive draws at
+    the fixed offset 2*start_i: the first k_i are the real parts of its
+    coefficient noise, the next k_i the imaginary parts. Each chunk's
+    noise thus depends on its own k_i alone.
     """
 
     __slots__ = ("plan", "ks", "lengths", "draw_count", "_blocks")
@@ -168,17 +178,15 @@ class FpaLayout:
         self.plan = plan
         self.ks = ks
         self.lengths = np.asarray(lengths)
-        self.draw_count = 2 * sum(ks)
+        self.draw_count = 2 * plan.total_length
         # Per run of equal-length chunks: where it starts, and its sub-runs
-        # of equal k as (first, end, k, first draw), relative to the run.
+        # of equal k as (first, end, k), relative to the run.
         self._blocks = []
-        offset = 0
         for first, count, c, start in _uniform_blocks(plan):
             runs = []
             for k, same in itertools.groupby(range(count), lambda j: ks[first + j]):
                 same = list(same)
-                runs.append((same[0], same[-1] + 1, k, offset))
-                offset += 2 * k * len(same)
+                runs.append((same[0], same[-1] + 1, k))
             self._blocks.append((start, count, c, runs))
 
     def noise_scale(self, deltas: Sequence[float], epsilon: float) -> np.ndarray:
@@ -230,11 +238,11 @@ def fpa_parts(
     unit = np.empty((rows_n, layout.plan.total_length))
     for spec, (start, count, c, runs) in zip(spectra, layout._blocks):
         bins = np.zeros((rows_s + rows_n, count, c), dtype=np.complex128)
-        for j, end, k, offset in runs:
-            noise = draws[:, offset : offset + 2 * k * (end - j)].reshape(rows_n, end - j, 2 * k)
+        noise = draws[:, 2 * start : 2 * (start + count * c)].reshape(rows_n, count, 2 * c)
+        for j, end, k in runs:
             bins[:rows_s, j:end, :k] = spec[:, j:end, :k]
-            bins.real[rows_s:, j:end, :k] = noise[:, :, :k]
-            bins.imag[rows_s:, j:end, :k] = noise[:, :, k:]
+            bins.real[rows_s:, j:end, :k] = noise[:, j:end, :k]
+            bins.imag[rows_s:, j:end, :k] = noise[:, j:end, k : 2 * k]
             if symmetric:
                 transform.reflect_conjugate(bins[:, j:end], k)
         rec = transform.idft_batch(bins.reshape(-1, c)).real.reshape(-1, count, c)
@@ -266,7 +274,7 @@ def _fpa_block(
     literal: bool = False,
 ) -> np.ndarray:
     """Every row of a (rows, n) block through the core at per-chunk
-    (sensitivity, k); row i draws 2 * sum(k) values from streams[i]."""
+    (sensitivity, k); row i draws 2n values from streams[i]."""
     if plan.total_length != block.shape[1]:
         raise ParameterError(
             f"plan covers {plan.total_length} samples but the signal has {block.shape[1]}"
@@ -331,26 +339,24 @@ def dcfpa(
     return _fpa_block(arr, plan, per_chunk, epsilon, [src], True, symmetric, literal)[0]
 
 
-def compose_sequential(epsilons: Sequence[float]) -> float:
-    """Budget of running all mechanisms on the same data: the sum."""
+def _composed(epsilons: Sequence[float], combine: Callable[..., float], name: str) -> float:
     values = [float(e) for e in epsilons]
     if not values:
-        raise ParameterError("compose_sequential needs at least one epsilon")
+        raise ParameterError(f"{name} needs at least one epsilon")
     for e in values:
         if not (e > 0.0 and math.isfinite(e)):
             raise ParameterError(f"epsilons must be positive and finite, got {e}")
-    return float(sum(values))
+    return float(combine(values))
+
+
+def compose_sequential(epsilons: Sequence[float]) -> float:
+    """Budget of running all mechanisms on the same data: the sum."""
+    return _composed(epsilons, sum, "compose_sequential")
 
 
 def compose_parallel(epsilons: Sequence[float]) -> float:
     """Budget of mechanisms on disjoint data subsets: the maximum."""
-    values = [float(e) for e in epsilons]
-    if not values:
-        raise ParameterError("compose_parallel needs at least one epsilon")
-    for e in values:
-        if not (e > 0.0 and math.isfinite(e)):
-            raise ParameterError(f"epsilons must be positive and finite, got {e}")
-    return float(max(values))
+    return _composed(epsilons, max, "compose_parallel")
 
 
 def clamp_nonnegative(x: RealSeq) -> RealSeq:
@@ -463,7 +469,7 @@ def build_report(
                 raise ConfigurationError(str(exc)) from None
             if config.mechanism == "lpa":
                 k = c_len
-                lam = delta / config.epsilon if delta > 0 else 0.0
+                lam = lpa_lambda(delta, config.epsilon)
             else:
                 k = _chunk_k(config, k_table, feature, ci, c_len)
                 lam = fpa_lambda(c_len, k, delta, config.epsilon)

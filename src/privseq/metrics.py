@@ -41,6 +41,7 @@ from privseq.mechanisms import (
     fpa_release,
     fpa_spectra,
     group_k_mapping,
+    lpa_lambda,
 )
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import SensitivityTable, build_group_table
@@ -335,7 +336,7 @@ class _GroupContext:
             for f in corpus.included_features:
                 deltas = [table.value(f, ci, domain, norm) for ci in range(len(plan))]
                 if mech == "lpa":
-                    scales = np.array([deltas[0] / e if deltas[0] > 0 else 0.0 for e in epsilons])
+                    scales = np.array([lpa_lambda(deltas[0], e) for e in epsilons])
                     self.cells[(cfg_idx, f)] = (None, scales)
                     continue
                 layout = FpaLayout(
@@ -358,9 +359,9 @@ def _unit_sums(
 
     Returns {(config_index, epsilon_index): (nmse_sum, valid, skipped)}.
     Run t reads one unit-Laplace vector of length 2N from stream
-    (recording, feature, t); its prefix is exactly what a mechanism call
-    on that stream draws. S and N are built once per configuration; the
-    whole epsilon grid is then one S + lam * N and its NMSE cells.
+    (recording, feature, t), exactly what a Fourier mechanism call on it
+    draws (lpa draws the first N). S and N are built once per config;
+    the whole epsilon grid is then one S + lam * N and its NMSE cells.
     """
     n_orig = x.size
     padded = np.zeros((1, ctx.length))

@@ -7,11 +7,12 @@ candidate retention count against reconstruction error on a reference
 group and keeps the winner per chunk, with ties resolved toward the
 smaller (cheaper) count.
 
-Candidate evaluation reuses one noise draw per (signal, run, chunk):
-candidate k consumes the first k values as real perturbations and the
-next k as imaginary ones, so nearby candidates face correlated noise
-and the comparison is not dominated by draw luck. Candidates are scored
-on the mechanism core's release S + lam * N.
+Candidates are scored on the mechanism core's release S + lam * N. Each
+(signal, run) reads one unit-noise vector from stream src.derive(signal,
+run), which every candidate hands to the core as is: a scored candidate
+is bitwise the fpa, cfpa or dcfpa release on that stream at that k,
+nearby candidates share part of their noise (mechanisms.FpaLayout), and
+the comparison is not dominated by draw luck.
 """
 from __future__ import annotations
 
@@ -70,7 +71,8 @@ def tune_k(
     over (signal, run) noisy executions at the given budget; ties go to
     the smaller k. The group also supplies the sensitivity, so it must
     contain at least two signals. Candidate k is evaluated for every
-    chunk at once as S_k + lam_k * N_k through the mechanism core.
+    chunk at once (a shorter remainder at min(k, its length)) through
+    the mechanism core, run t of member m on stream src.derive(m, t).
     """
     if mechanism not in MECHANISMS or mechanism == "lpa":
         raise ParameterError(
@@ -83,11 +85,10 @@ def tune_k(
     rows = [np.asarray(s, dtype=np.float64) for s in signals]
     if len(rows) < 2:
         raise ParameterError(f"tuning needs a group of >= 2 signals, got {len(rows)}")
+    n = plan.total_length
     for row in rows:
-        if row.ndim != 1 or row.size != plan.total_length:
-            raise ParameterError(
-                f"every signal must be 1-D of length {plan.total_length}"
-            )
+        if row.ndim != 1 or row.size != n:
+            raise ParameterError(f"every signal must be 1-D of length {n}")
     difference = mechanism == "dcfpa"
     domain = DIFFERENCE if difference else RAW
     deltas = chunk_sensitivities(rows, plan, 2, domain=domain)
@@ -95,29 +96,19 @@ def tune_k(
     lengths = np.asarray(plan.chunk_lengths())
     starts = np.asarray([s for s, _ in plan.boundaries])
     longest = int(lengths.max())
-    # Stream (member, run, chunk) supplies 2 * chunk-length draws; candidate
-    # k reads the first 2k of each (fewer for a shorter remainder chunk).
-    stride = 2 * longest
     totals = np.zeros((longest, len(plan)))
     counts = np.zeros((longest, len(plan)), dtype=np.int64)
-    step = max(1, BLOCK_VALUES // ((runs + 1) * plan.total_length))
+    step = max(1, BLOCK_VALUES // ((runs + 1) * n))
     for lo in range(0, len(rows), step):
         block = stacked[lo : lo + step]
         members = block.shape[0]
-        draws = np.zeros((members * runs, len(plan), stride))
-        for i, (m, t) in enumerate(itertools.product(range(lo, lo + members), range(runs))):
-            for ci, c_len in enumerate(plan.chunk_lengths()):
-                draws[i, ci, : 2 * c_len] = unit_laplace(src.derive(m, t, ci).generator(), 2 * c_len)
-        draws = draws.reshape(members * runs, -1)
+        streams = itertools.product(range(lo, lo + members), range(runs))
+        draws = np.stack([unit_laplace(src.derive(m, t).generator(), 2 * n) for m, t in streams])
         spectra = fpa_spectra(block, plan, difference)
         means = np.add.reduceat(block, starts, axis=1)[:, np.newaxis, :] / lengths
         for k in range(1, longest + 1):
-            ks = np.minimum(k, lengths)
-            layout = FpaLayout(plan, ks)
-            read = np.concatenate(
-                [ci * stride + np.arange(2 * kc) for ci, kc in enumerate(ks)]
-            )
-            clean, unit = fpa_parts(spectra, layout, draws[:, read], difference)
+            layout = FpaLayout(plan, np.minimum(k, lengths))
+            clean, unit = fpa_parts(spectra, layout, draws, difference)
             rec = fpa_release(
                 clean[:, np.newaxis, :],
                 unit.reshape(members, runs, -1),

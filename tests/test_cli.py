@@ -191,6 +191,27 @@ def test_perturb_sensitivity_file_must_match_the_chunk_plan(manifest, tmp_path):
     assert "chunk" in result.stderr
 
 
+def test_perturb_underflowing_noise_scale_is_exit_2(manifest, tmp_path):
+    # lpa's scale for a 5e-324 sensitivity at epsilon 4 rounds to 0: the
+    # data would be released unchanged under a report of epsilon 0.
+    from privseq.core import chunk_plan
+    from privseq.sensitivity import SensitivityTable, build_group_table, write_sensitivity_tables
+
+    corpus = load_corpus(manifest)
+    plan = chunk_plan(40, 40)
+    tables = {}
+    for label in corpus.label_values("category"):
+        built = build_group_table(corpus, "category", label, plan, norms=(1,))
+        tables[label] = SensitivityTable(dict.fromkeys(built.entries, 5e-324), label, plan)
+    sens = tmp_path / "sens.csv"
+    write_sensitivity_tables(tables, sens)
+    result = run_cli("perturb", "--manifest", manifest, "--mechanism", "lpa", "--epsilon", 4,
+                     "--sensitivity-file", sens, "--out", tmp_path / "out")
+    assert result.exit_code == 2, result.output
+    assert "underflows" in result.stderr
+    assert not (tmp_path / "out" / REPORT_NAME).exists()
+
+
 def test_perturb_lpa_warns_and_ignores_chunk_size(manifest, tmp_path):
     result = run_cli(
         "perturb", "--manifest", manifest, "--mechanism", "lpa",

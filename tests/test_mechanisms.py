@@ -2,10 +2,11 @@
 transform, exact identities at zero sensitivity, chunk composition,
 budget accounting, and whole-corpus perturbation."""
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privseq import mechanisms, transform
@@ -28,6 +29,7 @@ from privseq.mechanisms import (
     fpa,
     fpa_lambda,
     lpa,
+    lpa_lambda,
     perturb_corpus,
 )
 from privseq.noise import NoiseSource, unit_laplace
@@ -122,6 +124,27 @@ def test_fpa_lambda_validation():
         fpa_lambda(4, 2, math.inf, 1.0)
 
 
+def test_underflowing_scales_are_rejected():
+    # A positive sensitivity must never yield a zero or subnormal scale:
+    # the release would carry (almost) no noise at a claimed epsilon.
+    tiny = sys.float_info.min
+    assert fpa_lambda(1, 1, 0.0, 2.0) == 0.0 and lpa_lambda(0.0, 2.0) == 0.0
+    assert lpa_lambda(2.0 * tiny, 2.0) == tiny
+    assert fpa_lambda(1, 1, 2.0 * tiny, 2.0) == tiny
+    for scale in (lpa_lambda, lambda d, e: fpa_lambda(1, 1, d, e)):
+        for delta, epsilon in ((5e-324, 2.0), (tiny, 2.0), (1e-300, 1e10)):
+            with pytest.raises(ParameterError):
+                scale(delta, epsilon)
+    with pytest.raises(ParameterError):
+        lpa(np.zeros(3), 5e-324, 4.0, _src(0))
+    with pytest.raises(ParameterError):
+        lpa_lambda(-1.0, 1.0)
+
+
+def _g(n, k):
+    return k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
+
+
 def _noised_coordinates(n, k):
     # A maps a real chunk d to the 2k values the core noises:
     # (Re F_0..F_{k-1}, Im F_0..F_{k-1}), F_j = sum_t d_t e^{-2 pi i j t / n}.
@@ -140,7 +163,7 @@ def test_fpa_lambda_covers_the_exact_l1_sensitivity_of_the_noised_coordinates():
             bits = np.arange(2 ** (2 * k - 1))[:, np.newaxis] >> np.arange(2 * k - 1) & 1
             signs = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
             sup = float(np.max(np.sum((signs @ a) ** 2, axis=1))) / n
-            g = k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
+            g = _g(n, k)
             assert abs(sup - g) < 1e-9 * g, (n, k, sup, g)
             assert fpa_lambda(n, k, 1.7, 0.3) == math.sqrt(n) * math.sqrt(g) * 1.7 / 0.3, (n, k)
     assert abs(fpa_lambda(64, 8, 2.0, 1.0) - 32.0 * math.sqrt(2.0)) < 1e-12
@@ -164,20 +187,18 @@ def test_fpa_noise_scale_via_degenerate_transform(monkeypatch):
 def test_cfpa_draw_layout_via_degenerate_transform(monkeypatch):
     # With pass-through transforms the real part of the inverse shows each
     # chunk's real-part draws and, rotated by -i, its imaginary-part draws:
-    # chunk i reads 2*k_i values after those of the chunks before it.
+    # chunk i reads 2*k_i values at offset 2*start_i of a 2n-value row.
     plan = chunk_plan(10, 4)
     per_chunk = [(1.0, 2), (2.0, 4), (3.0, 1)]
-    draws = unit_laplace(_src(21).generator(), 14)
+    draws = unit_laplace(_src(21).generator(), 20)
     lams = [fpa_lambda(c, k, d, 1.0) for c, (d, k) in zip(plan.chunk_lengths(), per_chunk)]
     monkeypatch.setattr(transform, "dft_batch", lambda x: np.asarray(x, dtype=np.complex128))
     for rotate, first in ((1.0, 0), (-1j, 1)):
         monkeypatch.setattr(transform, "idft_batch", lambda f, r=rotate: r * np.asarray(f))
         out = cfpa(np.zeros(10), plan, per_chunk, 1.0, _src(21))
         expected = np.zeros(10)
-        offset = 0
         for (s, e), (_, k), lam in zip(plan.boundaries, per_chunk, lams):
-            expected[s : s + k] = lam * draws[offset + first * k : offset + (first + 1) * k]
-            offset += 2 * k
+            expected[s : s + k] = lam * draws[2 * s + first * k : 2 * s + (first + 1) * k]
         assert np.array_equal(out, expected), rotate
 
 
@@ -676,20 +697,20 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
                 assert np.array_equal(out.values[:, f], direct[: m.length]), (config, r, f)
 
 
-def test_one_draw_of_two_sum_k_equals_per_chunk_draws():
-    # The core reads one 2 * sum(k) vector per row; the mechanisms used to
-    # draw 2k per chunk, one chunk after another, from one generator.
-    ks = (3, 1, 4, 4, 2)
-    src = NoiseSource(seed=5).derive(2, 1, 0)
-    whole = unit_laplace(src.generator(), 2 * sum(ks))
-    gen = src.generator()
-    parts = np.concatenate([unit_laplace(gen, 2 * k) for k in ks])
-    assert np.array_equal(whole, parts)
+def test_chunk_noise_depends_only_on_its_own_k():
+    # Each chunk reads its draws at a fixed offset, so changing chunk 0's
+    # k leaves every later chunk (the remainder included) bit-identical.
+    x = np.random.default_rng(11).standard_normal(10)
+    plan = chunk_plan(10, 4)
+    for mech in (cfpa, dcfpa):
+        a, b = (mech(x, plan, [(1.0, k0), (2.0, 3), (0.5, 1)], 1.0, _src(22)) for k0 in (1, 4))
+        assert np.array_equal(a[4:], b[4:]), mech
+        assert not np.array_equal(a[:4], b[:4]), mech
 
 
 def test_fpa_layout_validation():
     plan = chunk_plan(10, 4)
-    assert FpaLayout(plan, (4, 1, 2)).draw_count == 14
+    assert FpaLayout(plan, (4, 1, 2)).draw_count == 20
     with pytest.raises(ParameterError):
         FpaLayout(plan, (4, 4))
     with pytest.raises(ParameterError):
@@ -698,18 +719,36 @@ def test_fpa_layout_validation():
         FpaLayout(plan, (0, 4, 2))
 
 
-@given(
-    lengths=st.lists(st.integers(1, 20), min_size=2, max_size=3),
-    mechanism=st.sampled_from(("fpa", "cfpa", "dcfpa")),
-    epsilon=st.floats(0.01, 50.0),
-    retention=st.sampled_from(("full", "uniform", "table")),
-    data=st.data(),
-)
+@st.composite
+def _report_cases(draw):
+    """(lengths, mechanism, epsilon, chunk size, uniform k, sensitivities,
+    tuned counts) for a two-feature group; the last two list one value
+    per (feature, chunk), and k and the tuned counts may be None."""
+    lengths = draw(st.lists(st.integers(1, 20), min_size=2, max_size=3))
+    mechanism = draw(st.sampled_from(("fpa", "cfpa", "dcfpa")))
+    epsilon = draw(st.floats(0.01, 50.0))
+    retention = draw(st.sampled_from(("full", "uniform", "table")))
+    n = max(lengths)
+    chunk = draw(st.integers(1, n + 2)) if mechanism != "fpa" else None
+    chunks = chunk_plan(n, chunk or n).chunk_lengths() * 2
+    k = draw(st.integers(1, n)) if retention == "uniform" else None
+    deltas = [draw(st.floats(0.0, 100.0)) for _ in chunks]
+    tuned = [draw(st.integers(1, c)) for c in chunks] if retention == "table" else None
+    return lengths, mechanism, epsilon, chunk, k, deltas, tuned
+
+
+@given(case=_report_cases())
+# A positive sensitivity whose scale underflows to 0: the 1-sample
+# remainder chunk at 5e-324 and epsilon 2.
+@example(case=([1, 13], "cfpa", 2.0, 4, None, [1.0, 1.0, 1.0, 5e-324] + [1.0] * 4, None))
 @settings(max_examples=80, deadline=None)
-def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(lengths, mechanism, epsilon, retention, data):
+def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     # Every accounted scale is fpa_lambda of the chunk's own length, its k
     # (above floor(c/2) + 1 included) and its sensitivity, and is bit for
-    # bit the scale the core multiplies that chunk's noise by.
+    # bit the scale the core multiplies that chunk's noise by. A k beyond
+    # a chunk, or a positive sensitivity whose scale would underflow,
+    # fails the release at the first such unit.
+    lengths, mechanism, epsilon, chunk, k, deltas, tuned = case
     names = ("f0", "f1")
     rng = np.random.default_rng(len(lengths))
     corpus = Corpus(
@@ -719,34 +758,33 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(lengths, mechanism, eps
         ),
         schema=names,
     )
-    n = max(lengths)
-    chunk = data.draw(st.integers(1, n + 2)) if mechanism != "fpa" else None
-    k = data.draw(st.integers(1, n)) if retention == "uniform" else None
     config = MechanismConfig(mechanism=mechanism, epsilon=epsilon, chunk_size=chunk, k=k)
-    plan = config.plan_for(n)
+    plan = config.plan_for(max(lengths))
+    keys = [(f, ci) for f in names for ci in range(len(plan))]
     sens = SensitivityTable(
-        entries={
-            (f, ci, config.domain, 2): data.draw(st.floats(0.0, 100.0))
-            for f in names
-            for ci in range(len(plan))
-        },
+        entries={(f, ci, config.domain, 2): d for (f, ci), d in zip(keys, deltas)},
         group_label="a",
         plan=plan,
     )
     k_table = None
-    if retention == "table":
+    if tuned is not None:
         k_table = KTable(
-            entries={
-                ("a", f, ci): data.draw(st.integers(1, c))
-                for f in names
-                for ci, c in enumerate(plan.chunk_lengths())
-            },
+            entries={("a", f, ci): kt for (f, ci), kt in zip(keys, tuned)},
             runs_used=1,
             epsilon_used=1.0,
             plans={"a": plan},
         )
-    if k is not None and k > min(plan.chunk_lengths()):
-        with pytest.raises(ConfigurationError):
+    lengths_of = plan.chunk_lengths()
+    want_k = dict(zip(keys, tuned or [k or lengths_of[ci] for _, ci in keys]))
+    for (f, ci), d in zip(keys, deltas):
+        c, kc = lengths_of[ci], want_k[(f, ci)]
+        if kc > c:
+            error = ConfigurationError
+        elif d > 0.0 and math.sqrt(c) * math.sqrt(_g(c, kc)) * d / epsilon < sys.float_info.min:
+            error = ParameterError
+        else:
+            continue
+        with pytest.raises(error):
             perturb_corpus(corpus, "category", config, NoiseSource(3), sens_tables={"a": sens})
         return
 
@@ -766,15 +804,14 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(lengths, mechanism, eps
     units = {(u.feature, u.chunk_index): u for u in reports["a"].per_unit}
     for f, (ks, lams) in zip(names, core_scales):
         for ci, c in enumerate(plan.chunk_lengths()):
-            want_k = k_table.entries[("a", f, ci)] if k_table else (k or c)
             delta = sens.value(f, ci, config.domain, 2)
-            assert ks[ci] == want_k
+            assert ks[ci] == want_k[(f, ci)]
             if delta == 0.0:
                 assert (f, ci) not in units and lams[ci] == 0.0
                 continue
             u = units[(f, ci)]
-            assert (u.k, u.sensitivity) == (want_k, delta)
-            assert u.lam == fpa_lambda(c, want_k, delta, epsilon)
+            assert (u.k, u.sensitivity) == (want_k[(f, ci)], delta)
+            assert u.lam == fpa_lambda(c, want_k[(f, ci)], delta, epsilon)
             assert u.lam.hex() == float(lams[ci]).hex()
 
 

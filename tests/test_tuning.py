@@ -3,8 +3,11 @@ tables, and the tuned-count CSV format."""
 import numpy as np
 import pytest
 
+from privseq import tuning
 from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
+from privseq.mechanisms import cfpa, dcfpa
 from privseq.noise import NoiseSource
+from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
 
 
@@ -53,6 +56,36 @@ def test_tuning_is_reproducible():
     assert a == b
     assert len(a) == 4
     assert all(1 <= k <= 8 for k in a)
+
+
+def test_candidates_are_the_mechanisms_own_releases():
+    # Every candidate tune_k scores is, bit for bit, the cfpa or dcfpa
+    # release of member m on stream src.derive(m, t) at that retention
+    # count (the 6-sample remainder chunk capped at its length).
+    rng = np.random.default_rng(7)
+    signals = [np.cumsum(rng.standard_normal(22)) for _ in range(3)]
+    plan = chunk_plan(22, 8)
+    src = NoiseSource(seed=8).derive(1, 2)
+    for name, mech, domain in (("cfpa", cfpa, RAW), ("dcfpa", dcfpa, DIFFERENCE)):
+        deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
+        seen = []
+        real_release = tuning.fpa_release
+
+        def recording_release(clean, unit, layout, lams):
+            out = real_release(clean, unit, layout, lams)
+            seen.append((layout.ks, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tuning, "fpa_release", recording_release)
+            tune_k(signals, plan, name, 1.5, 2, src)
+        assert [ks for ks, _ in seen] == [(k, k, min(k, 6)) for k in range(1, 9)]
+        for ks, out in seen:
+            assert out.shape == (3, 2, 22)
+            for m, x in enumerate(signals):
+                for t in range(2):
+                    want = mech(x, plan, list(zip(deltas, ks)), 1.5, src.derive(m, t))
+                    assert np.array_equal(out[m, t], want), (name, ks, m, t)
 
 
 def test_tune_k_validation():

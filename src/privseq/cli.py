@@ -176,8 +176,8 @@ def synth(
 @click.option("--mechanism", required=True, type=click.Choice(MECHANISMS))
 @click.option("--epsilon", required=True, type=float)
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None)
-@click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length].")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's chunk plan and naming every group.")
+@click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length]; not for lpa.")
+@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's chunk plan and naming every group; excludes --k, not for lpa.")
 @click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV, built for this run's chunk plan; recomputed when absent.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
@@ -194,6 +194,11 @@ def perturb(
     label_kind, seed, jobs, out_dir,
 ) -> None:
     """Privatize a corpus and write it with its accounting report."""
+    if k is not None and k_file is not None:
+        raise ParameterError("--k and --k-file are mutually exclusive")
+    if mechanism == "lpa" and (k is not None or k_file is not None):
+        flag = "--k" if k is not None else "--k-file"
+        raise ParameterError(f"{flag} does not apply to lpa, which keeps no coefficients")
     if mechanism in ("lpa", "fpa") and chunk_size is not None:
         click.echo(f"warning: --chunk-size is ignored by {mechanism}", err=True)
         chunk_size = None
@@ -335,6 +340,8 @@ def sweep(
 @_handled
 def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed, jobs, out_path) -> None:
     """Pick per-chunk retention counts on a reference corpus."""
+    if mechanism == "fpa":
+        click.echo("warning: --chunk-size is ignored by fpa", err=True)
     corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
     table = tuning.tune_corpus(
         corpus, label_kind, chunk_size, mechanism, epsilon, runs, NoiseSource(seed)

@@ -12,16 +12,20 @@ draws per chunk, real block first). fpa_lambda scales it by the exact
 L1 sensitivity of those 2k values, sqrt(n) sqrt(g(n, k)) times the L2
 sensitivity; g = k until the retained bins include mirror pairs.
 
-FPA is linear in the retained coefficients, so every Fourier release is
-release = S + lam * N: S inverts the truncated clean coefficients, N
-inverts unit-scale Laplace coefficient noise, and lam is each chunk's
-noise scale broadcast over its samples. One batched core computes S and
-N (fpa_spectra, fpa_parts) for a (rows, n) block, one transform call per
-distinct chunk length; differencing, symmetric completion and the
-running sum act on S and N alike. fpa, cfpa and dcfpa are one-row
-calls, perturb_corpus sends each (group, feature) in blocks of rows, and
-the sweep and retention tuning evaluate the same fpa_release over their
-run grids.
+Every release is S + lam * N, with one noise scale lam per unit. LPA
+has one unit, the whole signal: S is the signal and N its first n unit
+draws. The Fourier mechanisms have one unit per chunk and are linear in
+the retained coefficients: S inverts the truncated clean coefficients
+and N the unit-scale Laplace coefficient noise (fpa_spectra, fpa_parts),
+one transform call per distinct chunk length; differencing, symmetric
+completion and the running sum act on S and N alike. A unit whose lam is
+0 releases S exactly.
+
+One place decides each unit's k, sensitivity and lam: _feature_units
+gives a feature's layout (None for LPA, which keeps no coefficients and
+ignores any k) and sensitivities, and _unit_scales their scales.
+build_report, perturb_corpus, the one-row lpa/fpa/cfpa/dcfpa, the sweep
+and retention tuning all read them, and all release through _release.
 
 Noise streams: every mechanism invocation reads one unit-Laplace vector
 from the origin of its NoiseSource, n values for LPA and 2n for FPA;
@@ -78,8 +82,6 @@ __all__ = [
     "FpaLayout",
     "fpa_spectra",
     "fpa_parts",
-    "fpa_release",
-    "group_k_mapping",
 ]
 
 MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
@@ -111,12 +113,10 @@ def _noise_scale(delta: float, epsilon: float, factor: float = 1.0) -> float:
 
 
 def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
-    """x + n i.i.d. Laplace(delta1/epsilon) draws; identity when delta1=0."""
-    arr = _validated_signal(x)
-    lam = lpa_lambda(delta1, epsilon)
-    if lam == 0.0:
-        return arr.copy()
-    return arr + lam * unit_laplace(src.generator(), arr.size)
+    """x + n i.i.d. Laplace(delta1/epsilon) draws; a copy of x when delta1=0."""
+    arr = _validated_signal(x)[np.newaxis, :]
+    lams = _unit_scales(None, [delta1], epsilon)
+    return _block_release(arr, None, lams, _draws([src], None, arr.shape[1]))[0]
 
 
 def lpa_lambda(delta1: float, epsilon: float) -> float:
@@ -189,11 +189,6 @@ class FpaLayout:
                 runs.append((same[0], same[-1] + 1, k))
             self._blocks.append((start, count, c, runs))
 
-    def noise_scale(self, deltas: Sequence[float], epsilon: float) -> np.ndarray:
-        """fpa_lambda of every chunk, given its sensitivity."""
-        lengths = self.plan.chunk_lengths()
-        return np.array([fpa_lambda(c, k, d, epsilon) for c, k, d in zip(lengths, self.ks, deltas)])
-
 
 def fpa_spectra(block: np.ndarray, plan: ChunkPlan, difference: bool) -> list[np.ndarray]:
     """Forward transforms of every chunk of every row of a (rows, n)
@@ -254,37 +249,80 @@ def fpa_parts(
     return clean, unit
 
 
-def fpa_release(
-    clean: np.ndarray, unit: np.ndarray, layout: FpaLayout, lams: np.ndarray
+def _unit_scales(
+    layout: FpaLayout | None, deltas: Sequence[float], epsilon: float
 ) -> np.ndarray:
-    """S + lam_c * N, each chunk's noise scale (FpaLayout.noise_scale)
-    broadcast over its samples. (budgets, chunks) scales release
-    (budgets, rows, n) at once, each element as in a one-budget call."""
-    return clean + np.repeat(lams, layout.lengths, axis=-1)[..., np.newaxis, :] * unit
+    """The noise scale of every unit, given its sensitivity: lpa_lambda
+    of LPA's one unit (layout None), fpa_lambda of each FPA chunk."""
+    if layout is None:
+        return np.array([lpa_lambda(d, epsilon) for d in deltas])
+    lengths = layout.plan.chunk_lengths()
+    return np.array([fpa_lambda(c, k, d, epsilon) for c, k, d in zip(lengths, layout.ks, deltas)])
 
 
-def _fpa_block(
+def _release(
+    clean: np.ndarray, unit: np.ndarray, layout: FpaLayout | None, lams: np.ndarray
+) -> np.ndarray:
+    """S + lam * N, each unit's scale (_unit_scales) broadcast over its
+    samples: one unit over the whole row when layout is None (LPA), each
+    chunk of the layout otherwise. (budgets, units) scales release
+    (budgets, rows, n) at once, each element as in a one-budget call. A
+    unit whose scale is 0 releases S exactly, signed zeros included."""
+    scale = lams if layout is None else np.repeat(lams, layout.lengths, axis=-1)
+    out = clean + scale[..., np.newaxis, :] * unit
+    if not lams.all():
+        np.copyto(out, clean, where=scale[..., np.newaxis, :] == 0.0)
+    return out
+
+
+def _draws(streams: Sequence[NoiseSource], layout: FpaLayout | None, n: int) -> np.ndarray:
+    """One row of unit draws per stream: the n LPA reads (layout None) or
+    the 2n an FPA layout reads."""
+    count = n if layout is None else layout.draw_count
+    return np.stack([unit_laplace(s.generator(), count) for s in streams])
+
+
+def _block_release(
     block: np.ndarray,
-    plan: ChunkPlan,
-    per_chunk: Sequence[tuple[float, int]],
-    epsilon: float,
-    streams: Sequence[NoiseSource],
-    difference: bool,
+    layout: FpaLayout | None,
+    lams: np.ndarray,
+    draws: np.ndarray,
+    difference: bool = False,
     symmetric: bool = False,
     literal: bool = False,
 ) -> np.ndarray:
-    """Every row of a (rows, n) block through the core at per-chunk
-    (sensitivity, k); row i draws 2n values from streams[i]."""
-    if plan.total_length != block.shape[1]:
-        raise ParameterError(
-            f"plan covers {plan.total_length} samples but the signal has {block.shape[1]}"
-        )
+    """Every row of a (rows, n) block released at the unit scales lams,
+    with N read from draws (a row per noise stream): S is the block and
+    N the first n draws for LPA (layout None), fpa_parts of the block's
+    spectra for FPA."""
+    if layout is None:
+        clean, unit = block, draws[:, : block.shape[1]]
+    else:
+        spectra = fpa_spectra(block, layout.plan, difference)
+        clean, unit = fpa_parts(spectra, layout, draws, difference, symmetric, literal)
+    return _release(clean, unit, layout, lams)
+
+
+def _fpa_row(
+    x: RealSeq,
+    plan: ChunkPlan,
+    per_chunk: Sequence[tuple[float, int]],
+    epsilon: float,
+    src: NoiseSource,
+    difference: bool = False,
+    symmetric: bool = False,
+    literal: bool = False,
+) -> RealSeq:
+    """One signal through the Fourier release at per-chunk (sensitivity,
+    k), reading 2n draws from src."""
+    arr = _validated_signal(x)[np.newaxis, :]
+    n = arr.shape[1]
+    if plan.total_length != n:
+        raise ParameterError(f"plan covers {plan.total_length} samples but the signal has {n}")
     layout = FpaLayout(plan, [k for _, k in per_chunk])
-    lams = layout.noise_scale([d for d, _ in per_chunk], epsilon)
-    draws = np.stack([unit_laplace(s.generator(), layout.draw_count) for s in streams])
-    spectra = fpa_spectra(block, plan, difference)
-    clean, unit = fpa_parts(spectra, layout, draws, difference, symmetric, literal)
-    return fpa_release(clean, unit, layout, lams)
+    lams = _unit_scales(layout, [d for d, _ in per_chunk], epsilon)
+    draws = _draws([src], layout, n)
+    return _block_release(arr, layout, lams, draws, difference, symmetric, literal)[0]
 
 
 def fpa(
@@ -296,9 +334,8 @@ def fpa(
     symmetric: bool = False,
 ) -> RealSeq:
     """Whole-signal Fourier perturbation with k retained coefficients."""
-    arr = _validated_signal(x)[np.newaxis, :]
-    plan = chunk_plan(arr.size, arr.size)
-    return _fpa_block(arr, plan, [(delta2, k)], epsilon, [src], False, symmetric)[0]
+    n = _validated_signal(x).size
+    return _fpa_row(x, chunk_plan(n, n), [(delta2, k)], epsilon, src, symmetric=symmetric)
 
 
 def cfpa(
@@ -314,8 +351,7 @@ def cfpa(
     Every chunk receives the full budget epsilon: the chunks partition
     the sample index range, so parallel composition applies.
     """
-    arr = _validated_signal(x)[np.newaxis, :]
-    return _fpa_block(arr, plan, per_chunk, epsilon, [src], False, symmetric)[0]
+    return _fpa_row(x, plan, per_chunk, epsilon, src, symmetric=symmetric)
 
 
 def dcfpa(
@@ -335,8 +371,7 @@ def dcfpa(
     aggregation variant for comparison; it is not the inverse of the
     difference transform and is off by default.
     """
-    arr = _validated_signal(x)[np.newaxis, :]
-    return _fpa_block(arr, plan, per_chunk, epsilon, [src], True, symmetric, literal)[0]
+    return _fpa_row(x, plan, per_chunk, epsilon, src, True, symmetric, literal)
 
 
 def _composed(epsilons: Sequence[float], combine: Callable[..., float], name: str) -> float:
@@ -412,27 +447,36 @@ class MechanismConfig:
         return chunk_plan(length, self.chunk_size)
 
 
-def _chunk_k(
+def _feature_units(
     config: MechanismConfig,
-    k_table: Mapping[tuple[str, int], int] | None,
+    plan: ChunkPlan,
+    sens: SensitivityTable,
     feature: str,
-    chunk_index: int,
-    chunk_length: int,
-) -> int:
-    if k_table is not None:
-        key = (feature, chunk_index)
-        if key not in k_table:
-            raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {chunk_index}")
-        k = int(k_table[key])
-    elif config.k is not None:
-        k = config.k
-    else:
-        k = chunk_length
-    if not 1 <= k <= chunk_length:
-        raise ConfigurationError(
-            f"k={k} out of range [1, {chunk_length}] for feature {feature!r} chunk {chunk_index}"
-        )
-    return k
+    k_table: Mapping[tuple[str, int], int] | None,
+) -> tuple[FpaLayout | None, list[float]]:
+    """(layout, sensitivities) of one feature's units under the plan:
+    None and the whole-signal L1 sensitivity for LPA, which keeps no
+    coefficients and ignores any k; otherwise the layout of each chunk's
+    k (from k_table, {(feature, chunk_index): k}, else config.k, else the
+    chunk length) and each chunk's L2 sensitivity in the config's domain.
+    A missing sensitivity or an out-of-range k is a ConfigurationError."""
+    try:
+        deltas = [sens.value(feature, i, config.domain, config.norm_order) for i in range(len(plan))]
+    except ParameterError as exc:
+        raise ConfigurationError(str(exc)) from None
+    if config.mechanism == "lpa":
+        return None, deltas
+    ks = []
+    for ci, c in enumerate(plan.chunk_lengths()):
+        if k_table is not None and (feature, ci) not in k_table:
+            raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {ci}")
+        k = int(k_table[(feature, ci)]) if k_table is not None else config.k or c
+        if not 1 <= k <= c:
+            raise ConfigurationError(
+                f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"
+            )
+        ks.append(k)
+    return FpaLayout(plan, ks), deltas
 
 
 def build_report(
@@ -454,36 +498,18 @@ def build_report(
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     plan = config.plan_for(length)
-    domain, norm = config.domain, config.norm_order
     units: list[ReportUnit] = []
     per_feature: dict[str, float] = {}
     for feature in feature_names:
         if feature in excluded:
             continue
+        layout, deltas = _feature_units(config, plan, sens, feature, k_table)
+        lams = _unit_scales(layout, deltas, config.epsilon)
+        ks = plan.chunk_lengths() if layout is None else layout.ks
         unit_epsilons: list[float] = []
-        for ci, (s, e) in enumerate(plan.boundaries):
-            c_len = e - s
-            try:
-                delta = sens.value(feature, ci, domain, norm)
-            except ParameterError as exc:
-                raise ConfigurationError(str(exc)) from None
-            if config.mechanism == "lpa":
-                k = c_len
-                lam = lpa_lambda(delta, config.epsilon)
-            else:
-                k = _chunk_k(config, k_table, feature, ci, c_len)
-                lam = fpa_lambda(c_len, k, delta, config.epsilon)
+        for ci, (delta, lam, k) in enumerate(zip(deltas, lams, ks)):
             if lam > 0.0:
-                units.append(
-                    ReportUnit(
-                        feature=feature,
-                        chunk_index=ci,
-                        sensitivity=delta,
-                        lam=lam,
-                        k=k,
-                        epsilon=config.epsilon,
-                    )
-                )
+                units.append(ReportUnit(feature, ci, delta, float(lam), k, config.epsilon))
                 unit_epsilons.append(config.epsilon)
         if not unit_epsilons:
             per_feature[feature] = 0.0
@@ -514,12 +540,15 @@ def _check_plan(what: str, built: ChunkPlan | None, plan: ChunkPlan, mechanism: 
         )
 
 
-def group_k_mapping(
-    k_table: KTable, label: str, plan: ChunkPlan, mechanism: str
-) -> dict[tuple[str, int], int]:
+def _group_ks(
+    k_table: KTable | None, label: str, plan: ChunkPlan, mechanism: str
+) -> dict[tuple[str, int], int] | None:
     """One group's tuned counts, {(feature, chunk_index): k}, after
     checking that the group was tuned for the plan it is released with;
-    a missing group or another plan is a ConfigurationError."""
+    a missing group or another plan is a ConfigurationError. None without
+    a table, and for LPA, which keeps no coefficients."""
+    if k_table is None or mechanism == "lpa":
+        return None
     if label not in k_table.plans:
         raise ConfigurationError(f"no k table entries for label {label!r}")
     _check_plan(f"k table for label {label!r} was tuned for", k_table.plans[label], plan, mechanism)
@@ -542,77 +571,58 @@ def perturb_corpus(
     precomputed tables are supplied; a supplied table must have been
     built for the plan this configuration uses on the group, or the run
     fails with ConfigurationError. A supplied k table likewise must hold
-    every group, tuned for the plan the group is released with.
-    Recordings shorter than their group's maximum length are
+    every group, tuned for the plan the group is released with; lpa
+    ignores it. Recordings shorter than their group's maximum length are
     zero-padded for perturbation (matching the padded sensitivity
-    definition) and trimmed back on release. Each (group, feature) goes
-    through the core in blocks of rows; recording r's feature f draws from
-    stream (r, f, 0), exactly as a direct mechanism call on that stream
-    would, so output is independent of worker count.
+    definition) and trimmed back on release. Each (group, feature) has
+    its layout and scales decided once and goes through the release step
+    in blocks of rows; recording r's feature f draws from stream (r, f,
+    0), exactly as a direct mechanism call on that stream would, so
+    output is independent of worker count.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     labels = corpus.label_values(label_kind)
-    plans: dict[str, ChunkPlan] = {}
-    tables: dict[str, SensitivityTable] = {}
     reports: dict[str, MechanismReport] = {}
-    ks: dict[str, Mapping[tuple[str, int], int] | None] = {}
+    cells: dict[tuple[str, int], tuple[FpaLayout | None, np.ndarray]] = {}
+    lengths: dict[str, int] = {}
     for value in labels:
-        group = corpus.group(label_kind, value)
-        n = max(m.length for m in group)
-        plans[value] = config.plan_for(n)
+        n = lengths[value] = max(m.length for m in corpus.group(label_kind, value))
+        plan = config.plan_for(n)
         if sens_tables is not None:
             if value not in sens_tables:
                 raise ConfigurationError(f"no sensitivity table for label {value!r}")
-            tables[value] = sens_tables[value]
+            table = sens_tables[value]
             _check_plan(
                 f"sensitivity table for label {value!r} was built for",
-                tables[value].plan, plans[value], config.mechanism,
+                table.plan, plan, config.mechanism,
             )
         else:
-            tables[value] = build_group_table(
-                corpus,
-                label_kind,
-                value,
-                plans[value],
-                norms=(config.norm_order,),
-                domains=(config.domain,),
+            table = build_group_table(
+                corpus, label_kind, value, plan, norms=(config.norm_order,), domains=(config.domain,)
             )
-        ks[value] = None
-        if k_table is not None:
-            ks[value] = group_k_mapping(k_table, value, plans[value], config.mechanism)
+        ks = _group_ks(k_table, value, plan, config.mechanism)
         reports[value] = build_report(
-            config,
-            tables[value],
-            corpus.schema,
-            n,
-            excluded=corpus.excluded_features,
-            k_table=ks[value],
+            config, table, corpus.schema, n, excluded=corpus.excluded_features, k_table=ks
         )
+        for f, feature in enumerate(corpus.schema):
+            if feature not in corpus.excluded_features:
+                layout, deltas = _feature_units(config, plan, table, feature, ks)
+                cells[(value, f)] = (layout, _unit_scales(layout, deltas, config.epsilon))
 
     outs = [m.values.copy() for m in corpus.matrices]
 
     def one_block(value: str, f: int, rows: list[int]) -> None:
-        feature = corpus.schema[f]
-        plan = plans[value]
-        sens = tables[value]
-        block = np.zeros((len(rows), plan.total_length))
+        layout, lams = cells[(value, f)]
+        block = np.zeros((len(rows), lengths[value]))
         for row, r in enumerate(rows):
             x = corpus.matrices[r].values[:, f]
             block[row, : x.size] = x
-        streams = [src.derive(r, f, 0) for r in rows]
-        if config.mechanism == "lpa":
-            delta = sens.value(feature, 0, RAW, 1)
-            noisy = np.stack([lpa(x, delta, config.epsilon, s) for x, s in zip(block, streams)])
-        else:
-            per_chunk = [
-                (sens.value(feature, ci, config.domain, 2), _chunk_k(config, ks[value], feature, ci, c))
-                for ci, c in enumerate(plan.chunk_lengths())
-            ]
-            noisy = _fpa_block(
-                block, plan, per_chunk, config.epsilon, streams, config.mechanism == "dcfpa",
-                config.symmetric, config.literal_reconstruct,
-            )
+        draws = _draws([src.derive(r, f, 0) for r in rows], layout, lengths[value])
+        noisy = _block_release(
+            block, layout, lams, draws, config.mechanism == "dcfpa",
+            config.symmetric, config.literal_reconstruct,
+        )
         if config.clamp:
             noisy = clamp_nonnegative(noisy)
         for row, r in enumerate(rows):
@@ -621,7 +631,7 @@ def perturb_corpus(
     units = []
     for value in labels:
         rows = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
-        step = max(1, BLOCK_VALUES // (2 * plans[value].total_length))
+        step = max(1, BLOCK_VALUES // (2 * lengths[value]))
         for f, feature in enumerate(corpus.schema):
             if feature not in corpus.excluded_features:
                 units += [(value, f, rows[lo : lo + step]) for lo in range(0, len(rows), step)]

@@ -9,8 +9,11 @@ The sweep runner measures mean utility per (mechanism, chunk size,
 epsilon) over repeated noisy executions. Aggregation is two-stage: NMSE
 cells (one per recording x run) are averaged per feature, per-feature
 means are averaged across features, and the row's utility is the
-reciprocal of that final mean. Noise streams are addressed by
-(recording, feature, run), epsilon never enters a stream address, and
+reciprocal of that final mean. Each cell's per-unit k, sensitivity and
+noise scale come from the mechanisms' one decision (_feature_units,
+_unit_scales), and its releases from their one release step, so a sweep
+cell is bitwise what the mechanism releases. Noise streams are addressed
+by (recording, feature, run), epsilon never enters a stream address, and
 partial sums are merged in unit-index order, so sweeps are bitwise
 reproducible and independent of worker count.
 """
@@ -34,14 +37,11 @@ from privseq.core import (
 )
 from privseq.mechanisms import (
     MECHANISMS,
-    FpaLayout,
     MechanismConfig,
-    _chunk_k,
-    fpa_parts,
-    fpa_release,
-    fpa_spectra,
-    group_k_mapping,
-    lpa_lambda,
+    _block_release,
+    _feature_units,
+    _group_ks,
+    _unit_scales,
 )
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import SensitivityTable, build_group_table
@@ -301,90 +301,67 @@ def _sweep_configs(
     return configs
 
 
-class _GroupContext:
-    """Per-label precomputation shared by all units of that group: for
-    every (configuration, feature), the core layout (None for lpa) and
-    the noise scales, one row per epsilon (per chunk; one value for lpa)."""
-
-    __slots__ = ("length", "cells")
-
-    def __init__(
-        self,
-        corpus: Corpus,
-        label_kind: str,
-        label_value: str,
-        configs: Sequence[tuple[str, int | None]],
-        epsilons: Sequence[float],
-        k_table: KTable | None,
-    ):
-        group = corpus.group(label_kind, label_value)
-        self.length = max(m.length for m in group)
-        self.cells: dict[tuple[int, str], tuple[FpaLayout | None, np.ndarray]] = {}
-        tables: dict[tuple[ChunkPlan, str, int], SensitivityTable] = {}
-        for cfg_idx, (mech, c) in enumerate(configs):
-            config = MechanismConfig(mechanism=mech, epsilon=1.0, chunk_size=c)
-            plan = config.plan_for(self.length)
-            domain, norm = config.domain, config.norm_order
-            if (plan, domain, norm) not in tables:
-                tables[(plan, domain, norm)] = build_group_table(
-                    corpus, label_kind, label_value, plan, norms=(norm,), domains=(domain,)
-                )
-            table = tables[(plan, domain, norm)]
-            ks = None
-            if k_table is not None and mech != "lpa":
-                ks = group_k_mapping(k_table, label_value, plan, mech)
-            for f in corpus.included_features:
-                deltas = [table.value(f, ci, domain, norm) for ci in range(len(plan))]
-                if mech == "lpa":
-                    scales = np.array([lpa_lambda(deltas[0], e) for e in epsilons])
-                    self.cells[(cfg_idx, f)] = (None, scales)
-                    continue
-                layout = FpaLayout(
-                    plan,
-                    [_chunk_k(config, ks, f, ci, c) for ci, c in enumerate(plan.chunk_lengths())],
-                )
-                scales = np.stack([layout.noise_scale(deltas, e) for e in epsilons])
-                self.cells[(cfg_idx, f)] = (layout, scales)
+def _group_cells(
+    corpus: Corpus,
+    label_kind: str,
+    label_value: str,
+    configs: Sequence[tuple[str, int | None]],
+    epsilons: Sequence[float],
+    k_table: KTable | None,
+) -> tuple[int, dict[tuple[int, str], tuple]]:
+    """One group's length and {(config index, feature): (layout,
+    scales)}: the release decision of mechanisms._feature_units, with one
+    row of unit scales per epsilon."""
+    length = max(m.length for m in corpus.group(label_kind, label_value))
+    cells = {}
+    tables: dict[tuple[ChunkPlan, str, int], SensitivityTable] = {}
+    for cfg_idx, (mech, c) in enumerate(configs):
+        config = MechanismConfig(mechanism=mech, epsilon=1.0, chunk_size=c)
+        plan = config.plan_for(length)
+        key = (plan, config.domain, config.norm_order)
+        if key not in tables:
+            tables[key] = build_group_table(
+                corpus, label_kind, label_value, plan, norms=(key[2],), domains=(key[1],)
+            )
+        ks = _group_ks(k_table, label_value, plan, mech)
+        for f in corpus.included_features:
+            layout, deltas = _feature_units(config, plan, tables[key], f, ks)
+            scales = np.stack([_unit_scales(layout, deltas, e) for e in epsilons])
+            cells[(cfg_idx, f)] = (layout, scales)
+    return length, cells
 
 
 def _unit_sums(
     x: np.ndarray,
-    ctx: _GroupContext,
+    group: tuple[int, dict[tuple[int, str], tuple]],
     configs: Sequence[tuple[str, int | None]],
     runs: int,
     unit_src: NoiseSource,
     feature: str,
 ) -> dict[tuple[int, int], tuple[float, int, int]]:
-    """All NMSE cells of one (recording, feature) unit.
+    """All NMSE cells of one (recording, feature) unit, zero-padded to
+    its group's length.
 
     Returns {(config_index, epsilon_index): (nmse_sum, valid, skipped)}.
-    Run t reads one unit-Laplace vector of length 2N from stream
+    Run t reads one unit-Laplace vector of length 2 * length from stream
     (recording, feature, t), exactly what a Fourier mechanism call on it
-    draws (lpa draws the first N). S and N are built once per config;
-    the whole epsilon grid is then one S + lam * N and its NMSE cells.
+    draws (lpa reads the first length). Each config is one release step
+    over the whole epsilon grid and its NMSE cells.
     """
+    length, cells = group
     n_orig = x.size
-    padded = np.zeros((1, ctx.length))
+    padded = np.zeros((1, length))
     padded[0, :n_orig] = x
     draws = np.stack(
-        [
-            unit_laplace(unit_src.derive(run).generator(), 2 * ctx.length)
-            for run in range(runs)
-        ]
+        [unit_laplace(unit_src.derive(run).generator(), 2 * length) for run in range(runs)]
     )
     x_mean = float(np.mean(x))
     out: dict[tuple[int, int], tuple[float, int, int]] = {}
     for cfg_idx, (mech, _) in enumerate(configs):
-        layout, scales = ctx.cells[(cfg_idx, feature)]
-        if layout is None:
-            xt = padded + scales[:, np.newaxis, np.newaxis] * draws[:, : ctx.length]
-        else:
-            difference = mech == "dcfpa"
-            spectra = fpa_spectra(padded, layout.plan, difference)
-            clean, unit = fpa_parts(spectra, layout, draws, difference)
-            xt = fpa_release(clean, unit, layout, scales)
-        for e_idx, cells in enumerate(_nmse_cells(x, x_mean, xt[..., :n_orig])):
-            out[(cfg_idx, e_idx)] = cells
+        layout, scales = cells[(cfg_idx, feature)]
+        xt = _block_release(padded, layout, scales, draws, mech == "dcfpa")
+        for e_idx, sums in enumerate(_nmse_cells(x, x_mean, xt[..., :n_orig])):
+            out[(cfg_idx, e_idx)] = sums
     return out
 
 
@@ -435,8 +412,8 @@ def run_sweep(
     features = corpus.included_features
     if not features:
         raise ParameterError("empty sweep: every feature excluded")
-    contexts = {
-        value: _GroupContext(corpus, label_kind, value, configs, eps, k_table)
+    groups = {
+        value: _group_cells(corpus, label_kind, value, configs, eps, k_table)
         for value in corpus.label_values(label_kind)
     }
 
@@ -451,7 +428,7 @@ def run_sweep(
         matrix = corpus.matrices[r]
         return _unit_sums(
             matrix.values[:, col],
-            contexts[label],
+            groups[label],
             configs,
             runs,
             src.derive(r, col),

@@ -7,7 +7,9 @@ candidate retention count against reconstruction error on a reference
 group and keeps the winner per chunk, with ties resolved toward the
 smaller (cheaper) count.
 
-Candidates are scored on the mechanism core's release S + lam * N. Each
+Candidates are scored on the mechanisms' own release step, S + lam * N
+at the scales mechanisms._unit_scales decides, on the chunk plan the
+mechanism releases with (fpa's whole signal included). Each
 (signal, run) reads one unit-noise vector from stream src.derive(signal,
 run), which every candidate hands to the core as is: a scored candidate
 is bitwise the fpa, cfpa or dcfpa release on that stream at that k,
@@ -36,8 +38,10 @@ from privseq.mechanisms import (
     BLOCK_VALUES,
     MECHANISMS,
     FpaLayout,
+    MechanismConfig,
+    _release,
+    _unit_scales,
     fpa_parts,
-    fpa_release,
     fpa_spectra,
 )
 from privseq.metrics import _nmse_ratio
@@ -109,12 +113,8 @@ def tune_k(
         for k in range(1, longest + 1):
             layout = FpaLayout(plan, np.minimum(k, lengths))
             clean, unit = fpa_parts(spectra, layout, draws, difference)
-            rec = fpa_release(
-                clean[:, np.newaxis, :],
-                unit.reshape(members, runs, -1),
-                layout,
-                layout.noise_scale(deltas, epsilon),
-            )
+            lams = _unit_scales(layout, deltas, epsilon)
+            rec = _release(clean[:, np.newaxis, :], unit.reshape(members, runs, -1), layout, lams)
             d = rec - block[:, np.newaxis, :]
             num = np.add.reduceat(d * d, starts, axis=2) / lengths
             values, valid = _nmse_ratio(num, means * (np.add.reduceat(rec, starts, axis=2) / lengths))
@@ -189,17 +189,18 @@ def tune_corpus(
     src: NoiseSource,
 ) -> KTable:
     """Tune every (label group, feature, chunk) of a corpus at one
-    reference budget. Shorter recordings are zero-padded to the group
-    maximum, mirroring how the mechanisms are applied."""
-    if chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+    reference budget, on the chunk plan the mechanism releases the group
+    with (fpa's whole signal, whatever chunk_size says). Shorter
+    recordings are zero-padded to the group maximum, mirroring how the
+    mechanisms are applied."""
+    config = MechanismConfig(mechanism, epsilon, chunk_size)
     entries: dict[tuple[str, str, int], int] = {}
     plans: dict[str, ChunkPlan] = {}
     labels = corpus.label_values(label_kind)
     for li, label in enumerate(labels):
         group = corpus.group(label_kind, label)
         length = max(m.length for m in group)
-        plan = chunk_plan(length, chunk_size)
+        plan = config.plan_for(length)
         for col, feature in enumerate(corpus.schema):
             if feature in corpus.excluded_features:
                 continue

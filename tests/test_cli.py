@@ -2,6 +2,7 @@
 byte-identical, worker count never changes results, and failures map to
 the documented exit codes."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import privseq
 from privseq.cli import _handled, main
 from privseq.core import InternalInvariantError
 from privseq.dataio import MANIFEST_NAME, REPORT_NAME, load_corpus
@@ -55,8 +57,12 @@ def test_help_everywhere():
 
 
 def test_module_entry_point():
+    # The child process imports the same package as these tests, wherever
+    # that came from (an install, PYTHONPATH or pytest's pythonpath).
+    path = [str(Path(privseq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "privseq.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "privseq.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "Differentially private" in proc.stdout
@@ -219,6 +225,40 @@ def test_perturb_lpa_warns_and_ignores_chunk_size(manifest, tmp_path):
     )
     assert result.exit_code == 0
     assert "ignored" in result.stderr
+
+
+def test_perturb_k_and_k_file_are_mutually_exclusive(manifest, tmp_path):
+    k_path = tmp_path / "k8.csv"
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--chunk-size", 8,
+        "--runs", 1, "--seed", 6, "--out", k_path,
+    )
+    assert result.exit_code == 0, result.output
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--k", 3, "--k-file", k_path, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 2, result.output
+    assert "mutually exclusive" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_perturb_lpa_rejects_retention_flags(manifest, tmp_path):
+    # lpa keeps no coefficients, so a retention count would be ignored
+    k_path = tmp_path / "k.csv"
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--chunk-size", 8,
+        "--runs", 1, "--seed", 6, "--out", k_path,
+    )
+    assert result.exit_code == 0, result.output
+    for flag, value in (("--k", 3), ("--k-file", k_path)):
+        result = run_cli(
+            "perturb", "--manifest", manifest, "--mechanism", "lpa", "--epsilon", 2.4,
+            flag, value, "--out", tmp_path / "out",
+        )
+        assert result.exit_code == 2, (flag, result.output)
+        assert f"{flag} does not apply to lpa" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_perturb_bad_epsilon_is_exit_2(manifest, tmp_path):
@@ -407,6 +447,37 @@ def test_perturb_k_file_must_match_the_chunk_plan(manifest, tmp_path):
     )
     assert result.exit_code == 3
     assert "expected header" in result.stderr
+
+
+def test_tune_k_fpa_tunes_the_whole_signal_plan(manifest, tmp_path):
+    # fpa releases each group as one whole-signal chunk, so its table is
+    # tuned on that plan and perturb and sweep accept it; --chunk-size is
+    # ignored, with a warning.
+    k_path = tmp_path / "k_fpa.csv"
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--mechanism", "fpa", "--chunk-size", 8,
+        "--runs", 1, "--seed", 6, "--out", k_path,
+    )
+    assert result.exit_code == 0, result.output
+    assert "--chunk-size is ignored by fpa" in result.stderr
+    table = load_k_csv(k_path)
+    assert {(p.chunk_size, p.total_length) for p in table.plans.values()} == {(40, 40)}
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "fpa", "--epsilon", 2.4,
+        "--k-file", k_path, "--out", tmp_path / "noisy",
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "noisy" / REPORT_NAME).read_text())
+    for label, r in report.items():
+        for u in r["units"]:
+            assert u["k"] == table.entries[(label, u["feature"], u["chunk_index"])]
+    result = run_cli(
+        "sweep", "--manifest", manifest, "--mechanisms", "lpa,fpa", "--epsilons", "2.4",
+        "--chunk-sizes", 8, "--runs", 1, "--tune", "--tune-mechanism", "fpa",
+        "--tune-runs", 1, "--out", tmp_path / "sweep.csv",
+    )
+    assert result.exit_code == 0, result.output
+    assert len(load_sweep_csv(tmp_path / "sweep.csv").rows) == 2
 
 
 def test_sweep_k_file_must_match_every_plan(manifest, tmp_path):

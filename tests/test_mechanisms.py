@@ -697,6 +697,28 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
                 assert np.array_equal(out.values[:, f], direct[: m.length]), (config, r, f)
 
 
+def test_perturb_corpus_lpa_zero_sensitivity_group_is_bitwise_identity():
+    # A group whose members agree on a feature has sensitivity 0 there, so
+    # lpa releases that feature unchanged, as a direct lpa() call does:
+    # every bit, the sign of -0.0 included.
+    names = ("f0", "f1")
+    same = np.array([-0.0, 0.0, -0.0, 2.5, -0.0, -1.25, 0.0, -0.0])
+    mats = tuple(
+        _matrix(f"r{i}", f"p{i}", "a", np.column_stack([same, same + i]), names) for i in range(3)
+    )
+    corpus = Corpus(matrices=mats, schema=names)
+    src = NoiseSource(seed=23)
+    noisy, reports = perturb_corpus(
+        corpus, "category", MechanismConfig(mechanism="lpa", epsilon=1.0), src
+    )
+    assert [u.feature for u in reports["a"].per_unit] == ["f1"]
+    for r, (m, out) in enumerate(zip(corpus.matrices, noisy.matrices)):
+        got = out.values[:, 0]
+        assert got.tobytes() == same.tobytes()
+        assert got.tobytes() == lpa(same, 0.0, 1.0, src.derive(r, 0, 0)).tobytes()
+        assert not np.array_equal(out.values[:, 1], m.values[:, 1])
+
+
 def test_chunk_noise_depends_only_on_its_own_k():
     # Each chunk reads its draws at a fixed offset, so changing chunk 0's
     # k leaves every later chunk (the remainder included) bit-identical.
@@ -725,11 +747,11 @@ def _report_cases(draw):
     tuned counts) for a two-feature group; the last two list one value
     per (feature, chunk), and k and the tuned counts may be None."""
     lengths = draw(st.lists(st.integers(1, 20), min_size=2, max_size=3))
-    mechanism = draw(st.sampled_from(("fpa", "cfpa", "dcfpa")))
+    mechanism = draw(st.sampled_from(("lpa", "fpa", "cfpa", "dcfpa")))
     epsilon = draw(st.floats(0.01, 50.0))
     retention = draw(st.sampled_from(("full", "uniform", "table")))
     n = max(lengths)
-    chunk = draw(st.integers(1, n + 2)) if mechanism != "fpa" else None
+    chunk = draw(st.integers(1, n + 2)) if mechanism in ("cfpa", "dcfpa") else None
     chunks = chunk_plan(n, chunk or n).chunk_lengths() * 2
     k = draw(st.integers(1, n)) if retention == "uniform" else None
     deltas = [draw(st.floats(0.0, 100.0)) for _ in chunks]
@@ -741,13 +763,20 @@ def _report_cases(draw):
 # A positive sensitivity whose scale underflows to 0: the 1-sample
 # remainder chunk at 5e-324 and epsilon 2.
 @example(case=([1, 13], "cfpa", 2.0, 4, None, [1.0, 1.0, 1.0, 5e-324] + [1.0] * 4, None))
+# Chunk 0 underflows and k = 4 exceeds the 1-sample remainder chunk: the
+# feature's k is checked before its scales.
+@example(case=([13, 2], "cfpa", 2.0, 4, 4, [5e-324] + [1.0] * 7, None))
+# lpa's whole-signal scale underflows.
+@example(case=([3, 4], "lpa", 4.0, None, None, [1.0, 5e-324], None))
 @settings(max_examples=80, deadline=None)
 def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     # Every accounted scale is fpa_lambda of the chunk's own length, its k
-    # (above floor(c/2) + 1 included) and its sensitivity, and is bit for
-    # bit the scale the core multiplies that chunk's noise by. A k beyond
-    # a chunk, or a positive sensitivity whose scale would underflow,
-    # fails the release at the first such unit.
+    # (above floor(c/2) + 1 included) and its sensitivity (lpa_lambda of
+    # the whole signal for lpa, which ignores k and k tables), and is bit
+    # for bit the scale the release step multiplies that unit's noise by.
+    # Features are decided in order, each in full before its scales: a k
+    # beyond one of its chunks fails the release, and otherwise so does a
+    # positive sensitivity whose scale would underflow.
     lengths, mechanism, epsilon, chunk, k, deltas, tuned = case
     names = ("f0", "f1")
     rng = np.random.default_rng(len(lengths))
@@ -762,7 +791,7 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     plan = config.plan_for(max(lengths))
     keys = [(f, ci) for f in names for ci in range(len(plan))]
     sens = SensitivityTable(
-        entries={(f, ci, config.domain, 2): d for (f, ci), d in zip(keys, deltas)},
+        entries={(f, ci, config.domain, config.norm_order): d for (f, ci), d in zip(keys, deltas)},
         group_label="a",
         plan=plan,
     )
@@ -775,43 +804,58 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
             plans={"a": plan},
         )
     lengths_of = plan.chunk_lengths()
-    want_k = dict(zip(keys, tuned or [k or lengths_of[ci] for _, ci in keys]))
-    for (f, ci), d in zip(keys, deltas):
-        c, kc = lengths_of[ci], want_k[(f, ci)]
-        if kc > c:
+    if mechanism == "lpa":
+        want_k = {key: lengths_of[0] for key in keys}
+    else:
+        want_k = dict(zip(keys, tuned or [k or lengths_of[ci] for _, ci in keys]))
+
+    def want_lam(c, kc, d):
+        return lpa_lambda(d, epsilon) if mechanism == "lpa" else fpa_lambda(c, kc, d, epsilon)
+
+    def underflows(c, kc, d):
+        factor = 1.0 if mechanism == "lpa" else math.sqrt(c) * math.sqrt(_g(c, kc))
+        return d > 0.0 and factor * d / epsilon < sys.float_info.min
+
+    delta_of = dict(zip(keys, deltas))
+    for f in names:
+        units = [(c, want_k[(f, ci)], delta_of[(f, ci)]) for ci, c in enumerate(lengths_of)]
+        if any(kc > c for c, kc, _ in units):
             error = ConfigurationError
-        elif d > 0.0 and math.sqrt(c) * math.sqrt(_g(c, kc)) * d / epsilon < sys.float_info.min:
+        elif any(underflows(*unit) for unit in units):
             error = ParameterError
         else:
             continue
         with pytest.raises(error):
-            perturb_corpus(corpus, "category", config, NoiseSource(3), sens_tables={"a": sens})
+            perturb_corpus(
+                corpus, "category", config, NoiseSource(3), sens_tables={"a": sens}, k_table=k_table
+            )
         return
 
     core_scales = []
-    real_release = mechanisms.fpa_release
+    real_release = mechanisms._release
 
     def recording_release(clean, unit, layout, lams):
-        core_scales.append((layout.ks, lams))
+        core_scales.append((lengths_of if layout is None else layout.ks, lams))
         return real_release(clean, unit, layout, lams)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mechanisms, "fpa_release", recording_release)
+        mp.setattr(mechanisms, "_release", recording_release)
         _, reports = perturb_corpus(
             corpus, "category", config, NoiseSource(3), sens_tables={"a": sens}, k_table=k_table
         )
     assert len(core_scales) == len(names)
     units = {(u.feature, u.chunk_index): u for u in reports["a"].per_unit}
     for f, (ks, lams) in zip(names, core_scales):
-        for ci, c in enumerate(plan.chunk_lengths()):
-            delta = sens.value(f, ci, config.domain, 2)
+        assert len(lams) == len(plan)
+        for ci, c in enumerate(lengths_of):
+            delta = delta_of[(f, ci)]
             assert ks[ci] == want_k[(f, ci)]
             if delta == 0.0:
                 assert (f, ci) not in units and lams[ci] == 0.0
                 continue
             u = units[(f, ci)]
             assert (u.k, u.sensitivity) == (want_k[(f, ci)], delta)
-            assert u.lam == fpa_lambda(c, want_k[(f, ci)], delta, epsilon)
+            assert u.lam == want_lam(c, want_k[(f, ci)], delta)
             assert u.lam.hex() == float(lams[ci]).hex()
 
 

@@ -69,7 +69,7 @@ def test_candidates_are_the_mechanisms_own_releases():
     for name, mech, domain in (("cfpa", cfpa, RAW), ("dcfpa", dcfpa, DIFFERENCE)):
         deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
         seen = []
-        real_release = tuning.fpa_release
+        real_release = tuning._release
 
         def recording_release(clean, unit, layout, lams):
             out = real_release(clean, unit, layout, lams)
@@ -77,7 +77,7 @@ def test_candidates_are_the_mechanisms_own_releases():
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tuning, "fpa_release", recording_release)
+            mp.setattr(tuning, "_release", recording_release)
             tune_k(signals, plan, name, 1.5, 2, src)
         assert [ks for ks, _ in seen] == [(k, k, min(k, 6)) for k in range(1, 9)]
         for ks, out in seen:

@@ -177,7 +177,7 @@ def synth(
 @click.option("--epsilon", required=True, type=float)
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length]; not for lpa.")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's chunk plan and naming every group; excludes --k, not for lpa.")
+@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's mechanism and chunk plan and naming every group; excludes --k, not for lpa.")
 @click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV, built for this run's chunk plan; recomputed when absent.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
@@ -240,8 +240,8 @@ def perturb(
 @click.option("--chunk-sizes", "chunk_sizes_text", default=None, help="Comma-separated sizes [default: 32,64,128].")
 @click.option("--runs", type=click.IntRange(min=1), default=None, help="Noisy executions per cell [default: 100].")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON file with sweep settings; explicit flags win.")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV.")
-@click.option("--tune", is_flag=True, help="Tune retention at a reference budget first.")
+@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for every retaining row's mechanism and chunk plan.")
+@click.option("--tune", is_flag=True, help="Tune retention at a reference budget first; --mechanisms may then name only lpa and --tune-mechanism.")
 @click.option("--tune-epsilon", type=float, default=4.8, show_default=True)
 @click.option("--tune-runs", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--tune-mechanism", type=click.Choice(("fpa", "cfpa", "dcfpa")), default="cfpa", show_default=True)
@@ -296,6 +296,20 @@ def sweep(
     label_kind = pick(label_kind, "label_kind", "category")
     if tune and k_file:
         raise ParameterError("--tune and --k-file are mutually exclusive")
+    if tune:
+        # The tuned table holds one mechanism's counts on one plan per
+        # group, so every retaining row must be that mechanism on that plan.
+        sizes = [int(c) for c in chunk_sizes]
+        if tune_mechanism != "fpa" and len(sizes) != 1:
+            raise ParameterError(
+                "--tune needs exactly one --chunk-sizes value; tune per size explicitly"
+            )
+        others = [m for m in mechanisms if m not in ("lpa", tune_mechanism)]
+        if others:
+            raise ParameterError(
+                f"--tune tunes {tune_mechanism} only; --mechanisms may name lpa and "
+                f"{tune_mechanism}, not {', '.join(others)}"
+            )
 
     corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
     root = NoiseSource(seed)
@@ -303,13 +317,8 @@ def sweep(
     if k_file is not None:
         k_table = tuning.load_k_csv(k_file)
     elif tune:
-        sizes = [int(c) for c in chunk_sizes]
-        if len(sizes) != 1:
-            raise ParameterError(
-                "--tune needs exactly one --chunk-sizes value; tune per size explicitly"
-            )
         k_table = tuning.tune_corpus(
-            corpus, label_kind, sizes[0], tune_mechanism,
+            corpus, label_kind, None if tune_mechanism == "fpa" else sizes[0], tune_mechanism,
             tune_epsilon, tune_runs, root.derive(1),
         )
     result = metrics.run_sweep(
@@ -329,7 +338,7 @@ def sweep(
 
 @main.command(name="tune-k")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--chunk-size", required=True, type=click.IntRange(min=1))
+@click.option("--chunk-size", type=click.IntRange(min=1), default=None, help="Chunk size of the plan; required for cfpa and dcfpa, ignored by fpa.")
 @click.option("--mechanism", type=click.Choice(("fpa", "cfpa", "dcfpa")), default="cfpa", show_default=True)
 @click.option("--epsilon", type=float, default=4.8, show_default=True)
 @click.option("--runs", type=click.IntRange(min=1), default=100, show_default=True)
@@ -340,8 +349,11 @@ def sweep(
 @_handled
 def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed, jobs, out_path) -> None:
     """Pick per-chunk retention counts on a reference corpus."""
-    if mechanism == "fpa":
+    if mechanism == "fpa" and chunk_size is not None:
         click.echo("warning: --chunk-size is ignored by fpa", err=True)
+        chunk_size = None
+    elif mechanism != "fpa" and chunk_size is None:
+        raise ParameterError(f"--chunk-size is required for {mechanism}")
     corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
     table = tuning.tune_corpus(
         corpus, label_kind, chunk_size, mechanism, epsilon, runs, NoiseSource(seed)

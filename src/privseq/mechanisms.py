@@ -8,7 +8,7 @@ reconstructs by running sum.
 
 Complex-coefficient noising draws independent Laplace noise for the
 real part and the imaginary part of each retained coefficient (2k real
-draws per chunk, real block first). fpa_lambda scales it by the exact
+draws per chunk, one (real, imaginary) pair per bin). fpa_lambda scales it by the exact
 L1 sensitivity of those 2k values, sqrt(n) sqrt(g(n, k)) times the L2
 sensitivity; g = k until the retained bins include mirror pairs.
 
@@ -28,12 +28,15 @@ build_report, perturb_corpus, the one-row lpa/fpa/cfpa/dcfpa, the sweep
 and retention tuning all read them, and all release through _release.
 
 Noise streams: every mechanism invocation reads one unit-Laplace vector
-from the origin of its NoiseSource, n values for LPA and 2n for FPA;
-chunk i takes its 2 k_i values at the fixed offset 2 * start_i
-(FpaLayout) whether or not its noise scale is zero. A chunk's noise thus
-depends on its own k alone: CFPA on a single full-length chunk is
-bit-identical to FPA on the same source, tuning scores the releases the
-mechanisms make, and one unit draw serves a whole epsilon grid.
+from the origin of its NoiseSource, n values for LPA and 2n for FPA.
+Bin j of the chunk starting at sample s reads the pair at draws
+2(s + j) and 2(s + j) + 1 as its real and imaginary part (FpaLayout),
+whether or not the bin is retained or its noise scale is zero. A bin's
+noise thus depends on neither k nor the budget: CFPA on a single
+full-length chunk is bit-identical to FPA on the same source, the noise
+of k retained bins is a prefix of the noise of k + 1 (which retention
+tuning scores in one pass), and one unit draw serves a whole epsilon
+grid.
 """
 from __future__ import annotations
 
@@ -116,7 +119,7 @@ def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
     """x + n i.i.d. Laplace(delta1/epsilon) draws; a copy of x when delta1=0."""
     arr = _validated_signal(x)[np.newaxis, :]
     lams = _unit_scales(None, [delta1], epsilon)
-    return _block_release(arr, None, lams, _draws([src], None, arr.shape[1]))[0]
+    return _block_release(arr, None, lams, _draws([src], None, arr.shape[1]))[0, 0]
 
 
 def lpa_lambda(delta1: float, epsilon: float) -> float:
@@ -159,10 +162,10 @@ class FpaLayout:
     plan and its per-chunk retention counts.
 
     A row holds draw_count = 2n unit draws. Chunk i, starting at sample
-    start_i, retains bins 0..k_i-1 and reads 2*k_i consecutive draws at
-    the fixed offset 2*start_i: the first k_i are the real parts of its
-    coefficient noise, the next k_i the imaginary parts. Each chunk's
-    noise thus depends on its own k_i alone.
+    start_i, retains bins 0..k_i-1; bin j reads the complex pair at draws
+    2(start_i + j) (real part) and 2(start_i + j) + 1 (imaginary part).
+    Each bin's noise thus depends on its position alone, and chunk i's
+    noise on its own k_i alone.
     """
 
     __slots__ = ("plan", "ks", "lengths", "draw_count", "_blocks")
@@ -213,6 +216,13 @@ def _literal_pairwise(nd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _noise_pairs(draws: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) complex view of the first 2n draws of each row:
+    element s + j is the unit noise of bin j of the chunk starting at s,
+    draws 2(s + j) (real part) and 2(s + j) + 1 (imaginary part)."""
+    return np.ascontiguousarray(draws[:, : 2 * n]).view(np.complex128)
+
+
 def fpa_parts(
     spectra: Sequence[np.ndarray],
     layout: FpaLayout,
@@ -229,15 +239,15 @@ def fpa_parts(
     of equal-length chunks is inverted in one transform call."""
     rows_s = spectra[0].shape[0]
     rows_n = draws.shape[0]
+    pairs = _noise_pairs(draws, layout.plan.total_length)
     clean = np.empty((rows_s, layout.plan.total_length))
     unit = np.empty((rows_n, layout.plan.total_length))
     for spec, (start, count, c, runs) in zip(spectra, layout._blocks):
         bins = np.zeros((rows_s + rows_n, count, c), dtype=np.complex128)
-        noise = draws[:, 2 * start : 2 * (start + count * c)].reshape(rows_n, count, 2 * c)
+        noise = pairs[:, start : start + count * c].reshape(rows_n, count, c)
         for j, end, k in runs:
             bins[:rows_s, j:end, :k] = spec[:, j:end, :k]
-            bins.real[rows_s:, j:end, :k] = noise[:, j:end, :k]
-            bins.imag[rows_s:, j:end, :k] = noise[:, j:end, k : 2 * k]
+            bins[rows_s:, j:end, :k] = noise[:, j:end, :k]
             if symmetric:
                 transform.reflect_conjugate(bins[:, j:end], k)
         rec = transform.idft_batch(bins.reshape(-1, c)).real.reshape(-1, count, c)
@@ -263,15 +273,18 @@ def _unit_scales(
 def _release(
     clean: np.ndarray, unit: np.ndarray, layout: FpaLayout | None, lams: np.ndarray
 ) -> np.ndarray:
-    """S + lam * N, each unit's scale (_unit_scales) broadcast over its
-    samples: one unit over the whole row when layout is None (LPA), each
-    chunk of the layout otherwise. (budgets, units) scales release
-    (budgets, rows, n) at once, each element as in a one-budget call. A
-    unit whose scale is 0 releases S exactly, signed zeros included."""
+    """S + lam * N for (rows, 1, n) clean and (rows, runs, n) unit parts,
+    each unit's scale (_unit_scales) broadcast over its samples: one unit
+    over the whole row when layout is None (LPA), each chunk of the
+    layout otherwise. (budgets, units) scales release (budgets, rows,
+    runs, n) at once, each element as in a one-budget call. A unit whose
+    scale is 0 releases S exactly, signed zeros included."""
     scale = lams if layout is None else np.repeat(lams, layout.lengths, axis=-1)
-    out = clean + scale[..., np.newaxis, :] * unit
+    scale = scale[..., np.newaxis, np.newaxis, :]
+    out = scale * unit
+    out += clean
     if not lams.all():
-        np.copyto(out, clean, where=scale[..., np.newaxis, :] == 0.0)
+        np.copyto(out, clean, where=scale == 0.0)
     return out
 
 
@@ -292,15 +305,17 @@ def _block_release(
     literal: bool = False,
 ) -> np.ndarray:
     """Every row of a (rows, n) block released at the unit scales lams,
-    with N read from draws (a row per noise stream): S is the block and
-    N the first n draws for LPA (layout None), fpa_parts of the block's
-    spectra for FPA."""
+    once per noise stream: draws holds runs consecutive rows per block
+    row, a row per stream, and the result is (..., rows, runs, n). S is
+    the block and N the first n draws for LPA (layout None), fpa_parts of
+    the block's spectra for FPA."""
+    rows, n = block.shape
     if layout is None:
-        clean, unit = block, draws[:, : block.shape[1]]
+        clean, unit = block, draws[:, :n]
     else:
         spectra = fpa_spectra(block, layout.plan, difference)
         clean, unit = fpa_parts(spectra, layout, draws, difference, symmetric, literal)
-    return _release(clean, unit, layout, lams)
+    return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), layout, lams)
 
 
 def _fpa_row(
@@ -322,7 +337,7 @@ def _fpa_row(
     layout = FpaLayout(plan, [k for _, k in per_chunk])
     lams = _unit_scales(layout, [d for d, _ in per_chunk], epsilon)
     draws = _draws([src], layout, n)
-    return _block_release(arr, layout, lams, draws, difference, symmetric, literal)[0]
+    return _block_release(arr, layout, lams, draws, difference, symmetric, literal)[0, 0]
 
 
 def fpa(
@@ -544,14 +559,19 @@ def _group_ks(
     k_table: KTable | None, label: str, plan: ChunkPlan, mechanism: str
 ) -> dict[tuple[str, int], int] | None:
     """One group's tuned counts, {(feature, chunk_index): k}, after
-    checking that the group was tuned for the plan it is released with;
-    a missing group or another plan is a ConfigurationError. None without
-    a table, and for LPA, which keeps no coefficients."""
+    checking that the group was tuned on the plan it is released with,
+    and for the same mechanism; a missing group, another plan or another
+    mechanism is a ConfigurationError. None without a table, and for LPA,
+    which keeps no coefficients."""
     if k_table is None or mechanism == "lpa":
         return None
     if label not in k_table.plans:
         raise ConfigurationError(f"no k table entries for label {label!r}")
     _check_plan(f"k table for label {label!r} was tuned for", k_table.plans[label], plan, mechanism)
+    if k_table.mechanism != mechanism:
+        raise ConfigurationError(
+            f"k table was tuned for {k_table.mechanism}; it does not apply to {mechanism}"
+        )
     return k_table.mapping(label)
 
 
@@ -622,7 +642,7 @@ def perturb_corpus(
         noisy = _block_release(
             block, layout, lams, draws, config.mechanism == "dcfpa",
             config.symmetric, config.literal_reconstruct,
-        )
+        )[:, 0]
         if config.clamp:
             noisy = clamp_nonnegative(noisy)
         for row, r in enumerate(rows):

@@ -12,10 +12,13 @@ means are averaged across features, and the row's utility is the
 reciprocal of that final mean. Each cell's per-unit k, sensitivity and
 noise scale come from the mechanisms' one decision (_feature_units,
 _unit_scales), and its releases from their one release step, so a sweep
-cell is bitwise what the mechanism releases. Noise streams are addressed
-by (recording, feature, run), epsilon never enters a stream address, and
-partial sums are merged in unit-index order, so sweeps are bitwise
-reproducible and independent of worker count.
+cell is bitwise what the mechanism releases. The sweep's unit of work is
+a row block of one (group, feature): each config releases the whole
+block over the whole epsilon grid at once, and each recording's cells
+are taken over its own length. Noise streams are addressed by
+(recording, feature, run), epsilon never enters a stream address, and
+per-recording partial sums are merged in recording order, so sweeps are
+bitwise reproducible and independent of block size and worker count.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from privseq.core import (
     RealSeq,
 )
 from privseq.mechanisms import (
+    BLOCK_VALUES,
     MECHANISMS,
     MechanismConfig,
     _block_release,
@@ -331,52 +335,58 @@ def _group_cells(
     return length, cells
 
 
-def _unit_sums(
-    x: np.ndarray,
+def _block_sums(
+    corpus: Corpus,
+    rows: Sequence[int],
+    col: int,
     group: tuple[int, dict[tuple[int, str], tuple]],
     configs: Sequence[tuple[str, int | None]],
     runs: int,
-    unit_src: NoiseSource,
-    feature: str,
-) -> dict[tuple[int, int], tuple[float, int, int]]:
-    """All NMSE cells of one (recording, feature) unit, zero-padded to
-    its group's length.
+    src: NoiseSource,
+) -> tuple[np.ndarray, np.ndarray]:
+    """All NMSE cells of one row block of a (group, feature): the
+    recordings rows, column col, zero-padded to the group's length.
 
-    Returns {(config_index, epsilon_index): (nmse_sum, valid, skipped)}.
-    Run t reads one unit-Laplace vector of length 2 * length from stream
-    (recording, feature, t), exactly what a Fourier mechanism call on it
-    draws (lpa reads the first length). Each config is one release step
-    over the whole epsilon grid and its NMSE cells.
+    Returns (sums of the valid cells, valid counts), each (configs,
+    epsilons, recordings). Run t of recording r reads one unit-Laplace
+    vector of length 2 * length from stream (r, col, t), exactly what a
+    Fourier mechanism call on it draws (lpa reads the first length). Each
+    config is one release step over the whole block and epsilon grid;
+    each recording's cells are taken over its own length, and its sum
+    over the valid runs is that of numpy's sum of those runs in run order.
     """
     length, cells = group
-    n_orig = x.size
-    padded = np.zeros((1, length))
-    padded[0, :n_orig] = x
+    feature = corpus.schema[col]
+    signals = [corpus.matrices[r].values[:, col] for r in rows]
+    block = np.zeros((len(rows), length))
+    for i, x in enumerate(signals):
+        block[i, : x.size] = x
     draws = np.stack(
-        [unit_laplace(unit_src.derive(run).generator(), 2 * length) for run in range(runs)]
+        [unit_laplace(src.derive(r, col, t).generator(), 2 * length) for r in rows for t in range(runs)]
     )
-    x_mean = float(np.mean(x))
-    out: dict[tuple[int, int], tuple[float, int, int]] = {}
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(signals):
+        by_length.setdefault(x.size, []).append(i)
+    totals, valid = [], []
     for cfg_idx, (mech, _) in enumerate(configs):
         layout, scales = cells[(cfg_idx, feature)]
-        xt = _block_release(padded, layout, scales, draws, mech == "dcfpa")
-        for e_idx, sums in enumerate(_nmse_cells(x, x_mean, xt[..., :n_orig])):
-            out[(cfg_idx, e_idx)] = sums
-    return out
-
-
-def _nmse_cells(
-    x: np.ndarray, x_mean: float, xt: np.ndarray
-) -> list[tuple[float, int, int]]:
-    """(sum of valid NMSE cells, valid count, skipped count) for each
-    (runs, n) block of reconstructions in xt (blocks, runs, n) against
-    the clean signal."""
-    d = xt - x
-    values, valid = _nmse_ratio(np.mean(d * d, axis=-1), x_mean * np.mean(xt, axis=-1))
-    return [
-        (float(np.sum(v[ok])), int(np.count_nonzero(ok)), int(ok.size - np.count_nonzero(ok)))
-        for v, ok in zip(values, valid)
-    ]
+        released = _block_release(block, layout, scales, draws, mech == "dcfpa")
+        sums = np.empty((len(scales), len(rows)))
+        counts = np.empty((len(scales), len(rows)), dtype=np.int64)
+        for n, members in by_length.items():
+            xt = released[..., :n] if len(members) == len(rows) else released[:, members, :, :n]
+            x = block[members, :n]
+            den = np.mean(x, axis=-1)[:, np.newaxis] * np.mean(xt, axis=-1)
+            xt -= x[:, np.newaxis, :]  # the release is not read again
+            xt *= xt
+            values, ok = _nmse_ratio(np.mean(xt, axis=-1), den)
+            sums[:, members] = np.sum(values, axis=-1)
+            counts[:, members] = np.count_nonzero(ok, axis=-1)
+            for e, i in zip(*np.nonzero(~ok.all(axis=-1))):
+                sums[e, members[i]] = np.sum(values[e, i][ok[e, i]])
+        totals.append(sums)
+        valid.append(counts)
+    return np.stack(totals), np.stack(valid)
 
 
 def run_sweep(
@@ -417,23 +427,19 @@ def run_sweep(
         for value in corpus.label_values(label_kind)
     }
 
-    units: list[tuple[int, int, str]] = []  # (recording index, feature col, label)
+    # One unit per row block of a (group, feature), sized like
+    # perturb_corpus's blocks with S and the runs' N rows counted.
+    units: list[tuple[str, int, list[int]]] = []  # (label, feature col, recordings)
     feature_col = {f: corpus.schema.index(f) for f in features}
-    for r, m in enumerate(corpus.matrices):
-        for f in features:
-            units.append((r, feature_col[f], m.labels[label_kind]))
+    for value, (length, _) in groups.items():
+        members = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
+        step = max(1, BLOCK_VALUES // ((runs + 1) * length))
+        for col in feature_col.values():
+            units += [(value, col, members[lo : lo + step]) for lo in range(0, len(members), step)]
 
-    def run_unit(unit: tuple[int, int, str]):
-        r, col, label = unit
-        matrix = corpus.matrices[r]
-        return _unit_sums(
-            matrix.values[:, col],
-            groups[label],
-            configs,
-            runs,
-            src.derive(r, col),
-            corpus.schema[col],
-        )
+    def run_unit(unit: tuple[str, int, list[int]]):
+        label, col, recordings = unit
+        return _block_sums(corpus, recordings, col, groups[label], configs, runs, src)
 
     if jobs == 1:
         partials = [run_unit(u) for u in units]
@@ -441,26 +447,29 @@ def run_sweep(
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(run_unit, units))
 
-    # Merge in unit order so float accumulation never depends on scheduling.
-    acc: dict[tuple[int, int, int], list[float]] = {}
-    for (r, col, _), cells in zip(units, partials):
-        for (cfg_idx, e_idx), (total, valid, skipped) in cells.items():
-            slot = acc.setdefault((cfg_idx, e_idx, col), [0.0, 0, 0])
-            slot[0] += total
-            slot[1] += valid
-            slot[2] += skipped
+    # Float sums are merged per recording, in recording order, so they
+    # never depend on block size or scheduling; counts are exact anyway.
+    shape = (len(configs), len(eps))
+    totals = {col: np.zeros(shape) for col in feature_col.values()}
+    valid = {col: np.zeros(shape, dtype=np.int64) for col in feature_col.values()}
+    per_recording = {}
+    for (_, col, recordings), (sums, counts) in zip(units, partials):
+        valid[col] += counts.sum(axis=-1)
+        per_recording.update({(r, col): sums[..., i] for i, r in enumerate(recordings)})
+    for r, col in sorted(per_recording):
+        totals[col] += per_recording[(r, col)]
 
+    cells = len(corpus.matrices) * runs
     rows: list[SweepRow] = []
     for cfg_idx, (mech, c) in enumerate(configs):
         for e_idx, e in enumerate(eps):
             feature_means: list[float] = []
             flagged = 0
-            for f in features:
-                col = feature_col[f]
-                total, valid, skipped = acc.get((cfg_idx, e_idx, col), (0.0, 0, 0))
-                flagged += skipped
-                if valid > 0:
-                    feature_means.append(total / valid)
+            for col in feature_col.values():
+                count = int(valid[col][cfg_idx, e_idx])
+                flagged += cells - count
+                if count > 0:
+                    feature_means.append(float(totals[col][cfg_idx, e_idx]) / count)
             if not feature_means:
                 raise ParameterError(
                     f"empty sweep cell ({mech}, {c}, {e}): all rows flagged"

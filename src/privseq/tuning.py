@@ -7,14 +7,18 @@ candidate retention count against reconstruction error on a reference
 group and keeps the winner per chunk, with ties resolved toward the
 smaller (cheaper) count.
 
-Candidates are scored on the mechanisms' own release step, S + lam * N
-at the scales mechanisms._unit_scales decides, on the chunk plan the
-mechanism releases with (fpa's whole signal included). Each
+Candidates are scored on the releases the mechanisms make, A_k + lam_k
+* B_k at the scales mechanisms._unit_scales decides, on the chunk plan
+the mechanism releases with (fpa's whole signal included). Each
 (signal, run) reads one unit-noise vector from stream src.derive(signal,
-run), which every candidate hands to the core as is: a scored candidate
-is bitwise the fpa, cfpa or dcfpa release on that stream at that k,
-nearby candidates share part of their noise (mechanisms.FpaLayout), and
-the comparison is not dominated by draw luck.
+run), the vector an fpa, cfpa or dcfpa call on that stream reads. Bin j's
+noise sits at a fixed place in it (mechanisms.FpaLayout), so the noise of
+k retained bins is a prefix of that of k + 1, and so are the clean and
+the noise parts A_k and B_k of the release: running sums over bins of
+each bin's time-domain contribution. One forward transform per block of
+signals then scores every k without an inverse transform; the scores
+equal those of the mechanisms' own releases up to rounding, and the
+comparison is not dominated by draw luck.
 """
 from __future__ import annotations
 
@@ -36,12 +40,11 @@ from privseq.core import (
 )
 from privseq.mechanisms import (
     BLOCK_VALUES,
-    MECHANISMS,
     FpaLayout,
     MechanismConfig,
-    _release,
+    _noise_pairs,
+    _uniform_blocks,
     _unit_scales,
-    fpa_parts,
     fpa_spectra,
 )
 from privseq.metrics import _nmse_ratio
@@ -58,7 +61,9 @@ __all__ = [
 
 _K_HEADER = (
     "group_label", "feature", "chunk_index", "k", "runs_used", "epsilon_used", "chunk_size", "length",
+    "mechanism",
 )
+_TUNABLE = ("fpa", "cfpa", "dcfpa")
 
 
 def tune_k(
@@ -75,10 +80,11 @@ def tune_k(
     over (signal, run) noisy executions at the given budget; ties go to
     the smaller k. The group also supplies the sensitivity, so it must
     contain at least two signals. Candidate k is evaluated for every
-    chunk at once (a shorter remainder at min(k, its length)) through
-    the mechanism core, run t of member m on stream src.derive(m, t).
+    chunk at once (a shorter remainder at min(k, its length)), run t of
+    member m on stream src.derive(m, t), every k of a block of members in
+    one pass over its bins (_prefix_scores).
     """
-    if mechanism not in MECHANISMS or mechanism == "lpa":
+    if mechanism not in _TUNABLE:
         raise ParameterError(
             f"retention tuning applies to fpa, cfpa or dcfpa, got {mechanism!r}"
         )
@@ -96,30 +102,32 @@ def tune_k(
     difference = mechanism == "dcfpa"
     domain = DIFFERENCE if difference else RAW
     deltas = chunk_sensitivities(rows, plan, 2, domain=domain)
-    stacked = np.stack(rows)
     lengths = np.asarray(plan.chunk_lengths())
-    starts = np.asarray([s for s, _ in plan.boundaries])
     longest = int(lengths.max())
+    # lams[k - 1, i]: chunk i's scale at k (capped at the chunk's length).
+    lams = np.stack([
+        _unit_scales(FpaLayout(plan, np.minimum(k, lengths)), deltas, epsilon)
+        for k in range(1, longest + 1)
+    ])
     totals = np.zeros((longest, len(plan)))
     counts = np.zeros((longest, len(plan)), dtype=np.int64)
+    stacked = np.stack(rows)
     step = max(1, BLOCK_VALUES // ((runs + 1) * n))
     for lo in range(0, len(rows), step):
         block = stacked[lo : lo + step]
         members = block.shape[0]
         streams = itertools.product(range(lo, lo + members), range(runs))
         draws = np.stack([unit_laplace(src.derive(m, t).generator(), 2 * n) for m, t in streams])
+        pairs = _noise_pairs(draws, n).reshape(members, runs, n)
         spectra = fpa_spectra(block, plan, difference)
-        means = np.add.reduceat(block, starts, axis=1)[:, np.newaxis, :] / lengths
-        for k in range(1, longest + 1):
-            layout = FpaLayout(plan, np.minimum(k, lengths))
-            clean, unit = fpa_parts(spectra, layout, draws, difference)
-            lams = _unit_scales(layout, deltas, epsilon)
-            rec = _release(clean[:, np.newaxis, :], unit.reshape(members, runs, -1), layout, lams)
-            d = rec - block[:, np.newaxis, :]
-            num = np.add.reduceat(d * d, starts, axis=2) / lengths
-            values, valid = _nmse_ratio(num, means * (np.add.reduceat(rec, starts, axis=2) / lengths))
-            totals[k - 1] += np.sum(values, axis=(0, 1), where=valid)
-            counts[k - 1] += np.count_nonzero(valid, axis=(0, 1))
+        for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(plan)):
+            span = slice(start, start + count * c)
+            x = block[:, span].reshape(members, count, c)
+            unit = pairs[:, :, span].reshape(members, runs, count, c)
+            chunks = slice(first, first + count)
+            total, valid = _prefix_scores(x, spec, unit, lams[:c, chunks], difference)
+            totals[:c, chunks] += total
+            counts[:c, chunks] += valid
     # Candidates whose every cell is flagged, and counts beyond a chunk's
     # length, score infinity; argmin keeps the smallest k among ties.
     scores = np.divide(totals, counts, out=np.full_like(totals, math.inf), where=counts > 0)
@@ -127,20 +135,100 @@ def tune_k(
     return tuple(int(i) + 1 for i in np.argmin(scores, axis=0))
 
 
+def _basis(c: int, bins: slice, difference: bool) -> np.ndarray:
+    """The real form of the basis e^{2 pi i j t / c} / c for the bins j of
+    the slice and t in 0..c-1, (bins, 2, c): Re(z e^{...}) / c is
+    [Re z, Im z] @ basis[j]. j * t is reduced mod c before scaling, so
+    large products keep their precision. difference takes the running
+    sum along t, the basis of a differenced chunk's release."""
+    j = np.arange(bins.start, bins.stop)[:, np.newaxis]
+    angle = (2.0 * math.pi / c) * ((j * np.arange(c)) % c)
+    basis = np.stack([np.cos(angle), -np.sin(angle)], axis=1) / c
+    return np.cumsum(basis, axis=-1) if difference else basis
+
+
+def _prefix_scores(
+    x: np.ndarray,
+    spec: np.ndarray,
+    unit: np.ndarray,
+    lams: np.ndarray,
+    difference: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of valid NMSE cells, valid count) over members and runs of
+    every candidate k = 1..c of a run of equal-length chunks, (c, count)
+    each.
+
+    x (members, count, c) holds the clean chunks, spec their spectra,
+    unit (members, runs, count, c) the complex unit noise of each bin and
+    lams (c, count) each chunk's scale at every k. The release at k is
+    A_k + lam_k * B_k, where A_k and B_k sum the time-domain contributions
+    (_basis) of the first k bins of spec and of unit. Both are running
+    sums over bins, taken bins first and in slabs of bins so that no work
+    array holds more than about BLOCK_VALUES values per member."""
+    members, runs, count, c = unit.shape
+    slab = max(1, min(c, BLOCK_VALUES // ((runs + 1) * count * c)))
+    spec = np.ascontiguousarray(np.moveaxis(spec, -1, 0)[:, :, np.newaxis])
+    unit = np.ascontiguousarray(np.moveaxis(unit, -1, 0))
+    x_mean = x.mean(axis=-1)[:, np.newaxis]
+    clean = np.zeros((members, 1, count, c))
+    noise = np.zeros((members, runs, count, c))
+    total = np.zeros((c, count))
+    valid = np.zeros((c, count), dtype=np.int64)
+    for lo in range(0, c, slab):
+        bins = slice(lo, min(lo + slab, c))
+        basis = _basis(c, bins, difference)
+        a = _running_sum(_contributions(spec[bins], basis), clean)
+        b = _running_sum(_contributions(unit[bins], basis), noise)
+        clean, noise = a[-1].copy(), b[-1].copy()
+        # Release minus signal, for every (k, member, run, chunk, t).
+        a -= x[:, np.newaxis]
+        b *= lams[bins, np.newaxis, np.newaxis, :, np.newaxis]
+        b += a
+        num = np.einsum("...t,...t->...", b, b) / c
+        values, ok = _nmse_ratio(num, x_mean * (b.mean(axis=-1) + x_mean))
+        total[bins] += np.sum(values, axis=(1, 2), where=ok)
+        valid[bins] += np.count_nonzero(ok, axis=(1, 2))
+    return total, valid
+
+
+def _contributions(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Re(coef_j * basis_j[t]) for contiguous bins-first complex
+    coefficients (bins, ...): the time-domain contribution of each bin,
+    (bins, ..., c), one matrix product per bin."""
+    pairs = coef.view(np.float64).reshape(coef.shape[0], -1, 2)
+    return np.matmul(pairs, basis).reshape(coef.shape + basis.shape[-1:])
+
+
+def _running_sum(parts: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """In place, parts[j] = carry + parts[0] + ... + parts[j] along the
+    first axis; one vector add per bin, which numpy's cumsum along an
+    outer axis runs several times slower."""
+    parts[0] += carry
+    for j in range(1, parts.shape[0]):
+        parts[j] += parts[j - 1]
+    return parts
+
+
 @dataclass(frozen=True, slots=True)
 class KTable:
     """Tuned retention counts keyed by (group label, feature, chunk).
 
-    Chunk indices and counts only mean something against the chunk plan
-    each group was tuned for, which plans records per group label.
+    Chunk indices and counts only mean something against the mechanism
+    they were tuned for (fpa, cfpa or dcfpa) and the chunk plan each group
+    was tuned on, which plans records per group label.
     """
 
     entries: Mapping[tuple[str, str, int], int]
     runs_used: int
     epsilon_used: float
     plans: Mapping[str, ChunkPlan]
+    mechanism: str
 
     def __post_init__(self) -> None:
+        if self.mechanism not in _TUNABLE:
+            raise ParameterError(
+                f"k table mechanism must be one of {', '.join(_TUNABLE)}, got {self.mechanism!r}"
+            )
         frozen = {}
         for key, k in dict(self.entries).items():
             label, feature, ci = key
@@ -182,7 +270,7 @@ class KTable:
 def tune_corpus(
     corpus: Corpus,
     label_kind: str,
-    chunk_size: int,
+    chunk_size: int | None,
     mechanism: str,
     epsilon: float,
     runs: int,
@@ -190,7 +278,8 @@ def tune_corpus(
 ) -> KTable:
     """Tune every (label group, feature, chunk) of a corpus at one
     reference budget, on the chunk plan the mechanism releases the group
-    with (fpa's whole signal, whatever chunk_size says). Shorter
+    with (fpa's whole signal, whatever chunk_size says; cfpa and dcfpa
+    need a chunk_size). The table records the mechanism. Shorter
     recordings are zero-padded to the group maximum, mirroring how the
     mechanisms are applied."""
     config = MechanismConfig(mechanism, epsilon, chunk_size)
@@ -213,12 +302,15 @@ def tune_corpus(
             for ci, k in enumerate(ks):
                 entries[(label, feature, ci)] = k
             plans[label] = plan
-    return KTable(entries=entries, runs_used=runs, epsilon_used=float(epsilon), plans=plans)
+    return KTable(
+        entries=entries, runs_used=runs, epsilon_used=float(epsilon), plans=plans,
+        mechanism=mechanism,
+    )
 
 
 def write_k_csv(table: KTable, path) -> None:
     """Serialize to the flat CSV shape (group_label, feature, chunk_index,
-    k, runs_used, epsilon_used, chunk_size, length)."""
+    k, runs_used, epsilon_used, chunk_size, length, mechanism)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_K_HEADER)
@@ -226,17 +318,18 @@ def write_k_csv(table: KTable, path) -> None:
             plan = table.plans[label]
             writer.writerow(
                 [label, feature, ci, k, table.runs_used, repr(table.epsilon_used),
-                 plan.chunk_size, plan.total_length]
+                 plan.chunk_size, plan.total_length, table.mechanism]
             )
 
 
 def load_k_csv(path) -> KTable:
     """Inverse of write_k_csv, validating every cell; all rows of a group
-    must name one chunk plan."""
+    must name one chunk plan, and all rows one mechanism."""
     entries: dict[tuple[str, str, int], int] = {}
     shapes: dict[str, tuple[int, int]] = {}
     runs_used: int | None = None
     epsilon_used: float | None = None
+    mechanism: str | None = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -261,10 +354,10 @@ def load_k_csv(path) -> KTable:
             if key in entries:
                 raise DataError(f"{path}: row {row_no}: duplicate entry for {key}")
             if runs_used is None:
-                runs_used, epsilon_used = runs, eps
-            elif runs != runs_used or eps != epsilon_used:
+                runs_used, epsilon_used, mechanism = runs, eps, row[8]
+            elif runs != runs_used or eps != epsilon_used or row[8] != mechanism:
                 raise DataError(
-                    f"{path}: row {row_no}: inconsistent runs_used/epsilon_used"
+                    f"{path}: row {row_no}: inconsistent runs_used/epsilon_used/mechanism"
                 )
             entries[key] = k
     if not entries:
@@ -272,7 +365,8 @@ def load_k_csv(path) -> KTable:
     try:
         plans = {label: chunk_plan(length, size) for label, (size, length) in shapes.items()}
         return KTable(
-            entries=entries, runs_used=runs_used, epsilon_used=epsilon_used, plans=plans
+            entries=entries, runs_used=runs_used, epsilon_used=epsilon_used, plans=plans,
+            mechanism=mechanism,
         )
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from None

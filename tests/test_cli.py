@@ -369,6 +369,24 @@ def test_sweep_tune_constraints(manifest, tmp_path):
     assert "mutually exclusive" in result.stderr
 
 
+def test_sweep_tune_rejects_rows_it_cannot_tune_before_tuning(manifest, tmp_path, monkeypatch):
+    # The tuned table holds --tune-mechanism's counts on one plan per
+    # group; any other retaining row would fail only after tuning.
+    from privseq import tuning
+
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_corpus called")
+
+    monkeypatch.setattr(tuning, "tune_corpus", no_tuning)
+    for extra in ((), ("--tune-mechanism", "fpa"), ("--mechanisms", "lpa,cfpa,dcfpa")):
+        result = run_cli(
+            "sweep", "--manifest", manifest, "--tune", "--chunk-sizes", 8, "--runs", 1,
+            *extra, "--out", tmp_path / "x.csv",
+        )
+        assert result.exit_code == 2, (extra, result.output)
+        assert "--mechanisms may name lpa and" in result.stderr, extra
+
+
 def test_sweep_with_tuning_pass(manifest, tmp_path):
     out = tmp_path / "tuned_sweep.csv"
     result = run_cli(
@@ -478,6 +496,62 @@ def test_tune_k_fpa_tunes_the_whole_signal_plan(manifest, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert len(load_sweep_csv(tmp_path / "sweep.csv").rows) == 2
+
+
+def test_tune_k_chunk_size_is_required_only_where_it_applies(manifest, tmp_path):
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--mechanism", "fpa", "--runs", 1,
+        "--out", tmp_path / "k_fpa.csv",
+    )
+    assert result.exit_code == 0, result.output
+    assert "warning" not in result.stderr
+    assert {p.chunk_size for p in load_k_csv(tmp_path / "k_fpa.csv").plans.values()} == {40}
+    for mechanism in ("cfpa", "dcfpa"):
+        result = run_cli(
+            "tune-k", "--manifest", manifest, "--mechanism", mechanism, "--runs", 1,
+            "--out", tmp_path / "k.csv",
+        )
+        assert result.exit_code == 2, (mechanism, result.output)
+        assert f"--chunk-size is required for {mechanism}" in result.stderr
+
+
+def test_k_file_must_match_the_mechanism(manifest, tmp_path):
+    # difference-domain counts are not counts for raw chunks of the same plan
+    k_path = tmp_path / "k_dcfpa.csv"
+    result = run_cli(
+        "tune-k", "--manifest", manifest, "--mechanism", "dcfpa", "--chunk-size", 8,
+        "--runs", 1, "--seed", 6, "--out", k_path,
+    )
+    assert result.exit_code == 0, result.output
+    assert load_k_csv(k_path).mechanism == "dcfpa"
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--k-file", k_path, "--out", tmp_path / "noisy",
+    )
+    assert result.exit_code == 2, result.output
+    assert "tuned for dcfpa" in result.stderr
+    result = run_cli(
+        "sweep", "--manifest", manifest, "--mechanisms", "cfpa", "--epsilons", "2.4",
+        "--chunk-sizes", 8, "--runs", 1, "--k-file", k_path, "--out", tmp_path / "sweep.csv",
+    )
+    assert result.exit_code == 2, result.output
+    assert "tuned for dcfpa" in result.stderr
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "dcfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--k-file", k_path, "--out", tmp_path / "noisy",
+    )
+    assert result.exit_code == 0, result.output
+
+    # a file from before the mechanism column cannot say which release it tunes
+    old = tmp_path / "old_k.csv"
+    lines = k_path.read_text().splitlines()
+    old.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "dcfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--k-file", old, "--out", tmp_path / "noisy_old",
+    )
+    assert result.exit_code == 3
+    assert "expected header" in result.stderr
 
 
 def test_sweep_k_file_must_match_every_plan(manifest, tmp_path):

@@ -187,7 +187,8 @@ def test_fpa_noise_scale_via_degenerate_transform(monkeypatch):
 def test_cfpa_draw_layout_via_degenerate_transform(monkeypatch):
     # With pass-through transforms the real part of the inverse shows each
     # chunk's real-part draws and, rotated by -i, its imaginary-part draws:
-    # chunk i reads 2*k_i values at offset 2*start_i of a 2n-value row.
+    # bin j of chunk i reads the pair at 2*(start_i + j) of a 2n-value row,
+    # real parts at even offsets from 2*start_i, imaginary parts at odd ones.
     plan = chunk_plan(10, 4)
     per_chunk = [(1.0, 2), (2.0, 4), (3.0, 1)]
     draws = unit_laplace(_src(21).generator(), 20)
@@ -198,7 +199,7 @@ def test_cfpa_draw_layout_via_degenerate_transform(monkeypatch):
         out = cfpa(np.zeros(10), plan, per_chunk, 1.0, _src(21))
         expected = np.zeros(10)
         for (s, e), (_, k), lam in zip(plan.boundaries, per_chunk, lams):
-            expected[s : s + k] = lam * draws[2 * s + first * k : 2 * s + (first + 1) * k]
+            expected[s : s + k] = lam * draws[2 * s + first : 2 * (s + k) : 2]
         assert np.array_equal(out, expected), rotate
 
 
@@ -610,6 +611,7 @@ def _k_table(values=("a", "b"), plan=chunk_plan(12, 4), k=2):
         runs_used=1,
         epsilon_used=2.4,
         plans={v: plan for v in values},
+        mechanism="cfpa",
     )
 
 
@@ -666,7 +668,9 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
             for f, feature in enumerate(names):
                 for ci, length in enumerate(plans[value].chunk_lengths()):
                     entries[(value, feature, ci)] = 1 + (ci + f) % length
-        k_table = KTable(entries=entries, runs_used=1, epsilon_used=1.0, plans=plans)
+        k_table = KTable(
+            entries=entries, runs_used=1, epsilon_used=1.0, plans=plans, mechanism=config.mechanism
+        )
         src = NoiseSource(seed=17)
         noisy, _ = perturb_corpus(
             corpus, "category", config, src, sens_tables=tables, k_table=k_table
@@ -802,6 +806,7 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
             runs_used=1,
             epsilon_used=1.0,
             plans={"a": plan},
+            mechanism="fpa" if mechanism == "lpa" else mechanism,  # lpa ignores it
         )
     lengths_of = plan.chunk_lengths()
     if mechanism == "lpa":

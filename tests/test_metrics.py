@@ -365,6 +365,7 @@ def test_run_sweep_k_tables_change_results():
         runs_used=1,
         epsilon_used=2.4,
         plans=plans,
+        mechanism="cfpa",
     )
     kwargs = dict(mechanisms=("cfpa",), epsilons=(2.4,), chunk_sizes=(8,), runs=2)
     full = run_sweep(corpus, "category", NoiseSource(seed=7), **kwargs)
@@ -376,6 +377,7 @@ def test_run_sweep_k_tables_change_results():
         runs_used=1,
         epsilon_used=2.4,
         plans=plans,
+        mechanism="cfpa",
     )
     with pytest.raises(ConfigurationError):
         run_sweep(corpus, "category", NoiseSource(seed=7), k_table=bad, **kwargs)
@@ -391,6 +393,7 @@ def test_run_sweep_rejects_k_tables_for_another_plan_or_group():
         runs_used=1,
         epsilon_used=2.4,
         plans=plans,
+        mechanism="cfpa",
     )
     kwargs = dict(epsilons=(2.4,), runs=1, k_table=table)
     for mechanisms, sizes, message in (
@@ -405,6 +408,7 @@ def test_run_sweep_rejects_k_tables_for_another_plan_or_group():
         runs_used=1,
         epsilon_used=2.4,
         plans={"a": plans["a"]},
+        mechanism="dcfpa",
     )
     with pytest.raises(ConfigurationError, match="no k table entries for label 'b'"):
         run_sweep(corpus, "category", NoiseSource(seed=7), mechanisms=("dcfpa",),

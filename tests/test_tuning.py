@@ -3,9 +3,10 @@ tables, and the tuned-count CSV format."""
 import numpy as np
 import pytest
 
-from privseq import tuning
+from privseq import transform, tuning
 from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
-from privseq.mechanisms import cfpa, dcfpa
+from privseq.mechanisms import cfpa, dcfpa, fpa
+from privseq.metrics import nmse
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
@@ -58,34 +59,79 @@ def test_tuning_is_reproducible():
     assert all(1 <= k <= 8 for k in a)
 
 
+def _reference_scores(signals, plan, mechanism, epsilon, runs, src):
+    # Mean NMSE of every (k, chunk) over the mechanisms' own releases of
+    # member m on stream src.derive(m, t), each chunk at min(k, its length);
+    # inf where k exceeds the chunk or every cell is flagged.
+    domain = DIFFERENCE if mechanism == "dcfpa" else RAW
+    deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
+    lengths = plan.chunk_lengths()
+    scores = np.full((max(lengths), len(plan)), np.inf)
+    for k in range(1, max(lengths) + 1):
+        per_chunk = [(d, min(k, c)) for d, c in zip(deltas, lengths)]
+        cells = [[] for _ in lengths]
+        for m, x in enumerate(signals):
+            for t in range(runs):
+                stream = src.derive(m, t)
+                if mechanism == "fpa":
+                    out = fpa(x, deltas[0], epsilon, k, stream)
+                else:
+                    mech = cfpa if mechanism == "cfpa" else dcfpa
+                    out = mech(x, plan, per_chunk, epsilon, stream)
+                for ci, (s, e) in enumerate(plan.boundaries):
+                    v = nmse(x[s:e], out[s:e])
+                    if v is not None and v >= 0.0:
+                        cells[ci].append(v)
+        for ci, c in enumerate(lengths):
+            if k <= c and cells[ci]:
+                scores[k - 1, ci] = np.mean(cells[ci])
+    return scores
+
+
 def test_candidates_are_the_mechanisms_own_releases():
-    # Every candidate tune_k scores is, bit for bit, the cfpa or dcfpa
-    # release of member m on stream src.derive(m, t) at that retention
-    # count (the 6-sample remainder chunk capped at its length).
+    # tune_k scores every k from prefix sums over bins. Its pick must be
+    # as good as the best k scored on the mechanisms' own releases (up to
+    # rounding), and be that k wherever the runner-up is clearly worse;
+    # a tiny block size also splits members and bins into several slabs.
     rng = np.random.default_rng(7)
-    signals = [np.cumsum(rng.standard_normal(22)) for _ in range(3)]
-    plan = chunk_plan(22, 8)
+    signals = [np.cumsum(rng.standard_normal(22)) + 4.0 for _ in range(3)]
     src = NoiseSource(seed=8).derive(1, 2)
-    for name, mech, domain in (("cfpa", cfpa, RAW), ("dcfpa", dcfpa, DIFFERENCE)):
-        deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
-        seen = []
-        real_release = tuning._release
+    checked = 0
+    for mechanism, plan in (
+        ("cfpa", chunk_plan(22, 8)),
+        ("dcfpa", chunk_plan(22, 8)),
+        ("fpa", chunk_plan(22, 22)),
+    ):
+        for epsilon in (0.5, 4.0, 60.0):
+            ref = _reference_scores(signals, plan, mechanism, epsilon, 2, src)
+            for block_values in (tuning.BLOCK_VALUES, 40):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(tuning, "BLOCK_VALUES", block_values)
+                    ks = tune_k(signals, plan, mechanism, epsilon, 2, src)
+                assert len(ks) == len(plan)
+                for ci, k in enumerate(ks):
+                    best, runner_up = np.sort(ref[:, ci])[:2]
+                    assert ref[k - 1, ci] <= best * (1 + 1e-8), (mechanism, epsilon, ci)
+                    if runner_up > best * (1 + 1e-8):
+                        assert k == int(np.argmin(ref[:, ci])) + 1, (mechanism, epsilon, ci)
+                        checked += 1
+    assert checked >= 30
 
-        def recording_release(clean, unit, layout, lams):
-            out = real_release(clean, unit, layout, lams)
-            seen.append((layout.ks, out))
-            return out
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tuning, "_release", recording_release)
-            tune_k(signals, plan, name, 1.5, 2, src)
-        assert [ks for ks, _ in seen] == [(k, k, min(k, 6)) for k in range(1, 9)]
-        for ks, out in seen:
-            assert out.shape == (3, 2, 22)
-            for m, x in enumerate(signals):
-                for t in range(2):
-                    want = mech(x, plan, list(zip(deltas, ks)), 1.5, src.derive(m, t))
-                    assert np.array_equal(out[m, t], want), (name, ks, m, t)
+def test_tune_k_makes_no_inverse_transform(monkeypatch):
+    # Prefix scoring replaces every per-candidate release: tuning takes
+    # forward transforms only.
+    def no_inverse(rows):
+        raise AssertionError("tune_k called idft_batch")
+
+    forward = []
+    real_dft = transform.dft_batch
+    monkeypatch.setattr(transform, "idft_batch", no_inverse)
+    monkeypatch.setattr(transform, "dft_batch", lambda rows: forward.append(1) or real_dft(rows))
+    signals = _smooth_pair()
+    for mechanism, plan in (("cfpa", chunk_plan(32, 12)), ("dcfpa", chunk_plan(32, 12)), ("fpa", chunk_plan(32, 32))):
+        tune_k(signals, plan, mechanism, 2.4, 3, NoiseSource(seed=9))
+    assert len(forward) == 5
 
 
 def test_tune_k_validation():
@@ -173,22 +219,26 @@ def test_tune_corpus_validation():
 def test_ktable_validation():
     plans = {"a": chunk_plan(16, 8)}
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", 0): 0}, runs_used=4, epsilon_used=1.0, plans=plans)
+        KTable(entries={("a", "f0", 0): 0}, runs_used=4, epsilon_used=1.0, plans=plans, mechanism="cfpa")
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", -1): 2}, runs_used=4, epsilon_used=1.0, plans=plans)
+        KTable(entries={("a", "f0", -1): 2}, runs_used=4, epsilon_used=1.0, plans=plans, mechanism="cfpa")
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", 0): 2}, runs_used=0, epsilon_used=1.0, plans=plans)
+        KTable(entries={("a", "f0", 0): 2}, runs_used=0, epsilon_used=1.0, plans=plans, mechanism="cfpa")
     with pytest.raises(ParameterError):
-        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=0.0, plans=plans)
+        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=0.0, plans=plans, mechanism="cfpa")
+    for mechanism in ("lpa", "dct"):
+        with pytest.raises(ParameterError, match="mechanism"):
+            KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=1.0, plans=plans,
+                   mechanism=mechanism)
 
 
 def test_ktable_plans_must_fit_the_entries():
     plan = chunk_plan(16, 8)
-    KTable(entries={("a", "f0", 1): 8}, runs_used=4, epsilon_used=1.0, plans={"a": plan})
+    KTable(entries={("a", "f0", 1): 8}, runs_used=4, epsilon_used=1.0, plans={"a": plan}, mechanism="cfpa")
     with pytest.raises(ParameterError, match="plans name groups"):
-        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=1.0, plans={"b": plan})
+        KTable(entries={("a", "f0", 0): 2}, runs_used=4, epsilon_used=1.0, plans={"b": plan}, mechanism="cfpa")
     with pytest.raises(ParameterError, match="outside"):
-        KTable(entries={("a", "f0", 2): 2}, runs_used=4, epsilon_used=1.0, plans={"a": plan})
+        KTable(entries={("a", "f0", 2): 2}, runs_used=4, epsilon_used=1.0, plans={"a": plan}, mechanism="cfpa")
 
 
 def test_k_csv_round_trip(tmp_path):
@@ -200,6 +250,7 @@ def test_k_csv_round_trip(tmp_path):
     assert loaded.runs_used == table.runs_used
     assert loaded.epsilon_used == table.epsilon_used
     assert loaded.plans == table.plans
+    assert loaded.mechanism == table.mechanism == "cfpa"
 
     path2 = tmp_path / "ks2.csv"
     write_k_csv(loaded, path2)
@@ -207,7 +258,7 @@ def test_k_csv_round_trip(tmp_path):
 
 
 def test_k_csv_loader_errors(tmp_path):
-    head = "group_label,feature,chunk_index,k,runs_used,epsilon_used,chunk_size,length\n"
+    head = "group_label,feature,chunk_index,k,runs_used,epsilon_used,chunk_size,length,mechanism\n"
     path = tmp_path / "ks.csv"
 
     path.write_text("group,feature\n")
@@ -219,38 +270,51 @@ def test_k_csv_loader_errors(tmp_path):
     with pytest.raises(DataError, match="expected header"):
         load_k_csv(path)
 
+    # nor, without the mechanism column, which release they tune
+    path.write_text(head.replace(",mechanism", "") + "a,f0,0,2,4,1.0,8,16\n")
+    with pytest.raises(DataError, match="expected header"):
+        load_k_csv(path)
+
     path.write_text(head)
     with pytest.raises(DataError, match="no entries"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,0,3,4,1.0,8,16\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16,cfpa\na,f0,0,3,4,1.0,8,16,cfpa\n")
     with pytest.raises(DataError, match="duplicate"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,1,2,8,1.0,8,16\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16,cfpa\na,f0,1,2,8,1.0,8,16,cfpa\n")
     with pytest.raises(DataError, match="inconsistent"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,1,2,4,2.0,8,16\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16,cfpa\na,f0,1,2,4,2.0,8,16,cfpa\n")
     with pytest.raises(DataError, match="inconsistent"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,zero,2,4,1.0,8,16\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16,cfpa\na,f0,1,2,4,1.0,8,16,dcfpa\n")
+    with pytest.raises(DataError, match="inconsistent"):
+        load_k_csv(path)
+
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16,lpa\n")
+    with pytest.raises(DataError, match="mechanism"):
+        load_k_csv(path)
+
+    path.write_text(head + "a,f0,zero,2,4,1.0,8,16,cfpa\n")
     with pytest.raises(DataError, match="row 2"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0,8,sixteen\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,sixteen,cfpa\n")
     with pytest.raises(DataError, match="row 2"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0,8,16\na,f0,1,2,4,1.0,4,16\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,8,16,cfpa\na,f0,1,2,4,1.0,4,16,cfpa\n")
     with pytest.raises(DataError, match="chunk plans"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,2,2,4,1.0,8,16\n")
+    path.write_text(head + "a,f0,2,2,4,1.0,8,16,cfpa\n")
     with pytest.raises(DataError, match="outside"):
         load_k_csv(path)
 
-    path.write_text(head + "a,f0,0,2,4,1.0,0,16\n")
+    path.write_text(head + "a,f0,0,2,4,1.0,0,16,cfpa\n")
     with pytest.raises(DataError, match="chunk_size"):
         load_k_csv(path)

@@ -87,6 +87,11 @@ def zscore_apply(
     return out
 
 
+# Query rows per distance tile: about TILE_VALUES float64 distances, so a
+# tile's work arrays stay in cache however many queries there are.
+TILE_VALUES = 1 << 15
+
+
 def _neighbour_counts(
     train_x: np.ndarray, codes: np.ndarray, n_labels: int, queries: np.ndarray, k: int
 ) -> np.ndarray:
@@ -97,26 +102,38 @@ def _neighbour_counts(
     differences, in feature order. The neighbours are the rows a stable
     sort of the distances puts first: every row strictly closer than the
     k-th smallest distance, then rows at that distance in index order.
+    Queries go in tiles of rows; no row's result depends on its tile.
     """
-    d2 = np.zeros((queries.shape[0], train_x.shape[0]))
-    diff = np.empty_like(d2)
-    for f in range(train_x.shape[1]):
-        np.subtract(queries[:, f, np.newaxis], train_x[:, f], out=diff)
-        np.multiply(diff, diff, out=diff)
-        d2 += diff
-    del diff
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    chosen = d2 < kth
-    at_kth = d2 == kth
-    room = k - np.count_nonzero(chosen, axis=1)
-    for q in np.flatnonzero(np.count_nonzero(at_kth, axis=1) > room):
-        # more rows tie at the k-th distance than places are left: keep
-        # the lowest indices
-        at_kth[q, np.flatnonzero(at_kth[q])[room[q] :]] = False
-    chosen |= at_kth
-    return np.stack(
-        [np.count_nonzero(chosen[:, codes == c], axis=1) for c in range(n_labels)], axis=1
-    )
+    train_t = np.ascontiguousarray(train_x.T)
+    n_features, n_train = train_t.shape
+    onehot = (codes[:, np.newaxis] == np.arange(n_labels)).astype(np.float64)
+    counts = np.empty((queries.shape[0], n_labels), dtype=np.intp)
+    tile = max(1, TILE_VALUES // n_train)
+    for s in range(0, queries.shape[0], tile):
+        q = queries[s : s + tile]
+        # the sum starts at the first feature's square, bitwise what a
+        # zero start gives (0 + x == x)
+        d2 = np.subtract(q[:, :1], train_t[0])
+        np.multiply(d2, d2, out=d2)
+        diff = np.empty_like(d2)
+        for f in range(1, n_features):
+            np.subtract(q[:, f : f + 1], train_t[f], out=diff)
+            np.multiply(diff, diff, out=diff)
+            d2 += diff
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        # 1.0 for every row at or below the k-th distance; label counts
+        # below 2**53 are exact in float64
+        chosen = np.less_equal(d2, kth, out=diff)
+        tile_counts = chosen @ onehot
+        over = tile_counts.sum(axis=1) - k
+        for r in np.flatnonzero(over > 0):
+            # more rows tie at the k-th distance than places are left:
+            # keep the lowest indices
+            ties = np.flatnonzero(d2[r] == kth[r])
+            chosen[r, ties[ties.size - int(over[r]) :]] = 0.0
+            tile_counts[r] = chosen[r] @ onehot
+        counts[s : s + tile] = tile_counts
+    return counts
 
 
 def _vote(counts: np.ndarray, values: Sequence[str], src: NoiseSource, *coords: int) -> str:
@@ -149,8 +166,8 @@ def knn_predict(
     x = np.asarray([v for v, _ in train], dtype=np.float64)
     labels = [str(lab) for _, lab in train]
     q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or x.shape[1] != q.size:
-        raise ParameterError("query dimension does not match the training vectors")
+    if q.ndim != 1 or q.size == 0 or x.shape[1] != q.size:
+        raise ParameterError("query must be a non-empty vector as long as the training vectors")
     values = sorted(set(labels))
     index = {v: i for i, v in enumerate(values)}
     codes = np.asarray([index[lab] for lab in labels])
@@ -263,25 +280,26 @@ def lopo_cv(
         index = {v: i for i, v in enumerate(values)}
         codes = np.asarray([index[lab] for lab in train_labels])
 
+        held = [i for i, m in enumerate(small) if m.participant_id == person]
+        test_x = zscore_apply(np.concatenate([rows[i] for i in held], axis=0), means, sds)
+        counts = _neighbour_counts(train_x, codes, len(values), test_x, config.neighbors)
+        ends = np.cumsum([rows[i].shape[0] for i in held])
         instance_preds: list[tuple[str, str]] = []
         voted: list[tuple[str, str, str]] = []
-        for rec_i, (m, r) in enumerate(zip(small, rows)):
-            if m.participant_id != person:
-                continue
+        for rec_i, rec_counts in zip(held, np.split(counts, ends[:-1])):
+            m = small[rec_i]
             truth = m.labels[label_kind]
-            test_x = zscore_apply(r, means, sds)
-            counts = _neighbour_counts(train_x, codes, len(values), test_x, config.neighbors)
             rec_preds = [
-                _vote(c, values, src, fold_i, rec_i, q) for q, c in enumerate(counts)
+                _vote(c, values, src, fold_i, rec_i, q) for q, c in enumerate(rec_counts)
             ]
             instance_preds.extend((truth, p) for p in rec_preds)
             if majority:
-                counts = np.bincount(
+                votes = np.bincount(
                     [index.get(p, -1) for p in rec_preds if p in index],
                     minlength=len(values),
                 )
                 voted.append(
-                    (m.recording_id, truth, _vote(counts, values, src, fold_i, rec_i))
+                    (m.recording_id, truth, _vote(votes, values, src, fold_i, rec_i))
                 )
         folds.append(
             FoldResult(

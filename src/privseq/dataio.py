@@ -5,23 +5,34 @@ one feature name per line, and one headered CSV per recording (one row
 per time step, one column per feature). The manifest is the single
 source of recording identity; nothing is parsed out of filenames.
 
-Floats are rendered with repr, which Python guarantees to round-trip,
-so write followed by load reproduces a corpus bit for bit.
+Each cell is the Python repr of a float64 and each row ends in CRLF;
+the header is written by csv.writer, so a name holding a comma or a
+quote is quoted by CSV rules. These are the bytes csv.writer gives for
+the whole file. Load reads every cell with float(), and repr is
+guaranteed to round-trip, so write followed by load reproduces a corpus
+bit for bit, the sign of zero included.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import itertools
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError
+from privseq.core import (
+    Corpus,
+    DataError,
+    FeatureMatrix,
+    InternalInvariantError,
+    ParameterError,
+)
 from privseq.mechanisms import MechanismReport
 from privseq.noise import NoiseSource
 
@@ -155,39 +166,56 @@ def _read_schema(path: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _raise_first_bad_row(path: str, schema: tuple[str, ...], body: list[list[str]]) -> NoReturn:
+    """Raise DataError for the first row, in file order, that has the
+    wrong number of cells or a cell float() rejects."""
+    for row_no, row in enumerate(body, start=2):
+        if len(row) != len(schema):
+            raise DataError(
+                f"{path}: row {row_no}: expected {len(schema)} columns, got {len(row)}"
+            ) from None
+        for col, cell in zip(schema, row):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {row_no}: column {col!r}: not a number: {cell!r}"
+                ) from None
+    raise InternalInvariantError(f"{path}: the fast parse failed on rows that all read")
+
+
 def _load_one(entry: RecordingEntry, schema: tuple[str, ...], base: str) -> FeatureMatrix:
     path = os.path.join(base, entry.file_path)
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if tuple(header) != schema:
-                raise DataError(
-                    f"{path}: header does not match the schema "
-                    f"(got {len(header)} columns starting {header[:3]})"
-                )
-            rows: list[list[float]] = []
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(schema):
-                    raise DataError(
-                        f"{path}: row {row_no}: expected {len(schema)} columns, got {len(row)}"
-                    )
-                parsed = []
-                for col, cell in zip(schema, row):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {row_no}: column {col!r}: not a number: {cell!r}"
-                        ) from None
-                rows.append(parsed)
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataError(f"recording file not found: {path}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
     if not rows:
+        raise DataError(f"{path}: empty file")
+    header, body = rows[0], rows[1:]
+    if tuple(header) != schema:
+        raise DataError(
+            f"{path}: header does not match the schema "
+            f"(got {len(header)} columns starting {header[:3]})"
+        )
+    if not body:
         raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
+    # every cell through one float() map; on any failure the row scan
+    # names the first bad row
+    width = len(schema)
+    try:
+        if any(len(row) != width for row in body):
+            raise ValueError("rows of unequal width")
+        values = np.fromiter(
+            map(float, itertools.chain.from_iterable(body)),
+            dtype=np.float64,
+            count=len(body) * width,
+        ).reshape(len(body), width)
+    except ValueError:
+        _raise_first_bad_row(path, schema, body)
     if entry.trim is not None:
         start, end = entry.trim
         if end > values.shape[0]:
@@ -251,22 +279,25 @@ def write_corpus(
 ) -> CorpusManifest:
     """Write manifest, schema, and one CSV per recording into out_dir.
 
-    Floats are rendered with repr (csv's own float format) so a later
-    load reproduces the corpus exactly. When reports are given (one per
-    label group), a sibling report.json is written alongside the data.
+    The header goes through csv.writer; each data row is formatted in
+    one pass as repr floats joined by commas and ended by CRLF, which
+    are the bytes csv.writer would write, since a float repr never needs
+    quoting. A later load reproduces the corpus exactly. When reports
+    are given (one per label group), a sibling report.json is written
+    alongside the data.
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, SCHEMA_NAME), "w", encoding="utf-8") as fh:
         for name in corpus.schema:
             fh.write(name + "\n")
+    row_format = ",".join(["%r"] * len(corpus.schema)) + "\r\n"
     entries = []
     for m in corpus.matrices:
         file_name = f"{m.recording_id}.csv"
         with open(os.path.join(out_dir, file_name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(corpus.schema)
-            writer.writerows(m.values.tolist())
+            csv.writer(fh).writerow(corpus.schema)
+            fh.write(row_format * m.length % tuple(m.values.ravel().tolist()))
         entries.append(
             RecordingEntry(
                 file_path=file_name,

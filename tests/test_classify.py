@@ -4,6 +4,7 @@ cross-validation loop on separable and unlearnable corpora."""
 import numpy as np
 import pytest
 
+from privseq import classify
 from privseq.classify import (
     ClassifierConfig,
     _neighbour_counts,
@@ -126,20 +127,26 @@ def test_knn_matches_brute_force_oracle():
             assert got in tied
 
 
-def test_neighbour_counts_match_stable_argsort_with_duplicate_rows():
+def test_neighbour_counts_match_stable_argsort_with_duplicate_rows(monkeypatch):
     # Exact duplicate training rows put many rows at the k-th distance;
-    # the selection must still be the first k of a stable sort.
+    # the selection must still be the first k of a stable sort. Besides
+    # the default tile, queries go one row per tile, and 7 rows per tile
+    # over 26 queries, which leaves a last tile of 5.
     rng = np.random.default_rng(21)
     distinct = rng.integers(-2, 3, size=(6, 3)).astype(np.float64)
     train = distinct[rng.integers(0, 6, size=120)]
     codes = rng.integers(0, 3, size=120)
     queries = np.concatenate([distinct, rng.integers(-3, 4, size=(20, 3)).astype(np.float64)])
     d2 = np.sum((queries[:, np.newaxis, :] - train[np.newaxis, :, :]) ** 2, axis=2)
-    for k in (1, 2, 7, 19, 20, 21, 60, 119, 120):
-        got = _neighbour_counts(train, codes, 3, queries, k)
-        for q in range(queries.shape[0]):
-            order = np.argsort(d2[q], kind="stable")[:k]
-            assert np.array_equal(got[q], np.bincount(codes[order], minlength=3)), (k, q)
+    for tile_values in (classify.TILE_VALUES, 1, 120 * 7):
+        monkeypatch.setattr(classify, "TILE_VALUES", tile_values)
+        for k in (1, 2, 7, 19, 20, 21, 60, 119, 120):
+            got = _neighbour_counts(train, codes, 3, queries, k)
+            for q in range(queries.shape[0]):
+                order = np.argsort(d2[q], kind="stable")[:k]
+                assert np.array_equal(
+                    got[q], np.bincount(codes[order], minlength=3)
+                ), (tile_values, k, q)
 
 
 def test_knn_tie_is_reproducible_per_seed():
@@ -162,6 +169,8 @@ def test_knn_validation():
         knn_predict(train, [0.0], 3, NoiseSource(0))
     with pytest.raises(ParameterError):
         knn_predict(train, [0.0, 1.0], 1, NoiseSource(0))
+    with pytest.raises(ParameterError):
+        knn_predict([([], "a"), ([], "b")], [], 1, NoiseSource(0))
 
 
 def test_classifier_config_validation():

@@ -1,6 +1,8 @@
 """Corpus serialization and the synthetic generator: exact round trips,
 typed loader failures naming file/row/column, trims, auto-exclusion,
 and the autoregressive statistics of generated signals."""
+import csv
+import io
 import json
 import logging
 import math
@@ -143,6 +145,29 @@ def test_recording_file_bytes_are_pinned(tmp_path):
     assert loaded.matrices[0].values.tobytes() == values.tobytes()
 
 
+def test_recording_bytes_equal_csv_writer_output(tmp_path):
+    # The body is formatted without csv.writer; its bytes must be what
+    # csv.writer writes, and the header keeps csv's quoting.
+    column = np.array([-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1, 1.7976931348623157e308])
+    values = np.column_stack([column, -column[::-1]])
+    schema = ("a,b", 'q"x')
+    m = FeatureMatrix(
+        recording_id="r0", participant_id="p0", labels={"category": "a"},
+        feature_names=schema, values=values,
+    )
+    write_corpus(Corpus(matrices=(m,), schema=schema), tmp_path / "out")
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(schema)
+    writer.writerows(values.tolist())
+    got = (tmp_path / "out" / "r0.csv").read_bytes()
+    assert got == reference.getvalue().encode("utf-8")
+    assert got.startswith(b'"a,b","q""x"\r\n-0.0,-1.7976931348623157e+308\r\n')
+    loaded = load_corpus(tmp_path / "out" / MANIFEST_NAME)
+    assert loaded.schema == schema
+    assert loaded.matrices[0].values.tobytes() == values.tobytes()
+
+
 def test_load_accepts_manifest_object_and_is_jobs_invariant(tmp_path):
     corpus = synth_corpus(_spec())
     manifest = write_corpus(corpus, tmp_path / "out")
@@ -225,6 +250,33 @@ def test_loader_names_file_row_and_column(tmp_path):
 def test_loader_rejects_ragged_rows(tmp_path):
     path = _write_minimal(tmp_path, "f00,f01\n1.0,2.0\n3.0\n")
     with pytest.raises(DataError, match="row 3"):
+        load_corpus(path)
+
+
+def test_loader_reports_the_first_bad_row_in_file_order(tmp_path):
+    path = _write_minimal(tmp_path, "f00,f01\n1.0,2.0\n3.0,oops\n5.0,6.0\n7.0\n")
+    with pytest.raises(DataError) as err:
+        load_corpus(path)
+    message = str(err.value)
+    assert "row 3" in message
+    assert "'f01'" in message
+    assert "oops" in message
+
+    path = _write_minimal(tmp_path, "f00,f01\n1.0,2.0\n3.0\n5.0,6.0\n7.0,oops\n")
+    with pytest.raises(DataError) as err:
+        load_corpus(path)
+    message = str(err.value)
+    assert "row 3" in message
+    assert "expected 2 columns, got 1" in message
+
+
+def test_loader_reports_unreadable_files_as_data_errors(tmp_path):
+    path = _write_minimal(tmp_path, "f00,f01\n1.0,2.0\n")
+    (tmp_path / "r0.csv").write_text("f00,f01\n1.0," + "1" * 200_000 + "\n")
+    with pytest.raises(DataError, match="field larger than field limit"):
+        load_corpus(path)
+    (tmp_path / "r0.csv").write_bytes(b"f00,f01\n1.0,\xff\n")
+    with pytest.raises(DataError, match="r0.csv: not readable as UTF-8 CSV"):
         load_corpus(path)
 
 

@@ -276,11 +276,10 @@ class MechanismReport:
                     f"{self.accounting} composition {expected}"
                 )
 
-    def to_json(self) -> str:
-        """Deterministic-key-order serialization for sidecar report files."""
-        import json
-
-        payload = {
+    def payload(self) -> dict:
+        """The report as plain JSON values: what to_json serializes and
+        what report.json holds per label group."""
+        return {
             "mechanism": self.mechanism,
             "accounting": self.accounting,
             "total_epsilon": self.total_epsilon,
@@ -297,4 +296,9 @@ class MechanismReport:
                 for u in self.per_unit
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        """Deterministic-key-order serialization for sidecar report files."""
+        import json
+
+        return json.dumps(self.payload(), sort_keys=True, indent=2)

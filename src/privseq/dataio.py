@@ -331,7 +331,7 @@ def write_corpus(
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if reports is not None:
-        merged = {label: json.loads(r.to_json()) for label, r in reports.items()}
+        merged = {label: r.payload() for label, r in reports.items()}
         with open(os.path.join(out_dir, REPORT_NAME), "w", encoding="utf-8") as fh:
             json.dump(merged, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -102,17 +102,24 @@ def _validated_signal(x: RealSeq) -> np.ndarray:
     return arr
 
 
-def _noise_scale(delta: float, epsilon: float, factor: float = 1.0) -> float:
-    """factor * delta / epsilon for a valid budget; a positive delta whose
-    scale underflows (adding almost no noise) is a ParameterError."""
+def _noise_scale(delta, epsilon: float, factor=1.0):
+    """factor * delta / epsilon for a valid budget, elementwise over
+    broadcast arrays (a float for scalars); a positive delta whose scale
+    underflows (adding almost no noise) is a ParameterError."""
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    if not (delta >= 0.0 and math.isfinite(delta)):
-        raise ParameterError(f"sensitivity must be finite and >= 0, got {delta}")
+    delta = np.asarray(delta, dtype=np.float64)
+    bad = ~((delta >= 0.0) & np.isfinite(delta))
+    if bad.any():
+        raise ParameterError(f"sensitivity must be finite and >= 0, got {delta[bad][0]}")
     lam = factor * delta / epsilon
-    if delta > 0.0 and lam < sys.float_info.min:
-        raise ParameterError(f"noise scale {lam!r} for sensitivity {delta!r} underflows")
-    return lam
+    under = (delta > 0.0) & (lam < sys.float_info.min)
+    if under.any():
+        lam, delta = np.broadcast_arrays(lam, delta)
+        raise ParameterError(
+            f"noise scale {float(lam[under][0])!r} for sensitivity {float(delta[under][0])!r} underflows"
+        )
+    return lam if lam.ndim else float(lam)
 
 
 def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
@@ -145,8 +152,16 @@ def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    g = k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
-    return _noise_scale(delta2, epsilon, math.sqrt(n) * math.sqrt(g))
+    return _fpa_scales(n, k, delta2, epsilon)
+
+
+def _fpa_scales(n, k, delta2, epsilon: float):
+    """fpa_lambda's rule, g piecewise in k and then sqrt(n) sqrt(g)
+    delta2 / epsilon, over broadcast arrays of chunk lengths n, counts k
+    in [1, n] and sensitivities delta2; fpa_lambda is its scalar case."""
+    n, k = np.asarray(n), np.asarray(k)
+    g = np.where(k <= n // 2 + 1, k, 3 * k - n - 2 + n % 2)
+    return _noise_scale(delta2, epsilon, np.sqrt(n) * np.sqrt(g))
 
 
 def _uniform_blocks(plan: ChunkPlan) -> list[tuple[int, int, int, int]]:
@@ -265,9 +280,8 @@ def _unit_scales(
     """The noise scale of every unit, given its sensitivity: lpa_lambda
     of LPA's one unit (layout None), fpa_lambda of each FPA chunk."""
     if layout is None:
-        return np.array([lpa_lambda(d, epsilon) for d in deltas])
-    lengths = layout.plan.chunk_lengths()
-    return np.array([fpa_lambda(c, k, d, epsilon) for c, k, d in zip(lengths, layout.ks, deltas)])
+        return lpa_lambda(deltas, epsilon)
+    return _fpa_scales(layout.lengths, layout.ks, deltas, epsilon)
 
 
 def _release(

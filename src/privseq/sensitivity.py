@@ -51,7 +51,6 @@ from privseq.transform import diff_transform
 
 __all__ = [
     "lw_distance",
-    "feature_sensitivity",
     "chunk_sensitivities",
     "SensitivityTable",
     "build_group_table",
@@ -160,13 +159,6 @@ def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[fl
             pairs = zip(*np.triu_indices(m, 1))
         out.append(max(lw_distance(rows[a, s:e], rows[b, s:e], w) for a, b in pairs))
     return out
-
-
-def feature_sensitivity(group: Sequence[RealSeq], w: int) -> float:
-    """Max pairwise L_w distance over the zero-padded group."""
-    if w not in (1, 2):
-        raise ParameterError(f"norm order must be 1 or 2, got {w}")
-    return _pairwise_maxima(_padded_group(group), [0], w)[0]
 
 
 def chunk_sensitivities(

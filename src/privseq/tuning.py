@@ -7,18 +7,41 @@ candidate retention count against reconstruction error on a reference
 group and keeps the winner per chunk, with ties resolved toward the
 smaller (cheaper) count.
 
-Candidates are scored on the releases the mechanisms make, A_k + lam_k
-* B_k at the scales mechanisms._unit_scales decides, on the chunk plan
-the mechanism releases with (fpa's whole signal included). Each
-(signal, run) reads one unit-noise vector from stream src.derive(signal,
-run), the vector an fpa, cfpa or dcfpa call on that stream reads. Bin j's
-noise sits at a fixed place in it (mechanisms.FpaLayout), so the noise of
-k retained bins is a prefix of that of k + 1, and so are the clean and
-the noise parts A_k and B_k of the release: running sums over bins of
-each bin's time-domain contribution. One forward transform per block of
-signals then scores every k without an inverse transform; the scores
-equal those of the mechanisms' own releases up to rounding, and the
-comparison is not dominated by draw luck.
+Candidates are scored on the releases the mechanisms make, at the
+scales mechanisms._fpa_scales gives every (k, chunk) at once, on the
+chunk plan the mechanism releases with (fpa's whole signal included).
+Each (signal, run) reads one unit-noise vector from stream
+src.derive(signal, run), the vector an fpa, cfpa or dcfpa call on that
+stream reads; bin j's noise N_j sits at a fixed place in it
+(mechanisms.FpaLayout), whatever k is.
+
+Scores come from the chunk spectrum X, with no inverse transform. The
+release at k keeps the real part of the inverse of Z_j = X_j + lam N_j
+for j < k (0 elsewhere), so its error e has the spectrum E_j = (Z_j +
+conj Z_{c-j}) / 2 - X_j: E_0 = lam Re N_0 and, for j >= 1, one of four
+bin classes:
+
+    only     1 <= j <= min(k-1, c-k)   E_j = (lam N_j - X_j) / 2
+             its mirror c - j          E_{c-j} = conj E_j
+    both     c-k+1 <= j <= k-1         E_j = lam (N_j + conj N_{c-j}) / 2
+    neither  k <= j <= c-k             E_j = -X_j
+
+The transform is orthogonal, so sum_t e_t^2 = sum_j |E_j|^2 / c
+(Parseval) and the release mean is mean(x) + lam Re N_0 / c. For dcfpa,
+X and N belong to the differenced chunk and the error is the running sum
+y of e. With w = e^{2 pi i / c}, a = E_0 / c, kappa = -(1/c) sum_{j>=1}
+E_j / (w^j - 1), h = sum_{j>=1} E_j w^j / (w^j - 1)^2 and Q = sum_{j>=1}
+|E_j|^2 / |w^j - 1|^2:
+
+    sum_t y_t^2 = a^2 c(c+1)(2c+1)/6 + a kappa c(c+1) + c kappa^2
+                  + 2 a h + Q / c,       mean(y) = a (c+1)/2 + kappa.
+
+Each quantity sums per-bin terms, times 1, lam or lam^2, over the
+classes, and each class is an interval of bins that moves by one bin
+per k; so one forward transform per block of signals scores every k in
+O(c) work and memory per (signal, run, chunk). The scores equal those
+of the mechanisms' own releases up to rounding, and the comparison is
+not dominated by draw luck.
 """
 from __future__ import annotations
 
@@ -40,11 +63,10 @@ from privseq.core import (
 )
 from privseq.mechanisms import (
     BLOCK_VALUES,
-    FpaLayout,
     MechanismConfig,
+    _fpa_scales,
     _noise_pairs,
     _uniform_blocks,
-    _unit_scales,
     fpa_spectra,
 )
 from privseq.metrics import _nmse_ratio
@@ -81,8 +103,8 @@ def tune_k(
     the smaller k. The group also supplies the sensitivity, so it must
     contain at least two signals. Candidate k is evaluated for every
     chunk at once (a shorter remainder at min(k, its length)), run t of
-    member m on stream src.derive(m, t), every k of a block of members in
-    one pass over its bins (_prefix_scores).
+    member m on stream src.derive(m, t), every k in closed form from the
+    chunk spectra (_spectral_scores).
     """
     if mechanism not in _TUNABLE:
         raise ParameterError(
@@ -102,13 +124,38 @@ def tune_k(
     difference = mechanism == "dcfpa"
     domain = DIFFERENCE if difference else RAW
     deltas = chunk_sensitivities(rows, plan, 2, domain=domain)
+    lams = _candidate_scales(plan, deltas, epsilon)
+    totals, counts = _candidate_totals(rows, plan, lams, difference, runs, src)
+    # Candidates whose every cell is flagged, and counts beyond a chunk's
+    # length, score infinity; argmin keeps the smallest k among ties.
+    scores = np.divide(totals, counts, out=np.full_like(totals, math.inf), where=counts > 0)
+    scores[np.arange(1, len(scores) + 1)[:, np.newaxis] > plan.chunk_lengths()] = math.inf
+    return tuple(int(i) + 1 for i in np.argmin(scores, axis=0))
+
+
+def _candidate_scales(plan: ChunkPlan, deltas: Sequence[float], epsilon: float) -> np.ndarray:
+    """lams[k - 1, i]: chunk i's noise scale at candidate k (capped at
+    the chunk's length), for k up to the longest chunk; fpa_lambda's
+    rule over the whole grid at once."""
     lengths = np.asarray(plan.chunk_lengths())
-    longest = int(lengths.max())
-    # lams[k - 1, i]: chunk i's scale at k (capped at the chunk's length).
-    lams = np.stack([
-        _unit_scales(FpaLayout(plan, np.minimum(k, lengths)), deltas, epsilon)
-        for k in range(1, longest + 1)
-    ])
+    ks = np.minimum(np.arange(1, lengths.max() + 1)[:, np.newaxis], lengths)
+    return _fpa_scales(lengths, ks, deltas, epsilon)
+
+
+def _candidate_totals(
+    rows: Sequence[np.ndarray],
+    plan: ChunkPlan,
+    lams: np.ndarray,
+    difference: bool,
+    runs: int,
+    src: NoiseSource,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of valid NMSE cells, valid count) of every (k, chunk) of the
+    plan over members and runs at the scales lams (_candidate_scales),
+    (longest chunk, chunks) each: run t of member m on stream
+    src.derive(m, t), one forward transform per block of members."""
+    n = plan.total_length
+    longest = lams.shape[0]
     totals = np.zeros((longest, len(plan)))
     counts = np.zeros((longest, len(plan)), dtype=np.int64)
     stacked = np.stack(rows)
@@ -125,88 +172,82 @@ def tune_k(
             x = block[:, span].reshape(members, count, c)
             unit = pairs[:, :, span].reshape(members, runs, count, c)
             chunks = slice(first, first + count)
-            total, valid = _prefix_scores(x, spec, unit, lams[:c, chunks], difference)
+            total, valid = _spectral_scores(x, spec, unit, lams[:c, chunks], difference)
             totals[:c, chunks] += total
             counts[:c, chunks] += valid
-    # Candidates whose every cell is flagged, and counts beyond a chunk's
-    # length, score infinity; argmin keeps the smallest k among ties.
-    scores = np.divide(totals, counts, out=np.full_like(totals, math.inf), where=counts > 0)
-    scores[np.arange(1, longest + 1)[:, np.newaxis] > lengths] = math.inf
-    return tuple(int(i) + 1 for i in np.argmin(scores, axis=0))
+    return totals, counts
 
 
-def _basis(c: int, bins: slice, difference: bool) -> np.ndarray:
-    """The real form of the basis e^{2 pi i j t / c} / c for the bins j of
-    the slice and t in 0..c-1, (bins, 2, c): Re(z e^{...}) / c is
-    [Re z, Im z] @ basis[j]. j * t is reduced mod c before scaling, so
-    large products keep their precision. difference takes the running
-    sum along t, the basis of a differenced chunk's release."""
-    j = np.arange(bins.start, bins.stop)[:, np.newaxis]
-    angle = (2.0 * math.pi / c) * ((j * np.arange(c)) % c)
-    basis = np.stack([np.cos(angle), -np.sin(angle)], axis=1) / c
-    return np.cumsum(basis, axis=-1) if difference else basis
-
-
-def _prefix_scores(
-    x: np.ndarray,
-    spec: np.ndarray,
-    unit: np.ndarray,
-    lams: np.ndarray,
-    difference: bool,
+def _spectral_scores(
+    x: np.ndarray, spec: np.ndarray, unit: np.ndarray, lams: np.ndarray, difference: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum of valid NMSE cells, valid count) over members and runs of
-    every candidate k = 1..c of a run of equal-length chunks, (c, count)
-    each.
-
-    x (members, count, c) holds the clean chunks, spec their spectra,
-    unit (members, runs, count, c) the complex unit noise of each bin and
-    lams (c, count) each chunk's scale at every k. The release at k is
-    A_k + lam_k * B_k, where A_k and B_k sum the time-domain contributions
-    (_basis) of the first k bins of spec and of unit. Both are running
-    sums over bins, taken bins first and in slabs of bins so that no work
-    array holds more than about BLOCK_VALUES values per member."""
-    members, runs, count, c = unit.shape
-    slab = max(1, min(c, BLOCK_VALUES // ((runs + 1) * count * c)))
-    spec = np.ascontiguousarray(np.moveaxis(spec, -1, 0)[:, :, np.newaxis])
-    unit = np.ascontiguousarray(np.moveaxis(unit, -1, 0))
-    x_mean = x.mean(axis=-1)[:, np.newaxis]
-    clean = np.zeros((members, 1, count, c))
-    noise = np.zeros((members, runs, count, c))
-    total = np.zeros((c, count))
-    valid = np.zeros((c, count), dtype=np.int64)
-    for lo in range(0, c, slab):
-        bins = slice(lo, min(lo + slab, c))
-        basis = _basis(c, bins, difference)
-        a = _running_sum(_contributions(spec[bins], basis), clean)
-        b = _running_sum(_contributions(unit[bins], basis), noise)
-        clean, noise = a[-1].copy(), b[-1].copy()
-        # Release minus signal, for every (k, member, run, chunk, t).
-        a -= x[:, np.newaxis]
-        b *= lams[bins, np.newaxis, np.newaxis, :, np.newaxis]
-        b += a
-        num = np.einsum("...t,...t->...", b, b) / c
-        values, ok = _nmse_ratio(num, x_mean * (b.mean(axis=-1) + x_mean))
-        total[bins] += np.sum(values, axis=(1, 2), where=ok)
-        valid[bins] += np.count_nonzero(ok, axis=(1, 2))
-    return total, valid
-
-
-def _contributions(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Re(coef_j * basis_j[t]) for contiguous bins-first complex
-    coefficients (bins, ...): the time-domain contribution of each bin,
-    (bins, ..., c), one matrix product per bin."""
-    pairs = coef.view(np.float64).reshape(coef.shape[0], -1, 2)
-    return np.matmul(pairs, basis).reshape(coef.shape + basis.shape[-1:])
+    every candidate k = 1..c of a run of equal-length chunks x (members,
+    count, c), (c, count) each, by the closed form of the module
+    docstring: spec holds X (of the differenced chunks for dcfpa), unit
+    N (members, runs, count, c) and lams each chunk's scale at every k,
+    (c, count). O(c) work and memory per (member, run, chunk)."""
+    c = x.shape[-1]
+    half = c // 2 + 1  # bins 0..c/2; bin j also stands for its mirror c - j
+    lam = lams.T
+    theta = math.pi * np.arange(1, half) / c
+    spec, noise = spec[:, np.newaxis, :, :half], unit[..., :half]
+    mirror = np.zeros_like(noise)  # (N_j + conj N_{c-j}) / 2
+    mirror[..., 1:] = (noise[..., 1:] + unit[..., : c - half : -1].conj()) / 2
+    # The weight of |E_j|^2 in Q: 1, or 1 / |w^j - 1|^2 for dcfpa.
+    q = np.concatenate([[0.0], 0.25 / np.sin(theta) ** 2]) if difference else np.ones(half)
+    power = lambda z: q * (z.real**2 + z.imag**2)
+    energy = (
+        _class_sums(c, only=power(spec) / 2, neither=power(spec))
+        - lam * _class_sums(c, only=q * (spec.real * noise.real + spec.imag * noise.imag))
+        + lam * lam * _class_sums(c, only=power(noise) / 2, both=power(mirror))
+    )
+    a = lam * unit[..., :1].real / c  # E_0 / c
+    if difference:
+        cot = np.concatenate([[0.0], 1 / np.tan(theta)])
+        rho = lambda z: z.real - z.imag * cot  # Re(-2 z_j / (w^j - 1))
+        kappa = lam * _class_sums(c, only=rho(noise), both=rho(mirror))
+        kappa = (kappa - _class_sums(c, only=rho(spec), neither=rho(spec))) / (2 * c)
+        h = _class_sums(c, only=q * spec.real, neither=q * spec.real)
+        h = h - lam * _class_sums(c, only=q * noise.real, both=q * mirror.real)
+        cubic, square = c * (c + 1) * (2 * c + 1) / 6, c * (c + 1)
+        sum_sq = a * (a * cubic + kappa * square + 2 * h) + c * kappa * kappa + energy / c
+        shift = a * (c + 1) / 2 + kappa
+    else:
+        sum_sq, shift = c * a * a + energy / c, a
+    x_mean = x.mean(axis=-1)[:, np.newaxis, :, np.newaxis]
+    values, ok = _nmse_ratio(sum_sq / c, x_mean * (x_mean + shift))
+    return np.sum(values, axis=(0, 1), where=ok).T, np.count_nonzero(ok, axis=(0, 1)).T
 
 
-def _running_sum(parts: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """In place, parts[j] = carry + parts[0] + ... + parts[j] along the
-    first axis; one vector add per bin, which numpy's cumsum along an
-    outer axis runs several times slower."""
-    parts[0] += carry
-    for j in range(1, parts.shape[0]):
-        parts[j] += parts[j - 1]
-    return parts
+def _class_sums(c: int, only=None, both=None, neither=None) -> np.ndarray:
+    """Per-bin terms of bins 0..c/2 summed over the classes of every k =
+    1..c, along the last axis: only over [1, min(k-1, c-k)] by a forward
+    cumsum; both over [c-k+1, k-1] and neither over [k, c-k], centred
+    intervals summed from the centre out, so that no interval is the
+    difference of two large prefix sums."""
+    total = 0.0
+    if only is not None:
+        head = only[..., : (c + 1) // 2].copy()
+        head[..., 0] = 0.0
+        k = np.arange(1, c + 1)
+        total = np.cumsum(head, axis=-1)[..., np.minimum(k - 1, c - k)]
+    if both is not None:
+        total = total + _centred(both, c)[..., :0:-1]
+    if neither is not None:
+        total = total + _centred(neither, c)[..., 1:]
+    return total
+
+
+def _centred(f: np.ndarray, c: int) -> np.ndarray:
+    """s[..., a] = the sum over bins j in [a, c - a] of f (given for j
+    <= c/2 and equal at j and c - j), for a in 0..c (0 if empty)."""
+    twice = 2 * f[..., 1:]
+    if c % 2 == 0:
+        twice[..., -1] = f[..., -1]  # bin c/2 is its own mirror
+    s = np.zeros(f.shape[:-1] + (c + 1,))
+    s[..., 1 : c // 2 + 1] = np.cumsum(twice[..., ::-1], axis=-1)[..., ::-1]
+    return s
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,6 @@ from privseq.sensitivity import (
     RAW,
     SensitivityTable,
     chunk_sensitivities,
-    feature_sensitivity,
 )
 from privseq.transform import cumsum_reconstruct, dft_batch, diff_transform
 from privseq.tuning import tune_k
@@ -219,7 +218,7 @@ def test_acceptance_04_sensitivity_bitwise_vs_oracle():
             group.append(scale * rng.standard_normal(n))
         n = max(len(v) for v in group)
         for w in (1, 2):
-            if feature_sensitivity(group, w) != _oracle_feature(group, w):
+            if chunk_sensitivities(group, chunk_plan(n, n), w)[0] != _oracle_feature(group, w):
                 mismatches += 1
         plan = chunk_plan(n, int(rng.integers(1, n + 1)))
         for domain in (RAW, DIFFERENCE):

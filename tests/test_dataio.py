@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError
+from privseq.core import (
+    SEQUENTIAL,
+    Corpus,
+    DataError,
+    FeatureMatrix,
+    MechanismReport,
+    ParameterError,
+    ReportUnit,
+)
 from privseq.dataio import (
     MANIFEST_NAME,
     REPORT_NAME,
@@ -143,6 +151,33 @@ def test_recording_file_bytes_are_pinned(tmp_path):
     assert (tmp_path / "out" / "r0.csv").read_bytes() == b"f0,f1\r\n-0.0,1e-300\r\n1e+22,0.1\r\n"
     loaded = load_corpus(tmp_path / "out" / MANIFEST_NAME)
     assert loaded.matrices[0].values.tobytes() == values.tobytes()
+
+
+def test_report_json_bytes_equal_the_parsed_to_json_form(tmp_path):
+    # report.json is dumped once from each report's payload; its bytes
+    # must be what re-parsing every to_json() and dumping the merged
+    # dict writes, floats at the edges of repr included.
+    reports = {
+        "b": MechanismReport(
+            "cfpa",
+            (ReportUnit("f0", 0, 0.1, 1e-300, 3, 0.1), ReportUnit("f1", 1, 1e22, 5e-324, 1, 1e22)),
+            SEQUENTIAL, {"f1": 1e22, "f0": 0.1}, 1e22,
+        ),
+        "a": MechanismReport(
+            "lpa", (ReportUnit("f0", 0, 5e-324, 0.1, 2, 1e-300),), SEQUENTIAL, {"f0": 1e-300}, 1e-300,
+        ),
+    }
+    m = FeatureMatrix(
+        recording_id="r0", participant_id="p0", labels={"category": "a"},
+        feature_names=("f0", "f1"), values=np.zeros((2, 2)),
+    )
+    write_corpus(Corpus(matrices=(m,), schema=("f0", "f1")), tmp_path / "out", reports=reports)
+    merged = {label: json.loads(r.to_json()) for label, r in reports.items()}
+    expected = json.dumps(merged, indent=2, sort_keys=True) + "\n"
+    got = (tmp_path / "out" / REPORT_NAME).read_bytes()
+    assert got == expected.encode("utf-8")
+    for text in (b'"lambda": 5e-324', b'"sensitivity": 1e+22', b'"total_epsilon": 1e-300'):
+        assert text in got
 
 
 def test_recording_bytes_equal_csv_writer_output(tmp_path):

@@ -23,7 +23,6 @@ from privseq.sensitivity import (
     SensitivityTable,
     build_group_table,
     chunk_sensitivities,
-    feature_sensitivity,
     load_sensitivity_tables,
     lw_distance,
     write_sensitivity_tables,
@@ -99,6 +98,13 @@ def random_group(rng):
     return group
 
 
+def whole_signal(group, w):
+    # a feature's sensitivity over its whole (padded) signal: the
+    # one-chunk plan
+    n = max(len(v) for v in group)
+    return chunk_sensitivities(group, chunk_plan(n, n), w)[0]
+
+
 # --- lw_distance -------------------------------------------------------
 
 
@@ -133,26 +139,26 @@ def test_lw_l1_dominates_l2():
         assert l1 >= l2 - 1e-12 * (1.0 + l2)
 
 
-# --- feature_sensitivity ----------------------------------------------
+# --- whole-signal sensitivity ----------------------------------------
 
 
 def test_feature_sensitivity_hand_values():
-    assert feature_sensitivity([[1.0, 2.0], [3.0, 4.0]], 1) == 4.0
-    assert feature_sensitivity([[5.0, 5.0], [5.0, 5.0]], 2) == 0.0
-    got = feature_sensitivity([[1.0, 2.0, 3.0], [2.0, 2.0], [0.0, 0.0, 0.0]], 2)
+    assert whole_signal([[1.0, 2.0], [3.0, 4.0]], 1) == 4.0
+    assert whole_signal([[5.0, 5.0], [5.0, 5.0]], 2) == 0.0
+    got = whole_signal([[1.0, 2.0, 3.0], [2.0, 2.0], [0.0, 0.0, 0.0]], 2)
     assert got == math.sqrt(14.0)
 
 
 def test_feature_sensitivity_pads_short_vectors():
     # [1,2,3] vs [1,2] padded to [1,2,0]: only the last sample differs
-    assert feature_sensitivity([[1.0, 2.0, 3.0], [1.0, 2.0]], 1) == 3.0
+    assert whole_signal([[1.0, 2.0, 3.0], [1.0, 2.0]], 1) == 3.0
 
 
 def test_feature_sensitivity_needs_two_vectors():
     with pytest.raises(InsufficientGroupError):
-        feature_sensitivity([[1.0, 2.0]], 1)
+        whole_signal([[1.0, 2.0]], 1)
     with pytest.raises(ParameterError):
-        feature_sensitivity([[1.0], []], 1)
+        whole_signal([[1.0], []], 1)
 
 
 def test_feature_sensitivity_matches_oracle_bitwise():
@@ -160,7 +166,7 @@ def test_feature_sensitivity_matches_oracle_bitwise():
     for _ in range(300):
         group = random_group(rng)
         for w in (1, 2):
-            assert feature_sensitivity(group, w) == oracle_feature(group, w)
+            assert whole_signal(group, w) == oracle_feature(group, w)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -171,7 +177,7 @@ def test_feature_sensitivity_permutation_invariant(seed):
     order = rng.permutation(len(group))
     shuffled = [group[i] for i in order]
     for w in (1, 2):
-        assert feature_sensitivity(group, w) == feature_sensitivity(shuffled, w)
+        assert whole_signal(group, w) == whole_signal(shuffled, w)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -182,7 +188,7 @@ def test_feature_sensitivity_superset_monotone(seed):
     n = max(len(v) for v in group)
     extra = rng.standard_normal(n)
     for w in (1, 2):
-        assert feature_sensitivity(group + [extra], w) >= feature_sensitivity(group, w)
+        assert whole_signal(group + [extra], w) >= whole_signal(group, w)
 
 
 # --- chunk_sensitivities ------------------------------------------------
@@ -214,7 +220,7 @@ def test_single_chunk_equals_feature_sensitivity():
         n = max(len(v) for v in group)
         plan = chunk_plan(n, n)
         for w in (1, 2):
-            assert chunk_sensitivities(group, plan, w, RAW) == [feature_sensitivity(group, w)]
+            assert chunk_sensitivities(group, plan, w, RAW) == [oracle_feature(group, w)]
 
 
 def test_chunk_matches_oracle_bitwise():
@@ -240,7 +246,7 @@ def test_chunk_bounded_by_full_signal():
         c = int(rng.integers(1, n + 1))
         plan = chunk_plan(n, c)
         for w in (1, 2):
-            full = feature_sensitivity(group, w)
+            full = oracle_feature(group, w)
             for v in chunk_sensitivities(group, plan, w, RAW):
                 assert v <= full + 1e-12 * (1.0 + full)
 
@@ -259,7 +265,7 @@ def test_non_finite_values_are_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         group = [[0.0, 0.0], [1.0, 0.0], [bad, 100.0]]
         with pytest.raises(ParameterError, match="non-finite"):
-            feature_sensitivity(group, 1)
+            whole_signal(group, 1)
         for domain in (RAW, DIFFERENCE):
             with pytest.raises(ParameterError, match="non-finite"):
                 chunk_sensitivities(group, chunk_plan(2, 1), 2, domain)
@@ -281,7 +287,7 @@ def test_near_tie_that_a_float_sum_misranks(group):
     # the winner flips. Which of the two groups a given summation order
     # misranks depends on the order; the result must follow the exact sums.
     assert oracle_feature(group, 1) == 1e16 + 4
-    assert feature_sensitivity(group, 1) == oracle_feature(group, 1)
+    assert whole_signal(group, 1) == oracle_feature(group, 1)
     for c in (1, 2, 3, 4):
         plan = chunk_plan(4, c)
         for domain in (RAW, DIFFERENCE):
@@ -322,7 +328,7 @@ def test_near_tie_groups_match_oracle(seed):
         n = max(len(v) for v in group)
         plan = chunk_plan(n, int(rng.integers(1, n + 1)))
         for w in (1, 2):
-            assert feature_sensitivity(group, w) == oracle_feature(group, w)
+            assert whole_signal(group, w) == oracle_feature(group, w)
             for domain in (RAW, DIFFERENCE):
                 assert chunk_sensitivities(group, plan, w, domain) == oracle_chunks(
                     group, plan, w, domain

@@ -1,11 +1,15 @@
 """Retention tuning: budget-limit behavior, determinism, corpus-wide
 tables, and the tuned-count CSV format."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privseq import transform, tuning
 from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
-from privseq.mechanisms import cfpa, dcfpa, fpa
+from privseq.mechanisms import cfpa, dcfpa, fpa, fpa_lambda
 from privseq.metrics import nmse
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
@@ -59,17 +63,19 @@ def test_tuning_is_reproducible():
     assert all(1 <= k <= 8 for k in a)
 
 
-def _reference_scores(signals, plan, mechanism, epsilon, runs, src):
-    # Mean NMSE of every (k, chunk) over the mechanisms' own releases of
-    # member m on stream src.derive(m, t), each chunk at min(k, its length);
-    # inf where k exceeds the chunk or every cell is flagged.
-    domain = DIFFERENCE if mechanism == "dcfpa" else RAW
-    deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
+def _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas=None):
+    # (sum, count) of the valid NMSE cells of every (k, chunk) over the
+    # mechanisms' own releases of member m on stream src.derive(m, t),
+    # each chunk at min(k, its length) and at the group's sensitivities
+    # unless deltas are given; 0 where k exceeds the chunk.
+    if deltas is None:
+        domain = DIFFERENCE if mechanism == "dcfpa" else RAW
+        deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
     lengths = plan.chunk_lengths()
-    scores = np.full((max(lengths), len(plan)), np.inf)
+    totals = np.zeros((max(lengths), len(plan)))
+    counts = np.zeros((max(lengths), len(plan)), dtype=np.int64)
     for k in range(1, max(lengths) + 1):
         per_chunk = [(d, min(k, c)) for d, c in zip(deltas, lengths)]
-        cells = [[] for _ in lengths]
         for m, x in enumerate(signals):
             for t in range(runs):
                 stream = src.derive(m, t)
@@ -80,12 +86,18 @@ def _reference_scores(signals, plan, mechanism, epsilon, runs, src):
                     out = mech(x, plan, per_chunk, epsilon, stream)
                 for ci, (s, e) in enumerate(plan.boundaries):
                     v = nmse(x[s:e], out[s:e])
-                    if v is not None and v >= 0.0:
-                        cells[ci].append(v)
-        for ci, c in enumerate(lengths):
-            if k <= c and cells[ci]:
-                scores[k - 1, ci] = np.mean(cells[ci])
-    return scores
+                    if k <= lengths[ci] and v is not None and v >= 0.0:
+                        totals[k - 1, ci] += v
+                        counts[k - 1, ci] += 1
+    return totals, counts
+
+
+def _reference_scores(signals, plan, mechanism, epsilon, runs, src):
+    # Mean NMSE of every (k, chunk) over the mechanisms' own releases
+    # (_reference_totals); inf where k exceeds the chunk or every cell is
+    # flagged.
+    totals, counts = _reference_totals(signals, plan, mechanism, epsilon, runs, src)
+    return np.divide(totals, counts, out=np.full_like(totals, np.inf), where=counts > 0)
 
 
 def test_candidates_are_the_mechanisms_own_releases():
@@ -132,6 +144,73 @@ def test_tune_k_makes_no_inverse_transform(monkeypatch):
     for mechanism, plan in (("cfpa", chunk_plan(32, 12)), ("dcfpa", chunk_plan(32, 12)), ("fpa", chunk_plan(32, 32))):
         tune_k(signals, plan, mechanism, 2.4, 3, NoiseSource(seed=9))
     assert len(forward) == 5
+
+
+@given(
+    c=st.integers(1, 70),
+    count=st.integers(1, 3),
+    rest=st.integers(0, 69),
+    mechanism=st.sampled_from(("fpa", "cfpa", "dcfpa")),
+    members=st.integers(1, 3),
+    runs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(c=1, count=3, rest=0, mechanism="cfpa", members=2, runs=2, seed=0)
+@example(c=2, count=2, rest=1, mechanism="dcfpa", members=3, runs=1, seed=1)
+@example(c=2, count=1, rest=0, mechanism="fpa", members=1, runs=3, seed=2)
+@example(c=33, count=2, rest=20, mechanism="dcfpa", members=2, runs=2, seed=3)
+@example(c=70, count=1, rest=0, mechanism="fpa", members=2, runs=1, seed=4)
+@settings(max_examples=60, deadline=None)
+def test_spectral_scores_equal_the_mechanisms_own_releases(c, count, rest, mechanism, members, runs, seed):
+    # The closed-form scores of every (k, chunk) are the NMSE of the
+    # mechanisms' own releases on the same streams: equal valid counts,
+    # totals within 1e-9 relative. Hypothesis draws sizes and a seed
+    # only; the signals, sensitivities (one chunk's 0, so lam = 0) and
+    # budget come from the seed.
+    n = c if mechanism == "fpa" else count * c + rest % c
+    plan = chunk_plan(n, c)
+    rng = np.random.default_rng(seed)
+    signals = [np.cumsum(rng.standard_normal(n)) + rng.uniform(-3.0, 10.0) for _ in range(members)]
+    deltas = 10.0 ** rng.uniform(-2.0, 1.0, len(plan))
+    deltas[rng.integers(len(plan))] = 0.0
+    epsilon = float(10.0 ** rng.uniform(-1.0, 3.0))
+    src = NoiseSource(seed=seed).derive(7)
+    lams = tuning._candidate_scales(plan, deltas, epsilon)
+    got = tuning._candidate_totals(signals, plan, lams, mechanism == "dcfpa", runs, src)
+    want = _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas)
+    np.testing.assert_array_equal(got[1], want[1])
+    # atol covers the rounding residue of a release that is exact in
+    # closed form (lam = 0 at k = c).
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=1e-12)
+
+
+def test_candidate_scales_are_fpa_lambda_of_every_k():
+    # One grid expression gives every (k, chunk) scale, bitwise the scalar
+    # fpa_lambda of the chunk at min(k, its length) and the written-out
+    # rule: 0 for a zero sensitivity, ParameterError for a positive one
+    # that underflows.
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 80))
+        plan = chunk_plan(n, int(rng.integers(1, n + 1)))
+        deltas = 10.0 ** rng.uniform(-3.0, 3.0, len(plan))
+        deltas[rng.random(len(plan)) < 0.3] = 0.0
+        epsilon = float(10.0 ** rng.uniform(-2.0, 4.0))
+        lengths = plan.chunk_lengths()
+        lams = tuning._candidate_scales(plan, deltas, epsilon)
+        assert lams.shape == (max(lengths), len(plan))
+        for k in range(1, max(lengths) + 1):
+            for i, (c, d) in enumerate(zip(lengths, deltas)):
+                kc = min(k, c)
+                g = kc if kc <= c // 2 + 1 else 3 * kc - c - 2 + c % 2
+                want = fpa_lambda(c, kc, float(d), epsilon)
+                assert lams[k - 1, i].hex() == want.hex()
+                assert want == math.sqrt(c) * math.sqrt(g) * float(d) / epsilon
+                assert (want == 0.0) == (d == 0.0)
+    with pytest.raises(ParameterError, match="underflows"):
+        tuning._candidate_scales(chunk_plan(5, 2), [1.0, 5e-324, 1.0], 2.0)
+    with pytest.raises(ParameterError, match="underflows"):
+        tune_k([np.zeros(4), np.array([1e-150, 0.0, 0.0, 0.0])], chunk_plan(4, 2), "cfpa", 1e200, 1, NoiseSource(1))
 
 
 def test_tune_k_validation():

@@ -284,8 +284,16 @@ def write_corpus(
     are the bytes csv.writer would write, since a float repr never needs
     quoting. A later load reproduces the corpus exactly. When reports
     are given (one per label group), a sibling report.json is written
-    alongside the data.
+    alongside the data. A feature name that schema.txt cannot carry
+    (empty, with leading or trailing whitespace, or holding a line
+    break) raises ParameterError before anything is created.
     """
+    for name in corpus.schema:
+        if not name or name != name.strip() or "\n" in name or "\r" in name:
+            raise ParameterError(
+                f"feature name {name!r} cannot be stored in {SCHEMA_NAME}: a name must be "
+                "non-empty, without leading or trailing whitespace or line breaks"
+            )
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, SCHEMA_NAME), "w", encoding="utf-8") as fh:
@@ -338,15 +346,27 @@ def write_corpus(
     return manifest
 
 
+# Signals that synth_corpus advances together, one AR(1) time step at a
+# time. A block holds whole recordings, at least one, so its time-major
+# buffer (length x block signals, reused across blocks) holds
+# max(SYNTH_BLOCK, features) signals at most.
+SYNTH_BLOCK = 128
+
+
 @dataclass(frozen=True, slots=True)
 class SynthSpec:
     """Parameters of the synthetic correlated corpus.
 
     Per (participant, label, recording, feature) an order-1
     autoregressive signal is generated around the label's mean offset:
-    x[0] = offset + sd*z, then x[t] = offset + rho*(x[t-1] - offset) +
-    sd*sqrt(1 - rho^2)*z, which keeps the marginal variance sd^2 at
-    every t and gives lag-d autocorrelation rho^d.
+    x[0] = offset + sd*z[0], then x[t] = offset + rho*(x[t-1] - offset) +
+    sd*sqrt(1 - rho^2)*z[t], which keeps the marginal variance sd^2 at
+    every t and gives lag-d autocorrelation rho^d. z is the signal's own
+    standard-normal stream (see synth_corpus); every expression is
+    evaluated left to right in float64, and the output equals that
+    per-sample definition byte for byte. noise_sd and the offsets must
+    be finite; a spec whose signals still overflow float64 fails when
+    its recordings are built.
     """
 
     participants: int
@@ -382,49 +402,75 @@ class SynthSpec:
             raise ParameterError(
                 f"{len(offsets)} offsets for {len(labels)} labels"
             )
-        if not self.noise_sd > 0:
-            raise ParameterError(f"noise_sd must be positive, got {self.noise_sd}")
+        for label, offset in zip(labels, offsets):
+            if not math.isfinite(offset):
+                raise ParameterError(f"offsets must be finite, got {offset} for label {label!r}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd > 0):
+            raise ParameterError(f"noise_sd must be positive and finite, got {self.noise_sd}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "offsets", offsets)
 
 
-def _ar1(offset: float, rho: float, sd: float, z: np.ndarray) -> np.ndarray:
-    x = np.empty(z.size, dtype=np.float64)
-    x[0] = offset + sd * z[0]
-    if z.size > 1:
-        step = sd * math.sqrt(1.0 - rho * rho)
-        prev = x[0]
-        for t in range(1, z.size):
-            prev = offset + rho * (prev - offset) + step * z[t]
-            x[t] = prev
-    return x
-
-
 def synth_corpus(spec: SynthSpec) -> Corpus:
-    """Deterministic synthetic corpus; every signal gets its own stream
-    addressed by (participant, label, recording, feature)."""
+    """Deterministic synthetic corpus, in generation order.
+
+    Recordings come participant by participant, then label by label,
+    then recording by recording, with id p{participant:02d}_{label}_r{recording}.
+    Feature f of a recording is the AR(1) signal of SynthSpec over
+    spec.length draws of root.derive(participant, label index,
+    recording, f).generator().standard_normal, root = NoiseSource(seed).
+
+    Blocks of whole recordings (at most SYNTH_BLOCK signals, or one
+    recording when it has more features) are advanced one time step at
+    a time, each step one array operation per term of the scalar
+    recurrence, in its order. Numpy rounds each elementwise operation
+    exactly as the scalar one and fuses none, so the corpus equals the
+    per-sample definition byte for byte.
+    """
     root = NoiseSource(spec.seed)
-    schema = tuple(f"f{j:02d}" for j in range(spec.features))
+    width = spec.features
+    schema = tuple(f"f{j:02d}" for j in range(width))
+    keys = [
+        (p, li, ri)
+        for p in range(spec.participants)
+        for li in range(len(spec.labels))
+        for ri in range(spec.recordings_per_label)
+    ]
+    per_block = max(1, SYNTH_BLOCK // width)
+    rho, sd = spec.ar_coefficient, spec.noise_sd
+    step = sd * math.sqrt(1.0 - rho * rho)
+    buf = np.empty((spec.length, min(per_block, len(keys)) * width))
     matrices = []
-    for p in range(spec.participants):
-        for li, label in enumerate(spec.labels):
-            for ri in range(spec.recordings_per_label):
-                cols = []
-                for f in range(spec.features):
-                    gen = root.derive(p, li, ri, f).generator()
-                    z = gen.standard_normal(spec.length)
-                    cols.append(
-                        _ar1(spec.offsets[li], spec.ar_coefficient, spec.noise_sd, z)
-                    )
+    # a finite spec can still overflow; FeatureMatrix rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, len(keys), per_block):
+            block = keys[first : first + per_block]
+            x = buf[:, : len(block) * width]
+            for j, (p, li, ri) in enumerate(block):
+                for f in range(width):
+                    z = root.derive(p, li, ri, f).generator().standard_normal(spec.length)
+                    x[:, j * width + f] = z
+            offset = np.repeat([spec.offsets[li] for _, li, _ in block], width)
+            # x[0] = offset + sd*z[0], x[t] = (offset + rho*(x[t-1] - offset)) + step*z[t]
+            x[0] *= sd
+            x[0] += offset
+            x[1:] *= step
+            dev = np.empty_like(offset)
+            for prev, cur in zip(x[:-1], x[1:]):
+                np.subtract(prev, offset, out=dev)
+                dev *= rho
+                dev += offset
+                cur += dev
+            for j, (p, li, ri) in enumerate(block):
                 matrices.append(
                     FeatureMatrix(
-                        recording_id=f"p{p:02d}_{label}_r{ri}",
+                        recording_id=f"p{p:02d}_{spec.labels[li]}_r{ri}",
                         participant_id=f"p{p:02d}",
-                        labels={"category": label},
+                        labels={"category": spec.labels[li]},
                         feature_names=schema,
-                        values=np.column_stack(cols),
+                        values=x[:, j * width : (j + 1) * width],
                     )
                 )
     return Corpus(matrices=tuple(matrices), schema=schema)

@@ -54,7 +54,6 @@ if TYPE_CHECKING:
     from privseq.tuning import KTable
 
 __all__ = [
-    "nmse",
     "corr_curve",
     "CorrelationCurve",
     "SweepRow",
@@ -87,26 +86,12 @@ _SWEEP_HEADER = (
 )
 
 
-def nmse(x: RealSeq, xt: RealSeq) -> float | None:
-    """(1/n) sum (x - xt)^2 / (mean(x) * mean(xt)); None when the
-    denominator magnitude is below 1e-12 (undefined)."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(xt, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ParameterError("nmse expects 1-D sequences")
-    if a.shape != b.shape:
-        raise ParameterError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size < 1:
-        raise ParameterError("nmse needs at least one sample")
-    d = a - b
-    value, _ = _nmse_ratio(np.mean(d * d), float(np.mean(a)) * float(np.mean(b)))
-    return None if math.isnan(value) else float(value)
-
-
 def _nmse_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
-    """(values, valid) of NMSE cells num / den, elementwise: a cell whose
-    denominator magnitude is below 1e-12 is undefined (NaN), and valid
-    marks the cells that aggregates count, the defined non-negative ones."""
+    """(values, valid) of NMSE cells num / den, elementwise. The NMSE of
+    a release xt of x is mean((x - xt)^2) / (mean(x) * mean(xt)); a cell
+    whose denominator magnitude is below 1e-12 is undefined (NaN), and
+    valid marks the cells that aggregates count, the defined non-negative
+    ones."""
     num = np.asarray(num, dtype=np.float64)
     defined = np.abs(den) >= _DENOM_FLOOR
     values = np.divide(num, den, out=np.full_like(num, math.nan), where=defined)

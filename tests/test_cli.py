@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -133,6 +134,30 @@ def test_synth_offsets_count_mismatch_is_exit_2(tmp_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(("--noise-sd", "inf"), "noise_sd"), (("--labels", 2, "--offsets", "nan,1"), "offsets")],
+)
+def test_synth_non_finite_parameters_are_exit_2_before_any_file(tmp_path, flags, field):
+    result = run_cli("synth", *flags, "--length", 8, "--out", tmp_path / "x")
+    assert result.exit_code == 2
+    assert field in result.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_overflowing_spec_is_exit_2_without_runtime_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_cli(
+            "synth", "--labels", 2, "--offsets", "1e308,1e308", "--noise-sd", "1e308",
+            "--participants", 2, "--length", 8, "--out", tmp_path / "x",
+        )
+    assert result.exit_code == 2, result.output
+    assert "infinite" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert not (tmp_path / "x").exists()
 
 
 # --- perturb -----------------------------------------------------------------

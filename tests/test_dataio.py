@@ -6,10 +6,14 @@ import io
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from privseq import dataio
 from privseq.core import (
     SEQUENTIAL,
     Corpus,
@@ -31,6 +35,7 @@ from privseq.dataio import (
     synth_corpus,
     write_corpus,
 )
+from privseq.noise import NoiseSource
 
 
 def _spec(**overrides):
@@ -105,6 +110,82 @@ def test_synth_autoregressive_statistics():
     assert abs(_lag1(white)) < 0.05
 
 
+def _ar1(offset, rho, sd, z):
+    # The per-sample definition of SynthSpec, one Python statement per
+    # sample.
+    x = np.empty(z.size, dtype=np.float64)
+    x[0] = offset + sd * z[0]
+    if z.size > 1:
+        step = sd * math.sqrt(1.0 - rho * rho)
+        prev = x[0]
+        for t in range(1, z.size):
+            prev = offset + rho * (prev - offset) + step * z[t]
+            x[t] = prev
+    return x
+
+
+def _reference_recordings(spec):
+    # (id, participant, labels, shape, bytes) of every recording, built
+    # signal by signal from its own stream in the documented order.
+    root = NoiseSource(spec.seed)
+    out = []
+    for p in range(spec.participants):
+        for li, label in enumerate(spec.labels):
+            for ri in range(spec.recordings_per_label):
+                cols = [
+                    _ar1(
+                        spec.offsets[li], spec.ar_coefficient, spec.noise_sd,
+                        root.derive(p, li, ri, f).generator().standard_normal(spec.length),
+                    )
+                    for f in range(spec.features)
+                ]
+                values = np.column_stack(cols)
+                out.append((f"p{p:02d}_{label}_r{ri}", f"p{p:02d}", {"category": label},
+                            values.shape, values.tobytes()))
+    return out
+
+
+@st.composite
+def _synth_specs(draw):
+    n_labels = draw(st.integers(1, 3))
+    offsets = draw(
+        st.lists(st.floats(-1e4, 1e4), min_size=n_labels, max_size=n_labels, unique=True)
+    )
+    return SynthSpec(
+        participants=draw(st.integers(1, 12)),
+        recordings_per_label=draw(st.integers(1, 3)),
+        labels=tuple(f"l{i}" for i in range(n_labels)),
+        length=draw(st.integers(1, 9)),
+        features=draw(st.integers(1, 4)),
+        ar_coefficient=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999))),
+        offsets=tuple(offsets),
+        noise_sd=draw(st.floats(1e-3, 1e3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["default_block", "one_signal_block"])
+@given(spec=_synth_specs())
+@example(spec=_spec(ar_coefficient=0.0, length=1))
+@example(spec=_spec(participants=2, recordings_per_label=3, labels=("a", "b", "c"),
+                    offsets=(-3.0, 0.5, 7.0), length=5, features=3))
+# 324 signals: more than one default block, labels mixed inside each
+@example(spec=_spec(participants=9, recordings_per_label=3, labels=("a", "b", "c"),
+                    offsets=(1.0, -2.0, 3.0), length=3, features=4))
+@settings(max_examples=40, deadline=None)
+def test_synth_equals_the_per_sample_definition_byte_for_byte(block, spec):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(dataio, "SYNTH_BLOCK", block)
+        corpus = synth_corpus(spec)
+    assert corpus.schema == tuple(f"f{j:02d}" for j in range(spec.features))
+    got = [
+        (m.recording_id, m.participant_id, m.labels, m.values.shape, m.values.tobytes())
+        for m in corpus.matrices
+    ]
+    assert got == _reference_recordings(spec)
+
+
 def test_synth_spec_validation():
     with pytest.raises(ParameterError):
         _spec(offsets=(1.0,))
@@ -120,6 +201,22 @@ def test_synth_spec_validation():
         _spec(seed=-1)
     with pytest.raises(ParameterError):
         _spec(length=0)
+    for overrides, field in (
+        (dict(noise_sd=math.inf), "noise_sd"),
+        (dict(noise_sd=math.nan), "noise_sd"),
+        (dict(offsets=(math.nan, 1.0)), "offsets"),
+        (dict(offsets=(1.0, -math.inf)), "offsets"),
+    ):
+        with pytest.raises(ParameterError, match=field):
+            _spec(**overrides)
+
+
+def test_synth_overflow_is_a_parameter_error_without_warnings():
+    spec = _spec(offsets=(1e308, 1e308), noise_sd=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="infinite"):
+            synth_corpus(spec)
 
 
 # --- write / load round trip --------------------------------------------------
@@ -178,6 +275,18 @@ def test_report_json_bytes_equal_the_parsed_to_json_form(tmp_path):
     assert got == expected.encode("utf-8")
     for text in (b'"lambda": 5e-324', b'"sensitivity": 1e+22', b'"total_epsilon": 1e-300'):
         assert text in got
+
+
+@pytest.mark.parametrize("bad", ["", " a", "a ", "a\nb", "a\rb", "a\r\nb"])
+def test_write_rejects_names_the_schema_file_cannot_carry(tmp_path, bad):
+    schema = (bad, "z")
+    m = FeatureMatrix(
+        recording_id="r0", participant_id="p0", labels={"category": "a"},
+        feature_names=schema, values=np.ones((2, 2)),
+    )
+    with pytest.raises(ParameterError, match="feature name"):
+        write_corpus(Corpus(matrices=(m,), schema=schema), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_recording_bytes_equal_csv_writer_output(tmp_path):

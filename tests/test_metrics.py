@@ -21,9 +21,9 @@ from privseq.metrics import (
     CorrelationCurve,
     SweepRow,
     UtilitySweep,
+    _nmse_ratio,
     corr_curve,
     load_sweep_csv,
-    nmse,
     run_sweep,
     write_correlation_csv,
     write_sweep_csv,
@@ -33,35 +33,43 @@ from privseq.sensitivity import DIFFERENCE, RAW, build_group_table
 from privseq.tuning import KTable
 
 
-# --- nmse ---------------------------------------------------------
+# --- the NMSE rule -------------------------------------------------------------
+
+
+def _cell(x, xt):
+    # (value, counted) of the NMSE cell of release xt of x.
+    x = np.asarray(x, dtype=np.float64)
+    xt = np.asarray(xt, dtype=np.float64)
+    d = x - xt
+    value, ok = _nmse_ratio(np.mean(d * d), np.mean(x) * np.mean(xt))
+    return float(value), bool(ok)
 
 
 def test_nmse_hand_value():
-    assert nmse([2.0, 2.0], [1.0, 1.0]) == 0.5
-    assert nmse([2.0, 2.0], [1.0, 3.0]) == 0.25
+    assert _cell([2.0, 2.0], [1.0, 1.0]) == (0.5, True)
+    assert _cell([2.0, 2.0], [1.0, 3.0]) == (0.25, True)
 
 
 def test_nmse_exact_reconstruction_is_zero():
     x = [1.0, 2.0, 3.0]
-    assert nmse(x, x) == 0.0
+    assert _cell(x, x) == (0.0, True)
 
 
 def test_nmse_zero_mean_is_undefined():
-    assert nmse([1.0, -1.0], [2.0, 0.0]) is None
+    value, ok = _cell([1.0, -1.0], [2.0, 0.0])
+    assert math.isnan(value) and not ok
 
 
 def test_nmse_can_be_negative():
-    value = nmse([1.0, 1.0], [-3.0, -3.0])
-    assert value is not None and value < 0.0
+    value, ok = _cell([1.0, 1.0], [-3.0, -3.0])
+    assert value < 0.0 and not ok
 
 
-def test_nmse_validation():
-    with pytest.raises(ParameterError):
-        nmse([1.0], [1.0, 2.0])
-    with pytest.raises(ParameterError):
-        nmse([[1.0]], [[1.0]])
-    with pytest.raises(ParameterError):
-        nmse([], [])
+def test_nmse_ratio_is_elementwise_with_a_denominator_floor():
+    values, ok = _nmse_ratio([1.0, 1.0, 1.0, 2.0, 0.0], [1e-12, -1e-12, 9.9e-13, -4.0, 0.0])
+    assert values[0] == 1e12 and values[1] == -1e12 and values[3] == -0.5
+    assert math.isnan(values[2]) and math.isnan(values[4])
+    assert ok.tolist() == [True, False, False, False, False]
 
 
 # --- correlation curves ------------------------------------------------------
@@ -289,8 +297,8 @@ def _direct_rows(corpus, src, epsilons, chunk_size, runs):
                                 for ci, (s, e) in enumerate(plan.boundaries)
                             ]
                             xt = dcfpa(padded, plan, per, eps, stream)
-                        cells.append(nmse(x, xt[: x.size]))
-                    vals = np.array([v for v in cells if v is not None and v >= 0.0])
+                        cells.append(_cell(x, xt[: x.size]))
+                    vals = np.array([v for v, ok in cells if ok])
                     acc[feature][0] += float(np.sum(vals))
                     acc[feature][1] += vals.size
                     acc[feature][2] += runs - vals.size

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from privseq import transform, tuning
 from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
 from privseq.mechanisms import cfpa, dcfpa, fpa, fpa_lambda
-from privseq.metrics import nmse
+from privseq.metrics import _nmse_ratio
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
@@ -85,8 +85,9 @@ def _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas=None)
                     mech = cfpa if mechanism == "cfpa" else dcfpa
                     out = mech(x, plan, per_chunk, epsilon, stream)
                 for ci, (s, e) in enumerate(plan.boundaries):
-                    v = nmse(x[s:e], out[s:e])
-                    if k <= lengths[ci] and v is not None and v >= 0.0:
+                    err = x[s:e] - out[s:e]
+                    v, ok = _nmse_ratio(np.mean(err * err), np.mean(x[s:e]) * np.mean(out[s:e]))
+                    if k <= lengths[ci] and ok:
                         totals[k - 1, ci] += v
                         counts[k - 1, ci] += 1
     return totals, counts

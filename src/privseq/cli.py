@@ -100,6 +100,17 @@ def _split_ints(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
+# sweep --config keys: the type of the value (or of each element of a
+# listed value) and how to name it.
+_SWEEP_CONFIG = {
+    "mechanisms": (str, True, "a list of mechanism names"),
+    "epsilons": ((int, float), True, "a list of numbers"),
+    "chunk_sizes": (int, True, "a list of integers"),
+    "runs": (int, False, "an integer"),
+    "label_kind": (str, False, "a string"),
+}
+
+
 def _split_names(text: str, what: str) -> tuple[str, ...]:
     values = tuple(v.strip() for v in text.split(",") if v.strip())
     if not values:
@@ -265,13 +276,22 @@ def sweep(
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 settings = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{config_path}: not valid JSON: {exc}")
         if not isinstance(settings, dict):
             raise DataError(f"{config_path}: sweep config must be a JSON object")
-        unknown = set(settings) - {"mechanisms", "epsilons", "chunk_sizes", "runs", "label_kind"}
+        unknown = set(settings) - set(_SWEEP_CONFIG)
         if unknown:
             raise ParameterError(f"unknown sweep config keys: {sorted(unknown)}")
+        for key, value in settings.items():
+            kind, listed, what = _SWEEP_CONFIG[key]
+            items = value if listed else [value]
+            if not isinstance(items, list) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in items
+            ):
+                raise ParameterError(
+                    f"sweep config {key!r} must be {what}, got {json.dumps(value)}"
+                )
 
     def pick(flag_value, key, default):
         if flag_value is not None:

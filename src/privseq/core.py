@@ -2,14 +2,16 @@
 
 Everything downstream operates on the types defined here: float64
 sample vectors, recordings (time x feature grids), corpora of
-recordings, chunk partitions, and the per-release accounting report.
-Construction validates invariants and raises typed errors; nothing is
-silently repaired.
+recordings, chunk partitions, and the per-release accounting report;
+also the one reader of the headered CSV side files. Construction
+validates invariants and raises typed errors; nothing is silently
+repaired.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -302,3 +304,23 @@ class MechanismReport:
         import json
 
         return json.dumps(self.payload(), sort_keys=True, indent=2)
+
+
+def _csv_rows(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each data row of a UTF-8 CSV file, in file
+    order, after checking its first row is header. A missing or other
+    header, a row of another width, a csv.Error and bytes that are not
+    UTF-8 are each a DataError naming the file (and the row)."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != tuple(header):
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_no}: expected {len(header)} columns, got {len(row)}"
+                    )
+                yield row_no, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from None

@@ -79,6 +79,8 @@ class RecordingEntry:
             raise ParameterError("manifest entry needs a participant_id")
         object.__setattr__(self, "labels", dict(self.labels))
         if self.trim is not None:
+            if len(self.trim) != 2:
+                raise ParameterError(f"trim must be [start, end], got {list(self.trim)}")
             start, end = int(self.trim[0]), int(self.trim[1])
             if start < 0 or end <= start:
                 raise ParameterError(f"trim range [{start}, {end}) is empty or negative")
@@ -139,7 +141,7 @@ def read_manifest(path) -> CorpusManifest:
                     recording_id=rec["recording_id"],
                     participant_id=rec["participant_id"],
                     labels={str(k): str(v) for k, v in rec["labels"].items()},
-                    trim=None if trim is None else (int(trim[0]), int(trim[1])),
+                    trim=None if trim is None else tuple(trim),
                 )
             )
         manifest = CorpusManifest(
@@ -149,7 +151,7 @@ def read_manifest(path) -> CorpusManifest:
             excluded_features=frozenset(raw.get("excluded_features", ())),
             base_dir=os.path.dirname(path) or ".",
         )
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
         key = f" (missing key {exc})" if isinstance(exc, KeyError) else f": {exc}"
         raise DataError(f"{path}: malformed manifest{key}") from None
     return manifest
@@ -161,6 +163,8 @@ def _read_schema(path: str) -> tuple[str, ...]:
             names = [line.strip() for line in fh if line.strip()]
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not readable as UTF-8: {exc}") from None
     if not names:
         raise DataError(f"{path}: schema file lists no features")
     return tuple(names)

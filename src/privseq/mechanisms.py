@@ -23,12 +23,17 @@ completion and the running sum act on S and N alike. A unit whose lam is
 
 One place decides each unit's k, sensitivity and lam: _feature_units
 gives a feature's layout (None for LPA, which keeps no coefficients and
-ignores any k) and sensitivities, and _unit_scales their scales.
-build_report, perturb_corpus, the one-row lpa/fpa/cfpa/dcfpa, the sweep
-and retention tuning all read them, and all release through _release.
+ignores any k), sensitivities and scales (_unit_scales). build_report,
+the one-row lpa/fpa/cfpa/dcfpa, the corpus driver and retention tuning
+all read it, and all release through _release. perturb_corpus and the
+sweep share one driver, _release_blocks: it decides each group once and
+releases row blocks of a (group, feature) under every config, budget and
+run at once; perturb_corpus is its run 0 at one budget, so a sweep cell
+scores exactly what perturb releases.
 
-Noise streams: every mechanism invocation reads one unit-Laplace vector
-from the origin of its NoiseSource, n values for LPA and 2n for FPA.
+Noise streams: every mechanism invocation reads one vector of 2n
+unit-Laplace draws from the origin of its NoiseSource. LPA adds the
+first n, which are the draws an n-draw call on the same stream gives.
 Bin j of the chunk starting at sample s reads the pair at draws
 2(s + j) and 2(s + j) + 1 as its real and imaginary part (FpaLayout),
 whether or not the bin is retained or its noise scale is zero. A bin's
@@ -102,11 +107,13 @@ def _validated_signal(x: RealSeq) -> np.ndarray:
     return arr
 
 
-def _noise_scale(delta, epsilon: float, factor=1.0):
-    """factor * delta / epsilon for a valid budget, elementwise over
-    broadcast arrays (a float for scalars); a positive delta whose scale
-    underflows (adding almost no noise) is a ParameterError."""
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+def _noise_scale(delta, epsilon, factor=1.0):
+    """factor * delta / epsilon for valid budgets, elementwise over
+    broadcast arrays (a float for scalars; a (budgets, 1) epsilon column
+    gives a row per budget); a positive delta whose scale underflows
+    (adding almost no noise) is a ParameterError."""
+    eps = np.asarray(epsilon, dtype=np.float64)
+    if not ((eps > 0.0) & np.isfinite(eps)).all():
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     delta = np.asarray(delta, dtype=np.float64)
     bad = ~((delta >= 0.0) & np.isfinite(delta))
@@ -126,7 +133,7 @@ def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
     """x + n i.i.d. Laplace(delta1/epsilon) draws; a copy of x when delta1=0."""
     arr = _validated_signal(x)[np.newaxis, :]
     lams = _unit_scales(None, [delta1], epsilon)
-    return _block_release(arr, None, lams, _draws([src], None, arr.shape[1]))[0, 0]
+    return _block_release(arr, None, lams, _draws([src], arr.shape[1]))[0, 0]
 
 
 def lpa_lambda(delta1: float, epsilon: float) -> float:
@@ -302,11 +309,11 @@ def _release(
     return out
 
 
-def _draws(streams: Sequence[NoiseSource], layout: FpaLayout | None, n: int) -> np.ndarray:
-    """One row of unit draws per stream: the n LPA reads (layout None) or
-    the 2n an FPA layout reads."""
-    count = n if layout is None else layout.draw_count
-    return np.stack([unit_laplace(s.generator(), count) for s in streams])
+def _draws(streams: Sequence[NoiseSource], n: int) -> np.ndarray:
+    """One row of 2n unit draws per stream, what an FPA layout of a
+    length-n signal reads; LPA reads the first n, which are the draws of
+    an n-draw call on the same stream."""
+    return np.stack([unit_laplace(s.generator(), 2 * n) for s in streams])
 
 
 def _block_release(
@@ -350,7 +357,7 @@ def _fpa_row(
         raise ParameterError(f"plan covers {plan.total_length} samples but the signal has {n}")
     layout = FpaLayout(plan, [k for _, k in per_chunk])
     lams = _unit_scales(layout, [d for d, _ in per_chunk], epsilon)
-    draws = _draws([src], layout, n)
+    draws = _draws([src], n)
     return _block_release(arr, layout, lams, draws, difference, symmetric, literal)[0, 0]
 
 
@@ -482,30 +489,35 @@ def _feature_units(
     sens: SensitivityTable,
     feature: str,
     k_table: Mapping[tuple[str, int], int] | None,
-) -> tuple[FpaLayout | None, list[float]]:
-    """(layout, sensitivities) of one feature's units under the plan:
-    None and the whole-signal L1 sensitivity for LPA, which keeps no
-    coefficients and ignores any k; otherwise the layout of each chunk's
-    k (from k_table, {(feature, chunk_index): k}, else config.k, else the
-    chunk length) and each chunk's L2 sensitivity in the config's domain.
-    A missing sensitivity or an out-of-range k is a ConfigurationError."""
+    epsilon,
+) -> tuple[FpaLayout | None, list[float], np.ndarray]:
+    """(layout, sensitivities, scales) of one feature's units under the
+    plan: None and the whole-signal L1 sensitivity for LPA, which keeps
+    no coefficients and ignores any k; otherwise the layout of each
+    chunk's k (from k_table, {(feature, chunk_index): k}, else config.k,
+    else the chunk length) and each chunk's L2 sensitivity in the
+    config's domain. The scales are _unit_scales at epsilon, a float or
+    a (budgets, 1) column giving a row per budget. A missing sensitivity
+    or an out-of-range k is a ConfigurationError, raised before any
+    scale is computed."""
     try:
         deltas = [sens.value(feature, i, config.domain, config.norm_order) for i in range(len(plan))]
     except ParameterError as exc:
         raise ConfigurationError(str(exc)) from None
-    if config.mechanism == "lpa":
-        return None, deltas
-    ks = []
-    for ci, c in enumerate(plan.chunk_lengths()):
-        if k_table is not None and (feature, ci) not in k_table:
-            raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {ci}")
-        k = int(k_table[(feature, ci)]) if k_table is not None else config.k or c
-        if not 1 <= k <= c:
-            raise ConfigurationError(
-                f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"
-            )
-        ks.append(k)
-    return FpaLayout(plan, ks), deltas
+    layout = None
+    if config.mechanism != "lpa":
+        ks = []
+        for ci, c in enumerate(plan.chunk_lengths()):
+            if k_table is not None and (feature, ci) not in k_table:
+                raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {ci}")
+            k = int(k_table[(feature, ci)]) if k_table is not None else config.k or c
+            if not 1 <= k <= c:
+                raise ConfigurationError(
+                    f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"
+                )
+            ks.append(k)
+        layout = FpaLayout(plan, ks)
+    return layout, deltas, _unit_scales(layout, deltas, epsilon)
 
 
 def build_report(
@@ -527,14 +539,21 @@ def build_report(
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     plan = config.plan_for(length)
+    return _report(config, length, [
+        (f, _feature_units(config, plan, sens, f, k_table, config.epsilon))
+        for f in feature_names if f not in excluded
+    ])
+
+
+def _report(
+    config: MechanismConfig, length: int, decided: Sequence[tuple[str, tuple]]
+) -> MechanismReport:
+    """build_report of decided units: (feature, (layout, sensitivities,
+    scales)) pairs of one length-length group at config.epsilon."""
     units: list[ReportUnit] = []
     per_feature: dict[str, float] = {}
-    for feature in feature_names:
-        if feature in excluded:
-            continue
-        layout, deltas = _feature_units(config, plan, sens, feature, k_table)
-        lams = _unit_scales(layout, deltas, config.epsilon)
-        ks = plan.chunk_lengths() if layout is None else layout.ks
+    for feature, (layout, deltas, lams) in decided:
+        ks = [length] if layout is None else layout.ks
         unit_epsilons: list[float] = []
         for ci, (delta, lam, k) in enumerate(zip(deltas, lams, ks)):
             if lam > 0.0:
@@ -589,6 +608,81 @@ def _group_ks(
     return k_table.mapping(label)
 
 
+def _release_blocks(
+    corpus: Corpus, label_kind: str, configs: Sequence[MechanismConfig], epsilon,
+    src: NoiseSource, runs: int, jobs: int, consume: Callable,
+    sens_tables: Mapping[str, SensitivityTable] | None = None, k_table: KTable | None = None,
+):
+    """The release driver of perturb_corpus and the sweep: every included
+    feature of every recording, released runs times under each config at
+    epsilon (a float, or a (budgets, 1) column).
+
+    Each group is decided once, first: its length n and, per included
+    column, each config's _feature_units. The sensitivity table is
+    sens_tables[label], which must have been built for the config's
+    plan, or else one built per (plan, domain, norm). Then each row block
+    of a (group, column) is zero-padded to n, at most BLOCK_VALUES //
+    ((runs + 1) n) rows, and run t of recording r reads the 2n unit
+    draws of stream src.derive(r, col, t). Each config's release of the
+    block, (rows, runs, n) or (budgets, rows, runs, n), goes straight to
+    consume(col, rows, block, released). Blocks run on jobs threads when
+    jobs > 1. Returns {label: (n, {col: units per config})} and, per
+    block in a fixed order, (col, rows, consume's results per config)."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    groups, blocks = {}, []
+    for value in corpus.label_values(label_kind):
+        rows = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
+        n = max(corpus.matrices[r].length for r in rows)
+        cells, tables = {}, {}
+        for config in configs:
+            plan = config.plan_for(n)
+            key = (plan, config.domain, config.norm_order)
+            if sens_tables is not None:
+                if value not in sens_tables:
+                    raise ConfigurationError(f"no sensitivity table for label {value!r}")
+                tables[key] = sens_tables[value]
+                _check_plan(
+                    f"sensitivity table for label {value!r} was built for",
+                    tables[key].plan, plan, config.mechanism,
+                )
+            elif key not in tables:
+                tables[key] = build_group_table(
+                    corpus, label_kind, value, plan, norms=(key[2],), domains=(key[1],)
+                )
+            ks = _group_ks(k_table, value, plan, config.mechanism)
+            for col, feature in enumerate(corpus.schema):
+                if feature not in corpus.excluded_features:
+                    units = _feature_units(config, plan, tables[key], feature, ks, epsilon)
+                    cells.setdefault(col, []).append(units)
+        groups[value] = (n, cells)
+        step = max(1, BLOCK_VALUES // ((runs + 1) * n))
+        for col in cells:
+            blocks += [(value, col, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
+
+    def one_block(value: str, col: int, rows: list[int]) -> list:
+        n, cells = groups[value]
+        block = np.zeros((len(rows), n))
+        for row, r in enumerate(rows):
+            x = corpus.matrices[r].values[:, col]
+            block[row, : x.size] = x
+        draws = _draws([src.derive(r, col, t) for r in rows for t in range(runs)], n)
+        return [
+            consume(col, rows, block, _block_release(
+                block, layout, scales, draws, config.mechanism == "dcfpa",
+                config.symmetric, config.literal_reconstruct,
+            ))
+            for config, (layout, _, scales) in zip(configs, cells[col])
+        ]
+
+    if jobs == 1:
+        done = [one_block(*b) for b in blocks]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(lambda b: one_block(*b), blocks))
+    return groups, [(col, rows, out) for (_, col, rows), out in zip(blocks, done)]
+
+
 def perturb_corpus(
     corpus: Corpus,
     label_kind: str,
@@ -608,73 +702,26 @@ def perturb_corpus(
     every group, tuned for the plan the group is released with; lpa
     ignores it. Recordings shorter than their group's maximum length are
     zero-padded for perturbation (matching the padded sensitivity
-    definition) and trimmed back on release. Each (group, feature) has
-    its layout and scales decided once and goes through the release step
-    in blocks of rows; recording r's feature f draws from stream (r, f,
-    0), exactly as a direct mechanism call on that stream would, so
-    output is independent of worker count.
+    definition) and trimmed back on release. This is run 0 of the
+    sweep's driver (_release_blocks) at one budget: recording r's
+    feature f draws from stream (r, f, 0), exactly as a direct mechanism
+    call on that stream would, so output is independent of block size
+    and worker count, and the reports hold the units it released with.
     """
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    labels = corpus.label_values(label_kind)
-    reports: dict[str, MechanismReport] = {}
-    cells: dict[tuple[str, int], tuple[FpaLayout | None, np.ndarray]] = {}
-    lengths: dict[str, int] = {}
-    for value in labels:
-        n = lengths[value] = max(m.length for m in corpus.group(label_kind, value))
-        plan = config.plan_for(n)
-        if sens_tables is not None:
-            if value not in sens_tables:
-                raise ConfigurationError(f"no sensitivity table for label {value!r}")
-            table = sens_tables[value]
-            _check_plan(
-                f"sensitivity table for label {value!r} was built for",
-                table.plan, plan, config.mechanism,
-            )
-        else:
-            table = build_group_table(
-                corpus, label_kind, value, plan, norms=(config.norm_order,), domains=(config.domain,)
-            )
-        ks = _group_ks(k_table, value, plan, config.mechanism)
-        reports[value] = build_report(
-            config, table, corpus.schema, n, excluded=corpus.excluded_features, k_table=ks
-        )
-        for f, feature in enumerate(corpus.schema):
-            if feature not in corpus.excluded_features:
-                layout, deltas = _feature_units(config, plan, table, feature, ks)
-                cells[(value, f)] = (layout, _unit_scales(layout, deltas, config.epsilon))
-
     outs = [m.values.copy() for m in corpus.matrices]
 
-    def one_block(value: str, f: int, rows: list[int]) -> None:
-        layout, lams = cells[(value, f)]
-        block = np.zeros((len(rows), lengths[value]))
+    def write(col: int, rows: list[int], block: np.ndarray, released: np.ndarray) -> None:
+        noisy = clamp_nonnegative(released[:, 0]) if config.clamp else released[:, 0]
         for row, r in enumerate(rows):
-            x = corpus.matrices[r].values[:, f]
-            block[row, : x.size] = x
-        draws = _draws([src.derive(r, f, 0) for r in rows], layout, lengths[value])
-        noisy = _block_release(
-            block, layout, lams, draws, config.mechanism == "dcfpa",
-            config.symmetric, config.literal_reconstruct,
-        )[:, 0]
-        if config.clamp:
-            noisy = clamp_nonnegative(noisy)
-        for row, r in enumerate(rows):
-            outs[r][:, f] = noisy[row, : outs[r].shape[0]]
+            outs[r][:, col] = noisy[row, : outs[r].shape[0]]
 
-    units = []
-    for value in labels:
-        rows = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
-        step = max(1, BLOCK_VALUES // (2 * lengths[value]))
-        for f, feature in enumerate(corpus.schema):
-            if feature not in corpus.excluded_features:
-                units += [(value, f, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
-    if jobs == 1:
-        for u in units:
-            one_block(*u)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda u: one_block(*u), units))
+    groups, _ = _release_blocks(
+        corpus, label_kind, [config], config.epsilon, src, 1, jobs, write, sens_tables, k_table
+    )
+    reports = {
+        value: _report(config, n, [(corpus.schema[col], units) for col, (units,) in cells.items()])
+        for value, (n, cells) in groups.items()
+    }
     # FeatureMatrix keeps its own copy; popping each buffer as it is used
     # keeps a second copy of the whole corpus from being alive at once.
     matrices = tuple(

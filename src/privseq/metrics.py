@@ -9,20 +9,19 @@ The sweep runner measures mean utility per (mechanism, chunk size,
 epsilon) over repeated noisy executions. Aggregation is two-stage: NMSE
 cells (one per recording x run) are averaged per feature, per-feature
 means are averaged across features, and the row's utility is the
-reciprocal of that final mean. Each cell's per-unit k, sensitivity and
-noise scale come from the mechanisms' one decision (_feature_units,
-_unit_scales), and its releases from their one release step, so a sweep
-cell is bitwise what the mechanism releases. The sweep's unit of work is
-a row block of one (group, feature): each config releases the whole
-block over the whole epsilon grid at once, and each recording's cells
-are taken over its own length. Noise streams are addressed by
+reciprocal of that final mean. The sweep runs on the release driver
+perturb_corpus runs on (mechanisms._release_blocks), which decides each
+unit's k, sensitivity and noise scale once and releases row blocks of
+one (group, feature), each config over the whole epsilon grid at once;
+run 0 of a cell is bitwise what perturb_corpus releases at that budget.
+The sweep scores each block as it is released (_cell_sums), each
+recording's cells over its own length. Noise streams are addressed by
 (recording, feature, run), epsilon never enters a stream address, and
 per-recording partial sums are merged in recording order, so sweeps are
 bitwise reproducible and independent of block size and worker count.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass
@@ -31,24 +30,16 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from privseq.core import (
-    ChunkPlan,
     Corpus,
     DataError,
     InternalInvariantError,
     ParameterError,
     RealSeq,
+    _csv_rows,
 )
-from privseq.mechanisms import (
-    BLOCK_VALUES,
-    MECHANISMS,
-    MechanismConfig,
-    _block_release,
-    _feature_units,
-    _group_ks,
-    _unit_scales,
-)
-from privseq.noise import NoiseSource, unit_laplace
-from privseq.sensitivity import SensitivityTable, build_group_table
+from privseq.mechanisms import MECHANISMS, MechanismConfig, _release_blocks
+from privseq.noise import NoiseSource
+from privseq.sensitivity import build_group_table  # noqa: F401 (perfbench traces it here)
 
 if TYPE_CHECKING:
     from privseq.tuning import KTable
@@ -246,28 +237,21 @@ def write_sweep_csv(sweep: UtilitySweep, path) -> None:
 
 def load_sweep_csv(path) -> UtilitySweep:
     rows: list[SweepRow] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _SWEEP_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_SWEEP_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(_SWEEP_HEADER):
-                raise DataError(f"{path}: row {row_no}: wrong column count")
-            try:
-                rows.append(
-                    SweepRow(
-                        mechanism=row[0],
-                        chunk_size=None if row[1] == "" else int(row[1]),
-                        epsilon=float(row[2]),
-                        mean_utility=float(row[3]),
-                        mean_nmse=float(row[4]),
-                        runs=int(row[5]),
-                        flagged_rows=int(row[6]),
-                    )
+    for row_no, row in _csv_rows(path, _SWEEP_HEADER):
+        try:
+            rows.append(
+                SweepRow(
+                    mechanism=row[0],
+                    chunk_size=None if row[1] == "" else int(row[1]),
+                    epsilon=float(row[2]),
+                    mean_utility=float(row[3]),
+                    mean_nmse=float(row[4]),
+                    runs=int(row[5]),
+                    flagged_rows=int(row[6]),
                 )
-            except (ValueError, ParameterError, InternalInvariantError) as exc:
-                raise DataError(f"{path}: row {row_no}: {exc}") from None
+            )
+        except (ValueError, ParameterError, InternalInvariantError) as exc:
+            raise DataError(f"{path}: row {row_no}: {exc}") from None
     return UtilitySweep(rows=tuple(rows))
 
 
@@ -290,88 +274,29 @@ def _sweep_configs(
     return configs
 
 
-def _group_cells(
-    corpus: Corpus,
-    label_kind: str,
-    label_value: str,
-    configs: Sequence[tuple[str, int | None]],
-    epsilons: Sequence[float],
-    k_table: KTable | None,
-) -> tuple[int, dict[tuple[int, str], tuple]]:
-    """One group's length and {(config index, feature): (layout,
-    scales)}: the release decision of mechanisms._feature_units, with one
-    row of unit scales per epsilon."""
-    length = max(m.length for m in corpus.group(label_kind, label_value))
-    cells = {}
-    tables: dict[tuple[ChunkPlan, str, int], SensitivityTable] = {}
-    for cfg_idx, (mech, c) in enumerate(configs):
-        config = MechanismConfig(mechanism=mech, epsilon=1.0, chunk_size=c)
-        plan = config.plan_for(length)
-        key = (plan, config.domain, config.norm_order)
-        if key not in tables:
-            tables[key] = build_group_table(
-                corpus, label_kind, label_value, plan, norms=(key[2],), domains=(key[1],)
-            )
-        ks = _group_ks(k_table, label_value, plan, mech)
-        for f in corpus.included_features:
-            layout, deltas = _feature_units(config, plan, tables[key], f, ks)
-            scales = np.stack([_unit_scales(layout, deltas, e) for e in epsilons])
-            cells[(cfg_idx, f)] = (layout, scales)
-    return length, cells
-
-
-def _block_sums(
-    corpus: Corpus,
-    rows: Sequence[int],
-    col: int,
-    group: tuple[int, dict[tuple[int, str], tuple]],
-    configs: Sequence[tuple[str, int | None]],
-    runs: int,
-    src: NoiseSource,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All NMSE cells of one row block of a (group, feature): the
-    recordings rows, column col, zero-padded to the group's length.
-
-    Returns (sums of the valid cells, valid counts), each (configs,
-    epsilons, recordings). Run t of recording r reads one unit-Laplace
-    vector of length 2 * length from stream (r, col, t), exactly what a
-    Fourier mechanism call on it draws (lpa reads the first length). Each
-    config is one release step over the whole block and epsilon grid;
-    each recording's cells are taken over its own length, and its sum
-    over the valid runs is that of numpy's sum of those runs in run order.
-    """
-    length, cells = group
-    feature = corpus.schema[col]
-    signals = [corpus.matrices[r].values[:, col] for r in rows]
-    block = np.zeros((len(rows), length))
-    for i, x in enumerate(signals):
-        block[i, : x.size] = x
-    draws = np.stack(
-        [unit_laplace(src.derive(r, col, t).generator(), 2 * length) for r in rows for t in range(runs)]
-    )
+def _cell_sums(corpus: Corpus, rows: Sequence[int], block: np.ndarray, released: np.ndarray):
+    """(sums of the valid NMSE cells, valid counts), each (epsilons,
+    recordings), of one config's (epsilons, rows, runs, n) release of a
+    row block of recordings rows. Each recording's cells are taken over
+    its own length, and its sum over the valid runs is that of numpy's
+    sum of those runs in run order."""
     by_length: dict[int, list[int]] = {}
-    for i, x in enumerate(signals):
-        by_length.setdefault(x.size, []).append(i)
-    totals, valid = [], []
-    for cfg_idx, (mech, _) in enumerate(configs):
-        layout, scales = cells[(cfg_idx, feature)]
-        released = _block_release(block, layout, scales, draws, mech == "dcfpa")
-        sums = np.empty((len(scales), len(rows)))
-        counts = np.empty((len(scales), len(rows)), dtype=np.int64)
-        for n, members in by_length.items():
-            xt = released[..., :n] if len(members) == len(rows) else released[:, members, :, :n]
-            x = block[members, :n]
-            den = np.mean(x, axis=-1)[:, np.newaxis] * np.mean(xt, axis=-1)
-            xt -= x[:, np.newaxis, :]  # the release is not read again
-            xt *= xt
-            values, ok = _nmse_ratio(np.mean(xt, axis=-1), den)
-            sums[:, members] = np.sum(values, axis=-1)
-            counts[:, members] = np.count_nonzero(ok, axis=-1)
-            for e, i in zip(*np.nonzero(~ok.all(axis=-1))):
-                sums[e, members[i]] = np.sum(values[e, i][ok[e, i]])
-        totals.append(sums)
-        valid.append(counts)
-    return np.stack(totals), np.stack(valid)
+    for i, r in enumerate(rows):
+        by_length.setdefault(corpus.matrices[r].length, []).append(i)
+    sums = np.empty(released.shape[:2])
+    counts = np.empty(released.shape[:2], dtype=np.int64)
+    for n, members in by_length.items():
+        xt = released[..., :n] if len(members) == len(rows) else released[:, members, :, :n]
+        x = block[members, :n]
+        den = np.mean(x, axis=-1)[:, np.newaxis] * np.mean(xt, axis=-1)
+        xt -= x[:, np.newaxis, :]  # the release is not read again
+        xt *= xt
+        values, ok = _nmse_ratio(np.mean(xt, axis=-1), den)
+        sums[:, members] = np.sum(values, axis=-1)
+        counts[:, members] = np.count_nonzero(ok, axis=-1)
+        for e, i in zip(*np.nonzero(~ok.all(axis=-1))):
+            sums[e, members[i]] = np.sum(values[e, i][ok[e, i]])
+    return sums, counts
 
 
 def run_sweep(
@@ -395,8 +320,6 @@ def run_sweep(
     """
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if not epsilons:
         raise ParameterError("empty sweep grid: no epsilons")
     eps = [float(e) for e in epsilons]
@@ -407,39 +330,23 @@ def run_sweep(
     features = corpus.included_features
     if not features:
         raise ParameterError("empty sweep: every feature excluded")
-    groups = {
-        value: _group_cells(corpus, label_kind, value, configs, eps, k_table)
-        for value in corpus.label_values(label_kind)
-    }
-
-    # One unit per row block of a (group, feature), sized like
-    # perturb_corpus's blocks with S and the runs' N rows counted.
-    units: list[tuple[str, int, list[int]]] = []  # (label, feature col, recordings)
-    feature_col = {f: corpus.schema.index(f) for f in features}
-    for value, (length, _) in groups.items():
-        members = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
-        step = max(1, BLOCK_VALUES // ((runs + 1) * length))
-        for col in feature_col.values():
-            units += [(value, col, members[lo : lo + step]) for lo in range(0, len(members), step)]
-
-    def run_unit(unit: tuple[str, int, list[int]]):
-        label, col, recordings = unit
-        return _block_sums(corpus, recordings, col, groups[label], configs, runs, src)
-
-    if jobs == 1:
-        partials = [run_unit(u) for u in units]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(run_unit, units))
+    _, blocks = _release_blocks(
+        corpus, label_kind, [MechanismConfig(mech, 1.0, chunk_size=c) for mech, c in configs],
+        np.array(eps)[:, np.newaxis], src, runs, jobs,
+        lambda col, rows, block, released: _cell_sums(corpus, rows, block, released),
+        k_table=k_table,
+    )
 
     # Float sums are merged per recording, in recording order, so they
     # never depend on block size or scheduling; counts are exact anyway.
     shape = (len(configs), len(eps))
+    feature_col = {f: corpus.schema.index(f) for f in features}
     totals = {col: np.zeros(shape) for col in feature_col.values()}
     valid = {col: np.zeros(shape, dtype=np.int64) for col in feature_col.values()}
     per_recording = {}
-    for (_, col, recordings), (sums, counts) in zip(units, partials):
-        valid[col] += counts.sum(axis=-1)
+    for col, recordings, out in blocks:
+        sums = np.stack([s for s, _ in out])
+        valid[col] += np.stack([c for _, c in out]).sum(axis=-1)
         per_recording.update({(r, col): sums[..., i] for i, r in enumerate(recordings)})
     for r, col in sorted(per_recording):
         totals[col] += per_recording[(r, col)]

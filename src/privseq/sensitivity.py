@@ -45,6 +45,7 @@ from privseq.core import (
     InsufficientGroupError,
     ParameterError,
     RealSeq,
+    _csv_rows,
     chunk_plan,
 )
 from privseq.transform import diff_transform
@@ -293,27 +294,20 @@ def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
     cell; all rows of a group must name one chunk plan."""
     entries: dict[str, dict[tuple[str, int, str, int], float]] = {}
     shapes: dict[str, tuple[int, int]] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _CSV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(_CSV_HEADER):
-                raise DataError(f"{path}: row {row_no}: expected {len(_CSV_HEADER)} columns")
-            feature, chunk_s, domain, norm_s, value_s, group, size_s, length_s = row
-            try:
-                key = (feature, int(chunk_s), domain, int(norm_s))
-                value = float(value_s)
-                shape = (int(size_s), int(length_s))
-            except ValueError as exc:
-                raise DataError(f"{path}: row {row_no}: {exc}") from None
-            if shapes.setdefault(group, shape) != shape:
-                raise DataError(
-                    f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
-                    "(chunk_size, length)"
-                )
-            entries.setdefault(group, {})[key] = value
+    for row_no, row in _csv_rows(path, _CSV_HEADER):
+        feature, chunk_s, domain, norm_s, value_s, group, size_s, length_s = row
+        try:
+            key = (feature, int(chunk_s), domain, int(norm_s))
+            value = float(value_s)
+            shape = (int(size_s), int(length_s))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row_no}: {exc}") from None
+        if shapes.setdefault(group, shape) != shape:
+            raise DataError(
+                f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
+                "(chunk_size, length)"
+            )
+        entries.setdefault(group, {})[key] = value
     if not entries:
         raise DataError(f"{path}: no entries")
     try:

@@ -59,18 +59,20 @@ from privseq.core import (
     DataError,
     ParameterError,
     RealSeq,
+    _csv_rows,
     chunk_plan,
 )
 from privseq.mechanisms import (
     BLOCK_VALUES,
     MechanismConfig,
+    _draws,
     _fpa_scales,
     _noise_pairs,
     _uniform_blocks,
     fpa_spectra,
 )
 from privseq.metrics import _nmse_ratio
-from privseq.noise import NoiseSource, unit_laplace
+from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 
 __all__ = [
@@ -164,7 +166,7 @@ def _candidate_totals(
         block = stacked[lo : lo + step]
         members = block.shape[0]
         streams = itertools.product(range(lo, lo + members), range(runs))
-        draws = np.stack([unit_laplace(src.derive(m, t).generator(), 2 * n) for m, t in streams])
+        draws = _draws([src.derive(m, t) for m, t in streams], n)
         pairs = _noise_pairs(draws, n).reshape(members, runs, n)
         spectra = fpa_spectra(block, plan, difference)
         for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(plan)):
@@ -371,36 +373,29 @@ def load_k_csv(path) -> KTable:
     runs_used: int | None = None
     epsilon_used: float | None = None
     mechanism: str | None = None
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _K_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_K_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(_K_HEADER):
-                raise DataError(f"{path}: row {row_no}: wrong column count")
-            try:
-                key = (row[0], row[1], int(row[2]))
-                k = int(row[3])
-                runs = int(row[4])
-                eps = float(row[5])
-                shape = (int(row[6]), int(row[7]))
-            except ValueError as exc:
-                raise DataError(f"{path}: row {row_no}: {exc}") from None
-            if shapes.setdefault(key[0], shape) != shape:
-                raise DataError(
-                    f"{path}: row {row_no}: group {key[0]!r} rows name chunk plans "
-                    f"{shapes[key[0]]} and {shape} (chunk_size, length)"
-                )
-            if key in entries:
-                raise DataError(f"{path}: row {row_no}: duplicate entry for {key}")
-            if runs_used is None:
-                runs_used, epsilon_used, mechanism = runs, eps, row[8]
-            elif runs != runs_used or eps != epsilon_used or row[8] != mechanism:
-                raise DataError(
-                    f"{path}: row {row_no}: inconsistent runs_used/epsilon_used/mechanism"
-                )
-            entries[key] = k
+    for row_no, row in _csv_rows(path, _K_HEADER):
+        try:
+            key = (row[0], row[1], int(row[2]))
+            k = int(row[3])
+            runs = int(row[4])
+            eps = float(row[5])
+            shape = (int(row[6]), int(row[7]))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row_no}: {exc}") from None
+        if shapes.setdefault(key[0], shape) != shape:
+            raise DataError(
+                f"{path}: row {row_no}: group {key[0]!r} rows name chunk plans "
+                f"{shapes[key[0]]} and {shape} (chunk_size, length)"
+            )
+        if key in entries:
+            raise DataError(f"{path}: row {row_no}: duplicate entry for {key}")
+        if runs_used is None:
+            runs_used, epsilon_used, mechanism = runs, eps, row[8]
+        elif runs != runs_used or eps != epsilon_used or row[8] != mechanism:
+            raise DataError(
+                f"{path}: row {row_no}: inconsistent runs_used/epsilon_used/mechanism"
+            )
+        entries[key] = k
     if not entries:
         raise DataError(f"{path}: no entries")
     try:

@@ -314,6 +314,38 @@ def test_perturb_corrupt_cell_is_exit_3(corpus_dir, tmp_path):
     assert "row 3" in result.stderr
 
 
+def _copy_corpus(corpus_dir, to):
+    to.mkdir()
+    for p in corpus_dir.iterdir():
+        (to / p.name).write_bytes(p.read_bytes())
+    return to / MANIFEST_NAME
+
+
+def test_perturb_malformed_manifest_is_exit_3(corpus_dir, tmp_path):
+    manifest = _copy_corpus(corpus_dir, tmp_path / "broken")
+    raw = json.loads(manifest.read_text())
+    raw["recordings"][0]["trim"] = [5]
+    manifest.write_text(json.dumps(raw))
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "lpa",
+        "--epsilon", 2.4, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 3
+    assert "malformed manifest" in result.stderr
+
+
+def test_perturb_non_utf8_schema_is_exit_3(corpus_dir, tmp_path):
+    manifest = _copy_corpus(corpus_dir, tmp_path / "broken")
+    schema = manifest.parent / json.loads(manifest.read_text())["schema"]
+    schema.write_bytes(schema.read_bytes() + b"\xff\n")
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "lpa",
+        "--epsilon", 2.4, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 3
+    assert "UTF-8" in result.stderr
+
+
 # --- sweep ---------------------------------------------------------------------
 
 
@@ -373,6 +405,19 @@ def test_sweep_config_file_errors(manifest, tmp_path):
     result = run_cli("sweep", "--manifest", manifest, "--config", not_json,
                      "--out", tmp_path / "y.csv")
     assert result.exit_code == 3
+
+    # every value of the wrong type is a usage error naming its key
+    for key, value in (
+        ("runs", "abc"), ("runs", True), ("runs", 1.9), ("epsilons", 5), ("epsilons", ["1"]),
+        ("mechanisms", "lpa"), ("chunk_sizes", [8.5]), ("label_kind", 3),
+    ):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({key: value}))
+        result = run_cli("sweep", "--manifest", manifest, "--config", config,
+                         "--out", tmp_path / "z.csv")
+        assert result.exit_code == 2, (key, value, result.output)
+        assert key in result.stderr
+        assert not (tmp_path / "z.csv").exists()
 
 
 def test_sweep_tune_constraints(manifest, tmp_path):

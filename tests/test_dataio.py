@@ -469,6 +469,16 @@ def test_manifest_failures(tmp_path):
     with pytest.raises(DataError, match="duplicate"):
         read_manifest(bad)
 
+    # wrongly shaped entries are malformed input, not a traceback
+    entry = {"path": "a.csv", "recording_id": "r", "participant_id": "p",
+             "labels": {"category": "a"}}
+    for recording in (
+        {**entry, "trim": [5]}, {**entry, "trim": [0, 2, 99]}, {**entry, "labels": ["x"]}, "a.csv",
+    ):
+        bad.write_text(json.dumps({"schema": SCHEMA_NAME, "recordings": [recording]}))
+        with pytest.raises(DataError, match="malformed manifest"):
+            read_manifest(bad)
+
 
 def test_manifest_rejects_inconsistent_label_kinds():
     entries = (

@@ -646,12 +646,15 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
     # One block per (group, feature) through the core must give exactly
     # what a direct mechanism call gives each zero-padded recording on
     # stream (r, f, 0): remainder chunk, tuned counts, symmetric
-    # completion, literal aggregation and clamping included.
+    # completion, literal aggregation and clamping included. lpa reads
+    # the first n of the block's 2n draws per stream, which must be the
+    # draws of lpa's own n-draw call.
     from privseq.sensitivity import build_group_table
 
     corpus = _corpus(lengths=(13, 10, 13, 11))
     names = corpus.schema
     for config in (
+        MechanismConfig(mechanism="lpa", epsilon=0.7, clamp=True),
         MechanismConfig(mechanism="fpa", epsilon=2.4, symmetric=True),
         MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4, symmetric=True),
         MechanismConfig(mechanism="cfpa", epsilon=0.5, chunk_size=5, clamp=True),
@@ -663,14 +666,18 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
             n = max(m.length for m in corpus.group("category", value))
             plans[value] = config.plan_for(n)
             tables[value] = build_group_table(
-                corpus, "category", value, plans[value], norms=(2,), domains=(config.domain,)
+                corpus, "category", value, plans[value], norms=(config.norm_order,),
+                domains=(config.domain,),
             )
             for f, feature in enumerate(names):
                 for ci, length in enumerate(plans[value].chunk_lengths()):
                     entries[(value, feature, ci)] = 1 + (ci + f) % length
-        k_table = KTable(
-            entries=entries, runs_used=1, epsilon_used=1.0, plans=plans, mechanism=config.mechanism
-        )
+        k_table = None
+        if config.mechanism != "lpa":
+            k_table = KTable(
+                entries=entries, runs_used=1, epsilon_used=1.0, plans=plans,
+                mechanism=config.mechanism,
+            )
         src = NoiseSource(seed=17)
         noisy, _ = perturb_corpus(
             corpus, "category", config, src, sens_tables=tables, k_table=k_table
@@ -682,11 +689,15 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
                 padded = np.zeros(plan.total_length)
                 padded[: m.length] = m.values[:, f]
                 per_chunk = [
-                    (tables[value].value(feature, ci, config.domain, 2), entries[(value, feature, ci)])
+                    (tables[value].value(feature, ci, config.domain, config.norm_order),
+                     entries[(value, feature, ci)])
                     for ci in range(len(plan))
                 ]
                 stream = src.derive(r, f, 0)
-                if config.mechanism == "fpa":
+                if config.mechanism == "lpa":
+                    (d, _), = per_chunk
+                    direct = lpa(padded, d, config.epsilon, stream)
+                elif config.mechanism == "fpa":
                     (d, k), = per_chunk
                     direct = fpa(padded, d, config.epsilon, k, stream, config.symmetric)
                 elif config.mechanism == "cfpa":

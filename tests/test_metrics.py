@@ -16,7 +16,8 @@ from privseq.core import (
     ParameterError,
     chunk_plan,
 )
-from privseq.mechanisms import MechanismConfig, cfpa, dcfpa, fpa, lpa
+from privseq import mechanisms
+from privseq.mechanisms import MechanismConfig, cfpa, dcfpa, fpa, lpa, perturb_corpus
 from privseq.metrics import (
     CorrelationCurve,
     SweepRow,
@@ -219,6 +220,11 @@ def test_sweep_csv_loader_errors(tmp_path):
     with pytest.raises(DataError, match="row 2"):
         load_sweep_csv(path)
 
+    # bytes that are not UTF-8 are malformed input, not a traceback
+    path.write_bytes(head.encode() + b"\xff\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        load_sweep_csv(path)
+
 
 # --- run_sweep ----------------------------------------------------------------
 
@@ -346,6 +352,31 @@ def test_run_sweep_jobs_and_rerun_invariance():
     b = run_sweep(corpus, "category", NoiseSource(seed=5), jobs=4, **kwargs)
     c = run_sweep(corpus, "category", NoiseSource(seed=5), **kwargs)
     assert a.rows == b.rows == c.rows
+
+
+def test_perturb_and_sweep_are_independent_of_block_size():
+    # perturb_corpus and run_sweep share one release driver, whose row
+    # blocks hold about mechanisms.BLOCK_VALUES values; one-row blocks
+    # (40 values at these lengths) must give the same bytes as the
+    # default's one block per (group, feature).
+    corpus = _sweep_corpus()
+    outputs = []
+    for block_values in (mechanisms.BLOCK_VALUES, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mechanisms, "BLOCK_VALUES", block_values)
+            released = [
+                perturb_corpus(
+                    corpus, "category", MechanismConfig(mechanism=m, epsilon=2.4, chunk_size=8),
+                    NoiseSource(seed=3),
+                )[0]
+                for m in mechanisms.MECHANISMS
+            ]
+            sweep = run_sweep(
+                corpus, "category", NoiseSource(seed=3), epsilons=(0.48, 4.8), chunk_sizes=(8,),
+                runs=2,
+            )
+        outputs.append(([m.values.tobytes() for c in released for m in c.matrices], sweep.rows))
+    assert outputs[0] == outputs[1]
 
 
 def test_run_sweep_utility_grows_with_epsilon():

@@ -462,6 +462,11 @@ def test_sensitivity_csv_loader_errors(tmp_path):
     with pytest.raises(DataError, match="outside"):
         load_sensitivity_tables(path)
 
+    # bytes that are not UTF-8 are malformed input, not a traceback
+    path.write_bytes(header.encode() + b"\xff\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        load_sensitivity_tables(path)
+
 
 def test_multi_group_round_trip(tmp_path):
     corpus = _corpus()

@@ -398,3 +398,8 @@ def test_k_csv_loader_errors(tmp_path):
     path.write_text(head + "a,f0,0,2,4,1.0,0,16,cfpa\n")
     with pytest.raises(DataError, match="chunk_size"):
         load_k_csv(path)
+
+    # bytes that are not UTF-8 are malformed input, not a traceback
+    path.write_bytes(head.encode() + b"\xff\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        load_k_csv(path)

@@ -20,6 +20,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, NoReturn, Sequence
@@ -61,7 +62,9 @@ class RecordingEntry:
     """Manifest row: where one recording lives and who it belongs to.
 
     trim, when present, keeps only rows [start, end) of the stored CSV,
-    for replicating evaluations that skip part of a recording.
+    for replicating evaluations that skip part of a recording; both
+    bounds must be integers (not bools). recording_id must be a plain
+    file name: write_corpus stores the recording as <recording_id>.csv.
     """
 
     file_path: str
@@ -75,12 +78,17 @@ class RecordingEntry:
             raise ParameterError("manifest entry needs a file path")
         if not self.recording_id:
             raise ParameterError("manifest entry needs a recording_id")
+        seps = {"/", os.sep, os.altsep, "\0"} - {None}
+        if self.recording_id in (".", "..") or any(c in self.recording_id for c in seps):
+            raise ParameterError(f"recording id {self.recording_id!r} is not a plain file name")
         if not self.participant_id:
             raise ParameterError("manifest entry needs a participant_id")
         object.__setattr__(self, "labels", dict(self.labels))
         if self.trim is not None:
             if len(self.trim) != 2:
                 raise ParameterError(f"trim must be [start, end], got {list(self.trim)}")
+            if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) for b in self.trim):
+                raise ParameterError(f"trim bounds must be integers, got {list(self.trim)}")
             start, end = int(self.trim[0]), int(self.trim[1])
             if start < 0 or end <= start:
                 raise ParameterError(f"trim range [{start}, {end}) is empty or negative")
@@ -144,11 +152,14 @@ def read_manifest(path) -> CorpusManifest:
                     trim=None if trim is None else tuple(trim),
                 )
             )
+        excluded = raw.get("excluded_features", [])
+        if not isinstance(excluded, list) or not all(isinstance(f, str) for f in excluded):
+            raise ParameterError(f"excluded_features must be a list of names, got {excluded!r}")
         manifest = CorpusManifest(
             recordings=tuple(entries),
             schema_path=raw["schema"],
             step_seconds=float(raw.get("step_seconds", 1.0)),
-            excluded_features=frozenset(raw.get("excluded_features", ())),
+            excluded_features=frozenset(excluded),
             base_dir=os.path.dirname(path) or ".",
         )
     except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
@@ -244,11 +255,17 @@ def load_corpus(manifest, jobs: int = 1) -> Corpus:
 
     Features that are zero everywhere across the whole load group are
     added to excluded_features with a logged notice; downstream
-    sensitivity and utility aggregation skip them.
+    sensitivity and utility aggregation skip them. A manifest that
+    excludes a feature the schema does not name is a DataError.
     """
-    if not isinstance(manifest, CorpusManifest):
-        manifest = read_manifest(manifest)
+    if isinstance(manifest, CorpusManifest):
+        where = f"manifest in {manifest.base_dir}"
+    else:
+        where, manifest = os.fspath(manifest), read_manifest(manifest)
     schema = _read_schema(os.path.join(manifest.base_dir, manifest.schema_path))
+    unknown = manifest.excluded_features - set(schema)
+    if unknown:
+        raise DataError(f"{where}: excluded features not in schema: {sorted(unknown)}")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(manifest.recordings) <= 1:
@@ -290,7 +307,8 @@ def write_corpus(
     are given (one per label group), a sibling report.json is written
     alongside the data. A feature name that schema.txt cannot carry
     (empty, with leading or trailing whitespace, or holding a line
-    break) raises ParameterError before anything is created.
+    break), or a recording id that is not a plain file name, raises
+    ParameterError before anything is created.
     """
     for name in corpus.schema:
         if not name or name != name.strip() or "\n" in name or "\r" in name:
@@ -298,26 +316,20 @@ def write_corpus(
                 f"feature name {name!r} cannot be stored in {SCHEMA_NAME}: a name must be "
                 "non-empty, without leading or trailing whitespace or line breaks"
             )
+    entries = [
+        RecordingEntry(f"{m.recording_id}.csv", m.recording_id, m.participant_id, m.labels)
+        for m in corpus.matrices
+    ]
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, SCHEMA_NAME), "w", encoding="utf-8") as fh:
         for name in corpus.schema:
             fh.write(name + "\n")
     row_format = ",".join(["%r"] * len(corpus.schema)) + "\r\n"
-    entries = []
-    for m in corpus.matrices:
-        file_name = f"{m.recording_id}.csv"
-        with open(os.path.join(out_dir, file_name), "w", newline="", encoding="utf-8") as fh:
+    for m, e in zip(corpus.matrices, entries):
+        with open(os.path.join(out_dir, e.file_path), "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(corpus.schema)
             fh.write(row_format * m.length % tuple(m.values.ravel().tolist()))
-        entries.append(
-            RecordingEntry(
-                file_path=file_name,
-                recording_id=m.recording_id,
-                participant_id=m.participant_id,
-                labels=m.labels,
-            )
-        )
     manifest = CorpusManifest(
         recordings=tuple(entries),
         schema_path=SCHEMA_NAME,

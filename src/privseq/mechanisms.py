@@ -23,13 +23,13 @@ completion and the running sum act on S and N alike. A unit whose lam is
 
 One place decides each unit's k, sensitivity and lam: _feature_units
 gives a feature's layout (None for LPA, which keeps no coefficients and
-ignores any k), sensitivities and scales (_unit_scales). build_report,
-the one-row lpa/fpa/cfpa/dcfpa, the corpus driver and retention tuning
-all read it, and all release through _release. perturb_corpus and the
-sweep share one driver, _release_blocks: it decides each group once and
-releases row blocks of a (group, feature) under every config, budget and
-run at once; perturb_corpus is its run 0 at one budget, so a sweep cell
-scores exactly what perturb releases.
+ignores any k), sensitivities and scales (_unit_scales); build_report
+and every release read it. perturb_corpus, the sweep and retention
+tuning share one driver, _release_blocks: it decides each group once and
+hands each row block of a (group, feature), its unit draws and units to
+a consumer. One-row calls, perturb and the sweep release through
+_released; perturb_corpus is the sweep's run 0 at one budget, so a sweep
+cell scores exactly what perturb releases. Tuning scores the raw block.
 
 Noise streams: every mechanism invocation reads one vector of 2n
 unit-Laplace draws from the origin of its NoiseSource. LPA adds the
@@ -132,8 +132,8 @@ def _noise_scale(delta, epsilon, factor=1.0):
 def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
     """x + n i.i.d. Laplace(delta1/epsilon) draws; a copy of x when delta1=0."""
     arr = _validated_signal(x)[np.newaxis, :]
-    lams = _unit_scales(None, [delta1], epsilon)
-    return _block_release(arr, None, lams, _draws([src], arr.shape[1]))[0, 0]
+    units = (None, [delta1], _unit_scales(None, [delta1], epsilon))
+    return _released(arr, _draws([src], arr.shape[1]), MechanismConfig("lpa", epsilon), units)[0, 0]
 
 
 def lpa_lambda(delta1: float, epsilon: float) -> float:
@@ -316,26 +316,24 @@ def _draws(streams: Sequence[NoiseSource], n: int) -> np.ndarray:
     return np.stack([unit_laplace(s.generator(), 2 * n) for s in streams])
 
 
-def _block_release(
-    block: np.ndarray,
-    layout: FpaLayout | None,
-    lams: np.ndarray,
-    draws: np.ndarray,
-    difference: bool = False,
-    symmetric: bool = False,
-    literal: bool = False,
+def _released(
+    block: np.ndarray, draws: np.ndarray, config: MechanismConfig, units: tuple
 ) -> np.ndarray:
-    """Every row of a (rows, n) block released at the unit scales lams,
-    once per noise stream: draws holds runs consecutive rows per block
-    row, a row per stream, and the result is (..., rows, runs, n). S is
-    the block and N the first n draws for LPA (layout None), fpa_parts of
+    """Every row of a (rows, n) block released under config at its
+    decided units (layout, sensitivities, scales; _feature_units), once
+    per noise stream: draws holds runs consecutive rows per block row, a
+    row per stream, and the result is (..., rows, runs, n). S is the
+    block and N the first n draws for LPA (layout None), fpa_parts of
     the block's spectra for FPA."""
-    rows, n = block.shape
+    (layout, _, lams), (rows, n) = units, block.shape
     if layout is None:
         clean, unit = block, draws[:, :n]
     else:
+        difference = config.mechanism == "dcfpa"
         spectra = fpa_spectra(block, layout.plan, difference)
-        clean, unit = fpa_parts(spectra, layout, draws, difference, symmetric, literal)
+        clean, unit = fpa_parts(
+            spectra, layout, draws, difference, config.symmetric, config.literal_reconstruct
+        )
     return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), layout, lams)
 
 
@@ -343,22 +341,19 @@ def _fpa_row(
     x: RealSeq,
     plan: ChunkPlan,
     per_chunk: Sequence[tuple[float, int]],
-    epsilon: float,
     src: NoiseSource,
-    difference: bool = False,
-    symmetric: bool = False,
-    literal: bool = False,
+    config: MechanismConfig,
 ) -> RealSeq:
-    """One signal through the Fourier release at per-chunk (sensitivity,
-    k), reading 2n draws from src."""
+    """One signal through config's Fourier release at per-chunk
+    (sensitivity, k), reading 2n draws from src."""
     arr = _validated_signal(x)[np.newaxis, :]
     n = arr.shape[1]
     if plan.total_length != n:
         raise ParameterError(f"plan covers {plan.total_length} samples but the signal has {n}")
     layout = FpaLayout(plan, [k for _, k in per_chunk])
-    lams = _unit_scales(layout, [d for d, _ in per_chunk], epsilon)
-    draws = _draws([src], n)
-    return _block_release(arr, layout, lams, draws, difference, symmetric, literal)[0, 0]
+    deltas = [d for d, _ in per_chunk]
+    units = (layout, deltas, _unit_scales(layout, deltas, config.epsilon))
+    return _released(arr, _draws([src], n), config, units)[0, 0]
 
 
 def fpa(
@@ -371,7 +366,8 @@ def fpa(
 ) -> RealSeq:
     """Whole-signal Fourier perturbation with k retained coefficients."""
     n = _validated_signal(x).size
-    return _fpa_row(x, chunk_plan(n, n), [(delta2, k)], epsilon, src, symmetric=symmetric)
+    config = MechanismConfig("fpa", epsilon, symmetric=symmetric)
+    return _fpa_row(x, chunk_plan(n, n), [(delta2, k)], src, config)
 
 
 def cfpa(
@@ -387,7 +383,8 @@ def cfpa(
     Every chunk receives the full budget epsilon: the chunks partition
     the sample index range, so parallel composition applies.
     """
-    return _fpa_row(x, plan, per_chunk, epsilon, src, symmetric=symmetric)
+    config = MechanismConfig("cfpa", epsilon, plan.chunk_size, symmetric=symmetric)
+    return _fpa_row(x, plan, per_chunk, src, config)
 
 
 def dcfpa(
@@ -407,7 +404,10 @@ def dcfpa(
     aggregation variant for comparison; it is not the inverse of the
     difference transform and is off by default.
     """
-    return _fpa_row(x, plan, per_chunk, epsilon, src, True, symmetric, literal)
+    config = MechanismConfig(
+        "dcfpa", epsilon, plan.chunk_size, symmetric=symmetric, literal_reconstruct=literal
+    )
+    return _fpa_row(x, plan, per_chunk, src, config)
 
 
 def _composed(epsilons: Sequence[float], combine: Callable[..., float], name: str) -> float:
@@ -613,9 +613,9 @@ def _release_blocks(
     src: NoiseSource, runs: int, jobs: int, consume: Callable,
     sens_tables: Mapping[str, SensitivityTable] | None = None, k_table: KTable | None = None,
 ):
-    """The release driver of perturb_corpus and the sweep: every included
-    feature of every recording, released runs times under each config at
-    epsilon (a float, or a (budgets, 1) column).
+    """The one driver of perturb_corpus, the sweep and retention tuning:
+    every included feature of every recording, with runs noise streams,
+    under each config at epsilon (a float, or a (budgets, 1) column).
 
     Each group is decided once, first: its length n and, per included
     column, each config's _feature_units. The sensitivity table is
@@ -623,13 +623,16 @@ def _release_blocks(
     plan, or else one built per (plan, domain, norm). Then each row block
     of a (group, column) is zero-padded to n, at most BLOCK_VALUES //
     ((runs + 1) n) rows, and run t of recording r reads the 2n unit
-    draws of stream src.derive(r, col, t). Each config's release of the
-    block, (rows, runs, n) or (budgets, rows, runs, n), goes straight to
-    consume(col, rows, block, released). Blocks run on jobs threads when
-    jobs > 1. Returns {label: (n, {col: units per config})} and, per
-    block in a fixed order, (col, rows, consume's results per config)."""
+    draws of stream src.derive(r, col, t), runs consecutive draw rows
+    per block row. Each config's units go with the block and its draws
+    to consume(col, rows, block, draws, config, units); a release
+    consumer calls _released. Blocks run on jobs threads when jobs > 1.
+    Returns {label: (n, {col: units per config})} and, per block in a
+    fixed order, (label, col, rows, consume's results per config)."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    if runs < 1:
+        raise ParameterError(f"runs must be >= 1, got {runs}")
     groups, blocks = {}, []
     for value in corpus.label_values(label_kind):
         rows = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
@@ -668,11 +671,8 @@ def _release_blocks(
             block[row, : x.size] = x
         draws = _draws([src.derive(r, col, t) for r in rows for t in range(runs)], n)
         return [
-            consume(col, rows, block, _block_release(
-                block, layout, scales, draws, config.mechanism == "dcfpa",
-                config.symmetric, config.literal_reconstruct,
-            ))
-            for config, (layout, _, scales) in zip(configs, cells[col])
+            consume(col, rows, block, draws, config, units)
+            for config, units in zip(configs, cells[col])
         ]
 
     if jobs == 1:
@@ -680,7 +680,7 @@ def _release_blocks(
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(lambda b: one_block(*b), blocks))
-    return groups, [(col, rows, out) for (_, col, rows), out in zip(blocks, done)]
+    return groups, [(*b, out) for b, out in zip(blocks, done)]
 
 
 def perturb_corpus(
@@ -710,8 +710,9 @@ def perturb_corpus(
     """
     outs = [m.values.copy() for m in corpus.matrices]
 
-    def write(col: int, rows: list[int], block: np.ndarray, released: np.ndarray) -> None:
-        noisy = clamp_nonnegative(released[:, 0]) if config.clamp else released[:, 0]
+    def write(col: int, rows: list[int], block: np.ndarray, draws: np.ndarray, config, units) -> None:
+        noisy = _released(block, draws, config, units)[:, 0]
+        noisy = clamp_nonnegative(noisy) if config.clamp else noisy
         for row, r in enumerate(rows):
             outs[r][:, col] = noisy[row, : outs[r].shape[0]]
 

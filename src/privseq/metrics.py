@@ -37,7 +37,7 @@ from privseq.core import (
     RealSeq,
     _csv_rows,
 )
-from privseq.mechanisms import MECHANISMS, MechanismConfig, _release_blocks
+from privseq.mechanisms import MECHANISMS, MechanismConfig, _release_blocks, _released
 from privseq.noise import NoiseSource
 from privseq.sensitivity import build_group_table  # noqa: F401 (perfbench traces it here)
 
@@ -318,8 +318,6 @@ def run_sweep(
     missing group or another plan is a ConfigurationError. lpa keeps no
     coefficients and ignores it.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
     if not epsilons:
         raise ParameterError("empty sweep grid: no epsilons")
     eps = [float(e) for e in epsilons]
@@ -333,7 +331,9 @@ def run_sweep(
     _, blocks = _release_blocks(
         corpus, label_kind, [MechanismConfig(mech, 1.0, chunk_size=c) for mech, c in configs],
         np.array(eps)[:, np.newaxis], src, runs, jobs,
-        lambda col, rows, block, released: _cell_sums(corpus, rows, block, released),
+        lambda col, rows, block, draws, config, units: _cell_sums(
+            corpus, rows, block, _released(block, draws, config, units)
+        ),
         k_table=k_table,
     )
 
@@ -344,7 +344,7 @@ def run_sweep(
     totals = {col: np.zeros(shape) for col in feature_col.values()}
     valid = {col: np.zeros(shape, dtype=np.int64) for col in feature_col.values()}
     per_recording = {}
-    for col, recordings, out in blocks:
+    for _, col, recordings, out in blocks:
         sums = np.stack([s for s, _ in out])
         valid[col] += np.stack([c for _, c in out]).sum(axis=-1)
         per_recording.update({(r, col): sums[..., i] for i, r in enumerate(recordings)})

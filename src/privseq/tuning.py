@@ -2,17 +2,19 @@
 
 Keeping more coefficients lowers truncation error but spreads the
 privacy budget over more noisy values; the best cut depends on the
-budget and on how compressible the signals are. tune_k evaluates every
-candidate retention count against reconstruction error on a reference
-group and keeps the winner per chunk, with ties resolved toward the
-smaller (cheaper) count.
+budget and on how compressible the signals are. tune_corpus evaluates
+every candidate retention count against reconstruction error on each
+label group and keeps the winner per (group, feature, chunk), with ties
+resolved toward the smaller (cheaper) count; tune_k is its one-group,
+one-feature case.
 
-Candidates are scored on the releases the mechanisms make, at the
-scales mechanisms._fpa_scales gives every (k, chunk) at once, on the
-chunk plan the mechanism releases with (fpa's whole signal included).
-Each (signal, run) reads one unit-noise vector from stream
-src.derive(signal, run), the vector an fpa, cfpa or dcfpa call on that
-stream reads; bin j's noise N_j sits at a fixed place in it
+Tuning consumes the release driver of perturb_corpus and the sweep
+(mechanisms._release_blocks): its groups, zero-padded row blocks, unit
+draws and per-unit decision (_feature_units), whose sensitivities give
+the scale of every (k, chunk) at once (_candidate_scales). The driver
+runs at src.derive(TUNING_STREAM), so run t of recording r, feature f
+reads stream src.derive(TUNING_STREAM, r, f, t), which no release under
+src reads; bin j's noise N_j sits at a fixed place in it
 (mechanisms.FpaLayout), whatever k is.
 
 Scores come from the chunk spectrum X, with no inverse transform. The
@@ -38,15 +40,14 @@ E_j / (w^j - 1), h = sum_{j>=1} E_j w^j / (w^j - 1)^2 and Q = sum_{j>=1}
 
 Each quantity sums per-bin terms, times 1, lam or lam^2, over the
 classes, and each class is an interval of bins that moves by one bin
-per k; so one forward transform per block of signals scores every k in
-O(c) work and memory per (signal, run, chunk). The scores equal those
-of the mechanisms' own releases up to rounding, and the comparison is
-not dominated by draw luck.
+per k; so one forward transform per row block scores every k in O(c)
+work and memory per (recording, run, chunk). The scores equal those of
+the mechanisms' own releases up to rounding, and the comparison is not
+dominated by draw luck.
 """
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -57,23 +58,23 @@ from privseq.core import (
     ChunkPlan,
     Corpus,
     DataError,
+    FeatureMatrix,
     ParameterError,
     RealSeq,
     _csv_rows,
     chunk_plan,
 )
 from privseq.mechanisms import (
-    BLOCK_VALUES,
     MechanismConfig,
-    _draws,
     _fpa_scales,
     _noise_pairs,
+    _release_blocks,
     _uniform_blocks,
     fpa_spectra,
 )
 from privseq.metrics import _nmse_ratio
 from privseq.noise import NoiseSource
-from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
+from privseq.sensitivity import chunk_sensitivities  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
     "tune_k",
@@ -89,6 +90,10 @@ _K_HEADER = (
 )
 _TUNABLE = ("fpa", "cfpa", "dcfpa")
 
+# The child of its source that tuning runs the release driver at: its
+# streams are four coordinates deep, a release's three.
+TUNING_STREAM = 0
+
 
 def tune_k(
     signals: Sequence[RealSeq],
@@ -103,36 +108,23 @@ def tune_k(
     Every k in 1..chunk_length is scored by mean reconstruction NMSE
     over (signal, run) noisy executions at the given budget; ties go to
     the smaller k. The group also supplies the sensitivity, so it must
-    contain at least two signals. Candidate k is evaluated for every
-    chunk at once (a shorter remainder at min(k, its length)), run t of
-    member m on stream src.derive(m, t), every k in closed form from the
-    chunk spectra (_spectral_scores).
+    contain at least two signals. This is tune_corpus of the one-label,
+    one-feature corpus of the signals on the plan's chunk size: tuning
+    reads only the plan and whether chunks are differenced, so fpa on a
+    plan tunes as cfpa on it. Run t of signal m reads stream
+    src.derive(TUNING_STREAM, m, 0, t).
     """
-    if mechanism not in _TUNABLE:
-        raise ParameterError(
-            f"retention tuning applies to fpa, cfpa or dcfpa, got {mechanism!r}"
-        )
-    if runs < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     rows = [np.asarray(s, dtype=np.float64) for s in signals]
-    if len(rows) < 2:
-        raise ParameterError(f"tuning needs a group of >= 2 signals, got {len(rows)}")
     n = plan.total_length
-    for row in rows:
-        if row.ndim != 1 or row.size != n:
-            raise ParameterError(f"every signal must be 1-D of length {n}")
-    difference = mechanism == "dcfpa"
-    domain = DIFFERENCE if difference else RAW
-    deltas = chunk_sensitivities(rows, plan, 2, domain=domain)
-    lams = _candidate_scales(plan, deltas, epsilon)
-    totals, counts = _candidate_totals(rows, plan, lams, difference, runs, src)
-    # Candidates whose every cell is flagged, and counts beyond a chunk's
-    # length, score infinity; argmin keeps the smallest k among ties.
-    scores = np.divide(totals, counts, out=np.full_like(totals, math.inf), where=counts > 0)
-    scores[np.arange(1, len(scores) + 1)[:, np.newaxis] > plan.chunk_lengths()] = math.inf
-    return tuple(int(i) + 1 for i in np.argmin(scores, axis=0))
+    if len(rows) < 2 or any(row.shape != (n,) for row in rows):
+        raise ParameterError(f"tuning needs a group of >= 2 signals, each 1-D of length {n}")
+    group = [FeatureMatrix(f"m{m}", f"m{m}", {"group": "g"}, ("x",), row[:, np.newaxis])
+             for m, row in enumerate(rows)]
+    mechanism = {"fpa": "cfpa"}.get(mechanism, mechanism)
+    table = tune_corpus(
+        Corpus(tuple(group), ("x",)), "group", plan.chunk_size, mechanism, epsilon, runs, src
+    )
+    return tuple(table.entries[("g", "x", ci)] for ci in range(len(plan)))
 
 
 def _candidate_scales(plan: ChunkPlan, deltas: Sequence[float], epsilon: float) -> np.ndarray:
@@ -144,39 +136,31 @@ def _candidate_scales(plan: ChunkPlan, deltas: Sequence[float], epsilon: float) 
     return _fpa_scales(lengths, ks, deltas, epsilon)
 
 
-def _candidate_totals(
-    rows: Sequence[np.ndarray],
-    plan: ChunkPlan,
-    lams: np.ndarray,
-    difference: bool,
-    runs: int,
-    src: NoiseSource,
+def _block_scores(
+    block: np.ndarray, draws: np.ndarray, config: MechanismConfig, units: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sum of valid NMSE cells, valid count) of every (k, chunk) of the
-    plan over members and runs at the scales lams (_candidate_scales),
-    (longest chunk, chunks) each: run t of member m on stream
-    src.derive(m, t), one forward transform per block of members."""
-    n = plan.total_length
-    longest = lams.shape[0]
-    totals = np.zeros((longest, len(plan)))
-    counts = np.zeros((longest, len(plan)), dtype=np.int64)
-    stacked = np.stack(rows)
-    step = max(1, BLOCK_VALUES // ((runs + 1) * n))
-    for lo in range(0, len(rows), step):
-        block = stacked[lo : lo + step]
-        members = block.shape[0]
-        streams = itertools.product(range(lo, lo + members), range(runs))
-        draws = _draws([src.derive(m, t) for m, t in streams], n)
-        pairs = _noise_pairs(draws, n).reshape(members, runs, n)
-        spectra = fpa_spectra(block, plan, difference)
-        for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(plan)):
-            span = slice(start, start + count * c)
-            x = block[:, span].reshape(members, count, c)
-            unit = pairs[:, :, span].reshape(members, runs, count, c)
-            chunks = slice(first, first + count)
-            total, valid = _spectral_scores(x, spec, unit, lams[:c, chunks], difference)
-            totals[:c, chunks] += total
-            counts[:c, chunks] += valid
+    """(sum of valid NMSE cells, valid count) of every (k, chunk) over
+    the rows and runs of a row block, (longest chunk, chunks) each, 0
+    where k exceeds a chunk: the (rows, n) block, its draws (runs rows
+    per block row), config and decided units as the release driver hands
+    them over, scored at the _candidate_scales of the units' plan and
+    sensitivities and config's budget. One forward transform per run of
+    equal-length chunks."""
+    (layout, deltas, _), difference = units, config.mechanism == "dcfpa"
+    plan, (rows, n) = layout.plan, block.shape
+    lams = _candidate_scales(plan, deltas, config.epsilon)
+    pairs = _noise_pairs(draws, n).reshape(rows, -1, n)
+    totals = np.zeros(lams.shape)
+    counts = np.zeros(lams.shape, dtype=np.int64)
+    spectra = fpa_spectra(block, plan, difference)
+    for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(plan)):
+        span = slice(start, start + count * c)
+        x = block[:, span].reshape(rows, count, c)
+        unit = pairs[:, :, span].reshape(rows, -1, count, c)
+        chunks = slice(first, first + count)
+        totals[:c, chunks], counts[:c, chunks] = _spectral_scores(
+            x, spec, unit, lams[:c, chunks], difference
+        )
     return totals, counts
 
 
@@ -322,31 +306,33 @@ def tune_corpus(
     """Tune every (label group, feature, chunk) of a corpus at one
     reference budget, on the chunk plan the mechanism releases the group
     with (fpa's whole signal, whatever chunk_size says; cfpa and dcfpa
-    need a chunk_size). The table records the mechanism. Shorter
-    recordings are zero-padded to the group maximum, mirroring how the
-    mechanisms are applied."""
+    need a chunk_size). The table records the mechanism. The release
+    driver, at src.derive(TUNING_STREAM), hands over each zero-padded
+    row block, which _block_scores scores; the scores are summed per
+    (group, feature) in block order, and the first argmin of the mean
+    NMSE wins (infinite where every cell is flagged or k exceeds the
+    chunk)."""
+    if mechanism not in _TUNABLE:
+        raise ParameterError(
+            f"retention tuning applies to fpa, cfpa or dcfpa, got {mechanism!r}"
+        )
     config = MechanismConfig(mechanism, epsilon, chunk_size)
+    groups, blocks = _release_blocks(
+        corpus, label_kind, [config], epsilon, src.derive(TUNING_STREAM), runs, 1,
+        lambda col, rows, block, draws, config, units: _block_scores(block, draws, config, units),
+    )
+    sums: dict[tuple[str, int], tuple] = {}
+    for label, col, _, ((totals, counts),) in blocks:
+        total, count = sums.get((label, col), (0.0, 0))
+        sums[(label, col)] = (total + totals, count + counts)
     entries: dict[tuple[str, str, int], int] = {}
-    plans: dict[str, ChunkPlan] = {}
-    labels = corpus.label_values(label_kind)
-    for li, label in enumerate(labels):
-        group = corpus.group(label_kind, label)
-        length = max(m.length for m in group)
-        plan = config.plan_for(length)
-        for col, feature in enumerate(corpus.schema):
-            if feature in corpus.excluded_features:
-                continue
-            signals = []
-            for m in group:
-                padded = np.zeros(length, dtype=np.float64)
-                padded[: m.length] = m.values[:, col]
-                signals.append(padded)
-            ks = tune_k(signals, plan, mechanism, epsilon, runs, src.derive(li, col))
-            for ci, k in enumerate(ks):
-                entries[(label, feature, ci)] = k
-            plans[label] = plan
+    for (label, col), (total, count) in sums.items():
+        scores = np.divide(total, count, out=np.full_like(total, math.inf), where=count > 0)
+        for ci, k in enumerate(np.argmin(scores, axis=0)):
+            entries[(label, corpus.schema[col], ci)] = int(k) + 1
     return KTable(
-        entries=entries, runs_used=runs, epsilon_used=float(epsilon), plans=plans,
+        entries=entries, runs_used=runs, epsilon_used=float(epsilon),
+        plans={label: config.plan_for(groups[label][0]) for label, _ in sums},
         mechanism=mechanism,
     )
 

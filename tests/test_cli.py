@@ -334,6 +334,36 @@ def test_perturb_malformed_manifest_is_exit_3(corpus_dir, tmp_path):
     assert "malformed manifest" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("recording_id", "../escaped"),
+        ("recording_id", "sub/x"),
+        ("trim", [0.9, 2.7]),
+        ("trim", ["0", "3"]),
+        ("excluded_features", "f0"),
+        ("excluded_features", ["nope"]),
+    ],
+)
+def test_perturb_bad_manifest_fields_are_exit_3_before_any_write(corpus_dir, tmp_path, field, value):
+    # A recording id is a file name in --out, trim bounds are integers,
+    # and excluded_features lists schema names; anything else is bad
+    # input (exit 3), found before the release writes a file.
+    manifest = _copy_corpus(corpus_dir, tmp_path / "in")
+    raw = json.loads(manifest.read_text())
+    target = raw if field == "excluded_features" else raw["recordings"][0]
+    target[field] = value
+    manifest.write_text(json.dumps(raw))
+    (tmp_path / "work").mkdir()
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "lpa",
+        "--epsilon", 2.4, "--out", tmp_path / "work" / "out",
+    )
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert list((tmp_path / "work").iterdir()) == []
+
+
 def test_perturb_non_utf8_schema_is_exit_3(corpus_dir, tmp_path):
     manifest = _copy_corpus(corpus_dir, tmp_path / "broken")
     schema = manifest.parent / json.loads(manifest.read_text())["schema"]

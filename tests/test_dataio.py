@@ -289,6 +289,17 @@ def test_write_rejects_names_the_schema_file_cannot_carry(tmp_path, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", ["../escaped", "sub/x", ".", "..", "a\0b"])
+def test_write_rejects_recording_ids_that_are_not_file_names(tmp_path, bad):
+    m = FeatureMatrix(
+        recording_id=bad, participant_id="p0", labels={"category": "a"},
+        feature_names=("f0",), values=np.ones((2, 1)),
+    )
+    with pytest.raises(ParameterError, match="plain file name"):
+        write_corpus(Corpus(matrices=(m,), schema=("f0",)), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_recording_bytes_equal_csv_writer_output(tmp_path):
     # The body is formatted without csv.writer; its bytes must be what
     # csv.writer writes, and the header keeps csv's quoting.
@@ -474,10 +485,39 @@ def test_manifest_failures(tmp_path):
              "labels": {"category": "a"}}
     for recording in (
         {**entry, "trim": [5]}, {**entry, "trim": [0, 2, 99]}, {**entry, "labels": ["x"]}, "a.csv",
+        # trim bounds are JSON integers: never truncated, parsed or bools
+        {**entry, "trim": [0.9, 2.7]}, {**entry, "trim": ["0", "3"]}, {**entry, "trim": "03"},
+        {**entry, "trim": [False, 3]}, {**entry, "trim": [0, 2.0]},
+        # a recording id names a file beside the others in a release
+        {**entry, "recording_id": "../escaped"}, {**entry, "recording_id": "sub/x"},
+        {**entry, "recording_id": "."}, {**entry, "recording_id": ".."},
+        {**entry, "recording_id": "a\0b"}, {**entry, "recording_id": 7},
     ):
         bad.write_text(json.dumps({"schema": SCHEMA_NAME, "recordings": [recording]}))
         with pytest.raises(DataError, match="malformed manifest"):
             read_manifest(bad)
+
+    # excluded_features is a list of names, not a string of letters
+    for excluded in ("f0", ["f0", 1], {"f0": True}):
+        bad.write_text(json.dumps(
+            {"schema": SCHEMA_NAME, "recordings": [entry], "excluded_features": excluded}
+        ))
+        with pytest.raises(DataError, match="malformed manifest.*excluded_features"):
+            read_manifest(bad)
+
+
+def test_excluded_feature_outside_the_schema_is_a_data_error(tmp_path):
+    path = _write_minimal(tmp_path, "f00,f01\n1.0,2.0\n")
+    raw = json.loads(path.read_text())
+    raw["excluded_features"] = ["f01", "nope"]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=r"manifest.json: excluded features not in schema: \['nope'\]"):
+        load_corpus(path)
+    with pytest.raises(DataError, match="not in schema"):
+        load_corpus(read_manifest(path))
+    raw["excluded_features"] = ["f01"]
+    path.write_text(json.dumps(raw))
+    assert load_corpus(path).excluded_features == frozenset({"f01"})
 
 
 def test_manifest_rejects_inconsistent_label_kinds():

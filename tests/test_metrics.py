@@ -31,7 +31,7 @@ from privseq.metrics import (
 )
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, build_group_table
-from privseq.tuning import KTable
+from privseq.tuning import KTable, tune_corpus
 
 
 # --- the NMSE rule -------------------------------------------------------------
@@ -355,10 +355,11 @@ def test_run_sweep_jobs_and_rerun_invariance():
 
 
 def test_perturb_and_sweep_are_independent_of_block_size():
-    # perturb_corpus and run_sweep share one release driver, whose row
-    # blocks hold about mechanisms.BLOCK_VALUES values; one-row blocks
-    # (40 values at these lengths) must give the same bytes as the
-    # default's one block per (group, feature).
+    # perturb_corpus, run_sweep and tune_corpus share one release driver,
+    # whose row blocks hold about mechanisms.BLOCK_VALUES values; one-row
+    # blocks (40 values at these lengths) must give the same bytes, and
+    # the same tuned tables, as the default's one block per (group,
+    # feature).
     corpus = _sweep_corpus()
     outputs = []
     for block_values in (mechanisms.BLOCK_VALUES, 40):
@@ -375,8 +376,16 @@ def test_perturb_and_sweep_are_independent_of_block_size():
                 corpus, "category", NoiseSource(seed=3), epsilons=(0.48, 4.8), chunk_sizes=(8,),
                 runs=2,
             )
-        outputs.append(([m.values.tobytes() for c in released for m in c.matrices], sweep.rows))
+            tables = [
+                tune_corpus(corpus, "category", 8, m, eps, 3, NoiseSource(seed=3))
+                for m in ("fpa", "cfpa", "dcfpa") for eps in (2.4, 240.0)
+            ]
+        outputs.append(
+            ([m.values.tobytes() for c in released for m in c.matrices], sweep.rows, tables)
+        )
     assert outputs[0] == outputs[1]
+    # the tables are not all one k, so the comparison sees the scores
+    assert len({k for table in outputs[0][2] for k in table.entries.values()}) > 2
 
 
 def test_run_sweep_utility_grows_with_epsilon():

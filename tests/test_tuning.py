@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from privseq import transform, tuning
+from privseq import mechanisms, transform, tuning
 from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
-from privseq.mechanisms import cfpa, dcfpa, fpa, fpa_lambda
-from privseq.metrics import _nmse_ratio
+from privseq.mechanisms import MechanismConfig, cfpa, dcfpa, fpa, fpa_lambda, perturb_corpus
+from privseq.metrics import _nmse_ratio, run_sweep
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
@@ -63,9 +63,9 @@ def test_tuning_is_reproducible():
     assert all(1 <= k <= 8 for k in a)
 
 
-def _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas=None):
+def _reference_totals(signals, plan, mechanism, epsilon, runs, stream_of, deltas=None):
     # (sum, count) of the valid NMSE cells of every (k, chunk) over the
-    # mechanisms' own releases of member m on stream src.derive(m, t),
+    # mechanisms' own releases of member m on stream stream_of(m, t),
     # each chunk at min(k, its length) and at the group's sensitivities
     # unless deltas are given; 0 where k exceeds the chunk.
     if deltas is None:
@@ -78,7 +78,7 @@ def _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas=None)
         per_chunk = [(d, min(k, c)) for d, c in zip(deltas, lengths)]
         for m, x in enumerate(signals):
             for t in range(runs):
-                stream = src.derive(m, t)
+                stream = stream_of(m, t)
                 if mechanism == "fpa":
                     out = fpa(x, deltas[0], epsilon, k, stream)
                 else:
@@ -95,9 +95,11 @@ def _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas=None)
 
 def _reference_scores(signals, plan, mechanism, epsilon, runs, src):
     # Mean NMSE of every (k, chunk) over the mechanisms' own releases
-    # (_reference_totals); inf where k exceeds the chunk or every cell is
-    # flagged.
-    totals, counts = _reference_totals(signals, plan, mechanism, epsilon, runs, src)
+    # (_reference_totals) on the streams tune_k reads under src, run t of
+    # member m at src.derive(TUNING_STREAM, m, 0, t); inf where k exceeds
+    # the chunk or every cell is flagged.
+    stream_of = lambda m, t: src.derive(tuning.TUNING_STREAM, m, 0, t)
+    totals, counts = _reference_totals(signals, plan, mechanism, epsilon, runs, stream_of)
     return np.divide(totals, counts, out=np.full_like(totals, np.inf), where=counts > 0)
 
 
@@ -105,7 +107,7 @@ def test_candidates_are_the_mechanisms_own_releases():
     # tune_k scores every k from prefix sums over bins. Its pick must be
     # as good as the best k scored on the mechanisms' own releases (up to
     # rounding), and be that k wherever the runner-up is clearly worse;
-    # a tiny block size also splits members and bins into several slabs.
+    # a tiny block size also splits members into one-row blocks.
     rng = np.random.default_rng(7)
     signals = [np.cumsum(rng.standard_normal(22)) + 4.0 for _ in range(3)]
     src = NoiseSource(seed=8).derive(1, 2)
@@ -117,9 +119,9 @@ def test_candidates_are_the_mechanisms_own_releases():
     ):
         for epsilon in (0.5, 4.0, 60.0):
             ref = _reference_scores(signals, plan, mechanism, epsilon, 2, src)
-            for block_values in (tuning.BLOCK_VALUES, 40):
+            for block_values in (mechanisms.BLOCK_VALUES, 40):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(tuning, "BLOCK_VALUES", block_values)
+                    mp.setattr(mechanisms, "BLOCK_VALUES", block_values)
                     ks = tune_k(signals, plan, mechanism, epsilon, 2, src)
                 assert len(ks) == len(plan)
                 for ci, k in enumerate(ks):
@@ -163,11 +165,11 @@ def test_tune_k_makes_no_inverse_transform(monkeypatch):
 @example(c=70, count=1, rest=0, mechanism="fpa", members=2, runs=1, seed=4)
 @settings(max_examples=60, deadline=None)
 def test_spectral_scores_equal_the_mechanisms_own_releases(c, count, rest, mechanism, members, runs, seed):
-    # The closed-form scores of every (k, chunk) are the NMSE of the
-    # mechanisms' own releases on the same streams: equal valid counts,
-    # totals within 1e-9 relative. Hypothesis draws sizes and a seed
-    # only; the signals, sensitivities (one chunk's 0, so lam = 0) and
-    # budget come from the seed.
+    # The closed-form scores of every (k, chunk) of a row block, summed
+    # over its rows, are the NMSE of the mechanisms' own releases on the
+    # same streams: equal valid counts, totals within 1e-9 relative.
+    # Hypothesis draws sizes and a seed only; the signals, sensitivities
+    # (one chunk's 0, so lam = 0) and budget come from the seed.
     n = c if mechanism == "fpa" else count * c + rest % c
     plan = chunk_plan(n, c)
     rng = np.random.default_rng(seed)
@@ -176,13 +178,17 @@ def test_spectral_scores_equal_the_mechanisms_own_releases(c, count, rest, mecha
     deltas[rng.integers(len(plan))] = 0.0
     epsilon = float(10.0 ** rng.uniform(-1.0, 3.0))
     src = NoiseSource(seed=seed).derive(7)
-    lams = tuning._candidate_scales(plan, deltas, epsilon)
-    got = tuning._candidate_totals(signals, plan, lams, mechanism == "dcfpa", runs, src)
-    want = _reference_totals(signals, plan, mechanism, epsilon, runs, src, deltas)
-    np.testing.assert_array_equal(got[1], want[1])
+    # the block and its draws as the release driver hands them over:
+    # runs consecutive draw rows per member
+    draws = mechanisms._draws([src.derive(m, t) for m in range(members) for t in range(runs)], n)
+    units = (mechanisms.FpaLayout(plan, [1] * len(plan)), deltas, None)
+    config = MechanismConfig(mechanism, epsilon, c)
+    totals, counts = tuning._block_scores(np.stack(signals), draws, config, units)
+    want = _reference_totals(signals, plan, mechanism, epsilon, runs, src.derive, deltas)
+    np.testing.assert_array_equal(counts, want[1])
     # atol covers the rounding residue of a release that is exact in
     # closed form (lam = 0 at k = c).
-    np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(totals, want[0], rtol=1e-9, atol=1e-12)
 
 
 def test_candidate_scales_are_fpa_lambda_of_every_k():
@@ -291,6 +297,32 @@ def test_tune_corpus_skips_excluded_and_pads_short_recordings():
 def test_tune_corpus_validation():
     with pytest.raises(ParameterError):
         tune_corpus(_corpus(), "category", 0, "cfpa", 1.0, 4, NoiseSource(seed=11))
+
+
+def test_tuning_reads_no_stream_a_release_reads(monkeypatch):
+    # tune-k, perturb and sweep under one seed all start from one root
+    # source; tuning runs the release driver at the child TUNING_STREAM,
+    # so no draw it scores is a draw a release under that root adds.
+    read = []
+    real_draws = mechanisms._draws
+
+    def spy(streams, n):
+        read.append({s.stream_id for s in streams})
+        return real_draws(streams, n)
+
+    monkeypatch.setattr(mechanisms, "_draws", spy)
+    corpus, root = _corpus(), NoiseSource(seed=13)
+    for mechanism in ("lpa", "fpa", "cfpa", "dcfpa"):
+        perturb_corpus(corpus, "category", MechanismConfig(mechanism, 2.4, chunk_size=8), root)
+    run_sweep(corpus, "category", root, epsilons=(2.4,), chunk_sizes=(8,), runs=4)
+    released = set().union(*read)
+    read.clear()
+    for mechanism in ("fpa", "cfpa", "dcfpa"):
+        tune_corpus(corpus, "category", 8, mechanism, 2.4, 4, root)
+    tuned = set().union(*read)
+    assert (0, 0, 0) in released and len(tuned) == 4 * 2 * 4
+    assert tuned.isdisjoint(released)
+    assert all(sid[0] == tuning.TUNING_STREAM and len(sid) == 4 for sid in tuned)
 
 
 # --- KTable and CSV -------------------------------------------------------

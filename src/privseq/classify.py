@@ -25,7 +25,6 @@ __all__ = [
     "decimate",
     "zscore_fit",
     "zscore_apply",
-    "knn_predict",
     "ClassifierConfig",
     "FoldResult",
     "CvSummary",
@@ -146,33 +145,6 @@ def _vote(counts: np.ndarray, values: Sequence[str], src: NoiseSource, *coords: 
     stream = src.derive(*coords) if coords else src
     pick = int(stream.generator().integers(0, len(tied)))
     return tied[pick]
-
-
-def knn_predict(
-    train: Sequence[tuple[Sequence[float], str]],
-    query: Sequence[float],
-    k: int,
-    src: NoiseSource,
-) -> str:
-    """Plurality label of the k nearest training vectors (Euclidean).
-
-    Neighbor order is stable in training index for equal distances; a
-    tie among top label counts is broken uniformly at random from src.
-    """
-    if not train:
-        raise ParameterError("knn needs a non-empty training set")
-    if not 1 <= k <= len(train):
-        raise ParameterError(f"k must be in [1, {len(train)}], got {k}")
-    x = np.asarray([v for v, _ in train], dtype=np.float64)
-    labels = [str(lab) for _, lab in train]
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0 or x.shape[1] != q.size:
-        raise ParameterError("query must be a non-empty vector as long as the training vectors")
-    values = sorted(set(labels))
-    index = {v: i for i, v in enumerate(values)}
-    codes = np.asarray([index[lab] for lab in labels])
-    counts = _neighbour_counts(x, codes, len(values), q[np.newaxis, :], k)
-    return _vote(counts[0], values, src)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import logging
 import os
 import sys
@@ -98,17 +97,6 @@ def _split_ints(text: str, what: str) -> tuple[int, ...]:
     if not values:
         raise ParameterError(f"{what} is empty")
     return values
-
-
-# sweep --config keys: the type of the value (or of each element of a
-# listed value) and how to name it.
-_SWEEP_CONFIG = {
-    "mechanisms": (str, True, "a list of mechanism names"),
-    "epsilons": ((int, float), True, "a list of numbers"),
-    "chunk_sizes": (int, True, "a list of integers"),
-    "runs": (int, False, "an integer"),
-    "label_kind": (str, False, "a string"),
-}
 
 
 def _split_names(text: str, what: str) -> tuple[str, ...]:
@@ -213,8 +201,6 @@ def perturb(
     if mechanism in ("lpa", "fpa") and chunk_size is not None:
         click.echo(f"warning: --chunk-size is ignored by {mechanism}", err=True)
         chunk_size = None
-    loaded = dataio.read_manifest(manifest)
-    corpus = dataio.load_corpus(loaded, jobs=_effective_jobs(jobs))
     config = MechanismConfig(
         mechanism=mechanism,
         epsilon=epsilon,
@@ -225,6 +211,8 @@ def perturb(
         literal_reconstruct=literal_reconstruct,
         clamp=clamp,
     )
+    loaded = dataio.read_manifest(manifest)
+    corpus = dataio.load_corpus(loaded, jobs=_effective_jobs(jobs))
     sens_tables = (
         load_sensitivity_tables(sensitivity_file) if sensitivity_file else None
     )
@@ -246,111 +234,35 @@ def perturb(
 
 @main.command()
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--mechanisms", "mechanisms_text", default=None, help=f"Comma-separated subset of {','.join(MECHANISMS)} [default: all].")
-@click.option("--epsilons", "epsilons_text", default=None, help="Comma-separated budgets [default: 0.48,2.4,4.8,24,48].")
-@click.option("--chunk-sizes", "chunk_sizes_text", default=None, help="Comma-separated sizes [default: 32,64,128].")
-@click.option("--runs", type=click.IntRange(min=1), default=None, help="Noisy executions per cell [default: 100].")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON file with sweep settings; explicit flags win.")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for every retaining row's mechanism and chunk plan.")
-@click.option("--tune", is_flag=True, help="Tune retention at a reference budget first; --mechanisms may then name only lpa and --tune-mechanism.")
-@click.option("--tune-epsilon", type=float, default=4.8, show_default=True)
-@click.option("--tune-runs", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--tune-mechanism", type=click.Choice(("fpa", "cfpa", "dcfpa")), default="cfpa", show_default=True)
-@click.option(
-    "--label-kind",
-    default=None,
-    help="Which label map entry defines the participant groups [default: category].",
-)
+@click.option("--mechanisms", "mechanisms_text", default=",".join(MECHANISMS), show_default=True, help="Comma-separated subset of the mechanisms.")
+@click.option("--epsilons", "epsilons_text", default=",".join(f"{e:g}" for e in metrics.DEFAULT_EPSILONS), show_default=True, help="Comma-separated budgets.")
+@click.option("--chunk-sizes", "chunk_sizes_text", default=",".join(map(str, metrics.DEFAULT_CHUNK_SIZES)), show_default=True, help="Comma-separated sizes.")
+@click.option("--runs", type=click.IntRange(min=1), default=metrics.DEFAULT_RUNS, show_default=True, help="Noisy executions per cell.")
+@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV (from tune-k), tuned for every retaining row's mechanism and chunk plan.")
+@_LABEL_KIND_OPT
 @_SEED_OPT
 @_JOBS_OPT
 @click.option("--out", "out_path", default="sweep.csv", show_default=True, type=click.Path(dir_okay=False))
 @_handled
 def sweep(
-    manifest, mechanisms_text, epsilons_text, chunk_sizes_text, runs, config_path,
-    k_file, tune, tune_epsilon, tune_runs, tune_mechanism,
+    manifest, mechanisms_text, epsilons_text, chunk_sizes_text, runs, k_file,
     label_kind, seed, jobs, out_path,
 ) -> None:
     """Mean utility per (mechanism, chunk size, epsilon) over repeated runs."""
-    settings = {}
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                settings = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{config_path}: not valid JSON: {exc}")
-        if not isinstance(settings, dict):
-            raise DataError(f"{config_path}: sweep config must be a JSON object")
-        unknown = set(settings) - set(_SWEEP_CONFIG)
-        if unknown:
-            raise ParameterError(f"unknown sweep config keys: {sorted(unknown)}")
-        for key, value in settings.items():
-            kind, listed, what = _SWEEP_CONFIG[key]
-            items = value if listed else [value]
-            if not isinstance(items, list) or not all(
-                isinstance(v, kind) and not isinstance(v, bool) for v in items
-            ):
-                raise ParameterError(
-                    f"sweep config {key!r} must be {what}, got {json.dumps(value)}"
-                )
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in settings:
-            return settings[key]
-        return default
-
-    mechanisms = pick(
-        _split_names(mechanisms_text, "--mechanisms") if mechanisms_text else None,
-        "mechanisms", MECHANISMS,
-    )
-    epsilons = pick(
-        _split_floats(epsilons_text, "--epsilons") if epsilons_text else None,
-        "epsilons", metrics.DEFAULT_EPSILONS,
-    )
-    chunk_sizes = pick(
-        _split_ints(chunk_sizes_text, "--chunk-sizes") if chunk_sizes_text else None,
-        "chunk_sizes", metrics.DEFAULT_CHUNK_SIZES,
-    )
-    runs = pick(runs, "runs", metrics.DEFAULT_RUNS)
-    label_kind = pick(label_kind, "label_kind", "category")
-    if tune and k_file:
-        raise ParameterError("--tune and --k-file are mutually exclusive")
-    if tune:
-        # The tuned table holds one mechanism's counts on one plan per
-        # group, so every retaining row must be that mechanism on that plan.
-        sizes = [int(c) for c in chunk_sizes]
-        if tune_mechanism != "fpa" and len(sizes) != 1:
-            raise ParameterError(
-                "--tune needs exactly one --chunk-sizes value; tune per size explicitly"
-            )
-        others = [m for m in mechanisms if m not in ("lpa", tune_mechanism)]
-        if others:
-            raise ParameterError(
-                f"--tune tunes {tune_mechanism} only; --mechanisms may name lpa and "
-                f"{tune_mechanism}, not {', '.join(others)}"
-            )
-
+    mechanisms = _split_names(mechanisms_text, "--mechanisms")
+    epsilons = _split_floats(epsilons_text, "--epsilons")
+    chunk_sizes = _split_ints(chunk_sizes_text, "--chunk-sizes")
     corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
-    root = NoiseSource(seed)
-    k_table = None
-    if k_file is not None:
-        k_table = tuning.load_k_csv(k_file)
-    elif tune:
-        k_table = tuning.tune_corpus(
-            corpus, label_kind, None if tune_mechanism == "fpa" else sizes[0], tune_mechanism,
-            tune_epsilon, tune_runs, root.derive(1),
-        )
     result = metrics.run_sweep(
         corpus,
         label_kind,
-        root,
-        mechanisms=tuple(mechanisms),
-        epsilons=tuple(float(e) for e in epsilons),
-        chunk_sizes=tuple(int(c) for c in chunk_sizes),
-        runs=int(runs),
+        NoiseSource(seed),
+        mechanisms=mechanisms,
+        epsilons=epsilons,
+        chunk_sizes=chunk_sizes,
+        runs=runs,
         jobs=_effective_jobs(jobs),
-        k_table=k_table,
+        k_table=tuning.load_k_csv(k_file) if k_file is not None else None,
     )
     metrics.write_sweep_csv(result, out_path)
     click.echo(f"wrote {len(result.rows)} sweep rows to {out_path}")

@@ -15,6 +15,7 @@ bit for bit, the sign of zero included.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import itertools
 import json
@@ -305,7 +306,8 @@ def write_corpus(
     are the bytes csv.writer would write, since a float repr never needs
     quoting. A later load reproduces the corpus exactly. When reports
     are given (one per label group), a sibling report.json is written
-    alongside the data. A feature name that schema.txt cannot carry
+    alongside the data; otherwise any report.json already in out_dir is
+    removed. A feature name that schema.txt cannot carry
     (empty, with leading or trailing whitespace, or holding a line
     break), or a recording id that is not a plain file name, raises
     ParameterError before anything is created.
@@ -354,9 +356,15 @@ def write_corpus(
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if reports is not None:
+    report_path = os.path.join(out_dir, REPORT_NAME)
+    if reports is None:
+        # a report left by an earlier release would claim a budget for
+        # recordings it does not describe
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(report_path)
+    else:
         merged = {label: r.payload() for label, r in reports.items()}
-        with open(os.path.join(out_dir, REPORT_NAME), "w", encoding="utf-8") as fh:
+        with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(merged, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return manifest

@@ -183,14 +183,15 @@ class FpaLayout:
     """Where FPA keeps coefficients and reads unit draws, for one chunk
     plan and its per-chunk retention counts.
 
-    A row holds draw_count = 2n unit draws. Chunk i, starting at sample
-    start_i, retains bins 0..k_i-1; bin j reads the complex pair at draws
-    2(start_i + j) (real part) and 2(start_i + j) + 1 (imaginary part).
+    A row holds 2n unit draws, n the plan's total length. Chunk i,
+    starting at sample start_i, retains bins 0..k_i-1; bin j reads the
+    complex pair at draws 2(start_i + j) (real part) and
+    2(start_i + j) + 1 (imaginary part).
     Each bin's noise thus depends on its position alone, and chunk i's
     noise on its own k_i alone.
     """
 
-    __slots__ = ("plan", "ks", "lengths", "draw_count", "_blocks")
+    __slots__ = ("plan", "ks", "lengths", "_blocks")
 
     def __init__(self, plan: ChunkPlan, ks: Sequence[int]):
         ks = tuple(int(k) for k in ks)
@@ -203,7 +204,6 @@ class FpaLayout:
         self.plan = plan
         self.ks = ks
         self.lengths = np.asarray(lengths)
-        self.draw_count = 2 * plan.total_length
         # Per run of equal-length chunks: where it starts, and its sub-runs
         # of equal k as (first, end, k), relative to the run.
         self._blocks = []
@@ -255,10 +255,11 @@ def fpa_parts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S, N): S (a row per spectra row) inverts the truncated clean
     coefficients, N (a row per draws row) the unit Laplace coefficient
-    noise read from draws (rows, >= layout.draw_count) in layout order.
-    Both are completed alike when symmetric is set and, when difference
-    is, summed back (or pair-aggregated when literal is set). Each run
-    of equal-length chunks is inverted in one transform call."""
+    noise read from the first 2n draws of each draws row in layout
+    order, n the plan's total length. Both are completed alike when
+    symmetric is set and, when difference is, summed back (or
+    pair-aggregated when literal is set). Each run of equal-length
+    chunks is inverted in one transform call."""
     rows_s = spectra[0].shape[0]
     rows_n = draws.shape[0]
     pairs = _noise_pairs(draws, layout.plan.total_length)
@@ -441,10 +442,12 @@ class MechanismConfig:
 
     k = None means full retention (k equal to each chunk's length);
     chunk_size applies to cfpa/dcfpa only and is ignored by lpa/fpa.
-    conservative switches dcfpa accounting from parallel-across-chunks
-    to sum-across-chunks; literal_reconstruct switches dcfpa to the
-    adjacent-pair aggregation; clamp zeroes negative outputs after
-    noising; symmetric retains conjugate-completed coefficients.
+    conservative switches the accounting of every mechanism's chunks
+    from parallel (max) to sequential (sum); literal_reconstruct
+    switches dcfpa, and only dcfpa, to the adjacent-pair aggregation;
+    clamp zeroes negative outputs after noising; symmetric retains
+    conjugate-completed coefficients, so lpa, which keeps none, rejects
+    it.
     """
 
     mechanism: str
@@ -468,6 +471,12 @@ class MechanismConfig:
                 raise ParameterError(f"{self.mechanism} requires a positive chunk_size")
         if self.k is not None and self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
+        if self.literal_reconstruct and self.mechanism != "dcfpa":
+            raise ParameterError(
+                f"literal_reconstruct does not apply to {self.mechanism}: it is dcfpa's reconstruction"
+            )
+        if self.symmetric and self.mechanism == "lpa":
+            raise ParameterError("symmetric does not apply to lpa, which keeps no coefficients")
 
     @property
     def norm_order(self) -> int:

@@ -229,12 +229,6 @@ class SensitivityTable:
             raise ParameterError(f"no sensitivity entry for {key} (group {self.group_label!r})")
         return self.entries[key]
 
-    def features(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for feature, _, _, _ in self.entries:
-            seen.setdefault(feature, None)
-        return tuple(seen)
-
 
 def build_group_table(
     corpus: Corpus,

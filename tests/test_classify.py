@@ -8,8 +8,8 @@ from privseq import classify
 from privseq.classify import (
     ClassifierConfig,
     _neighbour_counts,
+    _vote,
     decimate,
-    knn_predict,
     lopo_cv,
     zscore_apply,
     zscore_fit,
@@ -90,24 +90,28 @@ def test_zscore_fit_validation():
         zscore_fit([1.0, 2.0])
 
 
-# --- knn_predict ---------------------------------------------------------------
+# --- kNN: neighbour counts and the vote ----------------------------------------
 
 
 def test_knn_k1_returns_exact_match():
-    train = [([0.0, 0.0], "a"), ([5.0, 5.0], "b")]
-    assert knn_predict(train, [5.0, 5.0], 1, NoiseSource(0)) == "b"
+    train = np.array([[0.0, 0.0], [5.0, 5.0]])
+    counts = _neighbour_counts(train, np.array([0, 1]), 2, np.array([[5.0, 5.0]]), 1)
+    assert counts.tolist() == [[0, 1]]
+    assert _vote(counts[0], ("a", "b"), NoiseSource(0)) == "b"
 
 
 def test_knn_majority_of_three():
-    train = [([0.0, 0.0], "a"), ([0.5, 0.0], "a"), ([5.0, 5.0], "b")]
-    assert knn_predict(train, [0.1, 0.0], 3, NoiseSource(0)) == "a"
+    train = np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 5.0]])
+    counts = _neighbour_counts(train, np.array([0, 0, 1]), 2, np.array([[0.1, 0.0]]), 3)
+    assert counts.tolist() == [[2, 1]]
+    assert _vote(counts[0], ("a", "b"), NoiseSource(0)) == "a"
 
 
 def test_knn_matches_brute_force_oracle():
     rng = np.random.default_rng(12)
     coords = rng.integers(-5, 6, size=(40, 3)).astype(np.float64)
-    labels = [("a", "b", "c")[int(v)] for v in rng.integers(0, 3, size=40)]
-    train = list(zip(coords.tolist(), labels))
+    codes = rng.integers(0, 3, size=40)
+    values = ("a", "b", "c")
     for qi in range(25):
         query = rng.integers(-5, 6, size=3).astype(np.float64)
         k = int(rng.integers(1, 9))
@@ -115,12 +119,11 @@ def test_knn_matches_brute_force_oracle():
         # oracle's ordering decisions match the library's
         d2 = np.sum((coords - query) ** 2, axis=1)
         order = sorted(range(40), key=lambda i: (d2[i], i))[:k]
-        counts = {}
-        for i in order:
-            counts[labels[i]] = counts.get(labels[i], 0) + 1
-        top = max(counts.values())
-        tied = sorted(lab for lab, c in counts.items() if c == top)
-        got = knn_predict(train, query, k, NoiseSource(0).derive(qi))
+        expected = np.bincount(codes[order], minlength=3)
+        counts = _neighbour_counts(coords, codes, 3, query[np.newaxis, :], k)
+        assert np.array_equal(counts[0], expected), qi
+        tied = [values[i] for i in range(3) if expected[i] == expected.max()]
+        got = _vote(counts[0], values, NoiseSource(0), qi)
         if len(tied) == 1:
             assert got == tied[0]
         else:
@@ -150,27 +153,19 @@ def test_neighbour_counts_match_stable_argsort_with_duplicate_rows(monkeypatch):
 
 
 def test_knn_tie_is_reproducible_per_seed():
-    train = [([1.0, 0.0], "a"), ([-1.0, 0.0], "b")]
-    picks = {knn_predict(train, [0.0, 0.0], 2, NoiseSource(s)) for s in range(20)}
-    assert picks == {"a", "b"}
+    # a tie draws from src itself, or from src.derive(*coords) when
+    # coordinates are given, as lopo_cv gives them
+    tie = np.array([1, 1])
+    for coords in ((), (0, 3, 1)):
+        picks = {_vote(tie, ("a", "b"), NoiseSource(s), *coords) for s in range(20)}
+        assert picks == {"a", "b"}, coords
+        for s in range(5):
+            a = _vote(tie, ("a", "b"), NoiseSource(s), *coords)
+            assert a == _vote(tie, ("a", "b"), NoiseSource(s), *coords)
     for s in range(5):
-        a = knn_predict(train, [0.0, 0.0], 2, NoiseSource(s))
-        b = knn_predict(train, [0.0, 0.0], 2, NoiseSource(s))
-        assert a == b
-
-
-def test_knn_validation():
-    train = [([0.0], "a"), ([1.0], "b")]
-    with pytest.raises(ParameterError):
-        knn_predict([], [0.0], 1, NoiseSource(0))
-    with pytest.raises(ParameterError):
-        knn_predict(train, [0.0], 0, NoiseSource(0))
-    with pytest.raises(ParameterError):
-        knn_predict(train, [0.0], 3, NoiseSource(0))
-    with pytest.raises(ParameterError):
-        knn_predict(train, [0.0, 1.0], 1, NoiseSource(0))
-    with pytest.raises(ParameterError):
-        knn_predict([([], "a"), ([], "b")], [], 1, NoiseSource(0))
+        assert _vote(tie, ("a", "b"), NoiseSource(s), 0, 3, 1) == _vote(
+            tie, ("a", "b"), NoiseSource(s).derive(0, 3, 1)
+        )
 
 
 def test_classifier_config_validation():

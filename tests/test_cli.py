@@ -3,6 +3,7 @@ byte-identical, worker count never changes results, and failures map to
 the documented exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -82,6 +83,21 @@ def test_internal_invariant_maps_to_exit_4():
     result = CliRunner().invoke(boom, [])
     assert result.exit_code == 4
     assert "invariant" in result.stderr
+
+
+def test_readme_names_only_real_flags():
+    # every --flag in README code (inline or fenced) is an option of some command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`]*`", readme, flags=re.S)
+    named = {flag for span in code for flag in re.findall(r"--[a-z][a-z0-9-]*", span)}
+    options = {
+        opt
+        for command in main.commands.values()
+        for param in command.params
+        for opt in (*param.opts, *param.secondary_opts)
+    }
+    assert named, "README names no flags"
+    assert sorted(named - options) == []
 
 
 # --- synth -------------------------------------------------------------------
@@ -286,6 +302,23 @@ def test_perturb_lpa_rejects_retention_flags(manifest, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "mechanism, flag",
+    [("lpa", "--literal-reconstruct"), ("fpa", "--literal-reconstruct"),
+     ("cfpa", "--literal-reconstruct"), ("lpa", "--symmetric")],
+)
+def test_perturb_rejects_variant_flags_the_mechanism_ignores(manifest, tmp_path, mechanism, flag):
+    # the adjacent-pair aggregation is dcfpa's, and lpa keeps no
+    # coefficients to complete, so either flag would change nothing
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", mechanism, "--epsilon", 2.4,
+        "--chunk-size", 8, flag, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 2, result.output
+    assert f"does not apply to {mechanism}" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_perturb_bad_epsilon_is_exit_2(manifest, tmp_path):
     result = run_cli(
         "perturb", "--manifest", manifest, "--mechanism", "lpa",
@@ -293,6 +326,22 @@ def test_perturb_bad_epsilon_is_exit_2(manifest, tmp_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def test_synth_over_a_release_removes_its_report(manifest, tmp_path):
+    out = tmp_path / "d"
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "lpa", "--epsilon", 2.4,
+        "--out", out,
+    )
+    assert result.exit_code == 0, result.output
+    assert (out / REPORT_NAME).exists()
+    result = run_cli(
+        "synth", "--participants", 3, "--labels", 2, "--length", 40, "--features", 2,
+        "--seed", 7, "--out", out,
+    )
+    assert result.exit_code == 0, result.output
+    assert not (out / REPORT_NAME).exists()
 
 
 def test_perturb_corrupt_cell_is_exit_3(corpus_dir, tmp_path):
@@ -402,100 +451,69 @@ def test_sweep_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
     assert a == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
-def test_sweep_config_file_with_flag_override(manifest, tmp_path):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"mechanisms": ["lpa"], "epsilons": [4.8], "runs": 1}))
-
-    out = tmp_path / "from_config.csv"
-    assert run_cli(
-        "sweep", "--manifest", manifest, "--config", config, "--out", out,
-    ).exit_code == 0
-    rows = load_sweep_csv(out).rows
-    assert [(r.mechanism, r.epsilon) for r in rows] == [("lpa", 4.8)]
-
-    out2 = tmp_path / "overridden.csv"
-    assert run_cli(
-        "sweep", "--manifest", manifest, "--config", config,
-        "--epsilons", "2.4", "--out", out2,
-    ).exit_code == 0
-    rows2 = load_sweep_csv(out2).rows
-    assert [(r.mechanism, r.epsilon) for r in rows2] == [("lpa", 2.4)]
+def test_sweep_help_lists_exactly_its_options():
+    result = run_cli("sweep", "--help")
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
+    assert listed == [
+        "--manifest", "--mechanisms", "--epsilons", "--chunk-sizes", "--runs", "--k-file",
+        "--label-kind", "--seed", "--jobs", "--out", "--help",
+    ]
 
 
-def test_sweep_config_file_errors(manifest, tmp_path):
-    bad_key = tmp_path / "bad_key.json"
-    bad_key.write_text(json.dumps({"runs": 1, "color": "red"}))
-    result = run_cli("sweep", "--manifest", manifest, "--config", bad_key,
-                     "--out", tmp_path / "x.csv")
-    assert result.exit_code == 2
-    assert "color" in result.stderr
-
-    not_json = tmp_path / "broken.json"
-    not_json.write_text("{nope")
-    result = run_cli("sweep", "--manifest", manifest, "--config", not_json,
-                     "--out", tmp_path / "y.csv")
-    assert result.exit_code == 3
-
-    # every value of the wrong type is a usage error naming its key
-    for key, value in (
-        ("runs", "abc"), ("runs", True), ("runs", 1.9), ("epsilons", 5), ("epsilons", ["1"]),
-        ("mechanisms", "lpa"), ("chunk_sizes", [8.5]), ("label_kind", 3),
-    ):
-        config = tmp_path / "typed.json"
-        config.write_text(json.dumps({key: value}))
-        result = run_cli("sweep", "--manifest", manifest, "--config", config,
-                         "--out", tmp_path / "z.csv")
-        assert result.exit_code == 2, (key, value, result.output)
-        assert key in result.stderr
-        assert not (tmp_path / "z.csv").exists()
-
-
-def test_sweep_tune_constraints(manifest, tmp_path):
+@pytest.mark.parametrize(
+    "flags", [("--config", "sweep.json"), ("--tune",), ("--tune-epsilon", 4.8),
+              ("--tune-runs", 2), ("--tune-mechanism", "cfpa")],
+)
+def test_sweep_config_and_tune_flags_are_gone(manifest, tmp_path, flags):
+    # settings come from flags alone, and tuned counts from tune-k's file
     result = run_cli(
-        "sweep", "--manifest", manifest, "--tune", "--chunk-sizes", "8,16",
-        "--runs", 1, "--out", tmp_path / "x.csv",
+        "sweep", "--manifest", manifest, "--mechanisms", "lpa", "--runs", 1, *flags,
+        "--out", tmp_path / "x.csv",
     )
-    assert result.exit_code == 2
-    assert "exactly one" in result.stderr
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.stderr
+    assert not (tmp_path / "x.csv").exists()
 
-    k_file = tmp_path / "k.csv"
-    k_file.write_text("group_label,feature,chunk_index,k,runs_used,epsilon_used\n"
-                      "l0,f00,0,1,1,4.8\n")
+
+@pytest.mark.parametrize(
+    "mechanism, chunk_size", [("cfpa", 32), ("fpa", None)], ids=["cfpa32", "fpa"]
+)
+def test_sweep_k_file_from_tune_k_equals_the_library_tune_then_sweep(
+    manifest, tmp_path, mechanism, chunk_size
+):
+    # a tuned sweep is tune-k under its own seed, then sweep --k-file
+    from privseq.metrics import run_sweep, write_sweep_csv
+    from privseq.noise import NoiseSource
+    from privseq.tuning import tune_corpus
+
+    size_args = () if chunk_size is None else ("--chunk-size", chunk_size)
     result = run_cli(
-        "sweep", "--manifest", manifest, "--tune", "--k-file", k_file,
-        "--chunk-sizes", "8", "--runs", 1, "--out", tmp_path / "y.csv",
-    )
-    assert result.exit_code == 2
-    assert "mutually exclusive" in result.stderr
-
-
-def test_sweep_tune_rejects_rows_it_cannot_tune_before_tuning(manifest, tmp_path, monkeypatch):
-    # The tuned table holds --tune-mechanism's counts on one plan per
-    # group; any other retaining row would fail only after tuning.
-    from privseq import tuning
-
-    def no_tuning(*args, **kwargs):
-        raise AssertionError("tune_corpus called")
-
-    monkeypatch.setattr(tuning, "tune_corpus", no_tuning)
-    for extra in ((), ("--tune-mechanism", "fpa"), ("--mechanisms", "lpa,cfpa,dcfpa")):
-        result = run_cli(
-            "sweep", "--manifest", manifest, "--tune", "--chunk-sizes", 8, "--runs", 1,
-            *extra, "--out", tmp_path / "x.csv",
-        )
-        assert result.exit_code == 2, (extra, result.output)
-        assert "--mechanisms may name lpa and" in result.stderr, extra
-
-
-def test_sweep_with_tuning_pass(manifest, tmp_path):
-    out = tmp_path / "tuned_sweep.csv"
-    result = run_cli(
-        "sweep", "--manifest", manifest, "--mechanisms", "cfpa",
-        "--epsilons", "2.4", "--chunk-sizes", "8", "--runs", 1,
-        "--tune", "--tune-runs", 2, "--seed", 4, "--out", out,
+        "tune-k", "--manifest", manifest, "--mechanism", mechanism, *size_args,
+        "--runs", 3, "--seed", 6, "--out", tmp_path / "k.csv",
     )
     assert result.exit_code == 0, result.output
-    assert len(load_sweep_csv(out).rows) == 1
+    result = run_cli(
+        "sweep", "--manifest", manifest, "--mechanisms", f"lpa,{mechanism}",
+        "--epsilons", "2.4,24", "--chunk-sizes", 32, "--runs", 2, "--seed", 4,
+        "--k-file", tmp_path / "k.csv", "--out", tmp_path / "cli.csv",
+    )
+    assert result.exit_code == 0, result.output
+
+    corpus = load_corpus(manifest)
+    table = tune_corpus(corpus, "category", chunk_size, mechanism, 4.8, 3, NoiseSource(6))
+    write_sweep_csv(
+        run_sweep(
+            corpus, "category", NoiseSource(4), mechanisms=("lpa", mechanism),
+            epsilons=(2.4, 24.0), chunk_sizes=(32,), runs=2, k_table=table,
+        ),
+        tmp_path / "lib.csv",
+    )
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    # the tune kept fewer than all coefficients somewhere, so the file mattered
+    assert any(
+        k < table.plans[label].chunk_lengths()[ci] for (label, _, ci), k in table.entries.items()
+    )
 
 
 # --- tune-k ----------------------------------------------------------------------
@@ -591,8 +609,7 @@ def test_tune_k_fpa_tunes_the_whole_signal_plan(manifest, tmp_path):
             assert u["k"] == table.entries[(label, u["feature"], u["chunk_index"])]
     result = run_cli(
         "sweep", "--manifest", manifest, "--mechanisms", "lpa,fpa", "--epsilons", "2.4",
-        "--chunk-sizes", 8, "--runs", 1, "--tune", "--tune-mechanism", "fpa",
-        "--tune-runs", 1, "--out", tmp_path / "sweep.csv",
+        "--chunk-sizes", 8, "--runs", 1, "--k-file", k_path, "--out", tmp_path / "sweep.csv",
     )
     assert result.exit_code == 0, result.output
     assert len(load_sweep_csv(tmp_path / "sweep.csv").rows) == 2

@@ -371,6 +371,23 @@ def test_report_sidecar(tmp_path):
         assert "units" in payload
 
 
+def test_write_without_reports_removes_a_stale_report(tmp_path):
+    # unprivatized recordings written over a release must not sit next to
+    # its report, which would claim a budget for them
+    from privseq.mechanisms import MechanismConfig, perturb_corpus
+    from privseq.noise import NoiseSource
+
+    corpus = synth_corpus(_spec())
+    noisy, reports = perturb_corpus(
+        corpus, "category", MechanismConfig(mechanism="lpa", epsilon=2.4), NoiseSource(seed=3)
+    )
+    write_corpus(noisy, tmp_path / "out", reports=reports)
+    assert (tmp_path / "out" / REPORT_NAME).exists()
+    for _ in range(2):  # with and without a report to remove
+        write_corpus(corpus, tmp_path / "out")
+        assert not (tmp_path / "out" / REPORT_NAME).exists()
+
+
 # --- loader failures -----------------------------------------------------------
 
 

@@ -380,6 +380,13 @@ def test_mechanism_config_validation():
         MechanismConfig(mechanism="dcfpa", epsilon=1.0, chunk_size=0)
     with pytest.raises(ParameterError):
         MechanismConfig(mechanism="fpa", epsilon=1.0, k=0)
+    # variant flags that would change nothing are rejected, not ignored
+    for mechanism, chunk_size in (("lpa", None), ("fpa", None), ("cfpa", 4)):
+        with pytest.raises(ParameterError, match="literal_reconstruct does not apply"):
+            MechanismConfig(mechanism, 1.0, chunk_size, literal_reconstruct=True)
+    with pytest.raises(ParameterError, match="symmetric does not apply to lpa"):
+        MechanismConfig(mechanism="lpa", epsilon=1.0, symmetric=True)
+    MechanismConfig("dcfpa", 1.0, 4, symmetric=True, literal_reconstruct=True)
 
 
 def test_mechanism_config_derived_properties():
@@ -747,7 +754,7 @@ def test_chunk_noise_depends_only_on_its_own_k():
 
 def test_fpa_layout_validation():
     plan = chunk_plan(10, 4)
-    assert FpaLayout(plan, (4, 1, 2)).draw_count == 20
+    assert FpaLayout(plan, (4, 1, 2)).ks == (4, 1, 2)
     with pytest.raises(ParameterError):
         FpaLayout(plan, (4, 4))
     with pytest.raises(ParameterError):

@@ -362,7 +362,6 @@ def _corpus(excluded=()):
 def test_table_lookup_and_validation():
     table = SensitivityTable(entries={("f0", 0, RAW, 1): 2.5}, group_label="a")
     assert table.value("f0", 0, RAW, 1) == 2.5
-    assert table.features() == ("f0",)
     with pytest.raises(ParameterError):
         table.value("f0", 1, RAW, 1)
     with pytest.raises(ParameterError):

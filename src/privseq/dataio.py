@@ -58,6 +58,17 @@ SCHEMA_NAME = "schema.txt"
 REPORT_NAME = "report.json"
 
 
+def _is_plain_file_name(name: str) -> bool:
+    """A name that stays inside its directory: no separator, drive or NUL,
+    and not . or .."""
+    seps = {"/", os.sep, os.altsep, "\0"} - {None}
+    return (
+        name not in ("", ".", "..")
+        and not any(c in name for c in seps)
+        and not os.path.splitdrive(name)[0]
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class RecordingEntry:
     """Manifest row: where one recording lives and who it belongs to.
@@ -79,8 +90,7 @@ class RecordingEntry:
             raise ParameterError("manifest entry needs a file path")
         if not self.recording_id:
             raise ParameterError("manifest entry needs a recording_id")
-        seps = {"/", os.sep, os.altsep, "\0"} - {None}
-        if self.recording_id in (".", "..") or any(c in self.recording_id for c in seps):
+        if not _is_plain_file_name(self.recording_id):
             raise ParameterError(f"recording id {self.recording_id!r} is not a plain file name")
         if not self.participant_id:
             raise ParameterError("manifest entry needs a participant_id")
@@ -293,6 +303,22 @@ def load_corpus(manifest, jobs: int = 1) -> Corpus:
     )
 
 
+def _listed_recordings(manifest_path: str) -> set[str]:
+    """The recording file names an existing manifest lists, keeping only
+    plain file names, so that removing them cannot leave its directory;
+    an absent or unreadable manifest lists none."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError):
+        return set()
+    recordings = raw.get("recordings") if isinstance(raw, dict) else None
+    if not isinstance(recordings, list):
+        return set()
+    paths = (r.get("path") for r in recordings if isinstance(r, dict))
+    return {p for p in paths if isinstance(p, str) and _is_plain_file_name(p)}
+
+
 def write_corpus(
     corpus: Corpus,
     out_dir,
@@ -307,7 +333,9 @@ def write_corpus(
     quoting. A later load reproduces the corpus exactly. When reports
     are given (one per label group), a sibling report.json is written
     alongside the data; otherwise any report.json already in out_dir is
-    removed. A feature name that schema.txt cannot carry
+    removed. Recordings that a manifest.json already in out_dir lists
+    and the new one does not are removed first, plain file names only
+    (see _listed_recordings). A feature name that schema.txt cannot carry
     (empty, with leading or trailing whitespace, or holding a line
     break), or a recording id that is not a plain file name, raises
     ParameterError before anything is created.
@@ -324,6 +352,12 @@ def write_corpus(
     ]
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    # an earlier write's recordings would sit next to the new manifest as
+    # if they belonged to the corpus it describes
+    stale = _listed_recordings(os.path.join(out_dir, MANIFEST_NAME))
+    for name in stale - {e.file_path for e in entries}:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, SCHEMA_NAME), "w", encoding="utf-8") as fh:
         for name in corpus.schema:
             fh.write(name + "\n")

@@ -344,6 +344,24 @@ def test_synth_over_a_release_removes_its_report(manifest, tmp_path):
     assert not (out / REPORT_NAME).exists()
 
 
+def test_synth_over_a_larger_release_leaves_only_its_own_files(tmp_path):
+    synth = ("synth", "--labels", 2, "--length", 40, "--features", 2, "--seed", 7)
+    result = run_cli(*synth, "--participants", 4, "--out", tmp_path / "src")
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "f"
+    result = run_cli(
+        "perturb", "--manifest", tmp_path / "src" / MANIFEST_NAME, "--mechanism", "lpa",
+        "--epsilon", 2.4, "--out", out,
+    )
+    assert result.exit_code == 0, result.output
+    assert len(list(out.glob("*.csv"))) == 8
+    result = run_cli(*synth, "--participants", 2, "--out", out)
+    assert result.exit_code == 0, result.output
+    listed = {r["path"] for r in json.loads((out / MANIFEST_NAME).read_text())["recordings"]}
+    assert len(listed) == 4
+    assert {p.name for p in out.iterdir()} == listed | {MANIFEST_NAME, "schema.txt"}
+
+
 def test_perturb_corrupt_cell_is_exit_3(corpus_dir, tmp_path):
     broken_dir = tmp_path / "broken"
     broken_dir.mkdir()

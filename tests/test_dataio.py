@@ -388,6 +388,39 @@ def test_write_without_reports_removes_a_stale_report(tmp_path):
         assert not (tmp_path / "out" / REPORT_NAME).exists()
 
 
+def test_write_removes_recordings_the_old_manifest_lists_and_the_new_does_not(tmp_path):
+    out = tmp_path / "out"
+    write_corpus(synth_corpus(_spec()), out)
+    old = json.loads((out / MANIFEST_NAME).read_text())["recordings"]
+    smaller = synth_corpus(_spec(participants=1))
+    # names an earlier manifest may hold that do not stay inside out_dir
+    (tmp_path / "outside.csv").write_text("keep")
+    (out / "sub").mkdir()
+    (out / "sub" / "r.csv").write_text("keep")
+    (out / "unlisted.csv").write_text("keep")
+    for path in ("../outside.csv", str(tmp_path / "outside.csv"), "sub/r.csv", "..", ""):
+        old.append({"path": path, "recording_id": "x", "participant_id": "p", "labels": {}})
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    (out / MANIFEST_NAME).write_text(json.dumps({**manifest, "recordings": old}))
+    write_corpus(smaller, out)
+    listed = {e.file_path for e in read_manifest(out / MANIFEST_NAME).recordings}
+    assert len(listed) == len(smaller.matrices) < len(synth_corpus(_spec()).matrices)
+    kept = {MANIFEST_NAME, SCHEMA_NAME, "sub", "unlisted.csv"}
+    assert {p.name for p in out.iterdir()} == listed | kept
+    assert (tmp_path / "outside.csv").read_text() == "keep"
+    assert (out / "sub" / "r.csv").read_text() == "keep"
+
+
+def test_write_over_an_unreadable_manifest_removes_nothing(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "r.csv").write_text("keep")
+    for text in ("{not json", "[]", '{"recordings": 3}', '{"recordings": [{"path": 3}, 4]}'):
+        (out / MANIFEST_NAME).write_text(text)
+        write_corpus(synth_corpus(_spec(participants=1)), out)
+        assert (out / "r.csv").read_text() == "keep"
+
+
 # --- loader failures -----------------------------------------------------------
 
 

@@ -1,7 +1,11 @@
 """Pairwise sensitivity: hand values, an exact-arithmetic mirror oracle,
-order/superset properties, group tables, and CSV round trips."""
+order/superset properties, the L2 Gram filter on adversarial groups and
+its memory, group tables, and CSV round trips."""
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from privseq.core import (
     ParameterError,
     chunk_plan,
 )
+from privseq import sensitivity
 from privseq.sensitivity import (
     DIFFERENCE,
     RAW,
@@ -333,6 +338,83 @@ def test_near_tie_groups_match_oracle(seed):
                 assert chunk_sensitivities(group, plan, w, domain) == oracle_chunks(
                     group, plan, w, domain
                 )
+
+
+# --- the L2 Gram filter ----------------------------------------------------
+
+
+def adversarial_group(rng, kind):
+    """Up to 40 rows that strain the Gram form of the L2 filter."""
+    m, n = int(rng.integers(2, 41)), int(rng.integers(1, 17))
+    if kind == "offset":  # q_i + q_j - 2 G_ij cancels unless centered
+        rows = 1e8 + rng.standard_normal((m, n))
+    elif kind == "tiny":  # squares and products underflow to a few subnormal steps
+        rows = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-163, -158)
+        rows *= rng.random((m, n)) < 0.8
+    elif kind == "huge":
+        # rows at 1e155, a few of them b higher: every square and every
+        # distance stays finite, while q_max can pass half the largest
+        # double, so that the bound overflows and every pair is kept;
+        # equal lengths, as zero padding beside 1e155 would overflow
+        b = math.sqrt(0.99 * sys.float_info.max / n)
+        high = rng.random(m) < 0.2
+        return list(1e155 + b * high[:, None] * rng.uniform(0.95, 1.0, (m, n)))
+    else:  # duplicates: a few distinct rows, ties everywhere
+        pool = rng.standard_normal((int(rng.integers(1, 4)), n))
+        rows = pool[rng.integers(0, len(pool), m)]
+    # some recordings shorter than the group maximum, as in a ragged corpus
+    return [r[: int(rng.integers(1, n + 1))] if rng.random() < 0.2 else r for r in rows]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("offset", "tiny", "huge", "duplicates")))
+@settings(max_examples=60, deadline=None)
+def test_l2_filter_matches_oracle_on_adversarial_groups(seed, kind):
+    # a few percent of underflowing groups need the bound's absolute
+    # term, so each example checks several
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        group = adversarial_group(rng, kind)
+        n = max(len(v) for v in group)
+        plan = chunk_plan(n, int(rng.integers(1, n + 1)))
+        for domain in (RAW, DIFFERENCE):
+            expected = oracle_chunks(group, plan, 2, domain)
+            assert chunk_sensitivities(group, plan, 2, domain) == expected
+            # one chunk per batch and one column per slab
+            with mock.patch.object(sensitivity, "_GRAM_VALUES", 1), mock.patch.object(
+                sensitivity, "_PRODUCT_TERMS", 1
+            ):
+                assert chunk_sensitivities(group, plan, 2, domain) == expected
+
+
+def test_l2_gram_overflow_keeps_every_pair():
+    # q of the two high rows passes half the largest double, so E
+    # overflows; the distances themselves stay finite
+    n = 4
+    b = math.sqrt(0.99 * sys.float_info.max / n)
+    rows = np.full((40, n), 1e155)
+    rows[:2] += b
+    first, second = sensitivity._l2_candidates(rows, [0])[0]
+    assert len(first) == 40 * 39 // 2
+    group = list(rows)
+    assert chunk_sensitivities(group, chunk_plan(n, n), 2) == oracle_chunks(
+        group, chunk_plan(n, n), 2, RAW
+    )
+
+
+@pytest.mark.parametrize("domain", [RAW, DIFFERENCE])
+def test_l2_working_memory_does_not_grow_with_the_chunk_count(domain):
+    # 512 chunks of a 200-row group: one (chunks, m, m) stack for all of
+    # them would take 160 MiB; the padded rows and their difference
+    # transform take 12.5 MiB
+    rng = np.random.default_rng(8)
+    group = list(3000.0 + rng.standard_normal((200, 4096)))
+    tracemalloc.start()
+    try:
+        chunk_sensitivities(group, chunk_plan(4096, 8), 2, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # --- SensitivityTable and group tables ----------------------------------

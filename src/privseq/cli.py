@@ -180,8 +180,6 @@ def synth(
 @click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV, built for this run's chunk plan; recomputed when absent.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
-@click.option("--conservative", is_flag=True, help="Account chunk budgets by sum instead of max.")
-@click.option("--literal-reconstruct", is_flag=True, help="Adjacent-pair reconstruction of differenced chunks.")
 @_LABEL_KIND_OPT
 @_SEED_OPT
 @_JOBS_OPT
@@ -189,8 +187,7 @@ def synth(
 @_handled
 def perturb(
     manifest, mechanism, epsilon, chunk_size, k, k_file, sensitivity_file,
-    clamp, symmetric, conservative, literal_reconstruct,
-    label_kind, seed, jobs, out_dir,
+    clamp, symmetric, label_kind, seed, jobs, out_dir,
 ) -> None:
     """Privatize a corpus and write it with its accounting report."""
     if k is not None and k_file is not None:
@@ -207,8 +204,6 @@ def perturb(
         chunk_size=chunk_size,
         k=k,
         symmetric=symmetric,
-        conservative=conservative,
-        literal_reconstruct=literal_reconstruct,
         clamp=clamp,
     )
     loaded = dataio.read_manifest(manifest)
@@ -227,8 +222,11 @@ def perturb(
         k_table=k_table,
     )
     dataio.write_corpus(noisy, out_dir, step_seconds=loaded.step_seconds, reports=reports)
-    for label in sorted(reports):
-        click.echo(f"group {label}: total epsilon {reports[label].total_epsilon!r}")
+    for label, r in sorted(reports.items()):
+        click.echo(
+            f"group {label}: total epsilon {r.total_epsilon!r} per chunk, "
+            f"{r.sequence_total_epsilon!r} per sequence"
+        )
     click.echo(f"wrote {len(noisy.matrices)} privatized recordings to {out_dir}")
 
 

@@ -10,6 +10,7 @@ repaired.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -250,10 +251,14 @@ class ReportUnit:
 class MechanismReport:
     """Per-release record of noise scales and the epsilon accounting.
 
-    per_feature_epsilon composes each feature's chunk budgets with the
-    parallel rule (disjoint index ranges); total_epsilon composes the
-    per-feature budgets sequentially (sum). accounting records that rule
-    in report.json and must be SEQUENTIAL.
+    A neighbouring corpus swaps one whole recording of a group, since
+    sensitivity is the largest distance between two. Features of one
+    recording compose by sum (accounting, which must be SEQUENTIAL).
+    per_feature_epsilon and total_epsilon, the chunk figure, compose a
+    feature's chunks by max: they bound a change confined to one chunk
+    (the whole signal for lpa and fpa). The sequence_ properties sum a
+    feature's units, as a swap changes every chunk at once: they bound
+    the swap.
     """
 
     mechanism: str
@@ -278,14 +283,30 @@ class MechanismReport:
                     f"{self.accounting} composition {expected}"
                 )
 
+    @property
+    def sequence_per_feature_epsilon(self) -> dict[str, float]:
+        """Per feature, the fsum of its units' epsilons: epsilon times its
+        units with a positive scale, 0 for a feature with none."""
+        units: dict[str, list[float]] = {f: [] for f in self.per_feature_epsilon}
+        for u in self.per_unit:
+            units.setdefault(u.feature, []).append(u.epsilon)
+        return {f: math.fsum(e) for f, e in units.items()}
+
+    @property
+    def sequence_total_epsilon(self) -> float:
+        """The fsum of sequence_per_feature_epsilon over features."""
+        return math.fsum(self.sequence_per_feature_epsilon.values())
+
     def payload(self) -> dict:
         """The report as plain JSON values: what to_json serializes and
         what report.json holds per label group."""
         return {
             "mechanism": self.mechanism,
             "accounting": self.accounting,
-            "total_epsilon": self.total_epsilon,
-            "per_feature_epsilon": {k: v for k, v in sorted(self.per_feature_epsilon.items())},
+            "chunk_total_epsilon": self.total_epsilon,
+            "chunk_per_feature_epsilon": dict(sorted(self.per_feature_epsilon.items())),
+            "sequence_total_epsilon": self.sequence_total_epsilon,
+            "sequence_per_feature_epsilon": dict(sorted(self.sequence_per_feature_epsilon.items())),
             "units": [
                 {
                     "feature": u.feature,

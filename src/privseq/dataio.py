@@ -337,8 +337,9 @@ def write_corpus(
     and the new one does not are removed first, plain file names only
     (see _listed_recordings). A feature name that schema.txt cannot carry
     (empty, with leading or trailing whitespace, or holding a line
-    break), or a recording id that is not a plain file name, raises
-    ParameterError before anything is created.
+    break), a recording id that is not a plain file name, or an out_dir
+    that is not empty and holds no manifest.json raises ParameterError
+    before anything is created or removed.
     """
     for name in corpus.schema:
         if not name or name != name.strip() or "\n" in name or "\r" in name:
@@ -351,6 +352,13 @@ def write_corpus(
         for m in corpus.matrices
     ]
     out_dir = os.fspath(out_dir)
+    # no manifest can vouch for the files of such a directory, which
+    # would sit next to the new one as if they belonged to the corpus
+    if (
+        os.path.isdir(out_dir) and os.listdir(out_dir)
+        and not os.path.isfile(os.path.join(out_dir, MANIFEST_NAME))
+    ):
+        raise ParameterError(f"{out_dir} is not empty and holds no {MANIFEST_NAME}")
     os.makedirs(out_dir, exist_ok=True)
     # an earlier write's recordings would sit next to the new manifest as
     # if they belonged to the corpus it describes

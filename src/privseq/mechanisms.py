@@ -229,15 +229,6 @@ def fpa_spectra(block: np.ndarray, plan: ChunkPlan, difference: bool) -> list[np
     return out
 
 
-def _literal_pairwise(nd: np.ndarray) -> np.ndarray:
-    # Adjacent-pair aggregation along the last axis: out[0] = nd[0],
-    # out[t] = nd[t] + nd[t-1].
-    out = np.empty_like(nd)
-    out[..., 0] = nd[..., 0]
-    np.add(nd[..., 1:], nd[..., :-1], out=out[..., 1:])
-    return out
-
-
 def _noise_pairs(draws: np.ndarray, n: int) -> np.ndarray:
     """The (rows, n) complex view of the first 2n draws of each row:
     element s + j is the unit noise of bin j of the chunk starting at s,
@@ -251,15 +242,13 @@ def fpa_parts(
     draws: np.ndarray,
     difference: bool,
     symmetric: bool = False,
-    literal: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S, N): S (a row per spectra row) inverts the truncated clean
     coefficients, N (a row per draws row) the unit Laplace coefficient
     noise read from the first 2n draws of each draws row in layout
     order, n the plan's total length. Both are completed alike when
-    symmetric is set and, when difference is, summed back (or
-    pair-aggregated when literal is set). Each run of equal-length
-    chunks is inverted in one transform call."""
+    symmetric is set and, when difference is, summed back. Each run of
+    equal-length chunks is inverted in one transform call."""
     rows_s = spectra[0].shape[0]
     rows_n = draws.shape[0]
     pairs = _noise_pairs(draws, layout.plan.total_length)
@@ -275,7 +264,7 @@ def fpa_parts(
                 transform.reflect_conjugate(bins[:, j:end], k)
         rec = transform.idft_batch(bins.reshape(-1, c)).real.reshape(-1, count, c)
         if difference:
-            rec = _literal_pairwise(rec) if literal else transform.cumsum_reconstruct(rec)
+            rec = transform.cumsum_reconstruct(rec)
         rec = rec.reshape(-1, count * c)
         clean[:, start : start + count * c] = rec[:rows_s]
         unit[:, start : start + count * c] = rec[rows_s:]
@@ -332,9 +321,7 @@ def _released(
     else:
         difference = config.mechanism == "dcfpa"
         spectra = fpa_spectra(block, layout.plan, difference)
-        clean, unit = fpa_parts(
-            spectra, layout, draws, difference, config.symmetric, config.literal_reconstruct
-        )
+        clean, unit = fpa_parts(spectra, layout, draws, difference, config.symmetric)
     return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), layout, lams)
 
 
@@ -379,10 +366,11 @@ def cfpa(
     src: NoiseSource,
     symmetric: bool = False,
 ) -> RealSeq:
-    """FPA applied independently to each disjoint chunk of the plan.
+    """FPA applied independently to each chunk of the plan.
 
-    Every chunk receives the full budget epsilon: the chunks partition
-    the sample index range, so parallel composition applies.
+    Every chunk's noise is scaled to the full budget epsilon, which
+    bounds a change confined to that chunk; swapping the whole signal
+    costs up to epsilon per chunk (MechanismReport's sequence figure).
     """
     config = MechanismConfig("cfpa", epsilon, plan.chunk_size, symmetric=symmetric)
     return _fpa_row(x, plan, per_chunk, src, config)
@@ -395,19 +383,11 @@ def dcfpa(
     epsilon: float,
     src: NoiseSource,
     symmetric: bool = False,
-    literal: bool = False,
 ) -> RealSeq:
     """Per chunk: difference transform, FPA in the difference domain
     (per_chunk sensitivities must be difference-domain values), then the
-    running-sum reconstruction.
-
-    literal=True replaces the running sum with the adjacent-pair
-    aggregation variant for comparison; it is not the inverse of the
-    difference transform and is off by default.
-    """
-    config = MechanismConfig(
-        "dcfpa", epsilon, plan.chunk_size, symmetric=symmetric, literal_reconstruct=literal
-    )
+    running-sum reconstruction."""
+    config = MechanismConfig("dcfpa", epsilon, plan.chunk_size, symmetric=symmetric)
     return _fpa_row(x, plan, per_chunk, src, config)
 
 
@@ -442,9 +422,6 @@ class MechanismConfig:
 
     k = None means full retention (k equal to each chunk's length);
     chunk_size applies to cfpa/dcfpa only and is ignored by lpa/fpa.
-    conservative switches the accounting of every mechanism's chunks
-    from parallel (max) to sequential (sum); literal_reconstruct
-    switches dcfpa, and only dcfpa, to the adjacent-pair aggregation;
     clamp zeroes negative outputs after noising; symmetric retains
     conjugate-completed coefficients, so lpa, which keeps none, rejects
     it.
@@ -455,8 +432,6 @@ class MechanismConfig:
     chunk_size: int | None = None
     k: int | None = None
     symmetric: bool = False
-    conservative: bool = False
-    literal_reconstruct: bool = False
     clamp: bool = False
 
     def __post_init__(self) -> None:
@@ -471,10 +446,6 @@ class MechanismConfig:
                 raise ParameterError(f"{self.mechanism} requires a positive chunk_size")
         if self.k is not None and self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.literal_reconstruct and self.mechanism != "dcfpa":
-            raise ParameterError(
-                f"literal_reconstruct does not apply to {self.mechanism}: it is dcfpa's reconstruction"
-            )
         if self.symmetric and self.mechanism == "lpa":
             raise ParameterError("symmetric does not apply to lpa, which keeps no coefficients")
 
@@ -537,13 +508,9 @@ def build_report(
     excluded: frozenset[str] | set[str] = frozenset(),
     k_table: Mapping[tuple[str, int], int] | None = None,
 ) -> MechanismReport:
-    """Accounting for one release: per-unit scales and composed budgets.
-
-    Chunks of one feature partition disjoint sample ranges, so the
-    feature budget composes in parallel (maximum) unless the
-    conservative flag asks for the sum; features of one recording
-    describe the same individuals, so the total composes sequentially
-    (sum). Zero-sensitivity units are omitted and contribute 0.
+    """Accounting for one release: per-unit scales and composed budgets
+    (the chunk and sequence figures of MechanismReport). Zero-sensitivity
+    units are omitted and contribute 0 to both.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
@@ -568,12 +535,7 @@ def _report(
             if lam > 0.0:
                 units.append(ReportUnit(feature, ci, delta, float(lam), k, config.epsilon))
                 unit_epsilons.append(config.epsilon)
-        if not unit_epsilons:
-            per_feature[feature] = 0.0
-        elif config.conservative:
-            per_feature[feature] = compose_sequential(unit_epsilons)
-        else:
-            per_feature[feature] = compose_parallel(unit_epsilons)
+        per_feature[feature] = compose_parallel(unit_epsilons) if unit_epsilons else 0.0
     total = float(sum(per_feature.values())) if per_feature else 0.0
     return MechanismReport(
         mechanism=config.mechanism,

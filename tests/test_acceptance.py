@@ -256,14 +256,22 @@ def test_acceptance_05_composition_rules():
         for e in report.per_feature_epsilon.values()
     )
     total_ok = report.total_epsilon == compose_sequential([0.8, 0.8]) == 1.6
+    # a swap of one recording changes all three chunks: their sum bounds it
+    seq_features = report.sequence_per_feature_epsilon
+    sequence_ok = (
+        all(math.isclose(e, 2.4, rel_tol=1e-12) for e in seq_features.values())
+        and math.isclose(report.sequence_total_epsilon, 4.8, rel_tol=1e-12)
+    )
 
-    ok = seq == 6.0 and par == 3.0 and per_feature_ok and total_ok
+    ok = seq == 6.0 and par == 3.0 and per_feature_ok and total_ok and sequence_ok
     assert _verdict(
         "5",
         "parallel across chunks, sequential across features",
         ok,
         f"seq={seq} par={par} per_feature={sorted(report.per_feature_epsilon.values())} "
-        f"total={report.total_epsilon}",
+        f"total={report.total_epsilon} "
+        f"sequence_per_feature={sorted(seq_features.values())} "
+        f"sequence_total={report.sequence_total_epsilon}",
     )
 
 

@@ -186,9 +186,9 @@ def test_perturb_writes_noisy_corpus_and_report(manifest, tmp_path):
         "--epsilon", 4.8, "--chunk-size", 8, "--seed", 5, "--out", out,
     )
     assert result.exit_code == 0, result.output
-    assert "total epsilon" in result.stdout
-    # two features, parallel across chunks, summed across features
-    assert "9.6" in result.stdout
+    # two features, summed; five chunks each, by max within one chunk and
+    # by sum for a swap of the whole recording
+    assert "total epsilon 9.6 per chunk, 48.0 per sequence" in result.stdout
 
     clean = load_corpus(manifest)
     noisy = load_corpus(out / MANIFEST_NAME)
@@ -198,7 +198,8 @@ def test_perturb_writes_noisy_corpus_and_report(manifest, tmp_path):
 
     report = json.loads((out / REPORT_NAME).read_text())
     assert set(report) == {"l0", "l1"}
-    assert all(r["total_epsilon"] == 9.6 for r in report.values())
+    assert all(r["chunk_total_epsilon"] == 9.6 for r in report.values())
+    assert all(r["sequence_total_epsilon"] == 48.0 for r in report.values())
 
 
 def test_perturb_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
@@ -302,20 +303,39 @@ def test_perturb_lpa_rejects_retention_flags(manifest, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "mechanism, flag",
-    [("lpa", "--literal-reconstruct"), ("fpa", "--literal-reconstruct"),
-     ("cfpa", "--literal-reconstruct"), ("lpa", "--symmetric")],
-)
+@pytest.mark.parametrize("mechanism, flag", [("lpa", "--symmetric")])
 def test_perturb_rejects_variant_flags_the_mechanism_ignores(manifest, tmp_path, mechanism, flag):
-    # the adjacent-pair aggregation is dcfpa's, and lpa keeps no
-    # coefficients to complete, so either flag would change nothing
+    # lpa keeps no coefficients to complete, so the flag would change nothing
     result = run_cli(
         "perturb", "--manifest", manifest, "--mechanism", mechanism, "--epsilon", 2.4,
         "--chunk-size", 8, flag, "--out", tmp_path / "out",
     )
     assert result.exit_code == 2, result.output
     assert f"does not apply to {mechanism}" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_perturb_help_lists_exactly_its_options():
+    result = run_cli("perturb", "--help")
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
+    assert listed == [
+        "--manifest", "--mechanism", "--epsilon", "--chunk-size", "--k", "--k-file",
+        "--sensitivity-file", "--clamp", "--symmetric", "--label-kind", "--seed", "--jobs",
+        "--out", "--help",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--conservative", "--literal-reconstruct"])
+def test_perturb_accounting_and_reconstruction_flags_are_gone(manifest, tmp_path, flag):
+    # the report always carries the sequence figure, and dcfpa has one
+    # reconstruction, the running sum
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "dcfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, flag, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -360,6 +380,22 @@ def test_synth_over_a_larger_release_leaves_only_its_own_files(tmp_path):
     listed = {r["path"] for r in json.loads((out / MANIFEST_NAME).read_text())["recordings"]}
     assert len(listed) == 4
     assert {p.name for p in out.iterdir()} == listed | {MANIFEST_NAME, "schema.txt"}
+
+
+def test_synth_and_perturb_refuse_a_non_empty_directory_without_a_manifest(manifest, tmp_path):
+    # no manifest vouches for the files there: nothing is written or removed
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "notes.csv").write_text("keep")
+    for args in (
+        ("synth", "--participants", 2, "--labels", 2, "--length", 8, "--features", 2),
+        ("perturb", "--manifest", manifest, "--mechanism", "lpa", "--epsilon", 2.4),
+    ):
+        result = run_cli(*args, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert f"holds no {MANIFEST_NAME}" in result.stderr
+        assert [p.name for p in out.iterdir()] == ["notes.csv"]
+        assert (out / "notes.csv").read_text() == "keep"
 
 
 def test_perturb_corrupt_cell_is_exit_3(corpus_dir, tmp_path):

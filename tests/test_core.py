@@ -181,6 +181,8 @@ class TestMechanismReport:
             total_epsilon=1.0,
         )
         payload = json.loads(r.to_json())
-        assert payload["total_epsilon"] == 1.0
+        assert payload["chunk_total_epsilon"] == payload["sequence_total_epsilon"] == 1.0
+        assert payload["chunk_per_feature_epsilon"] == {"f0": 1.0}
+        assert payload["sequence_per_feature_epsilon"] == {"f0": 1.0}
         assert payload["units"][0]["lambda"] == 2.0
         assert r.to_json() == r.to_json()

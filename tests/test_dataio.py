@@ -273,7 +273,10 @@ def test_report_json_bytes_equal_the_parsed_to_json_form(tmp_path):
     expected = json.dumps(merged, indent=2, sort_keys=True) + "\n"
     got = (tmp_path / "out" / REPORT_NAME).read_bytes()
     assert got == expected.encode("utf-8")
-    for text in (b'"lambda": 5e-324', b'"sensitivity": 1e+22', b'"total_epsilon": 1e-300'):
+    for text in (
+        b'"lambda": 5e-324', b'"sensitivity": 1e+22', b'"chunk_total_epsilon": 1e-300',
+        b'"sequence_total_epsilon": 1e-300',
+    ):
         assert text in got
 
 
@@ -367,7 +370,8 @@ def test_report_sidecar(tmp_path):
     assert set(raw) == {"a", "b"}
     for payload in raw.values():
         assert payload["mechanism"] == "lpa"
-        assert payload["total_epsilon"] > 0.0
+        assert payload["chunk_total_epsilon"] > 0.0
+        assert payload["sequence_total_epsilon"] == payload["chunk_total_epsilon"]  # lpa
         assert "units" in payload
 
 
@@ -409,6 +413,23 @@ def test_write_removes_recordings_the_old_manifest_lists_and_the_new_does_not(tm
     assert {p.name for p in out.iterdir()} == listed | kept
     assert (tmp_path / "outside.csv").read_text() == "keep"
     assert (out / "sub" / "r.csv").read_text() == "keep"
+
+
+def test_write_refuses_a_non_empty_directory_without_a_manifest(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_corpus(synth_corpus(_spec(participants=1)), out)  # empty: written
+    (out / MANIFEST_NAME).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ParameterError, match=f"holds no {MANIFEST_NAME}"):
+        write_corpus(synth_corpus(_spec()), out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    (out / "sub").mkdir()
+    for name in before:
+        (out / name).unlink()
+    with pytest.raises(ParameterError, match=f"holds no {MANIFEST_NAME}"):
+        write_corpus(synth_corpus(_spec()), out)
+    assert [p.name for p in out.iterdir()] == ["sub"]
 
 
 def test_write_over_an_unreadable_manifest_removes_nothing(tmp_path):

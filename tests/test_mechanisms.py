@@ -1,6 +1,7 @@
 """Mechanism behavior: noise scales measured against a degenerate
 transform, exact identities at zero sensitivity, chunk composition,
 budget accounting, and whole-corpus perturbation."""
+import itertools
 import math
 import sys
 
@@ -33,7 +34,8 @@ from privseq.mechanisms import (
     perturb_corpus,
 )
 from privseq.noise import NoiseSource, unit_laplace
-from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable
+from privseq.dataio import SynthSpec, synth_corpus
+from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable, build_group_table
 from privseq.tuning import KTable
 
 
@@ -310,22 +312,6 @@ def test_dcfpa_zero_noise_full_retention_is_roundtrip():
     assert np.max(np.abs(out - x)) < 1e-9 * max(1.0, np.max(np.abs(x)))
 
 
-def test_dcfpa_literal_mode_is_adjacent_pair_aggregation():
-    x = np.array([3.0, 5.0, 4.0, 4.0, 1.0, 2.0])
-    plan = chunk_plan(6, 3)
-    per_chunk = [(0.0, 3), (0.0, 3)]
-    out = dcfpa(x, plan, per_chunk, 1.0, _src(15), literal=True)
-    expected = []
-    for s, e in plan.boundaries:
-        d = np.diff(x[s:e], prepend=0.0)
-        d[0] = x[s]
-        part = np.empty_like(d)
-        part[0] = d[0]
-        part[1:] = d[1:] + d[:-1]
-        expected.append(part)
-    assert np.max(np.abs(out - np.concatenate(expected))) < 1e-9
-
-
 def test_dcfpa_deterministic_and_length_preserving():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(50)
@@ -380,13 +366,10 @@ def test_mechanism_config_validation():
         MechanismConfig(mechanism="dcfpa", epsilon=1.0, chunk_size=0)
     with pytest.raises(ParameterError):
         MechanismConfig(mechanism="fpa", epsilon=1.0, k=0)
-    # variant flags that would change nothing are rejected, not ignored
-    for mechanism, chunk_size in (("lpa", None), ("fpa", None), ("cfpa", 4)):
-        with pytest.raises(ParameterError, match="literal_reconstruct does not apply"):
-            MechanismConfig(mechanism, 1.0, chunk_size, literal_reconstruct=True)
+    # a variant flag that would change nothing is rejected, not ignored
     with pytest.raises(ParameterError, match="symmetric does not apply to lpa"):
         MechanismConfig(mechanism="lpa", epsilon=1.0, symmetric=True)
-    MechanismConfig("dcfpa", 1.0, 4, symmetric=True, literal_reconstruct=True)
+    MechanismConfig("dcfpa", 1.0, 4, symmetric=True)
 
 
 def test_mechanism_config_derived_properties():
@@ -419,11 +402,36 @@ def test_report_parallel_across_chunks():
     assert report.total_epsilon == 2.4
 
 
-def test_report_conservative_sums_across_chunks():
-    config = MechanismConfig(mechanism="dcfpa", epsilon=2.4, chunk_size=4, conservative=True)
-    sens = _table({"f0": 1.0}, 3, DIFFERENCE, 2)
-    report = build_report(config, sens, ["f0"], 12)
-    assert math.isclose(report.per_feature_epsilon["f0"], 7.2, rel_tol=1e-12)
+def test_report_sequence_figures_sum_each_features_units():
+    # Swapping a recording changes every chunk, so the sequence figure
+    # sums a feature's units, where the chunk figure keeps their max. A
+    # unit left out for zero sensitivity adds nothing to either.
+    config = MechanismConfig(mechanism="dcfpa", epsilon=2.4, chunk_size=4)
+    deltas = {"f0": (1.0, 1.0, 1.0), "f1": (0.0, 1.0, 0.0), "f2": (0.0, 0.0, 0.0)}
+    sens = SensitivityTable(
+        entries={(f, ci, DIFFERENCE, 2): d for f, ds in deltas.items() for ci, d in enumerate(ds)},
+        group_label="g",
+    )
+    report = build_report(config, sens, ["f0", "f1", "f2"], 12)
+    assert report.per_feature_epsilon == {"f0": 2.4, "f1": 2.4, "f2": 0.0}
+    assert report.total_epsilon == 4.8
+    seq = report.sequence_per_feature_epsilon
+    assert seq == {"f0": math.fsum([2.4] * 3), "f1": 2.4, "f2": 0.0}
+    assert math.isclose(seq["f0"], 7.2, rel_tol=1e-12)
+    assert report.sequence_total_epsilon == math.fsum(seq.values())
+    assert math.isclose(report.sequence_total_epsilon, 9.6, rel_tol=1e-12)
+    payload = report.payload()
+    assert (payload["chunk_total_epsilon"], payload["sequence_total_epsilon"]) == (
+        report.total_epsilon, report.sequence_total_epsilon
+    )
+    assert payload["chunk_per_feature_epsilon"] == report.per_feature_epsilon
+    assert payload["sequence_per_feature_epsilon"] == seq
+    # one whole-signal unit per feature: the two figures agree
+    for mechanism, norm in (("lpa", 1), ("fpa", 2)):
+        config = MechanismConfig(mechanism=mechanism, epsilon=2.4)
+        report = build_report(config, _table({"f0": 1.0, "f1": 2.0}, 1, RAW, norm), ["f0", "f1"], 12)
+        assert report.sequence_per_feature_epsilon == report.per_feature_epsilon
+        assert report.sequence_total_epsilon == report.total_epsilon == 4.8
 
 
 def test_report_sums_across_features():
@@ -653,7 +661,7 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
     # One block per (group, feature) through the core must give exactly
     # what a direct mechanism call gives each zero-padded recording on
     # stream (r, f, 0): remainder chunk, tuned counts, symmetric
-    # completion, literal aggregation and clamping included. lpa reads
+    # completion and clamping included. lpa reads
     # the first n of the block's 2n draws per stream, which must be the
     # draws of lpa's own n-draw call.
     from privseq.sensitivity import build_group_table
@@ -665,7 +673,7 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
         MechanismConfig(mechanism="fpa", epsilon=2.4, symmetric=True),
         MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4, symmetric=True),
         MechanismConfig(mechanism="cfpa", epsilon=0.5, chunk_size=5, clamp=True),
-        MechanismConfig(mechanism="dcfpa", epsilon=2.4, chunk_size=4, literal_reconstruct=True),
+        MechanismConfig(mechanism="dcfpa", epsilon=2.4, chunk_size=4),
         MechanismConfig(mechanism="dcfpa", epsilon=4.8, chunk_size=5, symmetric=True, clamp=True),
     ):
         plans, tables, entries = {}, {}, {}
@@ -710,10 +718,7 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
                 elif config.mechanism == "cfpa":
                     direct = cfpa(padded, plan, per_chunk, config.epsilon, stream, config.symmetric)
                 else:
-                    direct = dcfpa(
-                        padded, plan, per_chunk, config.epsilon, stream, config.symmetric,
-                        config.literal_reconstruct,
-                    )
+                    direct = dcfpa(padded, plan, per_chunk, config.epsilon, stream, config.symmetric)
                 if config.clamp:
                     direct = clamp_nonnegative(direct)
                 assert np.array_equal(out.values[:, f], direct[: m.length]), (config, r, f)
@@ -886,3 +891,138 @@ def test_perturb_corpus_rejects_bad_jobs():
     with pytest.raises(ParameterError):
         perturb_corpus(_corpus(), "category", MechanismConfig(mechanism="lpa", epsilon=1.0),
                        NoiseSource(seed=1), jobs=0)
+
+
+# --- realised privacy loss of a swap -----------------------------------------
+
+
+def _pair_losses(corpus, value, config, report, features):
+    """The privacy loss that swapping two recordings of group value
+    realises, per pair: the sum over features and chunks of
+    ||A_k d||_1 / lam, d the pair's zero-padded chunk difference in the
+    config's domain and ||A_k d||_1 the L1 norm of the real and imaginary
+    parts of d's first k DFT bins (||d||_1 for lpa), with k and lam the
+    report's. A unit the report leaves out has zero sensitivity, so no
+    pair may differ there."""
+    group = corpus.group("category", value)
+    n = max(m.length for m in group)
+    plan = config.plan_for(n)
+    units = {(u.feature, u.chunk_index): u for u in report.per_unit}
+    padded = np.zeros((len(group), len(corpus.schema), n))
+    for i, m in enumerate(group):
+        padded[i, :, : m.length] = m.values.T
+    losses = []
+    for a, b in itertools.combinations(padded, 2):
+        loss = 0.0
+        for f, feature in enumerate(corpus.schema):
+            if feature not in features:
+                continue
+            for ci, (s, e) in enumerate(plan.boundaries):
+                pa, pb = a[f, s:e], b[f, s:e]
+                if config.domain == DIFFERENCE:
+                    pa, pb = np.diff(pa, prepend=0.0), np.diff(pb, prepend=0.0)
+                d = pa - pb
+                u = units.get((feature, ci))
+                if u is None:
+                    assert not d.any(), (feature, ci)
+                elif config.mechanism == "lpa":
+                    loss += np.abs(d).sum() / u.lam
+                else:
+                    bins = np.fft.fft(d)[: u.k]
+                    loss += (np.abs(bins.real).sum() + np.abs(bins.imag).sum()) / u.lam
+        losses.append(loss)
+    return losses
+
+
+@st.composite
+def _swap_cases(draw):
+    """(config, recording lengths, feature count, per-(feature, chunk) k
+    and zeroed flags, data seed) for one group. cfpa and dcfpa plans end
+    in a remainder chunk; a zeroed chunk is zero in every recording, so
+    its sensitivity is 0."""
+    mechanism = draw(st.sampled_from(mechanisms.MECHANISMS))
+    lengths = draw(st.lists(st.integers(3, 24), min_size=2, max_size=4))
+    n = max(lengths)
+    chunk = None
+    if mechanism in ("cfpa", "dcfpa"):
+        chunk = draw(st.sampled_from([c for c in range(2, n) if n % c]))
+    config = MechanismConfig(
+        mechanism=mechanism,
+        epsilon=draw(st.floats(0.01, 100.0)),
+        chunk_size=chunk,
+        symmetric=mechanism != "lpa" and draw(st.booleans()),
+    )
+    features = draw(st.integers(1, 2))
+    cells = [
+        (draw(st.integers(1, c)), draw(st.booleans()))
+        for _ in range(features)
+        for c in config.plan_for(n).chunk_lengths()
+    ]
+    return config, lengths, features, cells, draw(st.integers(0, 2**32 - 1))
+
+
+@given(case=_swap_cases())
+@settings(max_examples=80, deadline=None)
+def test_sequence_epsilon_bounds_the_loss_of_every_swap(case):
+    # Whatever the plan, k table, completion or domain, no swap of two
+    # recordings realises more loss than the report's sequence figure.
+    config, lengths, features, cells, seed = case
+    names = tuple(f"f{i}" for i in range(features))
+    n = max(lengths)
+    plan = config.plan_for(n)
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal((length, features)).cumsum(axis=0) for length in lengths]
+    keys = [(f, ci) for f in range(features) for ci in range(len(plan))]
+    for (f, ci), (_, zeroed) in zip(keys, cells):
+        if zeroed:
+            s, e = plan.boundaries[ci]
+            for x in values:
+                x[s:e, f] = 0.0
+    corpus = Corpus(
+        matrices=tuple(
+            _matrix(f"r{i}", f"p{i}", "a", x, names) for i, x in enumerate(values)
+        ),
+        schema=names,
+    )
+    k_table = None
+    if config.mechanism != "lpa":
+        k_table = KTable(
+            entries={("a", names[f], ci): k for (f, ci), (k, _) in zip(keys, cells)},
+            runs_used=1, epsilon_used=1.0, plans={"a": plan}, mechanism=config.mechanism,
+        )
+    _, reports = perturb_corpus(corpus, "category", config, NoiseSource(5), k_table=k_table)
+    report = reports["a"]
+    sens = build_group_table(
+        corpus, "category", "a", plan, norms=(config.norm_order,), domains=(config.domain,)
+    )
+    deltas = [sens.value(names[f], ci, config.domain, config.norm_order) for f, ci in keys]
+    assert all(d == 0.0 for d, (_, zeroed) in zip(deltas, cells) if zeroed)
+    assert [(u.feature, u.chunk_index) for u in report.per_unit] == [
+        (names[f], ci) for (f, ci), d in zip(keys, deltas) if d > 0.0
+    ]
+    assert math.isclose(
+        report.sequence_total_epsilon, config.epsilon * len(report.per_unit), rel_tol=1e-12
+    )
+    for loss in _pair_losses(corpus, "a", config, report, names):
+        assert loss <= report.sequence_total_epsilon * (1.0 + 1e-12)
+
+
+def test_cfpa_swap_on_the_pinned_corpus_exceeds_the_chunk_figure():
+    # Group l0, feature f00 of the seed-29 corpus, cfpa on 32-sample chunks
+    # at epsilon 1: the worst swap loses 7.855, far above the chunk figure
+    # 1.0 and within the sequence figure, 32 chunks x 1.0.
+    spec = SynthSpec(
+        participants=20, recordings_per_label=1, labels=("l0", "l1", "l2"), length=1024,
+        features=4, ar_coefficient=0.95, offsets=(2700.0, 3000.0, 3300.0), noise_sd=1.0,
+        seed=29,
+    )
+    corpus = synth_corpus(spec)
+    config = MechanismConfig(mechanism="cfpa", epsilon=1.0, chunk_size=32)
+    plan = config.plan_for(1024)
+    sens = build_group_table(corpus, "category", "l0", plan, norms=(2,), domains=(RAW,))
+    report = build_report(config, sens, ["f00"], 1024)
+    worst = max(_pair_losses(corpus, "l0", config, report, ("f00",)))
+    assert report.total_epsilon == 1.0
+    assert report.sequence_total_epsilon == 32.0
+    assert round(worst, 3) == 7.855
+    assert report.total_epsilon < worst <= report.sequence_total_epsilon

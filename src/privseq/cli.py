@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands cover the full workflow: generate a synthetic corpus, release a
-privatized copy with an accounting report, sweep utility across budget
+privatized copy with its epsilon report, sweep utility across budget
 grids, tune retention counts, inspect correlation structure, and score
 downstream classification.
 
@@ -189,7 +189,7 @@ def perturb(
     manifest, mechanism, epsilon, chunk_size, k, k_file, sensitivity_file,
     clamp, symmetric, label_kind, seed, jobs, out_dir,
 ) -> None:
-    """Privatize a corpus and write it with its accounting report."""
+    """Privatize a corpus and write it with its epsilon report."""
     if k is not None and k_file is not None:
         raise ParameterError("--k and --k-file are mutually exclusive")
     if mechanism == "lpa" and (k is not None or k_file is not None):

@@ -2,10 +2,10 @@
 
 Everything downstream operates on the types defined here: float64
 sample vectors, recordings (time x feature grids), corpora of
-recordings, chunk partitions, and the per-release accounting report;
-also the one reader of the headered CSV side files. Construction
-validates invariants and raises typed errors; nothing is silently
-repaired.
+recordings, chunk partitions, and the per-release report of noised
+units, from which it derives every epsilon figure; also the one reader
+of the headered CSV side files. Construction validates invariants and
+raises typed errors; nothing is silently repaired.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ __all__ = [
     "chunk_plan",
     "ReportUnit",
     "MechanismReport",
-    "SEQUENTIAL",
 ]
 
 
@@ -222,12 +221,9 @@ def chunk_plan(total_length: int, chunk_size: int) -> ChunkPlan:
     return ChunkPlan(total_length, chunk_size, bounds)
 
 
-SEQUENTIAL = "sequential"
-
-
 @dataclass(frozen=True, slots=True)
 class ReportUnit:
-    """Accounting entry for one (feature, chunk) noise application."""
+    """Report entry for one (feature, chunk) noise application."""
 
     feature: str
     chunk_index: int
@@ -249,48 +245,50 @@ class ReportUnit:
 
 @dataclass(frozen=True, slots=True)
 class MechanismReport:
-    """Per-release record of noise scales and the epsilon accounting.
+    """Per-release record of the noised units of the included features;
+    every epsilon figure is derived from the units.
 
     A neighbouring corpus swaps one whole recording of a group, since
     sensitivity is the largest distance between two. Features of one
-    recording compose by sum (accounting, which must be SEQUENTIAL).
-    per_feature_epsilon and total_epsilon, the chunk figure, compose a
-    feature's chunks by max: they bound a change confined to one chunk
-    (the whole signal for lpa and fpa). The sequence_ properties sum a
-    feature's units, as a swap changes every chunk at once: they bound
-    the swap.
+    recording compose by sum. per_feature_epsilon and total_epsilon, the
+    chunk figure, compose a feature's chunks by max: they bound a change
+    confined to one chunk (the whole signal for lpa and fpa). The
+    sequence_ figures sum a feature's units, as a swap changes every
+    chunk at once: they bound the swap. A feature with no unit (every
+    sensitivity 0) reads 0 in both.
     """
 
     mechanism: str
+    features: tuple[str, ...]
     per_unit: tuple[ReportUnit, ...]
-    accounting: str
-    per_feature_epsilon: Mapping[str, float]
-    total_epsilon: float
 
     def __post_init__(self) -> None:
         if self.mechanism not in ("lpa", "fpa", "cfpa", "dcfpa"):
             raise ParameterError(f"unknown mechanism {self.mechanism!r}")
-        if self.accounting != SEQUENTIAL:
-            raise ParameterError(f"unknown accounting mode {self.accounting!r}")
+        object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "per_unit", tuple(self.per_unit))
-        object.__setattr__(self, "per_feature_epsilon", dict(self.per_feature_epsilon))
-        feats = self.per_feature_epsilon
-        if feats:
-            expected = float(sum(feats.values()))
-            if not np.isclose(expected, self.total_epsilon, rtol=0, atol=1e-12):
-                raise InternalInvariantError(
-                    f"total_epsilon {self.total_epsilon} does not match "
-                    f"{self.accounting} composition {expected}"
-                )
+        if len(set(self.features)) != len(self.features):
+            raise ParameterError("report features must be unique")
+        if not {u.feature for u in self.per_unit} <= set(self.features):
+            raise ParameterError("a unit names a feature outside the report's features")
+
+    def _unit_epsilons(self) -> dict[str, list[float]]:
+        return {f: [u.epsilon for u in self.per_unit if u.feature == f] for f in self.features}
+
+    @property
+    def per_feature_epsilon(self) -> dict[str, float]:
+        """Per feature, the max of its units' epsilons."""
+        return {f: float(max(e)) if e else 0.0 for f, e in self._unit_epsilons().items()}
+
+    @property
+    def total_epsilon(self) -> float:
+        """The sum of per_feature_epsilon, in feature order."""
+        return float(sum(self.per_feature_epsilon.values()))
 
     @property
     def sequence_per_feature_epsilon(self) -> dict[str, float]:
-        """Per feature, the fsum of its units' epsilons: epsilon times its
-        units with a positive scale, 0 for a feature with none."""
-        units: dict[str, list[float]] = {f: [] for f in self.per_feature_epsilon}
-        for u in self.per_unit:
-            units.setdefault(u.feature, []).append(u.epsilon)
-        return {f: math.fsum(e) for f, e in units.items()}
+        """Per feature, the fsum of its units' epsilons."""
+        return {f: math.fsum(e) for f, e in self._unit_epsilons().items()}
 
     @property
     def sequence_total_epsilon(self) -> float:
@@ -302,7 +300,6 @@ class MechanismReport:
         what report.json holds per label group."""
         return {
             "mechanism": self.mechanism,
-            "accounting": self.accounting,
             "chunk_total_epsilon": self.total_epsilon,
             "chunk_per_feature_epsilon": dict(sorted(self.per_feature_epsilon.items())),
             "sequence_total_epsilon": self.sequence_total_epsilon,

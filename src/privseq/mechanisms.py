@@ -1,4 +1,4 @@
-"""The four privatization mechanisms and epsilon-budget accounting.
+"""The four privatization mechanisms and the report of their units.
 
 LPA adds i.i.d. Laplace noise to every sample (L1 sensitivity). FPA
 transforms the whole signal, keeps the first k Fourier coefficients,
@@ -17,17 +17,20 @@ has one unit, the whole signal: S is the signal and N its first n unit
 draws. The Fourier mechanisms have one unit per chunk and are linear in
 the retained coefficients: S inverts the truncated clean coefficients
 and N the unit-scale Laplace coefficient noise (fpa_spectra, fpa_parts),
-one transform call per distinct chunk length; differencing, symmetric
-completion and the running sum act on S and N alike. A unit whose lam is
-0 releases S exactly.
+one transform call per distinct chunk length. One mask per run of
+equal-length chunks picks the bins each chunk keeps (bins j < k, and
+with symmetric completion their conjugate mirrors); the mask,
+differencing and the running sum act on S and N alike. A unit whose lam
+is 0 releases S exactly.
 
 One place decides each unit's k, sensitivity and lam: _feature_units
 gives a feature's layout (None for LPA, which keeps no coefficients and
 ignores any k), sensitivities and scales (_unit_scales); build_report
-and every release read it. perturb_corpus, the sweep and retention
-tuning share one driver, _release_blocks: it decides each group once and
-hands each row block of a (group, feature), its unit draws and units to
-a consumer. One-row calls, perturb and the sweep release through
+and every release read it. A report holds the units with a positive
+scale, and MechanismReport derives every epsilon figure from them.
+perturb_corpus, the sweep and retention tuning share one driver,
+_release_blocks: it decides each group once and hands each row block of
+a (group, feature), its unit draws and units to a consumer. One-row calls, perturb and the sweep release through
 _released; perturb_corpus is the sweep's run 0 at one budget, so a sweep
 cell scores exactly what perturb releases. Tuning scores the raw block.
 
@@ -46,7 +49,6 @@ grid.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -64,7 +66,6 @@ from privseq.core import (
     ParameterError,
     RealSeq,
     ReportUnit,
-    SEQUENTIAL,
     chunk_plan,
 )
 from privseq.noise import NoiseSource, unit_laplace
@@ -81,8 +82,6 @@ __all__ = [
     "fpa",
     "cfpa",
     "dcfpa",
-    "compose_sequential",
-    "compose_parallel",
     "MechanismConfig",
     "build_report",
     "perturb_corpus",
@@ -191,7 +190,7 @@ class FpaLayout:
     noise on its own k_i alone.
     """
 
-    __slots__ = ("plan", "ks", "lengths", "_blocks")
+    __slots__ = ("plan", "ks", "lengths")
 
     def __init__(self, plan: ChunkPlan, ks: Sequence[int]):
         ks = tuple(int(k) for k in ks)
@@ -204,15 +203,6 @@ class FpaLayout:
         self.plan = plan
         self.ks = ks
         self.lengths = np.asarray(lengths)
-        # Per run of equal-length chunks: where it starts, and its sub-runs
-        # of equal k as (first, end, k), relative to the run.
-        self._blocks = []
-        for first, count, c, start in _uniform_blocks(plan):
-            runs = []
-            for k, same in itertools.groupby(range(count), lambda j: ks[first + j]):
-                same = list(same)
-                runs.append((same[0], same[-1] + 1, k))
-            self._blocks.append((start, count, c, runs))
 
 
 def fpa_spectra(block: np.ndarray, plan: ChunkPlan, difference: bool) -> list[np.ndarray]:
@@ -248,20 +238,25 @@ def fpa_parts(
     noise read from the first 2n draws of each draws row in layout
     order, n the plan's total length. Both are completed alike when
     symmetric is set and, when difference is, summed back. Each run of
-    equal-length chunks is inverted in one transform call."""
+    equal-length chunks is inverted in one transform call, with one mask
+    of the bins j < k each chunk keeps; symmetric completion fills each
+    bin outside it whose mirror c - j is inside with that bin's conjugate."""
     rows_s = spectra[0].shape[0]
     rows_n = draws.shape[0]
     pairs = _noise_pairs(draws, layout.plan.total_length)
     clean = np.empty((rows_s, layout.plan.total_length))
     unit = np.empty((rows_n, layout.plan.total_length))
-    for spec, (start, count, c, runs) in zip(spectra, layout._blocks):
+    ks = np.asarray(layout.ks)
+    for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(layout.plan)):
+        keep = np.arange(c) < ks[first : first + count, None]
         bins = np.zeros((rows_s + rows_n, count, c), dtype=np.complex128)
         noise = pairs[:, start : start + count * c].reshape(rows_n, count, c)
-        for j, end, k in runs:
-            bins[:rows_s, j:end, :k] = spec[:, j:end, :k]
-            bins[rows_s:, j:end, :k] = noise[:, j:end, :k]
-            if symmetric:
-                transform.reflect_conjugate(bins[:, j:end], k)
+        np.copyto(bins[:rows_s], spec, where=keep)
+        np.copyto(bins[rows_s:], noise, where=keep)
+        if symmetric:
+            mirror = -np.arange(c) % c
+            i, t = np.nonzero(~keep & keep[:, mirror])
+            bins[:, i, t] = bins[:, i, mirror[t]].conj()
         rec = transform.idft_batch(bins.reshape(-1, c)).real.reshape(-1, count, c)
         if difference:
             rec = transform.cumsum_reconstruct(rec)
@@ -391,26 +386,6 @@ def dcfpa(
     return _fpa_row(x, plan, per_chunk, src, config)
 
 
-def _composed(epsilons: Sequence[float], combine: Callable[..., float], name: str) -> float:
-    values = [float(e) for e in epsilons]
-    if not values:
-        raise ParameterError(f"{name} needs at least one epsilon")
-    for e in values:
-        if not (e > 0.0 and math.isfinite(e)):
-            raise ParameterError(f"epsilons must be positive and finite, got {e}")
-    return float(combine(values))
-
-
-def compose_sequential(epsilons: Sequence[float]) -> float:
-    """Budget of running all mechanisms on the same data: the sum."""
-    return _composed(epsilons, sum, "compose_sequential")
-
-
-def compose_parallel(epsilons: Sequence[float]) -> float:
-    """Budget of mechanisms on disjoint data subsets: the maximum."""
-    return _composed(epsilons, max, "compose_parallel")
-
-
 def clamp_nonnegative(x: RealSeq) -> RealSeq:
     """Post-hoc clamp of negative noisy samples to zero (explicit opt-in)."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
@@ -508,9 +483,9 @@ def build_report(
     excluded: frozenset[str] | set[str] = frozenset(),
     k_table: Mapping[tuple[str, int], int] | None = None,
 ) -> MechanismReport:
-    """Accounting for one release: per-unit scales and composed budgets
-    (the chunk and sequence figures of MechanismReport). Zero-sensitivity
-    units are omitted and contribute 0 to both.
+    """The epsilon report of one release: its noised units, from
+    which MechanismReport derives the chunk and sequence figures.
+    Zero-sensitivity units are omitted and contribute 0 to both.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
@@ -525,25 +500,17 @@ def _report(
     config: MechanismConfig, length: int, decided: Sequence[tuple[str, tuple]]
 ) -> MechanismReport:
     """build_report of decided units: (feature, (layout, sensitivities,
-    scales)) pairs of one length-length group at config.epsilon."""
-    units: list[ReportUnit] = []
-    per_feature: dict[str, float] = {}
-    for feature, (layout, deltas, lams) in decided:
-        ks = [length] if layout is None else layout.ks
-        unit_epsilons: list[float] = []
-        for ci, (delta, lam, k) in enumerate(zip(deltas, lams, ks)):
-            if lam > 0.0:
-                units.append(ReportUnit(feature, ci, delta, float(lam), k, config.epsilon))
-                unit_epsilons.append(config.epsilon)
-        per_feature[feature] = compose_parallel(unit_epsilons) if unit_epsilons else 0.0
-    total = float(sum(per_feature.values())) if per_feature else 0.0
-    return MechanismReport(
-        mechanism=config.mechanism,
-        per_unit=tuple(units),
-        accounting=SEQUENTIAL,
-        per_feature_epsilon=per_feature,
-        total_epsilon=total,
-    )
+    scales)) pairs of one length-length group at config.epsilon, a
+    ReportUnit for each unit with a positive scale."""
+    units = [
+        ReportUnit(feature, ci, delta, float(lam), k, config.epsilon)
+        for feature, (layout, deltas, lams) in decided
+        for ci, (delta, lam, k) in enumerate(
+            zip(deltas, lams, [length] if layout is None else layout.ks)
+        )
+        if lam > 0.0
+    ]
+    return MechanismReport(config.mechanism, tuple(f for f, _ in decided), tuple(units))
 
 
 def _check_plan(what: str, built: ChunkPlan | None, plan: ChunkPlan, mechanism: str) -> None:
@@ -664,7 +631,7 @@ def perturb_corpus(
     k_table: KTable | None = None,
 ) -> tuple[Corpus, dict[str, MechanismReport]]:
     """Privatize every recording; returns the noisy corpus and one
-    accounting report per label group.
+    epsilon report per label group.
 
     Sensitivities are computed per (label value, feature) group unless
     precomputed tables are supplied; a supplied table must have been

@@ -9,12 +9,18 @@ before measuring distances. Groups holding a NaN or infinite value are
 rejected: NaN never compares greater than a running maximum, so it
 would silently lower the result.
 
-Each distance is math.fsum of its IEEE-rounded terms |x_t - y_t|^w, the
-correctly rounded value of their exact real sum S, so results are
-bit-for-bit reproducible and independent of accumulation order. fsum
-runs only on candidate pairs: a filter must keep, per chunk of length
-L, a pair whose S is the chunk's maximum S*; fsum of the candidates
-then gives the exhaustive result. Below, u = 2**-53, eta = 2**-1074 (the
+Each distance is math.fsum of its IEEE-rounded terms, the correctly
+rounded value of their exact real sum S, so results are bit-for-bit
+reproducible and independent of accumulation order. The L1 terms are
+|x_t - y_t|; the L2 terms are the squares of d_t 2**-e, d_t =
+fl(x_t - y_t) and e the exponent of max |d_t|, and S is their sum times
+2**2e. Powers of two commute with rounding in the normal range, so the
+root of the fsum, scaled back by 2**e, is a rounding of the rounded
+root of the rounded S whatever e is, and equals sqrt(fsum(fl(d_t**2)))
+where none of those squares under- or overflows. fsum runs only on
+candidate pairs: a filter must keep, per chunk of length L, a pair
+whose S is the chunk's maximum S*; fsum of the candidates then gives
+the exhaustive result. Below, u = 2**-53, eta = 2**-1074 (the
 smallest subnormal) and gamma_n = n u / (1 - n u) (Higham, Accuracy and
 Stability of Numerical Algorithms, section 3.1).
 
@@ -54,17 +60,18 @@ the result cannot depend on the BLAS build or its thread count.
     most gamma_1 (sqrt Q_i + sqrt Q_j) <= gamma_1 sqrt(2R), so
     ||y_i - y_j||^2 and T = ||x_i - x_j||^2 differ by at most
     2 gamma_2 R <= gamma_4 R.
-  - fsum's terms: S_ij = sum_t fl(fl(x_it - x_jt)^2), each term
-    (x_it - x_jt)^2 (1 + d)^2 (1 + d') + e_t, lies within gamma_3 T
-    + L eta / 2 of T, and T <= 2 (1 + gamma_2) R, so within
-    gamma_10 R + L eta / 2.
+  - fsum's terms: S_ij = 2**2e sum_t fl(fl(d_t 2**-e)^2). Scaled, each
+    term is (x_it - x_jt)^2 (1 + d)^2 (1 + d') 2**-2e plus underflow
+    errors of at most 2 eta, as |d_t 2**-e| < 1; as 2**2e <= 4 (1 + u)^2 T,
+    S_ij lies within gamma_3 T + 9 L eta T <= gamma_4 T of T, and with
+    T <= 2 (1 + gamma_2) R within gamma_10 R.
 
-So |A_ij - S_ij| <= gamma_(3L+18) R + 11 L eta. With q_max the chunk's
+So |A_ij - S_ij| <= gamma_(3L+18) R + 10 L eta. With q_max the chunk's
 largest q, R <= (1 + gamma_(2L)) (2 q_max + 4 L eta) turns this into one
-bound for the whole chunk, E_true = gamma_(5L+18) 2 q_max + 12 L eta,
+bound for the whole chunk, E_true = gamma_(5L+18) 2 q_max + 11 L eta,
 which holds for i = j and for i > j too. The code takes
 E = gamma_(5L+24) 2 q_max + 16 L eta in floats. Its excess over E_true,
-more than 5.9 u 2 q_max + 3 L eta, exceeds the rounding of each step of
+more than 5.9 u 2 q_max + 4 L eta, exceeds the rounding of each step of
 the cut (max A - E) - E, as |A| <= 4.1 q_max + 20 L eta. So max A - E,
 rounded, lies below the S of the pair holding max A, hence below S*,
 and the cut lies below S* - E_true, which A of the maximal pair reaches.
@@ -114,7 +121,9 @@ _CSV_HEADER = ("feature", "chunk", "domain", "norm", "value", "group", "chunk_si
 
 
 def lw_distance(x: RealSeq, y: RealSeq, w: int) -> float:
-    """(sum_i |x_i - y_i|^w)^(1/w) for w in {1, 2}."""
+    """(sum_i |x_i - y_i|^w)^(1/w) for w in {1, 2}; for w = 2 the
+    differences are squared after scaling the largest below 1, so no
+    square hides a difference by underflowing (see the module docstring)."""
     if w not in (1, 2):
         raise ParameterError(f"norm order must be 1 or 2, got {w}")
     a = np.asarray(x, dtype=np.float64)
@@ -125,8 +134,10 @@ def lw_distance(x: RealSeq, y: RealSeq, w: int) -> float:
         raise ParameterError(f"length mismatch: {a.size} vs {b.size}")
     d = np.abs(a - b)
     if w == 1:
-        return math.fsum(d)
-    return math.sqrt(math.fsum(d * d))
+        return math.fsum(d.tolist())
+    e = math.frexp(float(d.max(initial=0.0)))[1]
+    d = np.ldexp(d, -e)
+    return float(np.ldexp(math.sqrt(math.fsum((d * d).tolist())), e))
 
 
 def _padded_group(group: Sequence[RealSeq]) -> np.ndarray:

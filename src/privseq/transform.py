@@ -4,9 +4,9 @@ Conventions, fixed once here and assumed everywhere else:
   - forward DFT is unnormalized: F[j] = sum_t x[t] e^{-2 pi i j t / n};
   - the inverse carries the full 1/n factor;
   - "first k coefficients" means indices 0..k-1 literally; the
-    mechanism core zero-fills the other bins and keeps the real part of
-    the inverse. reflect_conjugate is the symmetric alternative: it
-    fills the mirrored bins from the retained ones.
+    mechanism core zero-fills the other bins (or, with symmetric
+    completion, fills bin n - j with the conjugate of a retained bin j)
+    and keeps the real part of the inverse.
 
 dft_batch and idft_batch are the single entry point to numpy's FFT;
 every mechanism, tuning and metrics path goes through them. numpy
@@ -21,7 +21,6 @@ import numpy as np
 from privseq.core import ParameterError, RealSeq
 
 __all__ = [
-    "reflect_conjugate",
     "diff_transform",
     "cumsum_reconstruct",
     "dft_batch",
@@ -47,20 +46,6 @@ def idft_batch(rows: np.ndarray) -> np.ndarray:
     if f.shape[1] < 1:
         raise ParameterError("rows must have length >= 1")
     return np.fft.ifft(f, axis=1)
-
-
-def reflect_conjugate(full: np.ndarray, k: int) -> None:
-    """Fill bins n-1..n-k+1 with conjugates of bins 1..k-1, in place,
-    along the last axis (n is its length).
-
-    Bins already inside the retained range [0, k) are left alone, so
-    k = n is the identity and overlapping mirrors never clobber data.
-    """
-    n = full.shape[-1]
-    j = np.arange(1, k)
-    t = n - j
-    keep = t >= k
-    full[..., t[keep]] = np.conj(full[..., j[keep]])
 
 
 def diff_transform(x: RealSeq) -> RealSeq:

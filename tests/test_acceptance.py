@@ -26,8 +26,6 @@ from privseq.dataio import SynthSpec, synth_corpus
 from privseq.mechanisms import (
     MechanismConfig,
     build_report,
-    compose_parallel,
-    compose_sequential,
     fpa,
     fpa_lambda,
 )
@@ -240,9 +238,6 @@ def test_acceptance_04_sensitivity_bitwise_vs_oracle():
 
 
 def test_acceptance_05_composition_rules():
-    seq = compose_sequential([1.0, 2.0, 3.0])
-    par = compose_parallel([1.0, 2.0, 3.0])
-
     entries = {}
     for f in ("f0", "f1"):
         for ci in range(3):
@@ -251,11 +246,8 @@ def test_acceptance_05_composition_rules():
     config = MechanismConfig(mechanism="cfpa", epsilon=0.8, chunk_size=32)
     report = build_report(config, sens, ("f0", "f1"), 96)
     # three chunks per feature at 0.8 each: parallel keeps 0.8, never 2.4
-    per_feature_ok = all(
-        e == compose_parallel([0.8, 0.8, 0.8]) == 0.8
-        for e in report.per_feature_epsilon.values()
-    )
-    total_ok = report.total_epsilon == compose_sequential([0.8, 0.8]) == 1.6
+    per_feature_ok = report.per_feature_epsilon == {"f0": 0.8, "f1": 0.8}
+    total_ok = report.total_epsilon == 1.6
     # a swap of one recording changes all three chunks: their sum bounds it
     seq_features = report.sequence_per_feature_epsilon
     sequence_ok = (
@@ -263,12 +255,12 @@ def test_acceptance_05_composition_rules():
         and math.isclose(report.sequence_total_epsilon, 4.8, rel_tol=1e-12)
     )
 
-    ok = seq == 6.0 and par == 3.0 and per_feature_ok and total_ok and sequence_ok
+    ok = per_feature_ok and total_ok and sequence_ok
     assert _verdict(
         "5",
         "parallel across chunks, sequential across features",
         ok,
-        f"seq={seq} par={par} per_feature={sorted(report.per_feature_epsilon.values())} "
+        f"per_feature={sorted(report.per_feature_epsilon.values())} "
         f"total={report.total_epsilon} "
         f"sequence_per_feature={sorted(seq_features.values())} "
         f"sequence_total={report.sequence_total_epsilon}",

@@ -1,8 +1,10 @@
 """End-to-end command checks: every command runs, reruns are
 byte-identical, worker count never changes results, and failures map to
 the documented exit codes."""
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 
 import privseq
 from privseq.cli import _handled, main
-from privseq.core import InternalInvariantError
+from privseq.core import InternalInvariantError, MechanismReport, ReportUnit
 from privseq.dataio import MANIFEST_NAME, REPORT_NAME, load_corpus
 from privseq.metrics import load_sweep_csv
 from privseq.tuning import load_k_csv
@@ -98,6 +100,31 @@ def test_readme_names_only_real_flags():
     }
     assert named, "README names no flags"
     assert sorted(named - options) == []
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(privseq.__path__):
+        module = importlib.import_module(f"privseq.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], info.name
+    assert [n for n in privseq.__all__ if not hasattr(privseq, n)] == []
+
+
+def test_readme_names_only_real_report_keys():
+    # the report.json record the README shows, and every *_epsilon name it
+    # gives, exist in a real report's payload (or as report properties)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    unit = ReportUnit("f0", 0, 1.0, 1.0, 1, 1.0)
+    payload = MechanismReport("cfpa", ("f0",), (unit,)).payload()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, flags=re.S)]
+    records = [b for b in blocks if "units" in b]
+    assert records, "README shows no report.json record"
+    for record in records:
+        assert sorted(set(record) - set(payload)) == []
+        for u in record["units"]:
+            assert sorted(set(u) - set(payload["units"][0])) == []
+    named = set(re.findall(r"`(\w+_epsilon)`", readme))
+    assert sorted(n for n in named if n not in payload and not hasattr(MechanismReport, n)) == []
 
 
 # --- synth -------------------------------------------------------------------

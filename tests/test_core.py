@@ -16,7 +16,6 @@ from privseq.core import (
     ParameterError,
     ReportUnit,
     chunk_plan,
-    SEQUENTIAL,
 )
 
 
@@ -138,48 +137,32 @@ class TestMechanismReport:
 
     def test_sequential_total_is_sum(self):
         r = MechanismReport(
-            mechanism="fpa",
-            per_unit=(self._unit("f0"), self._unit("f1")),
-            accounting=SEQUENTIAL,
-            per_feature_epsilon={"f0": 1.0, "f1": 2.0},
-            total_epsilon=3.0,
+            mechanism="cfpa",
+            features=("f0", "f1"),
+            per_unit=(self._unit("f0", 0, 1.0), self._unit("f0", 1, 1.0), self._unit("f1", 0, 2.0)),
         )
+        assert r.per_feature_epsilon == {"f0": 1.0, "f1": 2.0}
         assert r.total_epsilon == 3.0
+        assert r.sequence_per_feature_epsilon == {"f0": 2.0, "f1": 2.0}
+        assert r.sequence_total_epsilon == 4.0
 
-    def test_parallel_accounting_is_rejected(self):
-        # features of one recording describe the same people, so their
-        # budgets only ever compose sequentially
+    def test_feature_without_units_reads_zero(self):
+        r = MechanismReport(mechanism="fpa", features=("f0", "f1"), per_unit=(self._unit("f1"),))
+        assert r.per_feature_epsilon == r.sequence_per_feature_epsilon == {"f0": 0.0, "f1": 1.0}
+        assert r.total_epsilon == r.sequence_total_epsilon == 1.0
+
+    def test_features_are_unique_and_name_every_unit(self):
         with pytest.raises(ParameterError):
-            MechanismReport(
-                mechanism="cfpa",
-                per_unit=(self._unit(),),
-                accounting="parallel",
-                per_feature_epsilon={"f0": 1.0, "f1": 2.0},
-                total_epsilon=2.0,
-            )
-
-    def test_inconsistent_total_is_an_invariant_failure(self):
-        with pytest.raises(InternalInvariantError):
-            MechanismReport(
-                mechanism="fpa",
-                per_unit=(self._unit(),),
-                accounting=SEQUENTIAL,
-                per_feature_epsilon={"f0": 1.0, "f1": 2.0},
-                total_epsilon=9.0,
-            )
+            MechanismReport(mechanism="fpa", features=("f0",), per_unit=(self._unit("f1"),))
+        with pytest.raises(ParameterError):
+            MechanismReport(mechanism="fpa", features=("f0", "f0"), per_unit=())
 
     def test_zero_noise_units_rejected(self):
         with pytest.raises(ParameterError):
             ReportUnit(feature="f0", chunk_index=0, sensitivity=0.0, lam=0.0, k=1, epsilon=0.0)
 
     def test_json_is_deterministic_and_complete(self):
-        r = MechanismReport(
-            mechanism="fpa",
-            per_unit=(self._unit(),),
-            accounting=SEQUENTIAL,
-            per_feature_epsilon={"f0": 1.0},
-            total_epsilon=1.0,
-        )
+        r = MechanismReport(mechanism="fpa", features=("f0",), per_unit=(self._unit(),))
         payload = json.loads(r.to_json())
         assert payload["chunk_total_epsilon"] == payload["sequence_total_epsilon"] == 1.0
         assert payload["chunk_per_feature_epsilon"] == {"f0": 1.0}

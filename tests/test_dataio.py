@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from privseq import dataio
 from privseq.core import (
-    SEQUENTIAL,
     Corpus,
     DataError,
     FeatureMatrix,
@@ -256,13 +255,10 @@ def test_report_json_bytes_equal_the_parsed_to_json_form(tmp_path):
     # dict writes, floats at the edges of repr included.
     reports = {
         "b": MechanismReport(
-            "cfpa",
+            "cfpa", ("f1", "f0"),
             (ReportUnit("f0", 0, 0.1, 1e-300, 3, 0.1), ReportUnit("f1", 1, 1e22, 5e-324, 1, 1e22)),
-            SEQUENTIAL, {"f1": 1e22, "f0": 0.1}, 1e22,
         ),
-        "a": MechanismReport(
-            "lpa", (ReportUnit("f0", 0, 5e-324, 0.1, 2, 1e-300),), SEQUENTIAL, {"f0": 1e-300}, 1e-300,
-        ),
+        "a": MechanismReport("lpa", ("f0",), (ReportUnit("f0", 0, 5e-324, 0.1, 2, 1e-300),)),
     }
     m = FeatureMatrix(
         recording_id="r0", participant_id="p0", labels={"category": "a"},

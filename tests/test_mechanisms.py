@@ -24,8 +24,6 @@ from privseq.mechanisms import (
     build_report,
     cfpa,
     clamp_nonnegative,
-    compose_parallel,
-    compose_sequential,
     dcfpa,
     fpa,
     fpa_lambda,
@@ -287,6 +285,31 @@ def test_cfpa_symmetric_zero_noise_matches_transform_completion():
             assert np.array_equal(out[s:e], np.fft.ifft(mirrored).real), (ks, s)
 
 
+@pytest.mark.parametrize("mechanism", ["cfpa", "dcfpa"])
+def test_symmetric_noise_matches_a_direct_completion_of_the_noise_bins(mechanism):
+    # N inverts each chunk's retained unit-noise bins, completed with the
+    # conjugates of their mirrors, and dcfpa sums it back: mirror
+    # overlaps, k = 1, full retention and a remainder chunk
+    plan = chunk_plan(23, 8)
+    difference = mechanism == "dcfpa"
+    draws = np.stack([unit_laplace(_src(30, r).generator(), 46) for r in range(3)])
+    pairs = np.empty((3, 23), dtype=np.complex128)
+    pairs.real, pairs.imag = draws[:, 0::2], draws[:, 1::2]
+    spectra = mechanisms.fpa_spectra(np.zeros((1, 23)), plan, difference)
+    for ks in ((1, 1, 1), (3, 5, 7), (8, 8, 7), (5, 2, 4), (6, 8, 1)):
+        layout = FpaLayout(plan, ks)
+        _, unit = mechanisms.fpa_parts(spectra, layout, draws, difference, symmetric=True)
+        for (s, e), k in zip(plan.boundaries, ks):
+            bins = np.zeros((3, e - s), dtype=np.complex128)
+            bins[:, :k] = pairs[:, s : s + k]
+            for j in range(1, k):
+                if e - s - j >= k:
+                    bins[:, e - s - j] = np.conj(pairs[:, s + j])
+            want = np.fft.ifft(bins, axis=1).real
+            want = np.cumsum(want, axis=1) if difference else want
+            assert np.array_equal(unit[:, s:e], want), (ks, s)
+
+
 def test_cfpa_validation():
     x = np.ones(8)
     plan = chunk_plan(8, 4)
@@ -321,30 +344,6 @@ def test_dcfpa_deterministic_and_length_preserving():
     b = dcfpa(x, plan, per_chunk, 2.0, _src(16))
     assert a.shape == (50,)
     assert np.array_equal(a, b)
-
-
-# --- composition ----------------------------------------------------------
-
-
-def test_compose_sequential():
-    assert compose_sequential([1.0, 2.0, 3.0]) == 6.0
-    assert compose_sequential([4.8]) == 4.8
-    assert math.isclose(compose_sequential([0.048] * 52), 2.496, rel_tol=1e-12)
-    with pytest.raises(ParameterError):
-        compose_sequential([])
-    with pytest.raises(ParameterError):
-        compose_sequential([1.0, 0.0])
-    with pytest.raises(ParameterError):
-        compose_sequential([math.inf])
-
-
-def test_compose_parallel():
-    assert compose_parallel([1.0, 2.0, 3.0]) == 3.0
-    assert compose_parallel([0.5]) == 0.5
-    with pytest.raises(ParameterError):
-        compose_parallel([])
-    with pytest.raises(ParameterError):
-        compose_parallel([-1.0])
 
 
 def test_clamp_nonnegative():
@@ -744,6 +743,22 @@ def test_perturb_corpus_lpa_zero_sensitivity_group_is_bitwise_identity():
         assert got.tobytes() == same.tobytes()
         assert got.tobytes() == lpa(same, 0.0, 1.0, src.derive(r, 0, 0)).tobytes()
         assert not np.array_equal(out.values[:, 1], m.values[:, 1])
+
+
+def test_perturb_corpus_noises_a_difference_whose_square_underflows():
+    # 1e-170 squares to 0, yet the two recordings differ: every Fourier
+    # mechanism must see a positive sensitivity and add noise
+    zeros = np.zeros((4, 1))
+    tiny = zeros.copy()
+    tiny[0, 0] = 1e-170
+    mats = (_matrix("r0", "p0", "a", tiny, ("f0",)), _matrix("r1", "p1", "a", zeros, ("f0",)))
+    corpus = Corpus(matrices=mats, schema=("f0",))
+    for mechanism in ("fpa", "cfpa", "dcfpa"):
+        config = MechanismConfig(mechanism=mechanism, epsilon=1.0, chunk_size=4)
+        noisy, reports = perturb_corpus(corpus, "category", config, NoiseSource(seed=5))
+        (unit,) = reports["a"].per_unit
+        assert unit.sensitivity >= 1e-170 and unit.lam > 0.0, mechanism
+        assert not np.array_equal(noisy.matrices[1].values, zeros), mechanism
 
 
 def test_chunk_noise_depends_only_on_its_own_k():

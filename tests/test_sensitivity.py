@@ -36,20 +36,22 @@ from privseq.sensitivity import (
 
 # --- exact-arithmetic mirror oracle -----------------------------------
 # Mirrors the library's floating-point contract independently: each
-# difference (and square) is one IEEE-rounded operation, the sum is
-# exact rational arithmetic rounded once at the end (what fsum
-# guarantees), and sqrt is the correctly rounded math.sqrt. Agreement
-# must be bit-for-bit, not approximate.
+# difference (and square) is one IEEE-rounded operation, L2 differences
+# are first scaled by 2**-e (e the exponent of the largest) and the root
+# scaled back, the sum is exact rational arithmetic rounded once at the
+# end (what fsum guarantees), and sqrt is the correctly rounded
+# math.sqrt. Agreement must be bit-for-bit, not approximate.
 
 
 def oracle_lw(x, y, w):
-    diffs = [float(a) - float(b) for a, b in zip(x, y)]
+    diffs = [abs(float(a) - float(b)) for a, b in zip(x, y)]
     if w == 1:
-        total = sum((Fraction(abs(d)) for d in diffs), Fraction(0))
+        total = sum((Fraction(d) for d in diffs), Fraction(0))
         return float(total)
-    squares = [d * d for d in diffs]
-    total = sum((Fraction(s) for s in squares), Fraction(0))
-    return math.sqrt(float(total))
+    e = math.frexp(max(diffs, default=0.0))[1]
+    scaled = [math.ldexp(d, -e) for d in diffs]
+    total = sum((Fraction(s * s) for s in scaled), Fraction(0))
+    return math.ldexp(math.sqrt(float(total)), e)
 
 
 def oracle_pad(group):
@@ -399,6 +401,22 @@ def test_l2_gram_overflow_keeps_every_pair():
     assert chunk_sensitivities(group, chunk_plan(n, n), 2) == oracle_chunks(
         group, chunk_plan(n, n), 2, RAW
     )
+
+
+def test_l2_differences_whose_squares_underflow_or_overflow_still_count():
+    # 1e-170 squares to 0 and 1e-160 to a subnormal; scaling before
+    # squaring keeps both, so the unit gets its noise
+    plan, zeros = chunk_plan(4, 4), [0.0] * 4
+    assert chunk_sensitivities([[1e-170, 0, 0, 0], zeros], plan, 2, RAW) == [1e-170]
+    assert chunk_sensitivities([[1e-160, 1e-160, 0, 0], zeros], plan, 2, RAW) == [
+        1.414213562373095e-160
+    ]
+    assert lw_distance(zeros, zeros, 2) == 0.0
+    # 1e308 squares to inf, while the distance is a double; one that is
+    # not reads inf, which no noise scale accepts
+    assert lw_distance([1e308, 1e308], [0.0, 0.0], 2) == 1e308 * math.sqrt(2)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert lw_distance([1e308] * 4, zeros, 2) == math.inf
 
 
 @pytest.mark.parametrize("domain", [RAW, DIFFERENCE])

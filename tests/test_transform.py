@@ -160,21 +160,6 @@ class TestTruncatePad:
         assert np.max(np.abs(_truncated(x, 2) - 0.5 * x)) < 1e-10
         assert np.max(np.abs(_truncated(x, 2, symmetric=True) - x)) < 1e-10
 
-    def test_symmetric_completion_with_k_n_is_identity(self):
-        f = np.fft.fft(np.random.default_rng(3).normal(0.0, 1.0, 16))
-        full = f.copy()
-        transform.reflect_conjugate(full, 16)
-        assert np.array_equal(full, f)
-
-    def test_reflect_conjugate_mirrors_retained_bins(self):
-        f = np.fft.fft(np.random.default_rng(4).normal(0.0, 1.0, 8))
-        sym = np.zeros(8, dtype=np.complex128)
-        sym[:3] = f[:3]
-        transform.reflect_conjugate(sym, 3)
-        assert np.array_equal(sym[:3], f[:3])
-        assert sym[7] == np.conj(f[1]) and sym[6] == np.conj(f[2])
-        assert sym[3] == 0 and sym[4] == 0 and sym[5] == 0
-
 
 class TestDifference:
     def test_examples(self):

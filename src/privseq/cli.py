@@ -41,12 +41,6 @@ _SEED_OPT = click.option(
     show_default=True,
     help="Root seed; all randomness derives from it.",
 )
-_JOBS_OPT = click.option(
-    "--jobs",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Worker cap [default: available cores]. Results do not depend on it.",
-)
 _LABEL_KIND_OPT = click.option(
     "--label-kind",
     default="category",
@@ -73,10 +67,6 @@ def _handled(fn):
             sys.exit(4)
 
     return wrapper
-
-
-def _effective_jobs(jobs: int | None) -> int:
-    return jobs if jobs is not None else (os.cpu_count() or 1)
 
 
 def _split_floats(text: str, what: str) -> tuple[float, ...]:
@@ -182,12 +172,11 @@ def synth(
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
 @_LABEL_KIND_OPT
 @_SEED_OPT
-@_JOBS_OPT
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_handled
 def perturb(
     manifest, mechanism, epsilon, chunk_size, k, k_file, sensitivity_file,
-    clamp, symmetric, label_kind, seed, jobs, out_dir,
+    clamp, symmetric, label_kind, seed, out_dir,
 ) -> None:
     """Privatize a corpus and write it with its epsilon report."""
     if k is not None and k_file is not None:
@@ -207,7 +196,7 @@ def perturb(
         clamp=clamp,
     )
     loaded = dataio.read_manifest(manifest)
-    corpus = dataio.load_corpus(loaded, jobs=_effective_jobs(jobs))
+    corpus = dataio.load_corpus(loaded)
     sens_tables = (
         load_sensitivity_tables(sensitivity_file) if sensitivity_file else None
     )
@@ -217,7 +206,6 @@ def perturb(
         label_kind,
         config,
         NoiseSource(seed),
-        jobs=_effective_jobs(jobs),
         sens_tables=sens_tables,
         k_table=k_table,
     )
@@ -239,7 +227,12 @@ def perturb(
 @click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV (from tune-k), tuned for every retaining row's mechanism and chunk plan.")
 @_LABEL_KIND_OPT
 @_SEED_OPT
-@_JOBS_OPT
+@click.option(
+    "--jobs",
+    type=click.IntRange(min=1),
+    default=None,
+    help="Sweep worker threads [default: available cores]. Results do not depend on it.",
+)
 @click.option("--out", "out_path", default="sweep.csv", show_default=True, type=click.Path(dir_okay=False))
 @_handled
 def sweep(
@@ -250,7 +243,7 @@ def sweep(
     mechanisms = _split_names(mechanisms_text, "--mechanisms")
     epsilons = _split_floats(epsilons_text, "--epsilons")
     chunk_sizes = _split_ints(chunk_sizes_text, "--chunk-sizes")
-    corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
+    corpus = dataio.load_corpus(manifest)
     result = metrics.run_sweep(
         corpus,
         label_kind,
@@ -259,7 +252,7 @@ def sweep(
         epsilons=epsilons,
         chunk_sizes=chunk_sizes,
         runs=runs,
-        jobs=_effective_jobs(jobs),
+        jobs=jobs if jobs is not None else (os.cpu_count() or 1),
         k_table=tuning.load_k_csv(k_file) if k_file is not None else None,
     )
     metrics.write_sweep_csv(result, out_path)
@@ -274,17 +267,16 @@ def sweep(
 @click.option("--runs", type=click.IntRange(min=1), default=100, show_default=True)
 @_LABEL_KIND_OPT
 @_SEED_OPT
-@_JOBS_OPT
 @click.option("--out", "out_path", default="k.csv", show_default=True, type=click.Path(dir_okay=False))
 @_handled
-def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed, jobs, out_path) -> None:
+def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed, out_path) -> None:
     """Pick per-chunk retention counts on a reference corpus."""
     if mechanism == "fpa" and chunk_size is not None:
         click.echo("warning: --chunk-size is ignored by fpa", err=True)
         chunk_size = None
     elif mechanism != "fpa" and chunk_size is None:
         raise ParameterError(f"--chunk-size is required for {mechanism}")
-    corpus = dataio.load_corpus(manifest, jobs=_effective_jobs(jobs))
+    corpus = dataio.load_corpus(manifest)
     table = tuning.tune_corpus(
         corpus, label_kind, chunk_size, mechanism, epsilon, runs, NoiseSource(seed)
     )
@@ -330,16 +322,12 @@ def corr(manifest, feature, reference, max_lag, domain, label_kind, out_dir) -> 
 @click.option("--mean-pool", is_flag=True, help="Average each window instead of keeping its first row.")
 @click.option("--neighbors", type=click.IntRange(min=1), default=11, show_default=True)
 @click.option("--majority/--no-majority", default=True, show_default=True, help="Vote per recording across instances.")
-@click.option("--mechanism", default="", help="Annotation column for the summary row.")
-@click.option("--epsilon", default="", help="Annotation column for the summary row.")
-@click.option("--chunk-size", default="", help="Annotation column for the summary row.")
 @_LABEL_KIND_OPT
 @_SEED_OPT
 @click.option("--out-dir", default=".", show_default=True, type=click.Path(file_okay=False))
 @_handled
 def classify_cmd(
-    manifest, window, mean_pool, neighbors, majority,
-    mechanism, epsilon, chunk_size, label_kind, seed, out_dir,
+    manifest, window, mean_pool, neighbors, majority, label_kind, seed, out_dir,
 ) -> None:
     """Leave-one-person-out kNN accuracy of a (possibly privatized) corpus."""
     corpus = dataio.load_corpus(manifest)
@@ -371,8 +359,8 @@ def classify_cmd(
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("label_kind", "mechanism", "epsilon", "chunk_size", "mode", "accuracy"))
-        writer.writerow([label_kind, mechanism, epsilon, chunk_size, mode, repr(accuracy)])
+        writer.writerow(("label_kind", "mode", "accuracy"))
+        writer.writerow([label_kind, mode, repr(accuracy)])
     click.echo(
         f"{mode} accuracy {accuracy!r} over {summary.folds} folds "
         f"(instance fold-mean {summary.instance_accuracy!r}, "

@@ -170,12 +170,13 @@ class ChunkPlan:
     """Deterministic partition of [0, n) into contiguous chunks.
 
     Every chunk except possibly the last has length chunk_size; the last
-    holds the remainder. Mechanisms treat chunks as disjoint queries.
+    holds the remainder. (n, chunk_size) fix the boundaries, so they are
+    derived, not passed. Mechanisms treat chunks as disjoint queries.
     """
 
     total_length: int
     chunk_size: int
-    boundaries: tuple[tuple[int, int], ...]
+    boundaries: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         n, c = self.total_length, self.chunk_size
@@ -183,22 +184,7 @@ class ChunkPlan:
             raise ParameterError("total_length must be >= 1")
         if c < 1:
             raise ParameterError("chunk_size must be >= 1")
-        bounds = tuple((int(s), int(e)) for s, e in self.boundaries)
-        if not bounds:
-            raise ParameterError("plan must contain at least one chunk")
-        cursor = 0
-        for i, (s, e) in enumerate(bounds):
-            if s != cursor or e <= s:
-                raise ParameterError(f"chunk {i} range ({s}, {e}) breaks contiguous coverage")
-            length = e - s
-            last = i == len(bounds) - 1
-            if not last and length != c:
-                raise ParameterError(f"non-final chunk {i} has length {length}, expected {c}")
-            if last and not (1 <= length <= c):
-                raise ParameterError(f"final chunk length {length} outside [1, {c}]")
-            cursor = e
-        if cursor != n:
-            raise ParameterError(f"chunks cover [0, {cursor}) but total_length is {n}")
+        bounds = tuple((s, int(min(s + c, n))) for s in range(0, n, c))
         object.__setattr__(self, "boundaries", bounds)
 
     def __len__(self) -> int:
@@ -209,16 +195,8 @@ class ChunkPlan:
 
 
 def chunk_plan(total_length: int, chunk_size: int) -> ChunkPlan:
-    """Build the canonical plan: full chunks of chunk_size plus a remainder."""
-    if total_length < 1:
-        raise ParameterError("total_length must be >= 1")
-    if chunk_size < 1:
-        raise ParameterError("chunk_size must be >= 1")
-    bounds = tuple(
-        (s, min(s + chunk_size, total_length))
-        for s in range(0, total_length, chunk_size)
-    )
-    return ChunkPlan(total_length, chunk_size, bounds)
+    """The plan of full chunks of chunk_size plus a remainder."""
+    return ChunkPlan(total_length, chunk_size)
 
 
 @dataclass(frozen=True, slots=True)

@@ -337,9 +337,11 @@ def write_corpus(
     and the new one does not are removed first, plain file names only
     (see _listed_recordings). A feature name that schema.txt cannot carry
     (empty, with leading or trailing whitespace, or holding a line
-    break), a recording id that is not a plain file name, or an out_dir
-    that is not empty and holds no manifest.json raises ParameterError
-    before anything is created or removed.
+    break), a manifest that CorpusManifest rejects (a recording id that
+    is not a plain file name, two recordings with one id, a step_seconds
+    that is not positive), or an out_dir that is not empty and holds no
+    manifest.json raises ParameterError before anything is created or
+    removed.
     """
     for name in corpus.schema:
         if not name or name != name.strip() or "\n" in name or "\r" in name:
@@ -347,11 +349,17 @@ def write_corpus(
                 f"feature name {name!r} cannot be stored in {SCHEMA_NAME}: a name must be "
                 "non-empty, without leading or trailing whitespace or line breaks"
             )
-    entries = [
-        RecordingEntry(f"{m.recording_id}.csv", m.recording_id, m.participant_id, m.labels)
-        for m in corpus.matrices
-    ]
     out_dir = os.fspath(out_dir)
+    manifest = CorpusManifest(
+        recordings=tuple(
+            RecordingEntry(f"{m.recording_id}.csv", m.recording_id, m.participant_id, m.labels)
+            for m in corpus.matrices
+        ),
+        schema_path=SCHEMA_NAME,
+        step_seconds=step_seconds,
+        excluded_features=corpus.excluded_features,
+        base_dir=out_dir,
+    )
     # no manifest can vouch for the files of such a directory, which
     # would sit next to the new one as if they belonged to the corpus
     if (
@@ -363,24 +371,17 @@ def write_corpus(
     # an earlier write's recordings would sit next to the new manifest as
     # if they belonged to the corpus it describes
     stale = _listed_recordings(os.path.join(out_dir, MANIFEST_NAME))
-    for name in stale - {e.file_path for e in entries}:
+    for name in stale - {e.file_path for e in manifest.recordings}:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, SCHEMA_NAME), "w", encoding="utf-8") as fh:
         for name in corpus.schema:
             fh.write(name + "\n")
     row_format = ",".join(["%r"] * len(corpus.schema)) + "\r\n"
-    for m, e in zip(corpus.matrices, entries):
+    for m, e in zip(corpus.matrices, manifest.recordings):
         with open(os.path.join(out_dir, e.file_path), "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(corpus.schema)
             fh.write(row_format * m.length % tuple(m.values.ravel().tolist()))
-    manifest = CorpusManifest(
-        recordings=tuple(entries),
-        schema_path=SCHEMA_NAME,
-        step_seconds=step_seconds,
-        excluded_features=corpus.excluded_features,
-        base_dir=out_dir,
-    )
     payload = {
         "schema": manifest.schema_path,
         "step_seconds": manifest.step_seconds,

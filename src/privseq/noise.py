@@ -1,12 +1,13 @@
 """Seeded Laplace noise with hierarchical, coordinate-addressed streams.
 
 Reproducibility contract: a NoiseSource is an address, not a cursor. It
-names a stream by (seed, stream coordinates); sampling from the same
-source twice yields the same values, and callers that need distinct
-draws derive distinct child coordinates (feature index, run index,
-chunk index). This makes every draw independent of evaluation order and
-worker count. Derivation uses numpy's SeedSequence spawn keys, so
-sibling streams are statistically independent.
+names a stream by (seed, stream coordinates): NoiseSource(seed) is the
+root, and derive appends coordinates, the one way to address a child.
+Sampling from the same source twice yields the same values, and callers
+that need distinct draws derive distinct child coordinates (feature
+index, run index, chunk index). This makes every draw independent of
+evaluation order and worker count. Derivation uses numpy's SeedSequence
+spawn keys, so sibling streams are statistically independent.
 
 Sampling uses the inverse CDF with a symmetric open-interval uniform:
     u in (-1/2, 1/2),  draw = -lam * sign(u) * log1p(-2|u|)
@@ -28,27 +29,19 @@ _GRID = float(2.0**-53)
 
 
 class NoiseSource:
-    """A node in the noise stream tree, identified by (seed, stream_id)."""
+    """A node in the noise stream tree: the root of a seed, or a child
+    that derive addresses by its path of coordinates."""
 
     __slots__ = ("_seq",)
 
-    def __init__(self, seed: int | np.random.SeedSequence, stream_id: int | tuple[int, ...] = ()):
+    def __init__(self, seed: int | np.random.SeedSequence):
         if isinstance(seed, np.random.SeedSequence):
-            if stream_id not in ((), 0):
-                raise ParameterError("stream_id is implied by an explicit SeedSequence")
             self._seq = seed
             return
         seed = int(seed)
         if not (0 <= seed < 2**64):
             raise ParameterError("seed must be a 64-bit unsigned integer")
-        if isinstance(stream_id, tuple):
-            coords = stream_id
-        else:
-            coords = (int(stream_id),)
-        for c in coords:
-            if int(c) != c or c < 0:
-                raise ParameterError(f"stream coordinates must be non-negative integers, got {c!r}")
-        self._seq = np.random.SeedSequence(seed, spawn_key=tuple(int(c) for c in coords))
+        self._seq = np.random.SeedSequence(seed)
 
     def derive(self, *coords: int) -> "NoiseSource":
         """Child source addressed by appending a path of non-negative ints."""

@@ -429,7 +429,8 @@ def write_sensitivity_tables(tables: Mapping[str, SensitivityTable], path) -> No
 
 def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
     """Group-keyed inverse of write_sensitivity_tables, validating every
-    cell; all rows of a group must name one chunk plan."""
+    cell; all rows of a group must name one chunk plan, and a repeated
+    (group, feature, chunk, domain, norm) is a DataError naming the row."""
     entries: dict[str, dict[tuple[str, int, str, int], float]] = {}
     shapes: dict[str, tuple[int, int]] = {}
     for row_no, row in _csv_rows(path, _CSV_HEADER):
@@ -445,7 +446,10 @@ def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
                 f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
                 "(chunk_size, length)"
             )
-        entries.setdefault(group, {})[key] = value
+        group_entries = entries.setdefault(group, {})
+        if key in group_entries:
+            raise DataError(f"{path}: row {row_no}: duplicate entry for group {group!r} {key}")
+        group_entries[key] = value
     if not entries:
         raise DataError(f"{path}: no entries")
     try:

@@ -229,29 +229,32 @@ def test_perturb_writes_noisy_corpus_and_report(manifest, tmp_path):
     assert all(r["sequence_total_epsilon"] == 48.0 for r in report.values())
 
 
-def test_perturb_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
+def test_perturb_rerun_is_byte_identical(manifest, tmp_path):
     base = ("perturb", "--manifest", manifest, "--mechanism", "dcfpa",
             "--epsilon", 2.4, "--chunk-size", 8, "--seed", 9)
     assert run_cli(*base, "--out", tmp_path / "a").exit_code == 0
     assert run_cli(*base, "--out", tmp_path / "b").exit_code == 0
-    assert run_cli(*base, "--jobs", 3, "--out", tmp_path / "c").exit_code == 0
-    a, b, c = (_dir_bytes(tmp_path / d) for d in ("a", "b", "c"))
-    assert a == b == c
+    a, b = (_dir_bytes(tmp_path / d) for d in ("a", "b"))
+    assert a == b
 
 
-def test_perturb_sensitivity_file_must_match_the_chunk_plan(manifest, tmp_path):
+def _chunk8_sensitivity_file(manifest, path):
     from privseq.core import chunk_plan
     from privseq.sensitivity import build_group_table, write_sensitivity_tables
 
     corpus = load_corpus(manifest)
-    sens = tmp_path / "sens.csv"
     write_sensitivity_tables(
         {
             label: build_group_table(corpus, "category", label, chunk_plan(40, 8))
             for label in corpus.label_values("category")
         },
-        sens,
+        path,
     )
+    return path
+
+
+def test_perturb_sensitivity_file_must_match_the_chunk_plan(manifest, tmp_path):
+    sens = _chunk8_sensitivity_file(manifest, tmp_path / "sens.csv")
     base = ("perturb", "--manifest", manifest, "--mechanism", "cfpa",
             "--epsilon", 4.8, "--seed", 5)
     assert run_cli(*base, "--chunk-size", 8, "--out", tmp_path / "inline").exit_code == 0
@@ -264,6 +267,22 @@ def test_perturb_sensitivity_file_must_match_the_chunk_plan(manifest, tmp_path):
                      "--out", tmp_path / "wrong")
     assert result.exit_code == 2
     assert "chunk" in result.stderr
+
+
+def test_perturb_sensitivity_file_with_a_repeated_row_is_exit_3(manifest, tmp_path):
+    # the repeat holds a smaller value; taking it would lower the noise
+    sens = _chunk8_sensitivity_file(manifest, tmp_path / "sens.csv")
+    lines = sens.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[4] = "0.001"
+    sens.write_text("\n".join([*lines, ",".join(cells)]) + "\n")
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 4.8,
+        "--chunk-size", 8, "--sensitivity-file", sens, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 3, result.output
+    assert f"row {len(lines) + 1}: duplicate entry" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_perturb_underflowing_noise_scale_is_exit_2(manifest, tmp_path):
@@ -348,9 +367,29 @@ def test_perturb_help_lists_exactly_its_options():
     listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
     assert listed == [
         "--manifest", "--mechanism", "--epsilon", "--chunk-size", "--k", "--k-file",
-        "--sensitivity-file", "--clamp", "--symmetric", "--label-kind", "--seed", "--jobs",
+        "--sensitivity-file", "--clamp", "--symmetric", "--label-kind", "--seed",
         "--out", "--help",
     ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("perturb", "--mechanism", "lpa", "--epsilon", 2.4, "--jobs", 2, "--out"),
+     ("tune-k", "--chunk-size", 8, "--runs", 1, "--jobs", 2, "--out"),
+     ("classify", "--mechanism", "cfpa", "--out-dir"),
+     ("classify", "--epsilon", 4.8, "--out-dir"),
+     ("classify", "--chunk-size", 32, "--out-dir")],
+    ids=["perturb-jobs", "tune-k-jobs", "classify-mechanism", "classify-epsilon",
+         "classify-chunk-size"],
+)
+def test_options_that_changed_no_result_are_gone(manifest, tmp_path, args):
+    # perturb and tune-k load and release on one thread; classify's
+    # annotations only copied unchecked text into summary.csv
+    command, *flags, out_flag = args
+    result = run_cli(command, "--manifest", manifest, *flags, out_flag, tmp_path / "out")
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--conservative", "--literal-reconstruct"])
@@ -532,6 +571,20 @@ def test_sweep_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
     assert a == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
+def test_synth_bad_step_seconds_is_exit_2_before_any_file(tmp_path):
+    out = tmp_path / "x"
+    synth = ("synth", "--participants", 2, "--labels", 2, "--length", 8, "--features", 2)
+    for bad in ("0", "-1", "nan"):
+        result = run_cli(*synth, "--step-seconds", bad, "--out", out)
+        assert result.exit_code == 2, (bad, result.output)
+        assert "step_seconds" in result.stderr
+        assert not out.exists()
+    # nothing was half-written, so a valid rerun into the same --out works
+    result = run_cli(*synth, "--step-seconds", 0.25, "--out", out)
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / MANIFEST_NAME).read_text())["step_seconds"] == 0.25
+
+
 def test_sweep_help_lists_exactly_its_options():
     result = run_cli("sweep", "--help")
     assert result.exit_code == 0
@@ -664,6 +717,16 @@ def test_perturb_k_file_must_match_the_chunk_plan(manifest, tmp_path):
     )
     assert result.exit_code == 3
     assert "expected header" in result.stderr
+
+
+def test_tune_k_help_lists_exactly_its_options():
+    result = run_cli("tune-k", "--help")
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
+    assert listed == [
+        "--manifest", "--chunk-size", "--mechanism", "--epsilon", "--runs", "--label-kind",
+        "--seed", "--out", "--help",
+    ]
 
 
 def test_tune_k_fpa_tunes_the_whole_signal_plan(manifest, tmp_path):
@@ -815,17 +878,16 @@ def test_classify_clean_corpus_is_perfect(manifest, tmp_path):
     out_dir = tmp_path / "clf"
     result = run_cli(
         "classify", "--manifest", manifest, "--window", 10, "--neighbors", 3,
-        "--mechanism", "none", "--epsilon", "", "--seed", 2, "--out-dir", out_dir,
+        "--seed", 2, "--out-dir", out_dir,
     )
     assert result.exit_code == 0, result.output
 
     summary = (out_dir / "summary.csv").read_text().splitlines()
-    assert summary[0] == "label_kind,mechanism,epsilon,chunk_size,mode,accuracy"
+    assert summary[0] == "label_kind,mode,accuracy"
     cells = summary[1].split(",")
     assert cells[0] == "category"
-    assert cells[1] == "none"
-    assert cells[4] == "majority"
-    assert float(cells[5]) == 1.0
+    assert cells[1] == "majority"
+    assert float(cells[2]) == 1.0
 
     folds = (out_dir / "folds.csv").read_text().splitlines()
     assert len(folds) == 4  # header + 3 participants
@@ -839,8 +901,18 @@ def test_classify_instance_mode(manifest, tmp_path):
     )
     assert result.exit_code == 0, result.output
     cells = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
-    assert cells[4] == "instance"
-    assert float(cells[5]) == 1.0
+    assert cells[1] == "instance"
+    assert float(cells[2]) == 1.0
+
+
+def test_classify_help_lists_exactly_its_options():
+    result = run_cli("classify", "--help")
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
+    assert listed == [
+        "--manifest", "--window", "--mean-pool", "--neighbors", "--majority", "--label-kind",
+        "--seed", "--out-dir", "--help",
+    ]
 
 
 def test_classify_too_many_neighbors_is_exit_2(manifest, tmp_path):

@@ -116,17 +116,24 @@ class TestChunkPlan:
         assert chunk_plan(7, 7).boundaries == ((0, 7),)
         assert chunk_plan(3, 100).boundaries == ((0, 3),)
 
-    def test_validation_rejects_gaps_and_bad_lengths(self):
-        with pytest.raises(ParameterError):
-            ChunkPlan(8, 4, ((0, 4), (5, 8)))
-        with pytest.raises(ParameterError):
-            ChunkPlan(8, 4, ((0, 3), (3, 8)))
-        with pytest.raises(ParameterError):
-            ChunkPlan(8, 4, ((0, 4),))
-        with pytest.raises(ParameterError):
-            chunk_plan(0, 4)
-        with pytest.raises(ParameterError):
-            chunk_plan(8, 0)
+    def test_validation_rejects_non_positive_sizes(self):
+        for build in (ChunkPlan, chunk_plan):
+            with pytest.raises(ParameterError):
+                build(0, 4)
+            with pytest.raises(ParameterError):
+                build(8, 0)
+
+    def test_constructor_derives_the_builder_plan(self):
+        # (n, c) fix the boundaries: contiguous chunks of c from 0, the
+        # last one ending at n; there is no other way to state them
+        for n, c in ((1, 1), (8, 4), (10, 4), (3, 100), (1000, 48)):
+            plan = ChunkPlan(n, c)
+            assert plan == chunk_plan(n, c)
+            starts = [s for s, _ in plan.boundaries]
+            assert starts == list(range(0, n, c))
+            assert [e for _, e in plan.boundaries] == starts[1:] + [n]
+        with pytest.raises(TypeError):
+            ChunkPlan(8, 4, ((0, 4), (4, 8)))
 
 
 class TestMechanismReport:

@@ -299,6 +299,34 @@ def test_write_rejects_recording_ids_that_are_not_file_names(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_write_rejects_a_bad_step_before_any_file(tmp_path, step):
+    out = tmp_path / "out"
+    with pytest.raises(ParameterError, match="step_seconds"):
+        write_corpus(synth_corpus(_spec(participants=1)), out, step_seconds=step)
+    assert not out.exists()
+    # over an earlier corpus, nothing is rewritten or removed either
+    write_corpus(synth_corpus(_spec(participants=2)), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ParameterError, match="step_seconds"):
+        write_corpus(synth_corpus(_spec(participants=1)), out, step_seconds=step)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_write_rejects_repeated_recording_ids_before_any_file(tmp_path):
+    # the second would overwrite the first's r0.csv
+    matrices = tuple(
+        FeatureMatrix(
+            recording_id="r0", participant_id=p, labels={"category": "a"},
+            feature_names=("f0",), values=np.full((2, 1), v),
+        )
+        for p, v in (("p0", 1.0), ("p1", 2.0))
+    )
+    with pytest.raises(ParameterError, match="duplicate recording ids"):
+        write_corpus(Corpus(matrices=matrices, schema=("f0",)), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_recording_bytes_equal_csv_writer_output(tmp_path):
     # The body is formatted without csv.writer; its bytes must be what
     # csv.writer writes, and the header keeps csv's quoting.

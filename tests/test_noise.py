@@ -17,12 +17,12 @@ from privseq.noise import NoiseSource, _unit_uniform, unit_laplace
 
 class TestNoiseSource:
     def test_same_address_same_stream(self):
-        a = NoiseSource(42, 0)
-        b = NoiseSource(42, 0)
+        a = NoiseSource(42).derive(0)
+        b = NoiseSource(42).derive(0)
         assert np.array_equal(unit_laplace(a.generator(), 64), unit_laplace(b.generator(), 64))
 
     def test_source_is_an_address_not_a_cursor(self):
-        src = NoiseSource(42, 0)
+        src = NoiseSource(42).derive(0)
         first = unit_laplace(src.generator(), 16)
         second = unit_laplace(src.generator(), 16)
         assert np.array_equal(first, second)
@@ -50,6 +50,9 @@ class TestNoiseSource:
             NoiseSource(2**64)
         with pytest.raises(ParameterError):
             NoiseSource(3).derive(-2)
+        # a stream is addressed one way, by derive
+        with pytest.raises(TypeError):
+            NoiseSource(3, 0)
 
     def test_cross_correlation_between_streams_is_tiny(self):
         root = NoiseSource(123)
@@ -62,22 +65,22 @@ class TestNoiseSource:
 
 class TestSampleLaplace:
     def test_mean_zero(self):
-        draws = unit_laplace(NoiseSource(42, 0).generator(), 10**6)
+        draws = unit_laplace(NoiseSource(42).derive(0).generator(), 10**6)
         assert abs(float(np.mean(draws))) < 0.01
 
     def test_variance_matches_two_lambda_squared(self):
-        draws = 2.0 * unit_laplace(NoiseSource(42, 1).generator(), 10**6)
+        draws = 2.0 * unit_laplace(NoiseSource(42).derive(1).generator(), 10**6)
         var = float(np.var(draws))
         assert abs(var - 8.0) < 0.05 * 8.0
 
     def test_adjacent_draws_uncorrelated(self):
-        draws = unit_laplace(NoiseSource(42, 2).generator(), 10**6 + 1)
+        draws = unit_laplace(NoiseSource(42).derive(2).generator(), 10**6 + 1)
         r = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(r) < 0.01
 
     def test_ks_statistic_against_analytic_cdf(self):
         lam = 1.0
-        draws = np.sort(lam * unit_laplace(NoiseSource(42, 3).generator(), 10**6))
+        draws = np.sort(lam * unit_laplace(NoiseSource(42).derive(3).generator(), 10**6))
         u = draws / lam
         cdf = np.where(u < 0, 0.5 * np.exp(u), 1.0 - 0.5 * np.exp(-u))
         n = draws.size
@@ -91,7 +94,7 @@ class TestUnitLaplace:
         # One 64-bit word per draw (power-of-two bound, no rejection), so
         # chunked consumption must concatenate to the whole stream. The
         # sweep runner's slicing relies on this exactly.
-        src = NoiseSource(99, (4,))
+        src = NoiseSource(99).derive(4)
         whole = unit_laplace(src.generator(), 101)
         gen = src.generator()
         parts = np.concatenate(
@@ -109,7 +112,7 @@ class TestUnitLaplace:
     def test_lambda_scales_linearly(self):
         # The inverse CDF at scale lam is lam times the unit draw, bit for
         # bit, so a sweep can reuse one unit draw across its epsilon grid.
-        src = NoiseSource(11, (0,))
+        src = NoiseSource(11).derive(0)
         u = _unit_uniform(src.generator(), 32)
         assert np.array_equal(
             -3.0 * np.sign(u) * np.log1p(-2.0 * np.abs(u)),

@@ -4,7 +4,6 @@ its memory, group tables, and CSV round trips."""
 import math
 import sys
 import tracemalloc
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -32,66 +31,7 @@ from privseq.sensitivity import (
     lw_distance,
     write_sensitivity_tables,
 )
-
-
-# --- exact-arithmetic mirror oracle -----------------------------------
-# Mirrors the library's floating-point contract independently: each
-# difference (and square) is one IEEE-rounded operation, L2 differences
-# are first scaled by 2**-e (e the exponent of the largest) and the root
-# scaled back, the sum is exact rational arithmetic rounded once at the
-# end (what fsum guarantees), and sqrt is the correctly rounded
-# math.sqrt. Agreement must be bit-for-bit, not approximate.
-
-
-def oracle_lw(x, y, w):
-    diffs = [abs(float(a) - float(b)) for a, b in zip(x, y)]
-    if w == 1:
-        total = sum((Fraction(d) for d in diffs), Fraction(0))
-        return float(total)
-    e = math.frexp(max(diffs, default=0.0))[1]
-    scaled = [math.ldexp(d, -e) for d in diffs]
-    total = sum((Fraction(s * s) for s in scaled), Fraction(0))
-    return math.ldexp(math.sqrt(float(total)), e)
-
-
-def oracle_pad(group):
-    n = max(len(v) for v in group)
-    return [list(v) + [0.0] * (n - len(v)) for v in group]
-
-
-def oracle_feature(group, w):
-    rows = oracle_pad(group)
-    best = 0.0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            d = oracle_lw(rows[i], rows[j], w)
-            if d > best:
-                best = d
-    return best
-
-
-def oracle_diff(row):
-    out = [row[0]]
-    for i in range(1, len(row)):
-        out.append(row[i] - row[i - 1])
-    return out
-
-
-def oracle_chunks(group, plan, w, domain):
-    rows = oracle_pad(group)
-    out = []
-    for s, e in plan.boundaries:
-        sub = [r[s:e] for r in rows]
-        if domain == DIFFERENCE:
-            sub = [oracle_diff(r) for r in sub]
-        best = 0.0
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                d = oracle_lw(sub[i], sub[j], w)
-                if d > best:
-                    best = d
-        out.append(best)
-    return out
+from sensitivity_oracle import oracle_chunks, oracle_feature
 
 
 def random_group(rng):
@@ -560,6 +500,13 @@ def test_sensitivity_csv_loader_errors(tmp_path):
     path.write_text(header + "f0,3,raw,1,1.0,a,2,6\n")
     with pytest.raises(DataError, match="outside"):
         load_sensitivity_tables(path)
+
+    # a repeated row would silently replace the first, and could lower the noise
+    path.write_text(header + "f0,0,raw,2,5.0,g,4,4\nf0,0,raw,2,0.001,g,4,4\n")
+    with pytest.raises(DataError, match="row 3: duplicate entry"):
+        load_sensitivity_tables(path)
+    path.write_text(header + "f0,0,raw,2,5.0,g,4,4\nf0,0,raw,2,5.0,h,4,4\n")
+    assert sorted(load_sensitivity_tables(path)) == ["g", "h"]
 
     # bytes that are not UTF-8 are malformed input, not a traceback
     path.write_bytes(header.encode() + b"\xff\n")

@@ -29,7 +29,6 @@ from privseq.core import (
 )
 from privseq.mechanisms import MECHANISMS, MechanismConfig, perturb_corpus
 from privseq.noise import NoiseSource
-from privseq.sensitivity import load_sensitivity_tables
 from privseq.transform import diff_transform
 
 __all__ = ["main"]
@@ -167,7 +166,6 @@ def synth(
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length]; not for lpa.")
 @click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's mechanism and chunk plan and naming every group; excludes --k, not for lpa.")
-@click.option("--sensitivity-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Precomputed sensitivity CSV, built for this run's chunk plan; recomputed when absent.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
 @_LABEL_KIND_OPT
@@ -175,8 +173,8 @@ def synth(
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_handled
 def perturb(
-    manifest, mechanism, epsilon, chunk_size, k, k_file, sensitivity_file,
-    clamp, symmetric, label_kind, seed, out_dir,
+    manifest, mechanism, epsilon, chunk_size, k, k_file, clamp, symmetric,
+    label_kind, seed, out_dir,
 ) -> None:
     """Privatize a corpus and write it with its epsilon report."""
     if k is not None and k_file is not None:
@@ -197,17 +195,9 @@ def perturb(
     )
     loaded = dataio.read_manifest(manifest)
     corpus = dataio.load_corpus(loaded)
-    sens_tables = (
-        load_sensitivity_tables(sensitivity_file) if sensitivity_file else None
-    )
     k_table = tuning.load_k_csv(k_file) if k_file is not None else None
     noisy, reports = perturb_corpus(
-        corpus,
-        label_kind,
-        config,
-        NoiseSource(seed),
-        sens_tables=sens_tables,
-        k_table=k_table,
+        corpus, label_kind, config, NoiseSource(seed), k_table=k_table
     )
     dataio.write_corpus(noisy, out_dir, step_seconds=loaded.step_seconds, reports=reports)
     for label, r in sorted(reports.items()):

@@ -121,8 +121,10 @@ class CorpusManifest:
         object.__setattr__(self, "excluded_features", frozenset(self.excluded_features))
         if not self.schema_path:
             raise ParameterError("manifest needs a schema path")
-        if not self.step_seconds > 0:
-            raise ParameterError(f"step_seconds must be positive, got {self.step_seconds}")
+        if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
+            raise ParameterError(
+                f"step_seconds must be positive and finite, got {self.step_seconds}"
+            )
         ids = [r.recording_id for r in self.recordings]
         if len(set(ids)) != len(ids):
             raise ParameterError("duplicate recording ids in manifest")
@@ -339,9 +341,9 @@ def write_corpus(
     (empty, with leading or trailing whitespace, or holding a line
     break), a manifest that CorpusManifest rejects (a recording id that
     is not a plain file name, two recordings with one id, a step_seconds
-    that is not positive), or an out_dir that is not empty and holds no
-    manifest.json raises ParameterError before anything is created or
-    removed.
+    that is not positive and finite), or an out_dir that is not empty and
+    holds no manifest.json raises ParameterError before anything is
+    created or removed.
     """
     for name in corpus.schema:
         if not name or name != name.strip() or "\n" in name or "\r" in name:

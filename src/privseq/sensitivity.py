@@ -84,9 +84,8 @@ candidates.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -94,50 +93,22 @@ import numpy as np
 from privseq.core import (
     ChunkPlan,
     Corpus,
-    DataError,
     InsufficientGroupError,
     ParameterError,
     RealSeq,
-    _csv_rows,
-    chunk_plan,
 )
 from privseq.transform import diff_transform
 
 __all__ = [
-    "lw_distance",
     "chunk_sensitivities",
     "SensitivityTable",
     "build_group_table",
-    "write_sensitivity_tables",
-    "load_sensitivity_tables",
     "RAW",
     "DIFFERENCE",
 ]
 
 RAW = "raw"
 DIFFERENCE = "difference"
-
-_CSV_HEADER = ("feature", "chunk", "domain", "norm", "value", "group", "chunk_size", "length")
-
-
-def lw_distance(x: RealSeq, y: RealSeq, w: int) -> float:
-    """(sum_i |x_i - y_i|^w)^(1/w) for w in {1, 2}; for w = 2 the
-    differences are squared after scaling the largest below 1, so no
-    square hides a difference by underflowing (see the module docstring)."""
-    if w not in (1, 2):
-        raise ParameterError(f"norm order must be 1 or 2, got {w}")
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ParameterError("lw_distance expects 1-D sequences")
-    if a.shape != b.shape:
-        raise ParameterError(f"length mismatch: {a.size} vs {b.size}")
-    d = np.abs(a - b)
-    if w == 1:
-        return math.fsum(d.tolist())
-    e = math.frexp(float(d.max(initial=0.0)))[1]
-    d = np.ldexp(d, -e)
-    return float(np.ldexp(math.sqrt(math.fsum((d * d).tolist())), e))
 
 
 def _padded_group(group: Sequence[RealSeq]) -> np.ndarray:
@@ -168,6 +139,9 @@ def _padded_group(group: Sequence[RealSeq]) -> np.ndarray:
 # host, stall the product (3.4 ms against 25 us, seen at 525,600 terms).
 _GRAM_VALUES = 1 << 16
 _PRODUCT_TERMS = 1 << 18
+# _pairwise_maxima's batch of pair differences; .tolist() boxes each value
+# in a Python float of 24 bytes, so batches stay small.
+_PAIR_VALUES = 1 << 12
 
 
 def _gamma(n: int) -> float:
@@ -177,19 +151,45 @@ def _gamma(n: int) -> float:
 
 
 def _pairwise_maxima(rows: np.ndarray, starts: Sequence[int], w: int) -> list[float]:
-    """Max lw_distance over row pairs, per chunk [starts[c], starts[c + 1]).
+    """Max L_w distance over row pairs, per chunk [starts[c], starts[c + 1]).
 
-    lw_distance runs only on the candidate pairs of each chunk, those
-    whose exact sum can still be the chunk's maximum, which keeps the
-    result bitwise equal to the exhaustive loop; a chunk without
-    candidates has only zero distances.
+    Distances are taken only for the candidate pairs of each chunk,
+    those whose exact sum can still be the chunk's maximum, which keeps
+    the result bitwise equal to the exhaustive loop; a chunk without
+    candidates has only zero distances. The candidates of all chunks of
+    one length go through numpy together, in batches of about
+    _PAIR_VALUES differences, leaving one math.fsum per pair.
     """
     n = rows.shape[1]
+    bounds = np.asarray([*starts, n])
     candidates = _l2_candidates(rows, starts) if w == 2 else _l1_candidates(rows, starts)
-    return [
-        max((lw_distance(rows[a, s:e], rows[b, s:e], w) for a, b in zip(*pairs)), default=0.0)
-        for s, e, pairs in zip(starts, [*starts[1:], n], candidates)
-    ]
+    chunk = np.concatenate([np.full(len(a), c) for c, (a, _) in enumerate(candidates)])
+    first = np.concatenate([a for a, _ in candidates])
+    second = np.concatenate([b for _, b in candidates])
+    lengths = np.diff(bounds)
+    length = lengths[chunk]
+    best = np.zeros(len(starts))
+    for size in set(lengths.tolist()):
+        pairs = np.flatnonzero(length == size)
+        step = max(1, _PAIR_VALUES // size)
+        for lo in range(0, pairs.size, step):
+            p = pairs[lo : lo + step]
+            cols = bounds[chunk[p], None] + np.arange(size)
+            d = np.abs(rows[first[p, None], cols] - rows[second[p, None], cols])
+            np.maximum.at(best, chunk[p], _distances(d, w))
+    return best.tolist()
+
+
+def _distances(d: np.ndarray, w: int) -> np.ndarray:
+    """The L_w norm of each row of d = |x - y|, each one math.fsum of its
+    terms; for w = 2 a row is scaled by 2**-e, e the exponent of its
+    largest term, before squaring, so no square hides a difference by
+    underflowing (see the module docstring)."""
+    if w == 1:
+        return np.array([math.fsum(terms) for terms in d.tolist()])
+    e = np.frexp(d.max(axis=1))[1]
+    d = np.ldexp(d, -e[:, None])
+    return np.ldexp([math.sqrt(math.fsum(terms)) for terms in (d * d).tolist()], e)
 
 
 def _l1_candidates(rows: np.ndarray, starts: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -340,7 +340,7 @@ class SensitivityTable:
     Keys are (feature_name, chunk_index, domain, norm_order); values are
     the group sensitivities. The chunk indices are only meaningful against
     the chunking plan the table was built for, which plan records; a
-    table without a plan cannot be written or supplied to perturbation.
+    table without a plan cannot be supplied to perturbation.
     """
 
     entries: Mapping[tuple[str, int, str, int], float]
@@ -409,57 +409,3 @@ def build_group_table(
                     entries[(feature, ci, domain, norm)] = v
     return SensitivityTable(entries=entries, group_label=label_value, plan=plan)
 
-
-def write_sensitivity_tables(tables: Mapping[str, SensitivityTable], path) -> None:
-    """All groups of a corpus in one CSV (feature, chunk, domain, norm,
-    value, group, chunk_size, length), rows sorted by group then key."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for label in sorted(tables):
-            plan = tables[label].plan
-            if plan is None:
-                raise ParameterError(f"sensitivity table for group {label!r} records no chunk plan")
-            entries = tables[label].entries
-            for key in sorted(entries):
-                writer.writerow(
-                    [*key, repr(entries[key]), label, plan.chunk_size, plan.total_length]
-                )
-
-
-def load_sensitivity_tables(path) -> dict[str, SensitivityTable]:
-    """Group-keyed inverse of write_sensitivity_tables, validating every
-    cell; all rows of a group must name one chunk plan, and a repeated
-    (group, feature, chunk, domain, norm) is a DataError naming the row."""
-    entries: dict[str, dict[tuple[str, int, str, int], float]] = {}
-    shapes: dict[str, tuple[int, int]] = {}
-    for row_no, row in _csv_rows(path, _CSV_HEADER):
-        feature, chunk_s, domain, norm_s, value_s, group, size_s, length_s = row
-        try:
-            key = (feature, int(chunk_s), domain, int(norm_s))
-            value = float(value_s)
-            shape = (int(size_s), int(length_s))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: {exc}") from None
-        if shapes.setdefault(group, shape) != shape:
-            raise DataError(
-                f"{path}: group {group!r} rows name chunk plans {shapes[group]} and {shape} "
-                "(chunk_size, length)"
-            )
-        group_entries = entries.setdefault(group, {})
-        if key in group_entries:
-            raise DataError(f"{path}: row {row_no}: duplicate entry for group {group!r} {key}")
-        group_entries[key] = value
-    if not entries:
-        raise DataError(f"{path}: no entries")
-    try:
-        return {
-            label: SensitivityTable(
-                entries=table,
-                group_label=label,
-                plan=chunk_plan(shapes[label][1], shapes[label][0]),
-            )
-            for label, table in entries.items()
-        }
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from None

@@ -3,11 +3,13 @@ byte-identical, worker count never changes results, and failures map to
 the documented exit codes."""
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -15,12 +17,23 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privseq
 from privseq.cli import _handled, main
-from privseq.core import InternalInvariantError, MechanismReport, ReportUnit
-from privseq.dataio import MANIFEST_NAME, REPORT_NAME, load_corpus
+from privseq.core import (
+    Corpus,
+    FeatureMatrix,
+    InternalInvariantError,
+    MechanismReport,
+    ReportUnit,
+    chunk_plan,
+)
+from privseq.dataio import MANIFEST_NAME, REPORT_NAME, load_corpus, write_corpus
+from privseq.mechanisms import MechanismConfig, fpa_lambda
 from privseq.metrics import load_sweep_csv
+from privseq.sensitivity import build_group_table
 from privseq.tuning import load_k_csv
 
 
@@ -238,71 +251,28 @@ def test_perturb_rerun_is_byte_identical(manifest, tmp_path):
     assert a == b
 
 
-def _chunk8_sensitivity_file(manifest, path):
-    from privseq.core import chunk_plan
-    from privseq.sensitivity import build_group_table, write_sensitivity_tables
-
-    corpus = load_corpus(manifest)
-    write_sensitivity_tables(
-        {
-            label: build_group_table(corpus, "category", label, chunk_plan(40, 8))
-            for label in corpus.label_values("category")
-        },
-        path,
+def test_perturb_underflowing_noise_scale_is_exit_2(tmp_path):
+    # Two recordings 5e-324 apart in one sample: lpa's scale for that
+    # sensitivity at epsilon 4 rounds to 0, and the data would be released
+    # unchanged under a report of epsilon 0.
+    values = np.full((8, 1), 3000.0)
+    values[3, 0] = 0.0
+    near = values.copy()
+    near[3, 0] = 5e-324
+    write_corpus(
+        Corpus(
+            matrices=tuple(
+                FeatureMatrix(f"r{i}", f"p{i}", {"category": "a"}, ("f00",), v)
+                for i, v in enumerate((values, near))
+            ),
+            schema=("f00",),
+        ),
+        tmp_path / "tiny",
     )
-    return path
-
-
-def test_perturb_sensitivity_file_must_match_the_chunk_plan(manifest, tmp_path):
-    sens = _chunk8_sensitivity_file(manifest, tmp_path / "sens.csv")
-    base = ("perturb", "--manifest", manifest, "--mechanism", "cfpa",
-            "--epsilon", 4.8, "--seed", 5)
-    assert run_cli(*base, "--chunk-size", 8, "--out", tmp_path / "inline").exit_code == 0
-    result = run_cli(*base, "--chunk-size", 8, "--sensitivity-file", sens,
-                     "--out", tmp_path / "file")
-    assert result.exit_code == 0, result.output
-    assert _dir_bytes(tmp_path / "inline") == _dir_bytes(tmp_path / "file")
-
-    result = run_cli(*base, "--chunk-size", 16, "--sensitivity-file", sens,
-                     "--out", tmp_path / "wrong")
-    assert result.exit_code == 2
-    assert "chunk" in result.stderr
-
-
-def test_perturb_sensitivity_file_with_a_repeated_row_is_exit_3(manifest, tmp_path):
-    # the repeat holds a smaller value; taking it would lower the noise
-    sens = _chunk8_sensitivity_file(manifest, tmp_path / "sens.csv")
-    lines = sens.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[4] = "0.001"
-    sens.write_text("\n".join([*lines, ",".join(cells)]) + "\n")
-    result = run_cli(
-        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 4.8,
-        "--chunk-size", 8, "--sensitivity-file", sens, "--out", tmp_path / "out",
-    )
-    assert result.exit_code == 3, result.output
-    assert f"row {len(lines) + 1}: duplicate entry" in result.stderr
-    assert not (tmp_path / "out").exists()
-
-
-def test_perturb_underflowing_noise_scale_is_exit_2(manifest, tmp_path):
-    # lpa's scale for a 5e-324 sensitivity at epsilon 4 rounds to 0: the
-    # data would be released unchanged under a report of epsilon 0.
-    from privseq.core import chunk_plan
-    from privseq.sensitivity import SensitivityTable, build_group_table, write_sensitivity_tables
-
-    corpus = load_corpus(manifest)
-    plan = chunk_plan(40, 40)
-    tables = {}
-    for label in corpus.label_values("category"):
-        built = build_group_table(corpus, "category", label, plan, norms=(1,))
-        tables[label] = SensitivityTable(dict.fromkeys(built.entries, 5e-324), label, plan)
-    sens = tmp_path / "sens.csv"
-    write_sensitivity_tables(tables, sens)
-    result = run_cli("perturb", "--manifest", manifest, "--mechanism", "lpa", "--epsilon", 4,
-                     "--sensitivity-file", sens, "--out", tmp_path / "out")
+    result = run_cli("perturb", "--manifest", tmp_path / "tiny" / MANIFEST_NAME,
+                     "--mechanism", "lpa", "--epsilon", 4, "--out", tmp_path / "out")
     assert result.exit_code == 2, result.output
-    assert "underflows" in result.stderr
+    assert "noise scale 0.0 for sensitivity 5e-324 underflows" in result.stderr
     assert not (tmp_path / "out" / REPORT_NAME).exists()
 
 
@@ -367,8 +337,7 @@ def test_perturb_help_lists_exactly_its_options():
     listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
     assert listed == [
         "--manifest", "--mechanism", "--epsilon", "--chunk-size", "--k", "--k-file",
-        "--sensitivity-file", "--clamp", "--symmetric", "--label-kind", "--seed",
-        "--out", "--help",
+        "--clamp", "--symmetric", "--label-kind", "--seed", "--out", "--help",
     ]
 
 
@@ -399,6 +368,20 @@ def test_perturb_accounting_and_reconstruction_flags_are_gone(manifest, tmp_path
     result = run_cli(
         "perturb", "--manifest", manifest, "--mechanism", "dcfpa", "--epsilon", 2.4,
         "--chunk-size", 8, flag, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_perturb_sensitivity_file_is_an_unknown_option(manifest, tmp_path):
+    # perturb calibrates only to the sensitivities of the corpus it
+    # releases; a file could lower the noise under the same report
+    sens = tmp_path / "sens.csv"
+    sens.write_text("feature,chunk,domain,norm,value,group,chunk_size,length\n")
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 2.4,
+        "--chunk-size", 8, "--sensitivity-file", sens, "--out", tmp_path / "out",
     )
     assert result.exit_code == 2, result.output
     assert "No such option" in result.stderr
@@ -512,15 +495,17 @@ def test_perturb_malformed_manifest_is_exit_3(corpus_dir, tmp_path):
         ("trim", ["0", "3"]),
         ("excluded_features", "f0"),
         ("excluded_features", ["nope"]),
+        ("step_seconds", math.inf),
     ],
 )
 def test_perturb_bad_manifest_fields_are_exit_3_before_any_write(corpus_dir, tmp_path, field, value):
     # A recording id is a file name in --out, trim bounds are integers,
-    # and excluded_features lists schema names; anything else is bad
-    # input (exit 3), found before the release writes a file.
+    # excluded_features lists schema names, and step_seconds is finite
+    # (json writes inf as Infinity, which strict parsers reject); anything
+    # else is bad input (exit 3), found before the release writes a file.
     manifest = _copy_corpus(corpus_dir, tmp_path / "in")
     raw = json.loads(manifest.read_text())
-    target = raw if field == "excluded_features" else raw["recordings"][0]
+    target = raw if field in ("excluded_features", "step_seconds") else raw["recordings"][0]
     target[field] = value
     manifest.write_text(json.dumps(raw))
     (tmp_path / "work").mkdir()
@@ -574,7 +559,7 @@ def test_sweep_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
 def test_synth_bad_step_seconds_is_exit_2_before_any_file(tmp_path):
     out = tmp_path / "x"
     synth = ("synth", "--participants", 2, "--labels", 2, "--length", 8, "--features", 2)
-    for bad in ("0", "-1", "nan"):
+    for bad in ("0", "-1", "nan", "inf"):
         result = run_cli(*synth, "--step-seconds", bad, "--out", out)
         assert result.exit_code == 2, (bad, result.output)
         assert "step_seconds" in result.stderr
@@ -717,6 +702,77 @@ def test_perturb_k_file_must_match_the_chunk_plan(manifest, tmp_path):
     )
     assert result.exit_code == 3
     assert "expected header" in result.stderr
+
+
+@pytest.mark.parametrize("fault", [None, "k 0", "k over", "plan", "mechanism", "group"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_perturb_k_file_report_matches_the_core(manifest, fault, data):
+    # Random k files through perturb: valid ones, out-of-range k, another
+    # plan, another mechanism, a missing group. A faulty file exits 2 or 3
+    # without a report; otherwise every unit of report.json carries the
+    # loaded corpus's own sensitivity, the file's k and fpa_lambda of the
+    # chunk.
+    mechanism = data.draw(st.sampled_from(("fpa", "cfpa", "dcfpa")), label="mechanism")
+    size = None if mechanism == "fpa" else data.draw(st.sampled_from((8, 16)), label="size")
+    epsilon = data.draw(st.sampled_from((0.5, 2.4, 48.0)), label="epsilon")
+    config = MechanismConfig(mechanism=mechanism, epsilon=epsilon, chunk_size=size)
+    plan = config.plan_for(40)
+    tuned_for, tuned_plan, groups = mechanism, plan, ("l0", "l1")
+    if fault == "mechanism":
+        tuned_for = data.draw(st.sampled_from(sorted({"fpa", "cfpa", "dcfpa"} - {mechanism})))
+    elif fault == "plan":
+        other = data.draw(st.sampled_from(sorted({8, 16, 40} - {plan.chunk_size})))
+        tuned_plan = chunk_plan(40, other)
+    elif fault == "group":
+        groups = data.draw(st.sampled_from((("l0",), ("l1",))))
+    corpus = load_corpus(manifest)
+    tuned_lengths = tuned_plan.chunk_lengths()
+    ks = {
+        (label, feature, ci): data.draw(st.integers(1, c), label=f"k {label} {feature} {ci}")
+        for label in groups
+        for feature in corpus.schema
+        for ci, c in enumerate(tuned_lengths)
+    }
+    if fault in ("k 0", "k over"):
+        key = data.draw(st.sampled_from(sorted(ks)), label="bad key")
+        ks[key] = 0 if fault == "k 0" else tuned_lengths[key[2]] + 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        k_path, out = Path(tmp) / "k.csv", Path(tmp) / "out"
+        k_path.write_text("group_label,feature,chunk_index,k,runs_used,epsilon_used,"
+                          "chunk_size,length,mechanism\n" + "".join(
+            f"{label},{feature},{ci},{k},2,4.8,{tuned_plan.chunk_size},40,{tuned_for}\n"
+            for (label, feature, ci), k in sorted(ks.items())
+        ))
+        size_args = () if size is None else ("--chunk-size", size)
+        result = run_cli("perturb", "--manifest", manifest, "--mechanism", mechanism,
+                         "--epsilon", epsilon, *size_args, "--k-file", k_path,
+                         "--seed", 3, "--out", out)
+        if fault is not None:
+            # a k below 1 is a bad file (3); the others do not fit the run (2)
+            assert result.exit_code == (3 if fault == "k 0" else 2), result.output
+            assert not (out / REPORT_NAME).exists()
+            return
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / REPORT_NAME).read_text())
+
+    assert sorted(report) == ["l0", "l1"]
+    lengths = plan.chunk_lengths()
+    for label, payload in report.items():
+        table = build_group_table(
+            corpus, "category", label, plan, norms=(2,), domains=(config.domain,)
+        )
+        noised = [
+            (f, ci) for f in corpus.schema for ci in range(len(plan))
+            if table.value(f, ci, config.domain, 2) > 0.0
+        ]
+        assert [(u["feature"], u["chunk_index"]) for u in payload["units"]] == noised
+        for u in payload["units"]:
+            delta = table.value(u["feature"], u["chunk_index"], config.domain, 2)
+            k = ks[(label, u["feature"], u["chunk_index"])]
+            assert (u["sensitivity"], u["k"], u["epsilon"]) == (delta, k, epsilon)
+            assert u["lambda"] == fpa_lambda(lengths[u["chunk_index"]], k, delta, epsilon)
 
 
 def test_tune_k_help_lists_exactly_its_options():

@@ -299,7 +299,7 @@ def test_write_rejects_recording_ids_that_are_not_file_names(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
 def test_write_rejects_a_bad_step_before_any_file(tmp_path, step):
     out = tmp_path / "out"
     with pytest.raises(ParameterError, match="step_seconds"):
@@ -591,6 +591,14 @@ def test_manifest_failures(tmp_path):
         bad.write_text(json.dumps({"schema": SCHEMA_NAME, "recordings": [recording]}))
         with pytest.raises(DataError, match="malformed manifest"):
             read_manifest(bad)
+
+    # step_seconds is finite: json.load reads Infinity, which strict
+    # parsers reject
+    bad.write_text(json.dumps(
+        {"schema": SCHEMA_NAME, "recordings": [entry], "step_seconds": math.inf}
+    ))
+    with pytest.raises(DataError, match="malformed manifest.*positive and finite"):
+        read_manifest(bad)
 
     # excluded_features is a list of names, not a string of letters
     for excluded in ("f0", ["f0", 1], {"f0": True}):

@@ -589,30 +589,24 @@ def test_perturb_corpus_precomputed_tables_match_inline():
         )
 
 
-def test_perturb_corpus_rejects_tables_built_for_another_plan(tmp_path):
+def test_perturb_corpus_rejects_tables_built_for_another_plan():
     # A table's chunk indices only mean something against the plan it was
     # built for; read against another plan it gives too little noise while
     # the report still claims the full budget.
-    from privseq.sensitivity import (
-        build_group_table,
-        load_sensitivity_tables,
-        write_sensitivity_tables,
-    )
+    from privseq.sensitivity import SensitivityTable, build_group_table
 
     corpus = _corpus()
-    path = tmp_path / "sens.csv"
-    write_sensitivity_tables(
-        {
-            value: build_group_table(corpus, "category", value, chunk_plan(12, 4))
-            for value in ("a", "b")
-        },
-        path,
-    )
-    tables = load_sensitivity_tables(path)
+    tables = {
+        value: build_group_table(corpus, "category", value, chunk_plan(12, 4))
+        for value in ("a", "b")
+    }
     config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=6)
-    with pytest.raises(ConfigurationError, match="chunk"):
+    with pytest.raises(ConfigurationError, match="chunk size 4 over length 12"):
         perturb_corpus(corpus, "category", config, NoiseSource(seed=13), sens_tables=tables)
     matching = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)
+    planless = {v: SensitivityTable(t.entries, v) for v, t in tables.items()}
+    with pytest.raises(ConfigurationError, match="no recorded chunk plan"):
+        perturb_corpus(corpus, "category", matching, NoiseSource(seed=13), sens_tables=planless)
     pre, _ = perturb_corpus(corpus, "category", matching, NoiseSource(seed=13), sens_tables=tables)
     inline, _ = perturb_corpus(corpus, "category", matching, NoiseSource(seed=13))
     for m1, m2 in zip(inline.matrices, pre.matrices):

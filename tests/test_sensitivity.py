@@ -1,6 +1,6 @@
 """Pairwise sensitivity: hand values, an exact-arithmetic mirror oracle,
 order/superset properties, the L2 Gram filter on adversarial groups and
-its memory, group tables, and CSV round trips."""
+its memory, and group tables."""
 import math
 import sys
 import tracemalloc
@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privseq.core import (
-    ChunkPlan,
     Corpus,
-    DataError,
     FeatureMatrix,
     InsufficientGroupError,
     ParameterError,
@@ -27,9 +25,6 @@ from privseq.sensitivity import (
     SensitivityTable,
     build_group_table,
     chunk_sensitivities,
-    load_sensitivity_tables,
-    lw_distance,
-    write_sensitivity_tables,
 )
 from sensitivity_oracle import oracle_chunks, oracle_feature
 
@@ -52,27 +47,31 @@ def whole_signal(group, w):
     return chunk_sensitivities(group, chunk_plan(n, n), w)[0]
 
 
-# --- lw_distance -------------------------------------------------------
+# --- L_w distance of one pair ---------------------------------------------
+
+
+def pair_distance(x, y, w):
+    # a two-recording group's sensitivity is the L_w distance of its pair
+    return whole_signal([x, y], w)
 
 
 def test_lw_identical_is_zero():
     v = [1.5, -2.25, 3.0]
-    assert lw_distance(v, v, 1) == 0.0
-    assert lw_distance(v, v, 2) == 0.0
+    for w in (1, 2):
+        assert pair_distance(v, v, w) == 0.0
+        assert chunk_sensitivities([v, v], chunk_plan(3, 2), w, DIFFERENCE) == [0.0, 0.0]
 
 
 def test_lw_hand_values():
-    assert lw_distance([1.0, 2.0], [3.0, 4.0], 1) == 4.0
-    assert lw_distance([1.0, 2.0], [3.0, 4.0], 2) == math.sqrt(8.0)
+    assert pair_distance([1.0, 2.0], [3.0, 4.0], 1) == 4.0
+    assert pair_distance([1.0, 2.0], [3.0, 4.0], 2) == math.sqrt(8.0)
 
 
 def test_lw_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        lw_distance([1.0, 2.0], [1.0], 1)
-    with pytest.raises(ParameterError):
-        lw_distance([1.0], [1.0], 3)
-    with pytest.raises(ParameterError):
-        lw_distance([[1.0]], [[1.0]], 1)
+    with pytest.raises(ParameterError, match="norm order"):
+        pair_distance([1.0], [1.0], 3)
+    with pytest.raises(ParameterError, match="1-D"):
+        pair_distance([[1.0]], [[1.0]], 1)
 
 
 def test_lw_l1_dominates_l2():
@@ -80,8 +79,8 @@ def test_lw_l1_dominates_l2():
     for _ in range(200):
         x = rng.standard_normal(int(rng.integers(1, 30)))
         y = rng.standard_normal(x.size)
-        l1 = lw_distance(x, y, 1)
-        l2 = lw_distance(x, y, 2)
+        l1 = pair_distance(x, y, 1)
+        l2 = pair_distance(x, y, 2)
         # allow one rounding step at the single-term degenerate boundary
         assert l1 >= l2 - 1e-12 * (1.0 + l2)
 
@@ -351,12 +350,14 @@ def test_l2_differences_whose_squares_underflow_or_overflow_still_count():
     assert chunk_sensitivities([[1e-160, 1e-160, 0, 0], zeros], plan, 2, RAW) == [
         1.414213562373095e-160
     ]
-    assert lw_distance(zeros, zeros, 2) == 0.0
+    assert chunk_sensitivities([zeros, zeros], plan, 2, RAW) == [0.0]
     # 1e308 squares to inf, while the distance is a double; one that is
     # not reads inf, which no noise scale accepts
-    assert lw_distance([1e308, 1e308], [0.0, 0.0], 2) == 1e308 * math.sqrt(2)
+    assert chunk_sensitivities([[1e308, 1e308], [0.0, 0.0]], chunk_plan(2, 2), 2, RAW) == [
+        1e308 * math.sqrt(2)
+    ]
     with pytest.warns(RuntimeWarning, match="overflow"):
-        assert lw_distance([1e308] * 4, zeros, 2) == math.inf
+        assert chunk_sensitivities([[1e308] * 4, zeros], plan, 2, RAW) == [math.inf]
 
 
 @pytest.mark.parametrize("domain", [RAW, DIFFERENCE])
@@ -443,97 +444,3 @@ def test_build_group_table_needs_two_recordings():
     corpus = Corpus(matrices=mats, schema=("f0", "f1"), excluded_features=frozenset())
     with pytest.raises(InsufficientGroupError):
         build_group_table(corpus, "category", "a", chunk_plan(4, 4))
-
-
-# --- CSV round trips -----------------------------------------------------
-
-
-def test_sensitivity_csv_round_trip(tmp_path):
-    corpus = _corpus()
-    table = build_group_table(corpus, "category", "a", chunk_plan(6, 2))
-    path = tmp_path / "sens.csv"
-    write_sensitivity_tables({"a": table}, path)
-    loaded = load_sensitivity_tables(path)
-    assert list(loaded) == ["a"]
-    assert loaded["a"].group_label == "a"
-    assert loaded["a"].entries == table.entries
-    assert loaded["a"].plan == table.plan == chunk_plan(6, 2)
-
-    # byte-identical on rewrite
-    path2 = tmp_path / "sens2.csv"
-    write_sensitivity_tables(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-    # a table without a plan cannot say which chunking it indexes
-    with pytest.raises(ParameterError, match="no chunk plan"):
-        write_sensitivity_tables({"a": SensitivityTable(table.entries, "a")}, tmp_path / "x.csv")
-
-
-def test_sensitivity_csv_loader_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("feature,chunk,domain,norm,value\n")
-    with pytest.raises(DataError):
-        load_sensitivity_tables(path)
-
-    # files without the plan columns cannot say which chunking they index
-    path.write_text("feature,chunk,domain,norm,value,group\nf0,0,raw,1,1.0,a\n")
-    with pytest.raises(DataError, match="expected header"):
-        load_sensitivity_tables(path)
-
-    header = "feature,chunk,domain,norm,value,group,chunk_size,length\n"
-    path.write_text(header + "f0,zero,raw,1,1.0,a,2,6\n")
-    with pytest.raises(DataError, match="row 2"):
-        load_sensitivity_tables(path)
-
-    path.write_text(header + "f0,0,raw,1,oops,a,2,6\n")
-    with pytest.raises(DataError, match="row 2"):
-        load_sensitivity_tables(path)
-
-    path.write_text(header + "f0,0,raw,1,1.0,a,2,six\n")
-    with pytest.raises(DataError, match="row 2"):
-        load_sensitivity_tables(path)
-
-    path.write_text(header + "f0,0,raw,1,1.0,a,2,6\nf0,1,raw,1,1.0,a,3,6\n")
-    with pytest.raises(DataError, match="chunk plans"):
-        load_sensitivity_tables(path)
-
-    path.write_text(header + "f0,3,raw,1,1.0,a,2,6\n")
-    with pytest.raises(DataError, match="outside"):
-        load_sensitivity_tables(path)
-
-    # a repeated row would silently replace the first, and could lower the noise
-    path.write_text(header + "f0,0,raw,2,5.0,g,4,4\nf0,0,raw,2,0.001,g,4,4\n")
-    with pytest.raises(DataError, match="row 3: duplicate entry"):
-        load_sensitivity_tables(path)
-    path.write_text(header + "f0,0,raw,2,5.0,g,4,4\nf0,0,raw,2,5.0,h,4,4\n")
-    assert sorted(load_sensitivity_tables(path)) == ["g", "h"]
-
-    # bytes that are not UTF-8 are malformed input, not a traceback
-    path.write_bytes(header.encode() + b"\xff\n")
-    with pytest.raises(DataError, match="UTF-8"):
-        load_sensitivity_tables(path)
-
-
-def test_multi_group_round_trip(tmp_path):
-    corpus = _corpus()
-    tables = {
-        "a": build_group_table(corpus, "category", "a", chunk_plan(6, 3)),
-        "b": build_group_table(corpus, "category", "b", chunk_plan(6, 3)),
-    }
-    path = tmp_path / "multi.csv"
-    write_sensitivity_tables(tables, path)
-    loaded = load_sensitivity_tables(path)
-    assert set(loaded) == {"a", "b"}
-    for label in tables:
-        assert loaded[label].entries == tables[label].entries
-        assert loaded[label].group_label == label
-        assert loaded[label].plan == chunk_plan(6, 3)
-
-    path2 = tmp_path / "multi2.csv"
-    write_sensitivity_tables(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-    empty = tmp_path / "empty.csv"
-    empty.write_text("feature,chunk,domain,norm,value,group,chunk_size,length\n")
-    with pytest.raises(DataError):
-        load_sensitivity_tables(empty)

@@ -93,9 +93,19 @@ __all__ = [
 
 MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
 
-# Callers of the core split large row sets into blocks of about this
-# many (row, sample) values, counting S and N rows, so its work arrays
-# stay small whatever the group size or run count.
+# The release driver cuts each (group, feature) into row blocks of
+# max(1, budget // ((runs + 1) n)) rows, counting S and N rows; the
+# budget is BLOCK_VALUES on one thread and twice that on a pool. A
+# larger block pays its fixed cost less often but has a larger working
+# set. On one thread that does not pay: at 2^15, dcfpa perturb of the
+# ragged benchmark corpus (n = 1000) took 61 ms against 47 ms at 2^14,
+# and the runs-2 evaluate sweep 283 ms against 254 ms, with ten times
+# the page faults. On a two-thread pool each small numpy call also
+# waits for the interpreter lock, and the same sweep took 247 ms at
+# 2^15 against 301 ms at 2^14; 2^16 was no faster and raised
+# evaluate's peak RSS by 18%. (2-core host, medians of 10 alternating
+# in-process rounds.) At n = 1024 and runs >= 16 a block is one row
+# either way.
 BLOCK_VALUES = 1 << 14
 
 
@@ -109,8 +119,9 @@ def _validated_signal(x: RealSeq) -> np.ndarray:
 def _noise_scale(delta, epsilon, factor=1.0):
     """factor * delta / epsilon for valid budgets, elementwise over
     broadcast arrays (a float for scalars; a (budgets, 1) epsilon column
-    gives a row per budget); a positive delta whose scale underflows
-    (adding almost no noise) is a ParameterError."""
+    gives a row per budget). A scale that overflows to inf, or a positive
+    delta's scale that underflows (adding almost no noise), is a
+    ParameterError."""
     eps = np.asarray(epsilon, dtype=np.float64)
     if not ((eps > 0.0) & np.isfinite(eps)).all():
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
@@ -118,13 +129,17 @@ def _noise_scale(delta, epsilon, factor=1.0):
     bad = ~((delta >= 0.0) & np.isfinite(delta))
     if bad.any():
         raise ParameterError(f"sensitivity must be finite and >= 0, got {delta[bad][0]}")
-    lam = factor * delta / epsilon
-    under = (delta > 0.0) & (lam < sys.float_info.min)
-    if under.any():
-        lam, delta = np.broadcast_arrays(lam, delta)
-        raise ParameterError(
-            f"noise scale {float(lam[under][0])!r} for sensitivity {float(delta[under][0])!r} underflows"
-        )
+    with np.errstate(over="ignore"):
+        lam = factor * delta / epsilon
+    for bad, what in (
+        (~np.isfinite(lam), "overflows"),
+        ((delta > 0.0) & (lam < sys.float_info.min), "underflows"),
+    ):
+        if bad.any():
+            lam, delta = np.broadcast_arrays(lam, delta)
+            raise ParameterError(
+                f"noise scale {float(lam[bad][0])!r} for sensitivity {float(delta[bad][0])!r} {what}"
+            )
     return lam if lam.ndim else float(lam)
 
 
@@ -152,7 +167,8 @@ def fpa_lambda(n: int, k: int, delta2: float, epsilon: float) -> float:
     g = 3k - n - 2 + n % 2 above that (2n - 2 or 2n - 1 at k = n).
 
     epsilon enters through one final division, so doubling epsilon
-    halves the result exactly in IEEE arithmetic; _noise_scale rejects underflow.
+    halves the result exactly in IEEE arithmetic; _noise_scale rejects
+    overflow and underflow.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -560,7 +576,8 @@ def _release_blocks(
     sens_tables[label], which must have been built for the config's
     plan, or else one built per (plan, domain, norm). Then each row block
     of a (group, column) is zero-padded to n, at most BLOCK_VALUES //
-    ((runs + 1) n) rows, and run t of recording r reads the 2n unit
+    ((runs + 1) n) rows (twice as many when jobs > 1; see BLOCK_VALUES),
+    and run t of recording r reads the 2n unit
     draws of stream src.derive(r, col, t), runs consecutive draw rows
     per block row. Each config's units go with the block and its draws
     to consume(col, rows, block, draws, config, units); a release
@@ -572,6 +589,7 @@ def _release_blocks(
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
     groups, blocks = {}, []
+    budget = BLOCK_VALUES if jobs == 1 else 2 * BLOCK_VALUES
     for value in corpus.label_values(label_kind):
         rows = [r for r, m in enumerate(corpus.matrices) if m.labels[label_kind] == value]
         n = max(corpus.matrices[r].length for r in rows)
@@ -597,7 +615,7 @@ def _release_blocks(
                     units = _feature_units(config, plan, tables[key], feature, ks, epsilon)
                     cells.setdefault(col, []).append(units)
         groups[value] = (n, cells)
-        step = max(1, BLOCK_VALUES // ((runs + 1) * n))
+        step = max(1, budget // ((runs + 1) * n))
         for col in cells:
             blocks += [(value, col, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
 

@@ -255,9 +255,21 @@ def load_sweep_csv(path) -> UtilitySweep:
     return UtilitySweep(rows=tuple(rows))
 
 
+def _reject_repeats(what: str, values: Sequence) -> None:
+    """A sweep grid axis names each value once: a repeat would release
+    and report the same cells again."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ParameterError(f"repeated {what} {v!r} in the sweep grid")
+        seen.add(v)
+
+
 def _sweep_configs(
     mechanisms: Sequence[str], chunk_sizes: Sequence[int]
 ) -> list[tuple[str, int | None]]:
+    _reject_repeats("mechanism", mechanisms)
+    _reject_repeats("chunk size", chunk_sizes)
     configs: list[tuple[str, int | None]] = []
     for mech in mechanisms:
         if mech not in MECHANISMS:
@@ -316,7 +328,8 @@ def run_sweep(
     supplies the counts of every group instead: each fpa, cfpa or dcfpa
     configuration must use the chunk plan the group was tuned for, and a
     missing group or another plan is a ConfigurationError. lpa keeps no
-    coefficients and ignores it.
+    coefficients and ignores it. A mechanism, chunk size or epsilon named
+    twice is a ParameterError.
     """
     if not epsilons:
         raise ParameterError("empty sweep grid: no epsilons")
@@ -325,6 +338,7 @@ def run_sweep(
         if not (e > 0 and math.isfinite(e)):
             raise ParameterError(f"epsilons must be positive and finite, got {e}")
     configs = _sweep_configs(mechanisms, chunk_sizes)
+    _reject_repeats("epsilon", eps)
     features = corpus.included_features
     if not features:
         raise ParameterError("empty sweep: every feature excluded")

@@ -276,6 +276,36 @@ def test_perturb_underflowing_noise_scale_is_exit_2(tmp_path):
     assert not (tmp_path / "out" / REPORT_NAME).exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("perturb", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "1e-320"),
+        ("sweep", "--mechanisms", "cfpa", "--chunk-sizes", 16, "--epsilons", "1e-320", "--runs", 2),
+        ("tune-k", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "1e-320", "--runs", 2),
+        ("perturb", "--mechanism", "lpa", "--epsilon", "1e-310"),
+    ],
+    ids=["perturb", "sweep", "tune-k", "perturb-lpa"],
+)
+def test_overflowing_noise_scale_is_exit_2_without_output(tmp_path, command):
+    # delta / epsilon is inf at these subnormal budgets: no noise scale
+    # exists, so nothing may be released, scored or tuned.
+    corpus = tmp_path / "corpus"
+    made = run_cli(
+        "synth", "--participants", 3, "--labels", 2, "--length", 64, "--features", 2,
+        "--out", corpus,
+    )
+    assert made.exit_code == 0, made.output
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_cli(command[0], "--manifest", corpus / MANIFEST_NAME, *command[1:], "--out", out)
+    assert result.exit_code == 2, result.output
+    assert "noise scale inf for sensitivity" in result.stderr
+    assert "overflows" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert not out.exists()
+
+
 def test_perturb_lpa_warns_and_ignores_chunk_size(manifest, tmp_path):
     result = run_cli(
         "perturb", "--manifest", manifest, "--mechanism", "lpa",
@@ -554,6 +584,28 @@ def test_sweep_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
     assert run_cli(*base, "--jobs", 4, "--out", tmp_path / "c.csv").exit_code == 0
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        (("cfpa,cfpa", "16,16", "1,1"), "repeated mechanism 'cfpa'"),
+        (("cfpa", "16,8,16", "1"), "repeated chunk size 16"),
+        (("lpa,cfpa", "8", "2.4,1,2.4"), "repeated epsilon 2.4"),
+    ],
+)
+def test_sweep_repeated_grid_values_are_exit_2(manifest, tmp_path, grid, named):
+    # A repeated value would release the same cells again and write
+    # duplicate rows that load_sweep_csv reads back.
+    mechanisms, chunk_sizes, epsilons = grid
+    out = tmp_path / "sweep.csv"
+    result = run_cli(
+        "sweep", "--manifest", manifest, "--mechanisms", mechanisms,
+        "--chunk-sizes", chunk_sizes, "--epsilons", epsilons, "--runs", 2, "--out", out,
+    )
+    assert result.exit_code == 2, result.output
+    assert named in result.stderr
+    assert not out.exists()
 
 
 def test_synth_bad_step_seconds_is_exit_2_before_any_file(tmp_path):

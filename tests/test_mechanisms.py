@@ -141,6 +141,16 @@ def test_underflowing_scales_are_rejected():
         lpa_lambda(-1.0, 1.0)
 
 
+def test_overflowing_scales_are_rejected():
+    # A scale that overflows to inf is no noise scale: a ParameterError,
+    # with no RuntimeWarning on the way (warnings are errors here).
+    for scale in (lpa_lambda, lambda d, e: fpa_lambda(4, 4, d, e)):
+        for delta, epsilon in ((1.0, 1e-320), (1e300, 1e-10), (sys.float_info.max, 0.5)):
+            with pytest.raises(ParameterError, match="noise scale inf .* overflows"):
+                scale(delta, epsilon)
+    assert lpa_lambda(0.0, 1e-320) == 0.0
+
+
 def _g(n, k):
     return k if k <= n // 2 + 1 else 3 * k - n - 2 + n % 2
 

@@ -354,17 +354,45 @@ def test_run_sweep_jobs_and_rerun_invariance():
     assert a.rows == b.rows == c.rows
 
 
+def _block_corpus():
+    # Two groups of 5 and 3 recordings, each with rows shorter than its
+    # longest, so blocks hold zero-padded rows.
+    rng = np.random.default_rng(37)
+    lengths = {"a": (24, 20, 24, 22, 24), "b": (24, 24, 18)}
+    mats = [
+        FeatureMatrix(
+            f"{label}{i}", f"p{label}{i}", {"category": label}, ("f0", "f1"),
+            rng.standard_normal((n, 2)) + 30.0,
+        )
+        for label, ns in lengths.items() for i, n in enumerate(ns)
+    ]
+    return Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+
+
 def test_perturb_and_sweep_are_independent_of_block_size():
     # perturb_corpus, run_sweep and tune_corpus share one release driver,
-    # whose row blocks hold about mechanisms.BLOCK_VALUES values; one-row
-    # blocks (40 values at these lengths) must give the same bytes, and
-    # the same tuned tables, as the default's one block per (group,
-    # feature).
-    corpus = _sweep_corpus()
+    # whose row blocks of a group hold at most mechanisms.BLOCK_VALUES //
+    # ((runs + 1) n) rows, twice that on a pool. The default budget gives
+    # one block per (group, feature); 192 values at n = 24 gives blocks
+    # of 4 + 1 rows for perturb (runs 1) and the pooled sweep (runs 3),
+    # and 2 + 2 + 1 for the one-thread sweep and tuning (runs 2 and 3);
+    # 40 values gives one-row blocks. All three must give the same bytes
+    # and the same tuned tables.
+    corpus = _block_corpus()
+    block_sizes = {mechanisms.BLOCK_VALUES: {5, 3}, 192: {4, 3, 2, 1}, 40: {1}}
+    draws = mechanisms._draws
     outputs = []
-    for block_values in (mechanisms.BLOCK_VALUES, 40):
+    for block_values, sizes in block_sizes.items():
+        seen = set()
+
+        def recorded(streams, n):
+            # streams are (recording, feature, run) children of the source
+            seen.add(len({s.stream_id[-3] for s in streams}))
+            return draws(streams, n)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mechanisms, "BLOCK_VALUES", block_values)
+            mp.setattr(mechanisms, "_draws", recorded)
             released = [
                 perturb_corpus(
                     corpus, "category", MechanismConfig(mechanism=m, epsilon=2.4, chunk_size=8),
@@ -372,18 +400,22 @@ def test_perturb_and_sweep_are_independent_of_block_size():
                 )[0]
                 for m in mechanisms.MECHANISMS
             ]
-            sweep = run_sweep(
-                corpus, "category", NoiseSource(seed=3), epsilons=(0.48, 4.8), chunk_sizes=(8,),
-                runs=2,
-            )
+            sweeps = [
+                run_sweep(
+                    corpus, "category", NoiseSource(seed=3), epsilons=(0.48, 4.8),
+                    chunk_sizes=(8,), runs=runs, jobs=jobs,
+                ).rows
+                for runs, jobs in ((2, 1), (3, 2))
+            ]
             tables = [
                 tune_corpus(corpus, "category", 8, m, eps, 3, NoiseSource(seed=3))
                 for m in ("fpa", "cfpa", "dcfpa") for eps in (2.4, 240.0)
             ]
+        assert seen == sizes, block_values
         outputs.append(
-            ([m.values.tobytes() for c in released for m in c.matrices], sweep.rows, tables)
+            ([m.values.tobytes() for c in released for m in c.matrices], sweeps, tables)
         )
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     # the tables are not all one k, so the comparison sees the scores
     assert len({k for table in outputs[0][2] for k in table.entries.values()}) > 2
 
@@ -481,3 +513,10 @@ def test_run_sweep_validation():
         run_sweep(corpus, "category", src, mechanisms=("dct",))
     with pytest.raises(ParameterError):
         run_sweep(corpus, "category", src, mechanisms=("cfpa",), chunk_sizes=())
+    # a repeated grid value would release its cells again as duplicate rows
+    with pytest.raises(ParameterError, match="repeated mechanism 'cfpa'"):
+        run_sweep(corpus, "category", src, mechanisms=("cfpa", "lpa", "cfpa"), runs=1)
+    with pytest.raises(ParameterError, match="repeated chunk size 8"):
+        run_sweep(corpus, "category", src, chunk_sizes=(8, 4, 8), runs=1)
+    with pytest.raises(ParameterError, match="repeated epsilon 1.0"):
+        run_sweep(corpus, "category", src, epsilons=(1, 2.4, 1.0), runs=1)

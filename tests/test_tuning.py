@@ -106,11 +106,15 @@ def _reference_scores(signals, plan, mechanism, epsilon, runs, src):
 def test_candidates_are_the_mechanisms_own_releases():
     # tune_k scores every k from prefix sums over bins. Its pick must be
     # as good as the best k scored on the mechanisms' own releases (up to
-    # rounding), and be that k wherever the runner-up is clearly worse;
-    # a tiny block size also splits members into one-row blocks.
+    # rounding), and be that k wherever the runner-up is clearly worse.
+    # The pick must not depend on how the driver blocks the 5 members
+    # (runs 2, n 22): one block by default, blocks of 2 + 2 + 1 members
+    # at 132 values, one-member blocks at 40.
     rng = np.random.default_rng(7)
-    signals = [np.cumsum(rng.standard_normal(22)) + 4.0 for _ in range(3)]
+    signals = [np.cumsum(rng.standard_normal(22)) + 4.0 for _ in range(5)]
     src = NoiseSource(seed=8).derive(1, 2)
+    block_sizes = {mechanisms.BLOCK_VALUES: [5], 132: [2, 2, 1], 40: [1] * 5}
+    draws = mechanisms._draws
     checked = 0
     for mechanism, plan in (
         ("cfpa", chunk_plan(22, 8)),
@@ -119,10 +123,20 @@ def test_candidates_are_the_mechanisms_own_releases():
     ):
         for epsilon in (0.5, 4.0, 60.0):
             ref = _reference_scores(signals, plan, mechanism, epsilon, 2, src)
-            for block_values in (mechanisms.BLOCK_VALUES, 40):
+            picks = set()
+            for block_values, sizes in block_sizes.items():
+                seen = []
+
+                def recorded(streams, n):
+                    seen.append(len(streams) // 2)  # 2 runs per member
+                    return draws(streams, n)
+
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(mechanisms, "BLOCK_VALUES", block_values)
+                    mp.setattr(mechanisms, "_draws", recorded)
                     ks = tune_k(signals, plan, mechanism, epsilon, 2, src)
+                assert seen == sizes, block_values
+                picks.add(ks)
                 assert len(ks) == len(plan)
                 for ci, k in enumerate(ks):
                     best, runner_up = np.sort(ref[:, ci])[:2]
@@ -130,6 +144,7 @@ def test_candidates_are_the_mechanisms_own_releases():
                     if runner_up > best * (1 + 1e-8):
                         assert k == int(np.argmin(ref[:, ci])) + 1, (mechanism, epsilon, ci)
                         checked += 1
+            assert len(picks) == 1, (mechanism, epsilon)
     assert checked >= 30
 
 

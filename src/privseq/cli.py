@@ -6,8 +6,11 @@ grids, tune retention counts, inspect correlation structure, and score
 downstream classification.
 
 Every command is deterministic given its flags and --seed; running one
-twice produces byte-identical outputs. Exit codes: 0 success, 2 usage or
-configuration error, 3 data error, 4 internal invariant failure.
+twice produces byte-identical outputs. perturb is the exception: without
+--seed its noise comes from fresh OS entropy that is never printed or
+stored, since anyone who knows a release's seed can remove its noise.
+Exit codes: 0 success, 2 usage or configuration error, 3 data error, 4
+internal invariant failure.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from privseq import classify as classify_mod
 from privseq import dataio, metrics, tuning
@@ -169,7 +173,13 @@ def synth(
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
 @_LABEL_KIND_OPT
-@_SEED_OPT
+@click.option(
+    "--seed",
+    type=click.IntRange(min=0),
+    default=None,
+    help="Root seed of the noise, for a reproducible release; anyone who learns it can "
+    "remove the noise [default: fresh OS entropy, never printed or stored].",
+)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_handled
 def perturb(
@@ -196,9 +206,12 @@ def perturb(
     loaded = dataio.read_manifest(manifest)
     corpus = dataio.load_corpus(loaded)
     k_table = tuning.load_k_csv(k_file) if k_file is not None else None
-    noisy, reports = perturb_corpus(
-        corpus, label_kind, config, NoiseSource(seed), k_table=k_table
-    )
+    if seed is None:
+        src = NoiseSource(np.random.SeedSequence())
+    else:
+        src = NoiseSource(seed)
+        click.echo("warning: anyone who learns --seed can regenerate and remove the noise", err=True)
+    noisy, reports = perturb_corpus(corpus, label_kind, config, src, k_table=k_table)
     dataio.write_corpus(noisy, out_dir, step_seconds=loaded.step_seconds, reports=reports)
     for label, r in sorted(reports.items()):
         click.echo(

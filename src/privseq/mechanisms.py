@@ -1,4 +1,5 @@
-"""The four privatization mechanisms and the report of their units.
+"""The four privatization mechanisms, released over whole corpora, and
+the report of their units.
 
 LPA adds i.i.d. Laplace noise to every sample (L1 sensitivity). FPA
 transforms the whole signal, keeps the first k Fourier coefficients,
@@ -25,23 +26,24 @@ is 0 releases S exactly.
 
 One place decides each unit's k, sensitivity and lam: _feature_units
 gives a feature's layout (None for LPA, which keeps no coefficients and
-ignores any k), sensitivities and scales (_unit_scales); build_report
-and every release read it. A report holds the units with a positive
-scale, and MechanismReport derives every epsilon figure from them.
+ignores any k), sensitivities and scales (_unit_scales); the report and
+every release read it. A report holds the units with a positive scale,
+and MechanismReport derives every epsilon figure from them.
 perturb_corpus, the sweep and retention tuning share one driver,
 _release_blocks: it decides each group once and hands each row block of
-a (group, feature), its unit draws and units to a consumer. One-row calls, perturb and the sweep release through
-_released; perturb_corpus is the sweep's run 0 at one budget, so a sweep
-cell scores exactly what perturb releases. Tuning scores the raw block.
+a (group, feature), its unit draws and units to a consumer. perturb and
+the sweep release through _released; perturb_corpus is the sweep's run
+0 at one budget, so a sweep cell scores exactly what perturb releases.
+Tuning scores the raw block.
 
-Noise streams: every mechanism invocation reads one vector of 2n
+Noise streams: each (recording, feature, run) reads one vector of 2n
 unit-Laplace draws from the origin of its NoiseSource. LPA adds the
 first n, which are the draws an n-draw call on the same stream gives.
 Bin j of the chunk starting at sample s reads the pair at draws
 2(s + j) and 2(s + j) + 1 as its real and imaginary part (FpaLayout),
 whether or not the bin is retained or its noise scale is zero. A bin's
 noise thus depends on neither k nor the budget: CFPA on a single
-full-length chunk is bit-identical to FPA on the same source, the noise
+full-length chunk is bit-identical to FPA on the same stream, the noise
 of k retained bins is a prefix of the noise of k + 1 (which retention
 tuning scores in one pass), and one unit draw serves a whole epsilon
 grid.
@@ -76,14 +78,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MECHANISMS",
-    "lpa",
     "lpa_lambda",
     "fpa_lambda",
-    "fpa",
-    "cfpa",
-    "dcfpa",
     "MechanismConfig",
-    "build_report",
     "perturb_corpus",
     "clamp_nonnegative",
     "FpaLayout",
@@ -107,13 +104,6 @@ MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
 # in-process rounds.) At n = 1024 and runs >= 16 a block is one row
 # either way.
 BLOCK_VALUES = 1 << 14
-
-
-def _validated_signal(x: RealSeq) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("mechanism input must be a non-empty 1-D sequence")
-    return arr
 
 
 def _noise_scale(delta, epsilon, factor=1.0):
@@ -141,13 +131,6 @@ def _noise_scale(delta, epsilon, factor=1.0):
                 f"noise scale {float(lam[bad][0])!r} for sensitivity {float(delta[bad][0])!r} {what}"
             )
     return lam if lam.ndim else float(lam)
-
-
-def lpa(x: RealSeq, delta1: float, epsilon: float, src: NoiseSource) -> RealSeq:
-    """x + n i.i.d. Laplace(delta1/epsilon) draws; a copy of x when delta1=0."""
-    arr = _validated_signal(x)[np.newaxis, :]
-    units = (None, [delta1], _unit_scales(None, [delta1], epsilon))
-    return _released(arr, _draws([src], arr.shape[1]), MechanismConfig("lpa", epsilon), units)[0, 0]
 
 
 def lpa_lambda(delta1: float, epsilon: float) -> float:
@@ -336,72 +319,6 @@ def _released(
     return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), layout, lams)
 
 
-def _fpa_row(
-    x: RealSeq,
-    plan: ChunkPlan,
-    per_chunk: Sequence[tuple[float, int]],
-    src: NoiseSource,
-    config: MechanismConfig,
-) -> RealSeq:
-    """One signal through config's Fourier release at per-chunk
-    (sensitivity, k), reading 2n draws from src."""
-    arr = _validated_signal(x)[np.newaxis, :]
-    n = arr.shape[1]
-    if plan.total_length != n:
-        raise ParameterError(f"plan covers {plan.total_length} samples but the signal has {n}")
-    layout = FpaLayout(plan, [k for _, k in per_chunk])
-    deltas = [d for d, _ in per_chunk]
-    units = (layout, deltas, _unit_scales(layout, deltas, config.epsilon))
-    return _released(arr, _draws([src], n), config, units)[0, 0]
-
-
-def fpa(
-    x: RealSeq,
-    delta2: float,
-    epsilon: float,
-    k: int,
-    src: NoiseSource,
-    symmetric: bool = False,
-) -> RealSeq:
-    """Whole-signal Fourier perturbation with k retained coefficients."""
-    n = _validated_signal(x).size
-    config = MechanismConfig("fpa", epsilon, symmetric=symmetric)
-    return _fpa_row(x, chunk_plan(n, n), [(delta2, k)], src, config)
-
-
-def cfpa(
-    x: RealSeq,
-    plan: ChunkPlan,
-    per_chunk: Sequence[tuple[float, int]],
-    epsilon: float,
-    src: NoiseSource,
-    symmetric: bool = False,
-) -> RealSeq:
-    """FPA applied independently to each chunk of the plan.
-
-    Every chunk's noise is scaled to the full budget epsilon, which
-    bounds a change confined to that chunk; swapping the whole signal
-    costs up to epsilon per chunk (MechanismReport's sequence figure).
-    """
-    config = MechanismConfig("cfpa", epsilon, plan.chunk_size, symmetric=symmetric)
-    return _fpa_row(x, plan, per_chunk, src, config)
-
-
-def dcfpa(
-    x: RealSeq,
-    plan: ChunkPlan,
-    per_chunk: Sequence[tuple[float, int]],
-    epsilon: float,
-    src: NoiseSource,
-    symmetric: bool = False,
-) -> RealSeq:
-    """Per chunk: difference transform, FPA in the difference domain
-    (per_chunk sensitivities must be difference-domain values), then the
-    running-sum reconstruction."""
-    config = MechanismConfig("dcfpa", epsilon, plan.chunk_size, symmetric=symmetric)
-    return _fpa_row(x, plan, per_chunk, src, config)
-
-
 def clamp_nonnegative(x: RealSeq) -> RealSeq:
     """Post-hoc clamp of negative noisy samples to zero (explicit opt-in)."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
@@ -491,33 +408,14 @@ def _feature_units(
     return layout, deltas, _unit_scales(layout, deltas, epsilon)
 
 
-def build_report(
-    config: MechanismConfig,
-    sens: SensitivityTable,
-    feature_names: Sequence[str],
-    length: int,
-    excluded: frozenset[str] | set[str] = frozenset(),
-    k_table: Mapping[tuple[str, int], int] | None = None,
-) -> MechanismReport:
-    """The epsilon report of one release: its noised units, from
-    which MechanismReport derives the chunk and sequence figures.
-    Zero-sensitivity units are omitted and contribute 0 to both.
-    """
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
-    plan = config.plan_for(length)
-    return _report(config, length, [
-        (f, _feature_units(config, plan, sens, f, k_table, config.epsilon))
-        for f in feature_names if f not in excluded
-    ])
-
-
 def _report(
     config: MechanismConfig, length: int, decided: Sequence[tuple[str, tuple]]
 ) -> MechanismReport:
-    """build_report of decided units: (feature, (layout, sensitivities,
-    scales)) pairs of one length-length group at config.epsilon, a
-    ReportUnit for each unit with a positive scale."""
+    """The epsilon report of one release from its decided units:
+    (feature, (layout, sensitivities, scales)) pairs of one length-length
+    group at config.epsilon, a ReportUnit for each unit with a positive
+    scale. MechanismReport derives the chunk and sequence figures from
+    them; a zero-sensitivity unit is left out and adds 0 to both."""
     units = [
         ReportUnit(feature, ci, delta, float(lam), k, config.epsilon)
         for feature, (layout, deltas, lams) in decided
@@ -660,9 +558,9 @@ def perturb_corpus(
     zero-padded for perturbation (matching the padded sensitivity
     definition) and trimmed back on release. This is run 0 of the
     sweep's driver (_release_blocks) at one budget: recording r's
-    feature f draws from stream (r, f, 0), exactly as a direct mechanism
-    call on that stream would, so output is independent of block size
-    and worker count, and the reports hold the units it released with.
+    feature f reads the 2n unit draws of stream (r, f, 0), whatever block
+    holds the row, so output is independent of block size and worker
+    count, and the reports hold the units it released with.
     """
     outs = [m.values.copy() for m in corpus.matrices]
 

@@ -29,14 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from privseq.core import (
-    Corpus,
-    DataError,
-    InternalInvariantError,
-    ParameterError,
-    RealSeq,
-    _csv_rows,
-)
+from privseq.core import Corpus, InternalInvariantError, ParameterError, RealSeq
 from privseq.mechanisms import MECHANISMS, MechanismConfig, _release_blocks, _released
 from privseq.noise import NoiseSource
 from privseq.sensitivity import build_group_table  # noqa: F401 (perfbench traces it here)
@@ -51,7 +44,6 @@ __all__ = [
     "UtilitySweep",
     "run_sweep",
     "write_sweep_csv",
-    "load_sweep_csv",
     "write_correlation_csv",
     "DEFAULT_EPSILONS",
     "DEFAULT_CHUNK_SIZES",
@@ -82,8 +74,11 @@ def _nmse_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
     a release xt of x is mean((x - xt)^2) / (mean(x) * mean(xt)); a cell
     whose denominator magnitude is below 1e-12 is undefined (NaN), and
     valid marks the cells that aggregates count, the defined non-negative
-    ones."""
+    ones. A numerator or denominator that overflowed while it was formed
+    (inf or NaN) is a ParameterError: its noise is too large to score."""
     num = np.asarray(num, dtype=np.float64)
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise ParameterError("the NMSE of a release overflows: its noise is too large to score")
     defined = np.abs(den) >= _DENOM_FLOOR
     values = np.divide(num, den, out=np.full_like(num, math.nan), where=defined)
     return values, values >= 0.0
@@ -106,12 +101,6 @@ class CorrelationCurve:
             if not -1.0 <= r <= 1.0:
                 raise ParameterError(f"correlation {r} outside [-1, 1] at lag {d}")
         object.__setattr__(self, "points", pts)
-
-    def r_at(self, delta_t: int) -> float:
-        for d, r in self.points:
-            if d == delta_t:
-                return r
-        raise ParameterError(f"no point at lag {delta_t}")
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -235,26 +224,6 @@ def write_sweep_csv(sweep: UtilitySweep, path) -> None:
             )
 
 
-def load_sweep_csv(path) -> UtilitySweep:
-    rows: list[SweepRow] = []
-    for row_no, row in _csv_rows(path, _SWEEP_HEADER):
-        try:
-            rows.append(
-                SweepRow(
-                    mechanism=row[0],
-                    chunk_size=None if row[1] == "" else int(row[1]),
-                    epsilon=float(row[2]),
-                    mean_utility=float(row[3]),
-                    mean_nmse=float(row[4]),
-                    runs=int(row[5]),
-                    flagged_rows=int(row[6]),
-                )
-            )
-        except (ValueError, ParameterError, InternalInvariantError) as exc:
-            raise DataError(f"{path}: row {row_no}: {exc}") from None
-    return UtilitySweep(rows=tuple(rows))
-
-
 def _reject_repeats(what: str, values: Sequence) -> None:
     """A sweep grid axis names each value once: a repeat would release
     and report the same cells again."""
@@ -300,10 +269,12 @@ def _cell_sums(corpus: Corpus, rows: Sequence[int], block: np.ndarray, released:
     for n, members in by_length.items():
         xt = released[..., :n] if len(members) == len(rows) else released[:, members, :, :n]
         x = block[members, :n]
-        den = np.mean(x, axis=-1)[:, np.newaxis] * np.mean(xt, axis=-1)
-        xt -= x[:, np.newaxis, :]  # the release is not read again
-        xt *= xt
-        values, ok = _nmse_ratio(np.mean(xt, axis=-1), den)
+        with np.errstate(over="ignore", invalid="ignore"):  # _nmse_ratio rejects the result
+            den = np.mean(x, axis=-1)[:, np.newaxis] * np.mean(xt, axis=-1)
+            xt -= x[:, np.newaxis, :]  # the release is not read again
+            xt *= xt
+            num = np.mean(xt, axis=-1)
+        values, ok = _nmse_ratio(num, den)
         sums[:, members] = np.sum(values, axis=-1)
         counts[:, members] = np.count_nonzero(ok, axis=-1)
         for e, i in zip(*np.nonzero(~ok.all(axis=-1))):

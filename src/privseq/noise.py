@@ -57,16 +57,8 @@ class NoiseSource:
         """A fresh generator positioned at this stream's origin."""
         return np.random.Generator(np.random.PCG64(self._seq))
 
-    @property
-    def seed(self) -> int:
-        return int(self._seq.entropy)
-
-    @property
-    def stream_id(self) -> tuple[int, ...]:
-        return tuple(self._seq.spawn_key)
-
     def __repr__(self) -> str:
-        return f"NoiseSource(seed={self.seed}, stream_id={self.stream_id})"
+        return f"NoiseSource(seed={self._seq.entropy}, path={self._seq.spawn_key})"
 
 
 def _unit_uniform(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -6,7 +6,9 @@ budget and on how compressible the signals are. tune_corpus evaluates
 every candidate retention count against reconstruction error on each
 label group and keeps the winner per (group, feature, chunk), with ties
 resolved toward the smaller (cheaper) count; tune_k is its one-group,
-one-feature case.
+one-feature case. Nothing in the package calls tune_k: it stays public
+because the benchmark's tracer (perfbench/tracer.py) binds it by name,
+and goes when that binding does.
 
 Tuning consumes the release driver of perturb_corpus and the sweep
 (mechanisms._release_blocks): its groups, zero-padded row blocks, unit
@@ -183,26 +185,28 @@ def _spectral_scores(
     # The weight of |E_j|^2 in Q: 1, or 1 / |w^j - 1|^2 for dcfpa.
     q = np.concatenate([[0.0], 0.25 / np.sin(theta) ** 2]) if difference else np.ones(half)
     power = lambda z: q * (z.real**2 + z.imag**2)
-    energy = (
-        _class_sums(c, only=power(spec) / 2, neither=power(spec))
-        - lam * _class_sums(c, only=q * (spec.real * noise.real + spec.imag * noise.imag))
-        + lam * lam * _class_sums(c, only=power(noise) / 2, both=power(mirror))
-    )
-    a = lam * unit[..., :1].real / c  # E_0 / c
-    if difference:
-        cot = np.concatenate([[0.0], 1 / np.tan(theta)])
-        rho = lambda z: z.real - z.imag * cot  # Re(-2 z_j / (w^j - 1))
-        kappa = lam * _class_sums(c, only=rho(noise), both=rho(mirror))
-        kappa = (kappa - _class_sums(c, only=rho(spec), neither=rho(spec))) / (2 * c)
-        h = _class_sums(c, only=q * spec.real, neither=q * spec.real)
-        h = h - lam * _class_sums(c, only=q * noise.real, both=q * mirror.real)
-        cubic, square = c * (c + 1) * (2 * c + 1) / 6, c * (c + 1)
-        sum_sq = a * (a * cubic + kappa * square + 2 * h) + c * kappa * kappa + energy / c
-        shift = a * (c + 1) / 2 + kappa
-    else:
-        sum_sq, shift = c * a * a + energy / c, a
-    x_mean = x.mean(axis=-1)[:, np.newaxis, :, np.newaxis]
-    values, ok = _nmse_ratio(sum_sq / c, x_mean * (x_mean + shift))
+    with np.errstate(over="ignore", invalid="ignore"):  # _nmse_ratio rejects the result
+        energy = (
+            _class_sums(c, only=power(spec) / 2, neither=power(spec))
+            - lam * _class_sums(c, only=q * (spec.real * noise.real + spec.imag * noise.imag))
+            + lam * lam * _class_sums(c, only=power(noise) / 2, both=power(mirror))
+        )
+        a = lam * unit[..., :1].real / c  # E_0 / c
+        if difference:
+            cot = np.concatenate([[0.0], 1 / np.tan(theta)])
+            rho = lambda z: z.real - z.imag * cot  # Re(-2 z_j / (w^j - 1))
+            kappa = lam * _class_sums(c, only=rho(noise), both=rho(mirror))
+            kappa = (kappa - _class_sums(c, only=rho(spec), neither=rho(spec))) / (2 * c)
+            h = _class_sums(c, only=q * spec.real, neither=q * spec.real)
+            h = h - lam * _class_sums(c, only=q * noise.real, both=q * mirror.real)
+            cubic, square = c * (c + 1) * (2 * c + 1) / 6, c * (c + 1)
+            sum_sq = a * (a * cubic + kappa * square + 2 * h) + c * kappa * kappa + energy / c
+            shift = a * (c + 1) / 2 + kappa
+        else:
+            sum_sq, shift = c * a * a + energy / c, a
+        x_mean = x.mean(axis=-1)[:, np.newaxis, :, np.newaxis]
+        den = x_mean * (x_mean + shift)
+    values, ok = _nmse_ratio(sum_sq / c, den)
     return np.sum(values, axis=(0, 1), where=ok).T, np.count_nonzero(ok, axis=(0, 1)).T
 
 

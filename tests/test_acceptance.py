@@ -22,12 +22,7 @@ from privseq.classify import ClassifierConfig, decimate, lopo_cv, zscore_fit
 from privseq.cli import main
 from privseq.core import Corpus, FeatureMatrix, chunk_plan
 from privseq.dataio import SynthSpec, synth_corpus
-from privseq.mechanisms import (
-    MechanismConfig,
-    build_report,
-    fpa,
-    fpa_lambda,
-)
+from privseq.mechanisms import MechanismConfig, fpa_lambda, perturb_corpus
 from privseq.metrics import corr_curve, run_sweep
 from privseq.noise import NoiseSource, unit_laplace
 from privseq.sensitivity import (
@@ -42,6 +37,23 @@ from sensitivity_oracle import oracle_chunks, oracle_feature
 
 EPSILON_GRID = (0.48, 2.4, 4.8, 24.0, 48.0)
 CHUNK_GRID = (32, 64, 128)
+
+
+def _group(features, *values):
+    """Label group "g" of one recording per (time x feature) array."""
+    return Corpus(
+        tuple(FeatureMatrix(f"r{i}", f"p{i}", {"category": "g"}, features, v)
+              for i, v in enumerate(values)),
+        features,
+    )
+
+
+def _report(config, sens, features, length):
+    """The report perturb_corpus gives a group of two all-zero recordings
+    when sens, built for config's plan, supplies the sensitivities."""
+    zeros = np.zeros((length, len(features)))
+    corpus = _group(features, zeros, zeros)
+    return perturb_corpus(corpus, "category", config, NoiseSource(0), sens_tables={"g": sens})[1]["g"]
 
 
 def _verdict(num: str, name: str, ok: bool, detail: str = "") -> bool:
@@ -95,11 +107,15 @@ def test_acceptance_02_transform_fidelity():
         direct = np.exp(-2j * np.pi * np.outer(j, j) / n) @ x.astype(np.complex128)
         worst_dft = max(worst_dft, float(np.max(np.abs(dft_batch(x[np.newaxis, :])[0] - direct))))
 
+    # two identical recordings have sensitivity 0, so fpa releases the
+    # inverse of each full spectrum with no noise
     worst_identity = 0.0
     for n in (255, 256):
         x = rng.standard_normal(n)
-        out = np.asarray(fpa(x, 0.0, 1.0, n, NoiseSource(1)))
-        worst_identity = max(worst_identity, float(np.max(np.abs(out - x))))
+        same = _group(("f0",), x[:, np.newaxis], x[:, np.newaxis])
+        noisy, _ = perturb_corpus(same, "category", MechanismConfig("fpa", 1.0), NoiseSource(1))
+        for m in noisy.matrices:
+            worst_identity = max(worst_identity, float(np.max(np.abs(m.values[:, 0] - x))))
 
     worst_drift = 0.0
     for n in (10, 1_000, 10_000):
@@ -130,7 +146,6 @@ def test_acceptance_03_scale_law_and_exact_halving():
             for domain in (RAW, DIFFERENCE):
                 for w in (1, 2):
                     entries[(f, ci, domain, w)] = float(rng.uniform(0.1, 9.0))
-    sens = SensitivityTable(entries=entries, group_label="g")
 
     configs = [
         MechanismConfig(mechanism="lpa", epsilon=0.8),
@@ -147,8 +162,14 @@ def test_acceptance_03_scale_law_and_exact_halving():
             chunk_size=config.chunk_size,
             k=config.k,
         )
-        r1 = build_report(config, sens, ("f0", "f1"), 96)
-        r2 = build_report(doubled, sens, ("f0", "f1"), 96)
+        plan = config.plan_for(96)
+        sens = SensitivityTable(
+            entries={key: v for key, v in entries.items() if key[1] < len(plan)},
+            group_label="g",
+            plan=plan,
+        )
+        r1 = _report(config, sens, ("f0", "f1"), 96)
+        r2 = _report(doubled, sens, ("f0", "f1"), 96)
         if len(r1.per_unit) != len(r2.per_unit):
             halving_exact = False
             continue
@@ -225,9 +246,9 @@ def test_acceptance_05_composition_rules():
     for f in ("f0", "f1"):
         for ci in range(3):
             entries[(f, ci, RAW, 2)] = 1.0 + ci
-    sens = SensitivityTable(entries=entries, group_label="g")
+    sens = SensitivityTable(entries=entries, group_label="g", plan=chunk_plan(96, 32))
     config = MechanismConfig(mechanism="cfpa", epsilon=0.8, chunk_size=32)
-    report = build_report(config, sens, ("f0", "f1"), 96)
+    report = _report(config, sens, ("f0", "f1"), 96)
     # three chunks per feature at 0.8 each: parallel keeps 0.8, never 2.4
     per_feature_ok = report.per_feature_epsilon == {"f0": 0.8, "f1": 0.8}
     total_ok = report.total_epsilon == 1.6
@@ -374,8 +395,9 @@ def test_acceptance_07_correlation_reduction():
     orig = corr_curve(signals)
     diffd = corr_curve([np.asarray(diff_transform(s)) for s in signals])
 
-    r1_orig, r1_diff = orig.r_at(1), diffd.r_at(1)
-    worst_dev = max(abs(orig.r_at(d) - 0.95 ** d) for d in range(0, 11))
+    r_orig, r_diff = dict(orig.points), dict(diffd.points)
+    r1_orig, r1_diff = r_orig[1], r_diff[1]
+    worst_dev = max(abs(r_orig[d] - 0.95 ** d) for d in range(0, 11))
 
     ok = abs(r1_diff) < 0.5 * abs(r1_orig) and worst_dev <= 0.1
     assert _verdict(

@@ -1,6 +1,7 @@
 """End-to-end command checks: every command runs, reruns are
 byte-identical, worker count never changes results, and failures map to
 the documented exit codes."""
+import ast
 import importlib
 import json
 import math
@@ -32,9 +33,9 @@ from privseq.core import (
 )
 from privseq.dataio import MANIFEST_NAME, REPORT_NAME, load_corpus, write_corpus
 from privseq.mechanisms import MechanismConfig, fpa_lambda
-from privseq.metrics import load_sweep_csv
 from privseq.sensitivity import build_group_table
 from privseq.tuning import load_k_csv
+from helpers import read_sweep_csv
 
 
 def run_cli(*args):
@@ -121,6 +122,40 @@ def test_every_exported_name_resolves():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], info.name
     assert [n for n in privseq.__all__ if not hasattr(privseq, n)] == []
+
+
+def _references(paths):
+    """Every name a set of modules reads: loaded names and attributes,
+    and the attribute named by an (owner, "attribute", ...) tuple, the
+    form in which perfbench's tracer lists what it binds."""
+    seen = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                seen.add(node.attr)
+            elif (isinstance(node, ast.Tuple) and len(node.elts) > 1
+                  and isinstance(node.elts[0], ast.Name) and isinstance(node.elts[1], ast.Constant)):
+                seen.add(node.elts[1].value)
+    return seen
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # No public API only tests call: each name a module exports is read
+    # by some code in src/ or by the benchmark in perfbench/, which binds
+    # some names the package itself no longer calls.
+    root = Path(privseq.__file__).resolve().parent
+    bench = sorted(root.parents[1].glob("perfbench/*.py"))
+    assert bench, "no perfbench/ next to src/"
+    used = _references(root.glob("*.py")) | _references(bench)
+    unused = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(privseq.__path__)
+        for name in getattr(importlib.import_module(f"privseq.{info.name}"), "__all__", ())
+        if not name.startswith("__") and name not in used
+    ]
+    assert unused == []
 
 
 def test_readme_names_only_real_report_keys():
@@ -251,6 +286,27 @@ def test_perturb_rerun_is_byte_identical(manifest, tmp_path):
     assert a == b
 
 
+def test_unseeded_perturb_cannot_be_reproduced(manifest, tmp_path):
+    # Without --seed the noise root is fresh OS entropy that nothing
+    # prints or stores: two runs differ from each other and from the
+    # --seed 0 release, and only the noisy CSVs differ, so no written
+    # file holds the root. A seeded release warns who can undo it.
+    base = ("perturb", "--manifest", manifest, "--mechanism", "cfpa", "--epsilon", 2.4,
+            "--chunk-size", 8)
+    runs = {"a": (), "b": (), "seed0": ("--seed", 0)}
+    for name, seed in runs.items():
+        result = run_cli(*base, *seed, "--out", tmp_path / name)
+        assert result.exit_code == 0, result.output
+        assert ("anyone who learns --seed" in result.stderr) == bool(seed), name
+    written = {name: _dir_bytes(tmp_path / name) for name in runs}
+    report = written["a"][Path(REPORT_NAME)]
+    assert b"seed" not in report and b"seed" not in written["a"][Path(MANIFEST_NAME)]
+    for x, y in (("a", "b"), ("a", "seed0"), ("b", "seed0")):
+        assert written[x].keys() == written[y].keys()
+        for path, data in written[x].items():
+            assert (data == written[y][path]) == (path.suffix != ".csv"), (x, y, path)
+
+
 def test_perturb_underflowing_noise_scale_is_exit_2(tmp_path):
     # Two recordings 5e-324 apart in one sample: lpa's scale for that
     # sensitivity at epsilon 4 rounds to 0, and the data would be released
@@ -283,12 +339,19 @@ def test_perturb_underflowing_noise_scale_is_exit_2(tmp_path):
         ("sweep", "--mechanisms", "cfpa", "--chunk-sizes", 16, "--epsilons", "1e-320", "--runs", 2),
         ("tune-k", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "1e-320", "--runs", 2),
         ("perturb", "--mechanism", "lpa", "--epsilon", "1e-310"),
+        ("sweep", "--mechanisms", "cfpa", "--chunk-sizes", 16, "--epsilons", "1e-300", "--runs", 2),
+        ("tune-k", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "1e-300", "--runs", 2),
+        ("sweep", "--mechanisms", "cfpa", "--chunk-sizes", 16, "--epsilons", "3e-152", "--runs", 2),
+        ("tune-k", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "3e-152", "--runs", 2),
     ],
-    ids=["perturb", "sweep", "tune-k", "perturb-lpa"],
+    ids=["perturb", "sweep", "tune-k", "perturb-lpa", "sweep-1e-300", "tune-k-1e-300",
+         "sweep-3e-152", "tune-k-3e-152"],
 )
 def test_overflowing_noise_scale_is_exit_2_without_output(tmp_path, command):
-    # delta / epsilon is inf at these subnormal budgets: no noise scale
-    # exists, so nothing may be released, scored or tuned.
+    # delta / epsilon is inf at the subnormal budgets: no noise scale
+    # exists, so nothing may be released, scored or tuned. At 1e-300 the
+    # scale is finite but its square is not, and at 3e-152 the square is
+    # finite but a sum of squared errors is not: no score exists.
     corpus = tmp_path / "corpus"
     made = run_cli(
         "synth", "--participants", 3, "--labels", 2, "--length", 64, "--features", 2,
@@ -300,7 +363,8 @@ def test_overflowing_noise_scale_is_exit_2_without_output(tmp_path, command):
         warnings.simplefilter("error", RuntimeWarning)
         result = run_cli(command[0], "--manifest", corpus / MANIFEST_NAME, *command[1:], "--out", out)
     assert result.exit_code == 2, result.output
-    assert "noise scale inf for sensitivity" in result.stderr
+    assert ("noise scale inf for sensitivity" in result.stderr
+            or "the NMSE of a release overflows" in result.stderr)
     assert "overflows" in result.stderr
     assert "RuntimeWarning" not in result.stderr
     assert not out.exists()
@@ -571,7 +635,7 @@ def test_sweep_small_grid(manifest, tmp_path):
         "--seed", 4, "--out", out,
     )
     assert result.exit_code == 0, result.output
-    sweep = load_sweep_csv(out)
+    sweep = read_sweep_csv(out)
     assert len(sweep.rows) == 4
     assert sweep.row("cfpa", 8, 24.0).mean_utility > sweep.row("cfpa", 8, 2.4).mean_utility
 
@@ -596,7 +660,7 @@ def test_sweep_rerun_and_jobs_are_byte_identical(manifest, tmp_path):
 )
 def test_sweep_repeated_grid_values_are_exit_2(manifest, tmp_path, grid, named):
     # A repeated value would release the same cells again and write
-    # duplicate rows that load_sweep_csv reads back.
+    # duplicate rows.
     mechanisms, chunk_sizes, epsilons = grid
     out = tmp_path / "sweep.csv"
     result = run_cli(
@@ -864,7 +928,7 @@ def test_tune_k_fpa_tunes_the_whole_signal_plan(manifest, tmp_path):
         "--chunk-sizes", 8, "--runs", 1, "--k-file", k_path, "--out", tmp_path / "sweep.csv",
     )
     assert result.exit_code == 0, result.output
-    assert len(load_sweep_csv(tmp_path / "sweep.csv").rows) == 2
+    assert len(read_sweep_csv(tmp_path / "sweep.csv").rows) == 2
 
 
 def test_tune_k_chunk_size_is_required_only_where_it_applies(manifest, tmp_path):

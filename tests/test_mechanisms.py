@@ -21,13 +21,8 @@ from privseq.core import (
 from privseq.mechanisms import (
     FpaLayout,
     MechanismConfig,
-    build_report,
-    cfpa,
     clamp_nonnegative,
-    dcfpa,
-    fpa,
     fpa_lambda,
-    lpa,
     lpa_lambda,
     perturb_corpus,
 )
@@ -35,34 +30,64 @@ from privseq.noise import NoiseSource, unit_laplace
 from privseq.dataio import SynthSpec, synth_corpus
 from privseq.sensitivity import DIFFERENCE, RAW, SensitivityTable, build_group_table
 from privseq.tuning import KTable
+from helpers import released_row
 
 
 def _src(*coords):
     return NoiseSource(seed=1234).derive(*coords)
 
 
+LPA = MechanismConfig("lpa", 1.0)
+
+
+def _matrix(rid, pid, label, values, names):
+    return FeatureMatrix(
+        recording_id=rid,
+        participant_id=pid,
+        labels={"category": label},
+        feature_names=names,
+        values=np.asarray(values, dtype=np.float64),
+    )
+
+
+def _corpus(lengths=(12, 12, 12, 12), excluded=()):
+    rng = np.random.default_rng(42)
+    names = ("f0", "f1")
+    labels = ["a", "a", "b", "b"]
+    mats = [
+        _matrix(f"r{i}", f"p{i}", labels[i], rng.standard_normal((lengths[i], 2)) + 10.0, names)
+        for i in range(4)
+    ]
+    return Corpus(matrices=tuple(mats), schema=names, excluded_features=frozenset(excluded))
+
+
 # --- lpa ---------------------------------------------------------------
 
 
 def test_lpa_zero_sensitivity_is_exact_copy():
-    x = np.array([1.0, -2.0, 3.5])
-    out = lpa(x, 0.0, 1.0, _src(0))
-    assert np.array_equal(out, x)
+    # a unit whose scale is 0 releases S, here the signal, bit for bit
+    x = np.array([1.0, -2.0, -0.0, 3.5])
+    out = released_row(x, LPA, [(0.0, 4)], _src(0))
+    assert out.tobytes() == x.tobytes()
     assert out is not x
 
 
 def test_lpa_noise_scale():
     # delta1/epsilon = 3/2; mean |noise| of Laplace(lam) is lam
+    # and the noise is the first n of the stream's 2n draws, which are the
+    # draws of an n-draw read
     n = 200_000
     x = np.zeros(n)
-    out = lpa(x, 3.0, 2.0, _src(1))
+    out = released_row(x, MechanismConfig("lpa", 2.0), [(3.0, n)], _src(1))
     assert abs(np.mean(np.abs(out)) / 1.5 - 1.0) < 0.02
+    assert np.array_equal(out, 1.5 * unit_laplace(_src(1).generator(), n))
 
 
 def test_lpa_deterministic_and_length_preserving():
     x = np.arange(17, dtype=np.float64)
-    a = lpa(x, 1.0, 0.5, _src(2))
-    b = lpa(x, 1.0, 0.5, _src(2))
+    config = MechanismConfig("lpa", 0.5)
+    a = released_row(x, config, [(1.0, 17)], _src(2))
+    b = released_row(x, config, [(1.0, 17)], _src(2))
     assert np.array_equal(a, b)
     assert a.shape == x.shape
 
@@ -74,7 +99,8 @@ def test_lpa_error_shrinks_with_epsilon():
     mse = []
     for eps in (0.48, 4.8, 48.0):
         errs = [
-            np.mean((lpa(x, 1.0, eps, root.derive(i)) - x) ** 2) for i in range(100)
+            np.mean((released_row(x, MechanismConfig("lpa", eps), [(1.0, 64)], root.derive(i)) - x) ** 2)
+            for i in range(100)
         ]
         mse.append(np.mean(errs))
     assert mse[0] > mse[1] > mse[2]
@@ -83,13 +109,13 @@ def test_lpa_error_shrinks_with_epsilon():
 def test_lpa_validation():
     x = np.ones(4)
     with pytest.raises(ParameterError):
-        lpa(x, 1.0, 0.0, _src(4))
+        MechanismConfig("lpa", 0.0)
     with pytest.raises(ParameterError):
-        lpa(x, -1.0, 1.0, _src(4))
-    with pytest.raises(ParameterError):
-        lpa(np.ones((2, 2)), 1.0, 1.0, _src(4))
-    with pytest.raises(ParameterError):
-        lpa(np.array([]), 1.0, 1.0, _src(4))
+        released_row(x, LPA, [(-1.0, 4)], _src(4))
+    # a released signal is a column of a recording, which is never empty
+    for values in (np.ones((0, 1)), np.ones(4)):
+        with pytest.raises(ParameterError):
+            _matrix("r0", "p0", "a", values, ("f0",))
 
 
 # --- fpa_lambda ----------------------------------------------------------
@@ -136,7 +162,7 @@ def test_underflowing_scales_are_rejected():
             with pytest.raises(ParameterError):
                 scale(delta, epsilon)
     with pytest.raises(ParameterError):
-        lpa(np.zeros(3), 5e-324, 4.0, _src(0))
+        released_row(np.zeros(3), MechanismConfig("lpa", 4.0), [(5e-324, 3)], _src(0))
     with pytest.raises(ParameterError):
         lpa_lambda(-1.0, 1.0)
 
@@ -190,7 +216,7 @@ def test_fpa_noise_scale_via_degenerate_transform(monkeypatch):
     monkeypatch.setattr(transform, "idft_batch", lambda f: np.asarray(f, dtype=np.complex128))
     n = 400_000
     lam = fpa_lambda(n, n, 2.0, 5.0)
-    out = fpa(np.zeros(n), 2.0, 5.0, n, _src(5))
+    out = released_row(np.zeros(n), MechanismConfig("fpa", 5.0), [(2.0, n)], _src(5))
     assert abs(np.mean(np.abs(out)) / lam - 1.0) < 0.02
 
 
@@ -199,14 +225,15 @@ def test_cfpa_draw_layout_via_degenerate_transform(monkeypatch):
     # chunk's real-part draws and, rotated by -i, its imaginary-part draws:
     # bin j of chunk i reads the pair at 2*(start_i + j) of a 2n-value row,
     # real parts at even offsets from 2*start_i, imaginary parts at odd ones.
-    plan = chunk_plan(10, 4)
+    config = MechanismConfig("cfpa", 1.0, chunk_size=4)
+    plan = config.plan_for(10)
     per_chunk = [(1.0, 2), (2.0, 4), (3.0, 1)]
     draws = unit_laplace(_src(21).generator(), 20)
     lams = [fpa_lambda(c, k, d, 1.0) for c, (d, k) in zip(plan.chunk_lengths(), per_chunk)]
     monkeypatch.setattr(transform, "dft_batch", lambda x: np.asarray(x, dtype=np.complex128))
     for rotate, first in ((1.0, 0), (-1j, 1)):
         monkeypatch.setattr(transform, "idft_batch", lambda f, r=rotate: r * np.asarray(f))
-        out = cfpa(np.zeros(10), plan, per_chunk, 1.0, _src(21))
+        out = released_row(np.zeros(10), config, per_chunk, _src(21))
         expected = np.zeros(10)
         for (s, e), (_, k), lam in zip(plan.boundaries, per_chunk, lams):
             expected[s : s + k] = lam * draws[2 * s + first : 2 * (s + k) : 2]
@@ -216,13 +243,13 @@ def test_cfpa_draw_layout_via_degenerate_transform(monkeypatch):
 def test_fpa_zero_sensitivity_full_retention_is_roundtrip():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(128) * 50.0
-    out = fpa(x, 0.0, 1.0, 128, _src(6))
+    out = released_row(x, MechanismConfig("fpa", 1.0), [(0.0, 128)], _src(6))
     assert np.max(np.abs(out - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 def test_fpa_constant_signal_k1_stays_constant():
     x = np.full(64, 7.25)
-    out = fpa(x, 1.0, 1.0, 1, _src(7))
+    out = released_row(x, MechanismConfig("fpa", 1.0), [(1.0, 1)], _src(7))
     assert out.shape == x.shape
     assert np.max(out) - np.min(out) < 1e-9 * max(1.0, np.max(np.abs(out)))
 
@@ -230,31 +257,42 @@ def test_fpa_constant_signal_k1_stays_constant():
 def test_fpa_preserves_odd_lengths_and_is_deterministic():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(37)
-    a = fpa(x, 1.0, 2.0, 5, _src(8))
-    b = fpa(x, 1.0, 2.0, 5, _src(8))
+    config = MechanismConfig("fpa", 2.0)
+    a = released_row(x, config, [(1.0, 5)], _src(8))
+    b = released_row(x, config, [(1.0, 5)], _src(8))
     assert a.shape == (37,)
     assert np.array_equal(a, b)
 
 
 def test_fpa_k_out_of_range():
     x = np.ones(8)
-    with pytest.raises(ParameterError):
-        fpa(x, 1.0, 1.0, 0, _src(9))
-    with pytest.raises(ParameterError):
-        fpa(x, 1.0, 1.0, 9, _src(9))
+    for k in (0, 9):
+        with pytest.raises(ParameterError):
+            released_row(x, MechanismConfig("fpa", 1.0), [(1.0, k)], _src(9))
+    with pytest.raises(ConfigurationError, match="k=9 out of range"):
+        perturb_corpus(
+            _corpus(lengths=(8,) * 4), "category", MechanismConfig("fpa", 1.0, k=9), NoiseSource(9)
+        )
 
 
 # --- cfpa ----------------------------------------------------------------
 
 
 def test_cfpa_single_chunk_matches_fpa_bitwise():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(64) * 10.0
-    plan = chunk_plan(64, 64)
+    # one full-length chunk is the whole signal: the same plan, sensitivity,
+    # scale and stream, so the same bits
+    corpus = _corpus(lengths=(64,) * 4)
     for k in (64, 7):
-        via_cfpa = cfpa(x, plan, [(1.5, k)], 2.4, _src(10, k))
-        via_fpa = fpa(x, 1.5, 2.4, k, _src(10, k))
-        assert np.array_equal(via_cfpa, via_fpa)
+        via_cfpa, cfpa_reports = perturb_corpus(
+            corpus, "category", MechanismConfig("cfpa", 2.4, chunk_size=64, k=k), NoiseSource(10)
+        )
+        via_fpa, fpa_reports = perturb_corpus(
+            corpus, "category", MechanismConfig("fpa", 2.4, k=k), NoiseSource(10)
+        )
+        for a, b in zip(via_cfpa.matrices, via_fpa.matrices):
+            assert a.values.tobytes() == b.values.tobytes(), k
+        for value, report in cfpa_reports.items():
+            assert report.per_unit == fpa_reports[value].per_unit and report.per_unit
 
 
 def test_cfpa_leading_chunks_do_not_depend_on_later_ones():
@@ -262,18 +300,18 @@ def test_cfpa_leading_chunks_do_not_depend_on_later_ones():
     # the same whether or not more chunks follow
     rng = np.random.default_rng(4)
     x = rng.standard_normal(96)
-    plan = chunk_plan(96, 32)
-    whole = cfpa(x, plan, [(1.0, 32)] * 3, 1.0, _src(11))
-    first = cfpa(x[:32], chunk_plan(32, 32), [(1.0, 32)], 1.0, _src(11))
+    config = MechanismConfig("cfpa", 1.0, chunk_size=32)
+    whole = released_row(x, config, [(1.0, 32)] * 3, _src(11))
+    first = released_row(x[:32], config, [(1.0, 32)], _src(11))
     assert np.array_equal(whole[:32], first)
 
 
 def test_cfpa_zero_sensitivity_full_retention_is_roundtrip():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(100)
-    plan = chunk_plan(100, 32)
-    per_chunk = [(0.0, e - s) for s, e in plan.boundaries]
-    out = cfpa(x, plan, per_chunk, 1.0, _src(12))
+    config = MechanismConfig("cfpa", 1.0, chunk_size=32)
+    per_chunk = [(0.0, c) for c in config.plan_for(100).chunk_lengths()]
+    out = released_row(x, config, per_chunk, _src(12))
     assert np.max(np.abs(out - x)) < 1e-10
 
 
@@ -282,9 +320,10 @@ def test_cfpa_symmetric_zero_noise_matches_transform_completion():
     # truncated spectrum, mirror overlaps and full retention included
     rng = np.random.default_rng(9)
     x = rng.standard_normal(23) * 5.0
-    plan = chunk_plan(23, 8)
+    config = MechanismConfig("cfpa", 1.0, chunk_size=8, symmetric=True)
+    plan = config.plan_for(23)
     for ks in ((1, 1, 1), (3, 5, 7), (8, 8, 7), (5, 2, 4)):
-        out = cfpa(x, plan, [(0.0, k) for k in ks], 1.0, _src(20), symmetric=True)
+        out = released_row(x, config, [(0.0, k) for k in ks], _src(20))
         for (s, e), k in zip(plan.boundaries, ks):
             f = np.fft.fft(x[s:e])
             mirrored = np.zeros(e - s, dtype=np.complex128)
@@ -321,16 +360,14 @@ def test_symmetric_noise_matches_a_direct_completion_of_the_noise_bins(mechanism
 
 
 def test_cfpa_validation():
+    # one (sensitivity, k) per chunk of the plan, each k within its chunk
+    # and each sensitivity finite and >= 0; a table for another plan is
+    # test_perturb_corpus_rejects_tables_built_for_another_plan
     x = np.ones(8)
-    plan = chunk_plan(8, 4)
-    with pytest.raises(ParameterError):
-        cfpa(x, chunk_plan(6, 3), [(1.0, 3), (1.0, 3)], 1.0, _src(13))
-    with pytest.raises(ParameterError):
-        cfpa(x, plan, [(1.0, 4)], 1.0, _src(13))
-    with pytest.raises(ParameterError):
-        cfpa(x, plan, [(1.0, 4), (1.0, 5)], 1.0, _src(13))
-    with pytest.raises(ParameterError):
-        cfpa(x, plan, [(-1.0, 4), (1.0, 4)], 1.0, _src(13))
+    config = MechanismConfig("cfpa", 1.0, chunk_size=4)
+    for per_chunk in ([(1.0, 4)], [(1.0, 4), (1.0, 5)], [(-1.0, 4), (1.0, 4)]):
+        with pytest.raises(ParameterError):
+            released_row(x, config, per_chunk, _src(13))
 
 
 # --- dcfpa ---------------------------------------------------------------
@@ -339,19 +376,17 @@ def test_cfpa_validation():
 def test_dcfpa_zero_noise_full_retention_is_roundtrip():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(96).cumsum() + 100.0
-    plan = chunk_plan(96, 32)
-    per_chunk = [(0.0, e - s) for s, e in plan.boundaries]
-    out = dcfpa(x, plan, per_chunk, 1.0, _src(14))
+    out = released_row(x, MechanismConfig("dcfpa", 1.0, chunk_size=32), [(0.0, 32)] * 3, _src(14))
     assert np.max(np.abs(out - x)) < 1e-9 * max(1.0, np.max(np.abs(x)))
 
 
 def test_dcfpa_deterministic_and_length_preserving():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(50)
-    plan = chunk_plan(50, 16)
-    per_chunk = [(0.5, min(8, e - s)) for s, e in plan.boundaries]
-    a = dcfpa(x, plan, per_chunk, 2.0, _src(16))
-    b = dcfpa(x, plan, per_chunk, 2.0, _src(16))
+    config = MechanismConfig("dcfpa", 2.0, chunk_size=16)
+    per_chunk = [(0.5, min(8, c)) for c in config.plan_for(50).chunk_lengths()]
+    a = released_row(x, config, per_chunk, _src(16))
+    b = released_row(x, config, per_chunk, _src(16))
     assert a.shape == (50,)
     assert np.array_equal(a, b)
 
@@ -391,21 +426,31 @@ def test_mechanism_config_derived_properties():
     assert d_cfg.plan_for(10).boundaries == ((0, 4), (4, 8), (8, 10))
 
 
-# --- build_report -----------------------------------------------------------
+# --- the report of a release ----------------------------------------------------
 
 
-def _table(feature_values, chunks, domain, norm, group="g"):
+def _table(feature_values, plan, domain, norm, group="g"):
     entries = {}
     for feature, v in feature_values.items():
-        for ci in range(chunks):
+        for ci in range(len(plan)):
             entries[(feature, ci, domain, norm)] = v
-    return SensitivityTable(entries=entries, group_label=group)
+    return SensitivityTable(entries=entries, group_label=group, plan=plan)
+
+
+def _group(names, length, excluded=()):
+    """Group "g" of two all-zero recordings: perturb_corpus reads each
+    sensitivity from the table it is given, so the data add nothing."""
+    mats = tuple(_matrix(f"r{i}", f"p{i}", "g", np.zeros((length, len(names))), tuple(names))
+                 for i in range(2))
+    return Corpus(matrices=mats, schema=tuple(names), excluded_features=frozenset(excluded))
 
 
 def test_report_parallel_across_chunks():
     config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)
-    sens = _table({"f0": 1.0}, 3, RAW, 2)
-    report = build_report(config, sens, ["f0"], 12)
+    sens = _table({"f0": 1.0}, chunk_plan(12, 4), RAW, 2)
+    _, reports = perturb_corpus(_group(["f0"], 12), "category", config, NoiseSource(0),
+                                sens_tables={"g": sens})
+    report = reports["g"]
     assert len(report.per_unit) == 3
     assert report.per_feature_epsilon == {"f0": 2.4}
     assert report.total_epsilon == 2.4
@@ -420,8 +465,11 @@ def test_report_sequence_figures_sum_each_features_units():
     sens = SensitivityTable(
         entries={(f, ci, DIFFERENCE, 2): d for f, ds in deltas.items() for ci, d in enumerate(ds)},
         group_label="g",
+        plan=chunk_plan(12, 4),
     )
-    report = build_report(config, sens, ["f0", "f1", "f2"], 12)
+    _, reports = perturb_corpus(_group(list(deltas), 12), "category", config, NoiseSource(0),
+                                sens_tables={"g": sens})
+    report = reports["g"]
     assert report.per_feature_epsilon == {"f0": 2.4, "f1": 2.4, "f2": 0.0}
     assert report.total_epsilon == 4.8
     seq = report.sequence_per_feature_epsilon
@@ -438,7 +486,10 @@ def test_report_sequence_figures_sum_each_features_units():
     # one whole-signal unit per feature: the two figures agree
     for mechanism, norm in (("lpa", 1), ("fpa", 2)):
         config = MechanismConfig(mechanism=mechanism, epsilon=2.4)
-        report = build_report(config, _table({"f0": 1.0, "f1": 2.0}, 1, RAW, norm), ["f0", "f1"], 12)
+        sens = _table({"f0": 1.0, "f1": 2.0}, chunk_plan(12, 12), RAW, norm)
+        _, reports = perturb_corpus(_group(["f0", "f1"], 12), "category", config, NoiseSource(0),
+                                    sens_tables={"g": sens})
+        report = reports["g"]
         assert report.sequence_per_feature_epsilon == report.per_feature_epsilon
         assert report.sequence_total_epsilon == report.total_epsilon == 4.8
 
@@ -446,8 +497,10 @@ def test_report_sequence_figures_sum_each_features_units():
 def test_report_sums_across_features():
     config = MechanismConfig(mechanism="lpa", epsilon=0.05)
     names = [f"f{i:02d}" for i in range(48)]
-    sens = _table({name: 1.0 for name in names}, 1, RAW, 1)
-    report = build_report(config, sens, names, 4)
+    sens = _table({name: 1.0 for name in names}, chunk_plan(4, 4), RAW, 1)
+    _, reports = perturb_corpus(_group(names, 4), "category", config, NoiseSource(0),
+                                sens_tables={"g": sens})
+    report = reports["g"]
     assert math.isclose(report.total_epsilon, 2.4, rel_tol=1e-12)
     assert all(report.per_feature_epsilon[n] == 0.05 for n in names)
 
@@ -455,9 +508,12 @@ def test_report_sums_across_features():
 def test_report_zero_sensitivity_feature_contributes_nothing():
     config = MechanismConfig(mechanism="fpa", epsilon=1.0)
     sens = SensitivityTable(
-        entries={("f0", 0, RAW, 2): 0.0, ("f1", 0, RAW, 2): 2.0}, group_label="g"
+        entries={("f0", 0, RAW, 2): 0.0, ("f1", 0, RAW, 2): 2.0}, group_label="g",
+        plan=chunk_plan(8, 8),
     )
-    report = build_report(config, sens, ["f0", "f1"], 8)
+    _, reports = perturb_corpus(_group(["f0", "f1"], 8), "category", config, NoiseSource(0),
+                                sens_tables={"g": sens})
+    report = reports["g"]
     assert report.per_feature_epsilon == {"f0": 0.0, "f1": 1.0}
     assert report.total_epsilon == 1.0
     assert [u.feature for u in report.per_unit] == ["f1"]
@@ -465,26 +521,29 @@ def test_report_zero_sensitivity_feature_contributes_nothing():
 
 def test_report_skips_excluded_features():
     config = MechanismConfig(mechanism="lpa", epsilon=1.0)
-    sens = _table({"f0": 1.0, "f1": 1.0}, 1, RAW, 1)
-    report = build_report(config, sens, ["f0", "f1"], 4, excluded={"f1"})
+    sens = _table({"f0": 1.0, "f1": 1.0}, chunk_plan(4, 4), RAW, 1)
+    _, reports = perturb_corpus(_group(["f0", "f1"], 4, excluded={"f1"}), "category", config,
+                                NoiseSource(0), sens_tables={"g": sens})
+    report = reports["g"]
     assert "f1" not in report.per_feature_epsilon
     assert report.total_epsilon == 1.0
 
 
 def test_report_missing_sensitivity_is_configuration_error():
     config = MechanismConfig(mechanism="fpa", epsilon=1.0)
-    sens = _table({"f0": 1.0}, 1, RAW, 2)
+    sens = _table({"f0": 1.0}, chunk_plan(8, 8), RAW, 2)
     with pytest.raises(ConfigurationError):
-        build_report(config, sens, ["f0", "f1"], 8)
+        perturb_corpus(_group(["f0", "f1"], 8), "category", config, NoiseSource(0),
+                       sens_tables={"g": sens})
 
 
 def test_report_doubling_epsilon_halves_every_scale():
-    sens = _table({"f0": 1.3, "f1": 0.7}, 3, RAW, 2)
-    r1 = build_report(
-        MechanismConfig(mechanism="cfpa", epsilon=1.2, chunk_size=4), sens, ["f0", "f1"], 12
-    )
-    r2 = build_report(
-        MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4), sens, ["f0", "f1"], 12
+    sens = _table({"f0": 1.3, "f1": 0.7}, chunk_plan(12, 4), RAW, 2)
+    r1, r2 = (
+        perturb_corpus(_group(["f0", "f1"], 12), "category",
+                       MechanismConfig(mechanism="cfpa", epsilon=eps, chunk_size=4),
+                       NoiseSource(0), sens_tables={"g": sens})[1]["g"]
+        for eps in (1.2, 2.4)
     )
     assert len(r1.per_unit) == len(r2.per_unit) == 6
     for u1, u2 in zip(r1.per_unit, r2.per_unit):
@@ -494,39 +553,23 @@ def test_report_doubling_epsilon_halves_every_scale():
 
 def test_report_k_table_entries():
     config = MechanismConfig(mechanism="cfpa", epsilon=1.0, chunk_size=4)
-    sens = _table({"f0": 1.0}, 2, RAW, 2)
-    report = build_report(
-        config, sens, ["f0"], 8, k_table={("f0", 0): 2, ("f0", 1): 3}
-    )
-    assert [u.k for u in report.per_unit] == [2, 3]
-    with pytest.raises(ConfigurationError):
-        build_report(config, sens, ["f0"], 8, k_table={("f0", 0): 2})
-    with pytest.raises(ConfigurationError):
-        build_report(config, sens, ["f0"], 8, k_table={("f0", 0): 9, ("f0", 1): 1})
+    plan = chunk_plan(8, 4)
+    sens = _table({"f0": 1.0}, plan, RAW, 2)
+
+    def release(ks):
+        table = KTable(entries={("g", "f0", ci): k for ci, k in ks.items()}, runs_used=1,
+                       epsilon_used=1.0, plans={"g": plan}, mechanism="cfpa")
+        return perturb_corpus(_group(["f0"], 8), "category", config, NoiseSource(0),
+                              sens_tables={"g": sens}, k_table=table)[1]["g"]
+
+    assert [u.k for u in release({0: 2, 1: 3}).per_unit] == [2, 3]
+    with pytest.raises(ConfigurationError, match="no entry for feature 'f0' chunk 1"):
+        release({0: 2})
+    with pytest.raises(ConfigurationError, match="k=9 out of range"):
+        release({0: 9, 1: 1})
 
 
 # --- perturb_corpus ----------------------------------------------------------
-
-
-def _matrix(rid, pid, label, values, names):
-    return FeatureMatrix(
-        recording_id=rid,
-        participant_id=pid,
-        labels={"category": label},
-        feature_names=names,
-        values=np.asarray(values, dtype=np.float64),
-    )
-
-
-def _corpus(lengths=(12, 12, 12, 12), excluded=()):
-    rng = np.random.default_rng(42)
-    names = ("f0", "f1")
-    labels = ["a", "a", "b", "b"]
-    mats = [
-        _matrix(f"r{i}", f"p{i}", labels[i], rng.standard_normal((lengths[i], 2)) + 10.0, names)
-        for i in range(4)
-    ]
-    return Corpus(matrices=tuple(mats), schema=names, excluded_features=frozenset(excluded))
 
 
 def test_perturb_corpus_basic_shape_and_reports():
@@ -662,11 +705,11 @@ def test_perturb_corpus_rejects_k_tables_for_another_plan_or_group():
 
 def test_perturb_corpus_matches_per_recording_calls_bitwise():
     # One block per (group, feature) through the core must give exactly
-    # what a direct mechanism call gives each zero-padded recording on
-    # stream (r, f, 0): remainder chunk, tuned counts, symmetric
-    # completion and clamping included. lpa reads
-    # the first n of the block's 2n draws per stream, which must be the
-    # draws of lpa's own n-draw call.
+    # what the release step gives each zero-padded recording alone on
+    # stream (r, f, 0) at its group's sensitivities and tuned counts:
+    # remainder chunk, symmetric completion and clamping included. lpa
+    # reads the first n of the block's 2n draws per stream
+    # (test_lpa_noise_scale: the draws of an n-draw read).
     from privseq.sensitivity import build_group_table
 
     corpus = _corpus(lengths=(13, 10, 13, 11))
@@ -711,17 +754,7 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
                      entries[(value, feature, ci)])
                     for ci in range(len(plan))
                 ]
-                stream = src.derive(r, f, 0)
-                if config.mechanism == "lpa":
-                    (d, _), = per_chunk
-                    direct = lpa(padded, d, config.epsilon, stream)
-                elif config.mechanism == "fpa":
-                    (d, k), = per_chunk
-                    direct = fpa(padded, d, config.epsilon, k, stream, config.symmetric)
-                elif config.mechanism == "cfpa":
-                    direct = cfpa(padded, plan, per_chunk, config.epsilon, stream, config.symmetric)
-                else:
-                    direct = dcfpa(padded, plan, per_chunk, config.epsilon, stream, config.symmetric)
+                direct = released_row(padded, config, per_chunk, src.derive(r, f, 0))
                 if config.clamp:
                     direct = clamp_nonnegative(direct)
                 assert np.array_equal(out.values[:, f], direct[: m.length]), (config, r, f)
@@ -729,8 +762,8 @@ def test_perturb_corpus_matches_per_recording_calls_bitwise():
 
 def test_perturb_corpus_lpa_zero_sensitivity_group_is_bitwise_identity():
     # A group whose members agree on a feature has sensitivity 0 there, so
-    # lpa releases that feature unchanged, as a direct lpa() call does:
-    # every bit, the sign of -0.0 included.
+    # lpa releases that feature unchanged, as the release step does for
+    # one recording at sensitivity 0: every bit, the sign of -0.0 included.
     names = ("f0", "f1")
     same = np.array([-0.0, 0.0, -0.0, 2.5, -0.0, -1.25, 0.0, -0.0])
     mats = tuple(
@@ -745,7 +778,7 @@ def test_perturb_corpus_lpa_zero_sensitivity_group_is_bitwise_identity():
     for r, (m, out) in enumerate(zip(corpus.matrices, noisy.matrices)):
         got = out.values[:, 0]
         assert got.tobytes() == same.tobytes()
-        assert got.tobytes() == lpa(same, 0.0, 1.0, src.derive(r, 0, 0)).tobytes()
+        assert got.tobytes() == released_row(same, LPA, [(0.0, 8)], src.derive(r, 0, 0)).tobytes()
         assert not np.array_equal(out.values[:, 1], m.values[:, 1])
 
 
@@ -769,9 +802,9 @@ def test_chunk_noise_depends_only_on_its_own_k():
     # Each chunk reads its draws at a fixed offset, so changing chunk 0's
     # k leaves every later chunk (the remainder included) bit-identical.
     x = np.random.default_rng(11).standard_normal(10)
-    plan = chunk_plan(10, 4)
-    for mech in (cfpa, dcfpa):
-        a, b = (mech(x, plan, [(1.0, k0), (2.0, 3), (0.5, 1)], 1.0, _src(22)) for k0 in (1, 4))
+    for mech in ("cfpa", "dcfpa"):
+        config = MechanismConfig(mech, 1.0, chunk_size=4)
+        a, b = (released_row(x, config, [(1.0, k0), (2.0, 3), (0.5, 1)], _src(22)) for k0 in (1, 4))
         assert np.array_equal(a[4:], b[4:]), mech
         assert not np.array_equal(a[:4], b[:4]), mech
 
@@ -1035,11 +1068,11 @@ def test_cfpa_swap_on_the_pinned_corpus_exceeds_the_chunk_figure():
         features=4, ar_coefficient=0.95, offsets=(2700.0, 3000.0, 3300.0), noise_sd=1.0,
         seed=29,
     )
-    corpus = synth_corpus(spec)
+    full = synth_corpus(spec)
+    corpus = Corpus(full.matrices, full.schema, frozenset({"f01", "f02", "f03"}))
     config = MechanismConfig(mechanism="cfpa", epsilon=1.0, chunk_size=32)
-    plan = config.plan_for(1024)
-    sens = build_group_table(corpus, "category", "l0", plan, norms=(2,), domains=(RAW,))
-    report = build_report(config, sens, ["f00"], 1024)
+    _, reports = perturb_corpus(corpus, "category", config, NoiseSource(0))
+    report = reports["l0"]
     worst = max(_pair_losses(corpus, "l0", config, report, ("f00",)))
     assert report.total_epsilon == 1.0
     assert report.sequence_total_epsilon == 32.0

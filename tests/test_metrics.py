@@ -1,6 +1,7 @@
 """Error metrics and the utility sweep: hand values, aggregation
 semantics, correlation curves, CSV formats, and a bit-for-bit
-recomputation of sweep rows through the mechanism entry points."""
+recomputation of sweep rows through the release step, one recording at a
+time."""
 import csv
 import math
 
@@ -10,28 +11,27 @@ import pytest
 from privseq.core import (
     ConfigurationError,
     Corpus,
-    DataError,
     FeatureMatrix,
     InternalInvariantError,
     ParameterError,
     chunk_plan,
 )
 from privseq import mechanisms
-from privseq.mechanisms import MechanismConfig, cfpa, dcfpa, fpa, lpa, perturb_corpus
+from privseq.mechanisms import MechanismConfig, perturb_corpus
 from privseq.metrics import (
     CorrelationCurve,
     SweepRow,
     UtilitySweep,
     _nmse_ratio,
     corr_curve,
-    load_sweep_csv,
     run_sweep,
     write_correlation_csv,
     write_sweep_csv,
 )
 from privseq.noise import NoiseSource
-from privseq.sensitivity import DIFFERENCE, RAW, build_group_table
+from privseq.sensitivity import build_group_table
 from privseq.tuning import KTable, tune_corpus
+from helpers import read_sweep_csv, released_row
 
 
 # --- the NMSE rule -------------------------------------------------------------
@@ -90,9 +90,10 @@ def test_corr_curve_tracks_autoregressive_decay():
     rho = 0.8
     curve = corr_curve(_ar1_group(400, 16, rho, 21), feature="f0", group_label="a")
     assert curve.reference_index == 5
-    assert curve.r_at(0) == 1.0
+    r = dict(curve.points)
+    assert sorted(r) == list(range(11)) and r[0] == 1.0
     for dt in range(1, 11):
-        assert abs(curve.r_at(dt) - rho**dt) < 0.1
+        assert abs(r[dt] - rho**dt) < 0.1
 
 
 def test_corr_curve_group_and_length_requirements():
@@ -114,11 +115,10 @@ def test_corr_curve_zero_variance_is_an_error():
 
 def test_correlation_curve_validation_and_lookup():
     curve = CorrelationCurve(
-        feature="f0", group_label="a", reference_index=5, points=((0, 1.0), (1, 0.5))
+        feature="f0", group_label="a", reference_index=5, points=[(0, 1), (1.0, 0.5)]
     )
-    assert curve.r_at(1) == 0.5
-    with pytest.raises(ParameterError):
-        curve.r_at(7)
+    assert curve.points == ((0, 1.0), (1, 0.5))
+    assert [type(v) for point in curve.points for v in point] == [int, float, int, float]
     with pytest.raises(ParameterError):
         CorrelationCurve(feature="f", group_label="a", reference_index=0, points=((-1, 0.0),))
     with pytest.raises(ParameterError):
@@ -195,35 +195,12 @@ def test_sweep_csv_round_trip(tmp_path):
     sweep = UtilitySweep(rows=rows)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(sweep, path)
-    loaded = load_sweep_csv(path)
+    loaded = read_sweep_csv(path)
     assert loaded.rows == rows
 
     path2 = tmp_path / "sweep2.csv"
     write_sweep_csv(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_sweep_csv_loader_errors(tmp_path):
-    head = "mechanism,chunk_size,epsilon,mean_utility,mean_nmse,runs,flagged_rows\n"
-    path = tmp_path / "sweep.csv"
-
-    path.write_text("mechanism,epsilon\n")
-    with pytest.raises(DataError):
-        load_sweep_csv(path)
-
-    path.write_text(head + "lpa,,1.0,2.0\n")
-    with pytest.raises(DataError, match="row 2"):
-        load_sweep_csv(path)
-
-    # a file whose utility and nmse disagree is corrupt data
-    path.write_text(head + "lpa,,1.0,2.1,0.5,1,0\n")
-    with pytest.raises(DataError, match="row 2"):
-        load_sweep_csv(path)
-
-    # bytes that are not UTF-8 are malformed input, not a traceback
-    path.write_bytes(head.encode() + b"\xff\n")
-    with pytest.raises(DataError, match="UTF-8"):
-        load_sweep_csv(path)
 
 
 # --- run_sweep ----------------------------------------------------------------
@@ -250,8 +227,9 @@ def _sweep_corpus():
 
 
 def _direct_rows(corpus, src, epsilons, chunk_size, runs):
-    """Recompute every sweep row through the mechanism entry points with
-    the same stream addressing and aggregation order."""
+    """Recompute every sweep row one recording at a time through the
+    release step (released_row), with the same stream addressing and
+    aggregation order."""
     label_kind = "category"
     features = corpus.schema
     configs = [("lpa", None), ("fpa", None), ("cfpa", chunk_size), ("dcfpa", chunk_size)]
@@ -259,50 +237,34 @@ def _direct_rows(corpus, src, epsilons, chunk_size, runs):
     group_len = {v: max(m.length for m in corpus.group(label_kind, v)) for v in labels}
 
     tables = {}
-    plans = {}
     for value in labels:
-        n = group_len[value]
         for mech, c in configs:
-            plan = chunk_plan(n, n if c is None else c)
-            plans[(value, mech, c)] = plan
-            domain = DIFFERENCE if mech == "dcfpa" else RAW
-            norm = 1 if mech == "lpa" else 2
+            config = MechanismConfig(mech, 1.0, chunk_size=c)
             tables[(value, mech, c)] = build_group_table(
-                corpus, label_kind, value, plan, norms=(norm,), domains=(domain,)
+                corpus, label_kind, value, config.plan_for(group_len[value]),
+                norms=(config.norm_order,), domains=(config.domain,),
             )
 
     rows = []
     for mech, c in configs:
         for eps in epsilons:
+            config = MechanismConfig(mech, eps, chunk_size=c)
             acc = {f: [0.0, 0, 0] for f in features}
             for r, m in enumerate(corpus.matrices):
                 value = m.labels[label_kind]
-                plan = plans[(value, mech, c)]
                 table = tables[(value, mech, c)]
                 n = group_len[value]
                 for col, feature in enumerate(features):
                     x = m.values[:, col]
                     padded = np.zeros(n)
                     padded[: x.size] = x
+                    per = [
+                        (table.value(feature, ci, config.domain, config.norm_order), length)
+                        for ci, length in enumerate(config.plan_for(n).chunk_lengths())
+                    ]
                     cells = []
                     for t in range(runs):
-                        stream = src.derive(r, col, t)
-                        if mech == "lpa":
-                            xt = lpa(padded, table.value(feature, 0, RAW, 1), eps, stream)
-                        elif mech == "fpa":
-                            xt = fpa(padded, table.value(feature, 0, RAW, 2), eps, n, stream)
-                        elif mech == "cfpa":
-                            per = [
-                                (table.value(feature, ci, RAW, 2), e - s)
-                                for ci, (s, e) in enumerate(plan.boundaries)
-                            ]
-                            xt = cfpa(padded, plan, per, eps, stream)
-                        else:
-                            per = [
-                                (table.value(feature, ci, DIFFERENCE, 2), e - s)
-                                for ci, (s, e) in enumerate(plan.boundaries)
-                            ]
-                            xt = dcfpa(padded, plan, per, eps, stream)
+                        xt = released_row(padded, config, per, src.derive(r, col, t))
                         cells.append(_cell(x, xt[: x.size]))
                     vals = np.array([v for v, ok in cells if ok])
                     acc[feature][0] += float(np.sum(vals))
@@ -387,7 +349,7 @@ def test_perturb_and_sweep_are_independent_of_block_size():
 
         def recorded(streams, n):
             # streams are (recording, feature, run) children of the source
-            seen.add(len({s.stream_id[-3] for s in streams}))
+            seen.add(len({s._seq.spawn_key[-3] for s in streams}))
             return draws(streams, n)
 
         with pytest.MonkeyPatch.context() as mp:

@@ -29,8 +29,8 @@ class TestNoiseSource:
 
     def test_derive_appends_coordinates(self):
         root = NoiseSource(7)
-        assert root.derive(1, 2).stream_id == (1, 2)
-        assert root.derive(1).derive(2).stream_id == (1, 2)
+        assert repr(root.derive(1, 2)) == "NoiseSource(seed=7, path=(1, 2))"
+        assert repr(root.derive(1).derive(2)) == repr(root.derive(1, 2))
         a = unit_laplace(root.derive(1, 2).generator(), 32)
         b = unit_laplace(root.derive(1).derive(2).generator(), 32)
         assert np.array_equal(a, b)

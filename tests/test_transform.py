@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privseq import transform
-from privseq.core import ParameterError, chunk_plan
-from privseq.mechanisms import cfpa
+from privseq.core import ParameterError
+from privseq.mechanisms import MechanismConfig
 from privseq.noise import NoiseSource
+from helpers import released_row
 
 
 def dft_oracle(x):
@@ -108,8 +109,8 @@ class TestDft:
 def _truncated(x, k, symmetric=False):
     """Zero-sensitivity cfpa of x as one chunk: the core's truncation and
     inverse with no noise (lam = 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    return cfpa(x, chunk_plan(x.size, x.size), [(0.0, k)], 1.0, NoiseSource(0), symmetric)
+    config = MechanismConfig("cfpa", 1.0, chunk_size=len(x), symmetric=symmetric)
+    return released_row(x, config, [(0.0, k)], NoiseSource(0))
 
 
 class TestTruncatePad:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from privseq import mechanisms, transform, tuning
 from privseq.core import Corpus, DataError, FeatureMatrix, ParameterError, chunk_plan
-from privseq.mechanisms import MechanismConfig, cfpa, dcfpa, fpa, fpa_lambda, perturb_corpus
+from privseq.mechanisms import MechanismConfig, fpa_lambda, perturb_corpus
 from privseq.metrics import _nmse_ratio, run_sweep
 from privseq.noise import NoiseSource
 from privseq.sensitivity import DIFFERENCE, RAW, chunk_sensitivities
 from privseq.tuning import KTable, load_k_csv, tune_corpus, tune_k, write_k_csv
+from helpers import released_row
 
 
 def _smooth_pair(n=32, seed=0):
@@ -65,9 +66,11 @@ def test_tuning_is_reproducible():
 
 def _reference_totals(signals, plan, mechanism, epsilon, runs, stream_of, deltas=None):
     # (sum, count) of the valid NMSE cells of every (k, chunk) over the
-    # mechanisms' own releases of member m on stream stream_of(m, t),
-    # each chunk at min(k, its length) and at the group's sensitivities
-    # unless deltas are given; 0 where k exceeds the chunk.
+    # mechanisms' own releases of member m on stream stream_of(m, t)
+    # (released_row, one member at a time), each chunk at min(k, its
+    # length) and at the group's sensitivities unless deltas are given;
+    # 0 where k exceeds the chunk. fpa's plan is the whole signal.
+    config = MechanismConfig(mechanism, epsilon, plan.chunk_size)
     if deltas is None:
         domain = DIFFERENCE if mechanism == "dcfpa" else RAW
         deltas = chunk_sensitivities(signals, plan, 2, domain=domain)
@@ -78,12 +81,7 @@ def _reference_totals(signals, plan, mechanism, epsilon, runs, stream_of, deltas
         per_chunk = [(d, min(k, c)) for d, c in zip(deltas, lengths)]
         for m, x in enumerate(signals):
             for t in range(runs):
-                stream = stream_of(m, t)
-                if mechanism == "fpa":
-                    out = fpa(x, deltas[0], epsilon, k, stream)
-                else:
-                    mech = cfpa if mechanism == "cfpa" else dcfpa
-                    out = mech(x, plan, per_chunk, epsilon, stream)
+                out = released_row(x, config, per_chunk, stream_of(m, t))
                 for ci, (s, e) in enumerate(plan.boundaries):
                     err = x[s:e] - out[s:e]
                     v, ok = _nmse_ratio(np.mean(err * err), np.mean(x[s:e]) * np.mean(out[s:e]))
@@ -322,7 +320,7 @@ def test_tuning_reads_no_stream_a_release_reads(monkeypatch):
     real_draws = mechanisms._draws
 
     def spy(streams, n):
-        read.append({s.stream_id for s in streams})
+        read.append({s._seq.spawn_key for s in streams})
         return real_draws(streams, n)
 
     monkeypatch.setattr(mechanisms, "_draws", spy)

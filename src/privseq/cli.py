@@ -265,7 +265,7 @@ def sweep(
 @main.command(name="tune-k")
 @click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None, help="Chunk size of the plan; required for cfpa and dcfpa, ignored by fpa.")
-@click.option("--mechanism", type=click.Choice(("fpa", "cfpa", "dcfpa")), default="cfpa", show_default=True)
+@click.option("--mechanism", type=click.Choice(tuning.TUNABLE), default="cfpa", show_default=True)
 @click.option("--epsilon", type=float, default=4.8, show_default=True)
 @click.option("--runs", type=click.IntRange(min=1), default=100, show_default=True)
 @_LABEL_KIND_OPT

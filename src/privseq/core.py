@@ -4,8 +4,9 @@ Everything downstream operates on the types defined here: float64
 sample vectors, recordings (time x feature grids), corpora of
 recordings, chunk partitions, and the per-release report of noised
 units, from which it derives every epsilon figure; also the one reader
-of the headered CSV side files. Construction validates invariants and
-raises typed errors; nothing is silently repaired.
+of the headered CSV side files. The types that carry input validate it
+on construction and raise typed errors, repairing nothing; a record that
+one package function builds holds what that function checked.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "DataError",
     "ConfigurationError",
     "InternalInvariantError",
+    "MECHANISMS",
     "RealSeq",
     "FeatureMatrix",
     "Corpus",
@@ -30,6 +32,9 @@ __all__ = [
     "ReportUnit",
     "MechanismReport",
 ]
+
+
+MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
 
 
 class ParameterError(ValueError):
@@ -241,7 +246,7 @@ class MechanismReport:
     per_unit: tuple[ReportUnit, ...]
 
     def __post_init__(self) -> None:
-        if self.mechanism not in ("lpa", "fpa", "cfpa", "dcfpa"):
+        if self.mechanism not in MECHANISMS:
             raise ParameterError(f"unknown mechanism {self.mechanism!r}")
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "per_unit", tuple(self.per_unit))

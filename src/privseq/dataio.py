@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from privseq.core import (
     DataError,
     FeatureMatrix,
     InternalInvariantError,
+    MechanismReport,
     ParameterError,
 )
-from privseq.mechanisms import MechanismReport
 from privseq.noise import NoiseSource
 
 __all__ = [

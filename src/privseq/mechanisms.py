@@ -60,6 +60,7 @@ import numpy as np
 
 from privseq import transform
 from privseq.core import (
+    MECHANISMS,
     ChunkPlan,
     ConfigurationError,
     Corpus,
@@ -83,12 +84,8 @@ __all__ = [
     "MechanismConfig",
     "perturb_corpus",
     "clamp_nonnegative",
-    "FpaLayout",
     "fpa_spectra",
-    "fpa_parts",
 ]
-
-MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
 
 # The release driver cuts each (group, feature) into row blocks of
 # max(1, budget // ((runs + 1) n)) rows, counting S and N rows; the
@@ -186,22 +183,16 @@ class FpaLayout:
     complex pair at draws 2(start_i + j) (real part) and
     2(start_i + j) + 1 (imaginary part).
     Each bin's noise thus depends on its position alone, and chunk i's
-    noise on its own k_i alone.
+    noise on its own k_i alone. _feature_units, its one builder, gives a
+    k in [1, length] for every chunk.
     """
 
     __slots__ = ("plan", "ks", "lengths")
 
     def __init__(self, plan: ChunkPlan, ks: Sequence[int]):
-        ks = tuple(int(k) for k in ks)
-        lengths = plan.chunk_lengths()
-        if len(ks) != len(lengths):
-            raise ParameterError(f"{len(ks)} retention counts for {len(lengths)} chunks")
-        for k, length in zip(ks, lengths):
-            if not 1 <= k <= length:
-                raise ParameterError(f"k must be in [1, {length}], got {k}")
         self.plan = plan
-        self.ks = ks
-        self.lengths = np.asarray(lengths)
+        self.ks = tuple(ks)
+        self.lengths = np.asarray(plan.chunk_lengths())
 
 
 def fpa_spectra(block: np.ndarray, plan: ChunkPlan, difference: bool) -> list[np.ndarray]:
@@ -283,11 +274,16 @@ def _release(
     over the whole row when layout is None (LPA), each chunk of the
     layout otherwise. (budgets, units) scales release (budgets, rows,
     runs, n) at once, each element as in a one-budget call. A unit whose
-    scale is 0 releases S exactly, signed zeros included."""
+    scale is 0 releases S exactly, signed zeros included. A release that
+    overflows (a finite scale times a large draw) is a ParameterError."""
     scale = lams if layout is None else np.repeat(lams, layout.lengths, axis=-1)
     scale = scale[..., np.newaxis, np.newaxis, :]
-    out = scale * unit
-    out += clean
+    try:
+        with np.errstate(over="raise"):
+            out = scale * unit
+            out += clean
+    except FloatingPointError:
+        raise ParameterError("the release overflows: its noise is too large to represent") from None
     if not lams.all():
         np.copyto(out, clean, where=scale == 0.0)
     return out
@@ -398,7 +394,7 @@ def _feature_units(
         for ci, c in enumerate(plan.chunk_lengths()):
             if k_table is not None and (feature, ci) not in k_table:
                 raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {ci}")
-            k = int(k_table[(feature, ci)]) if k_table is not None else config.k or c
+            k = int(k_table[(feature, ci)] if k_table is not None else config.k or c)
             if not 1 <= k <= c:
                 raise ConfigurationError(
                     f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"

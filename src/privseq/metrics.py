@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from privseq.core import Corpus, InternalInvariantError, ParameterError, RealSeq
+from privseq.core import Corpus, ParameterError, RealSeq
 from privseq.mechanisms import MECHANISMS, MechanismConfig, _release_blocks, _released
 from privseq.noise import NoiseSource
 from privseq.sensitivity import build_group_table  # noqa: F401 (perfbench traces it here)
@@ -86,21 +86,13 @@ def _nmse_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, slots=True)
 class CorrelationCurve:
-    """Pearson correlation against a reference time index, per lag."""
+    """Pearson correlation against a reference time index, per lag: the
+    (lag, r) points corr_curve builds, lags 0..max_lag and r in [-1, 1]."""
 
     feature: str
     group_label: str
     reference_index: int
     points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple((int(d), float(r)) for d, r in self.points)
-        for d, r in pts:
-            if d < 0:
-                raise ParameterError(f"negative lag {d}")
-            if not -1.0 <= r <= 1.0:
-                raise ParameterError(f"correlation {r} outside [-1, 1] at lag {d}")
-        object.__setattr__(self, "points", pts)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -156,9 +148,10 @@ def write_correlation_csv(curve: CorrelationCurve, path) -> None:
 
 @dataclass(frozen=True, slots=True)
 class SweepRow:
-    """One sweep cell. mean_utility is the reciprocal of mean_nmse by
-    construction; flagged_rows counts the NMSE cells (recording x run)
-    skipped for a negative or undefined value."""
+    """One sweep cell, as run_sweep builds it from a checked grid:
+    mean_nmse >= 0 is a mean of valid cells, mean_utility its reciprocal
+    (inf at 0), and flagged_rows counts the NMSE cells (feature x
+    recording x run) skipped for a negative or undefined value."""
 
     mechanism: str
     chunk_size: int | None
@@ -168,42 +161,10 @@ class SweepRow:
     runs: int
     flagged_rows: int
 
-    def __post_init__(self) -> None:
-        if self.mechanism not in MECHANISMS:
-            raise ParameterError(f"unknown mechanism {self.mechanism!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ParameterError(f"chunk_size must be positive, got {self.chunk_size}")
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.runs < 1:
-            raise ParameterError(f"runs must be >= 1, got {self.runs}")
-        if self.flagged_rows < 0:
-            raise ParameterError("flagged_rows must be >= 0")
-        if not self.mean_nmse >= 0:
-            raise ParameterError(f"mean_nmse must be >= 0, got {self.mean_nmse}")
-        if math.isfinite(self.mean_nmse) and self.mean_nmse > 0:
-            if self.mean_utility != 1.0 / self.mean_nmse:
-                raise InternalInvariantError(
-                    "mean_utility must be the reciprocal of mean_nmse"
-                )
-
 
 @dataclass(frozen=True, slots=True)
 class UtilitySweep:
     rows: tuple[SweepRow, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-
-    def row(self, mechanism: str, chunk_size: int | None, epsilon: float) -> SweepRow:
-        for r in self.rows:
-            if (
-                r.mechanism == mechanism
-                and r.chunk_size == chunk_size
-                and r.epsilon == epsilon
-            ):
-                return r
-        raise ParameterError(f"no row for ({mechanism}, {chunk_size}, {epsilon})")
 
 
 def write_sweep_csv(sweep: UtilitySweep, path) -> None:

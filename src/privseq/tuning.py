@@ -57,6 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from privseq.core import (
+    MECHANISMS,
     ChunkPlan,
     Corpus,
     DataError,
@@ -84,13 +85,14 @@ __all__ = [
     "KTable",
     "write_k_csv",
     "load_k_csv",
+    "TUNABLE",
 ]
 
 _K_HEADER = (
     "group_label", "feature", "chunk_index", "k", "runs_used", "epsilon_used", "chunk_size", "length",
     "mechanism",
 )
-_TUNABLE = ("fpa", "cfpa", "dcfpa")
+TUNABLE = tuple(m for m in MECHANISMS if m != "lpa")  # those that keep coefficients
 
 # The child of its source that tuning runs the release driver at: its
 # streams are four coordinates deep, a release's three.
@@ -256,9 +258,9 @@ class KTable:
     mechanism: str
 
     def __post_init__(self) -> None:
-        if self.mechanism not in _TUNABLE:
+        if self.mechanism not in TUNABLE:
             raise ParameterError(
-                f"k table mechanism must be one of {', '.join(_TUNABLE)}, got {self.mechanism!r}"
+                f"k table mechanism must be one of {', '.join(TUNABLE)}, got {self.mechanism!r}"
             )
         frozen = {}
         for key, k in dict(self.entries).items():
@@ -316,7 +318,7 @@ def tune_corpus(
     (group, feature) in block order, and the first argmin of the mean
     NMSE wins (infinite where every cell is flagged or k exceeds the
     chunk)."""
-    if mechanism not in _TUNABLE:
+    if mechanism not in TUNABLE:
         raise ParameterError(
             f"retention tuning applies to fpa, cfpa or dcfpa, got {mechanism!r}"
         )

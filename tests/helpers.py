@@ -5,7 +5,8 @@ a test picks: the units perturb_corpus would decide for one (group,
 feature) — the layout, the given sensitivities and their scales —
 released by mechanisms._released on the 2n unit draws of one stream,
 the draws perturb_corpus reads for that recording and feature.
-read_sweep_csv reads back what metrics.write_sweep_csv wrote.
+read_sweep_csv reads back what metrics.write_sweep_csv wrote, and
+sweep_row finds one cell among a sweep's rows.
 """
 import csv
 
@@ -36,3 +37,10 @@ def read_sweep_csv(path):
                      int(r["runs"]), int(r["flagged_rows"]))
             for r in csv.DictReader(fh)
         ))
+
+
+def sweep_row(sweep, mechanism, chunk_size, epsilon):
+    """The one row of sweep for the cell (mechanism, chunk_size, epsilon)."""
+    cell = (mechanism, chunk_size, epsilon)
+    (row,) = [r for r in sweep.rows if (r.mechanism, r.chunk_size, r.epsilon) == cell]
+    return row

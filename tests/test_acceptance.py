@@ -33,6 +33,7 @@ from privseq.sensitivity import (
 )
 from privseq.transform import cumsum_reconstruct, dft_batch, diff_transform
 from privseq.tuning import tune_k
+from helpers import sweep_row
 from sensitivity_oracle import oracle_chunks, oracle_feature
 
 EPSILON_GRID = (0.48, 2.4, 4.8, 24.0, 48.0)
@@ -302,7 +303,7 @@ def trend_sweep():
 
 
 def _utilities(sweep, mechanism, chunk_size):
-    return [sweep.row(mechanism, chunk_size, e).mean_utility for e in EPSILON_GRID]
+    return [sweep_row(sweep, mechanism, chunk_size, e).mean_utility for e in EPSILON_GRID]
 
 
 def test_acceptance_06a_utility_rises_with_epsilon(trend_sweep):
@@ -327,9 +328,9 @@ def test_acceptance_06b_chunking_beats_whole_signal(trend_sweep):
     sweep, _ = trend_sweep
     ratios = []
     for e in EPSILON_GRID:
-        base = sweep.row("fpa", None, e).mean_utility
+        base = sweep_row(sweep, "fpa", None, e).mean_utility
         for c in CHUNK_GRID:
-            ratios.append(sweep.row("cfpa", c, e).mean_utility / base)
+            ratios.append(sweep_row(sweep, "cfpa", c, e).mean_utility / base)
     ok = all(r > 1.0 for r in ratios)
     assert _verdict(
         "6b",
@@ -342,8 +343,8 @@ def test_acceptance_06b_chunking_beats_whole_signal(trend_sweep):
 def test_acceptance_06c_differencing_beats_chunking_at_low_budget(trend_sweep):
     sweep, _ = trend_sweep
     eps = EPSILON_GRID[0]
-    best_dc = max(sweep.row("dcfpa", c, eps).mean_utility for c in CHUNK_GRID)
-    best_cf = max(sweep.row("cfpa", c, eps).mean_utility for c in CHUNK_GRID)
+    best_dc = max(sweep_row(sweep, "dcfpa", c, eps).mean_utility for c in CHUNK_GRID)
+    best_cf = max(sweep_row(sweep, "cfpa", c, eps).mean_utility for c in CHUNK_GRID)
     ok = best_dc > best_cf
     assert _verdict(
         "6c",
@@ -363,7 +364,7 @@ def test_acceptance_06d_differencing_prefers_short_chunks(trend_sweep):
     sweep, _ = trend_sweep
     violations = []
     for e in EPSILON_GRID:
-        us = [sweep.row("dcfpa", c, e).mean_utility for c in CHUNK_GRID]
+        us = [sweep_row(sweep, "dcfpa", c, e).mean_utility for c in CHUNK_GRID]
         if not (us[0] >= us[1] >= us[2]):
             violations.append((e, us))
     ok = not violations

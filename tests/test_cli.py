@@ -35,7 +35,7 @@ from privseq.dataio import MANIFEST_NAME, REPORT_NAME, load_corpus, write_corpus
 from privseq.mechanisms import MechanismConfig, fpa_lambda
 from privseq.sensitivity import build_group_table
 from privseq.tuning import load_k_csv
-from helpers import read_sweep_csv
+from helpers import read_sweep_csv, sweep_row
 
 
 def run_cli(*args):
@@ -156,6 +156,40 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
         if not name.startswith("__") and name not in used
     ]
     assert unused == []
+
+
+def _unused_imports(path):
+    """The names a module imports and never loads, skipping __future__
+    imports, the names it exports in __all__ and lines marked
+    '# noqa: F401' (a name bound for another module to find there)."""
+    text = path.read_text(encoding="utf-8")
+    lines, tree = text.splitlines(), ast.parse(text)
+    exported, bound, loaded = set(), {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in node.value.elts}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in t for t in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return sorted(
+        (line, name) for name, line in bound.items() if name not in loaded | exported
+    )
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # there is no linter in the toolchain; this is its unused-import rule
+    root = Path(privseq.__file__).resolve().parent
+    modules = [*root.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]
+    unused = {p.name: found for p in modules if (found := _unused_imports(p))}
+    assert unused == {}
 
 
 def test_readme_names_only_real_report_keys():
@@ -343,15 +377,19 @@ def test_perturb_underflowing_noise_scale_is_exit_2(tmp_path):
         ("tune-k", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "1e-300", "--runs", 2),
         ("sweep", "--mechanisms", "cfpa", "--chunk-sizes", 16, "--epsilons", "3e-152", "--runs", 2),
         ("tune-k", "--mechanism", "cfpa", "--chunk-size", 16, "--epsilon", "3e-152", "--runs", 2),
+        ("perturb", "--mechanism", "lpa", "--epsilon", "1e-306", "--seed", 1),
+        ("sweep", "--mechanisms", "lpa", "--epsilons", "1e-306", "--runs", 2),
     ],
     ids=["perturb", "sweep", "tune-k", "perturb-lpa", "sweep-1e-300", "tune-k-1e-300",
-         "sweep-3e-152", "tune-k-3e-152"],
+         "sweep-3e-152", "tune-k-3e-152", "perturb-lpa-1e-306", "sweep-lpa-1e-306"],
 )
 def test_overflowing_noise_scale_is_exit_2_without_output(tmp_path, command):
     # delta / epsilon is inf at the subnormal budgets: no noise scale
     # exists, so nothing may be released, scored or tuned. At 1e-300 the
     # scale is finite but its square is not, and at 3e-152 the square is
-    # finite but a sum of squared errors is not: no score exists.
+    # finite but a sum of squared errors is not: no score exists. At lpa's
+    # 1e-306 the scale is finite but a scale times a draw is not: no
+    # release exists.
     corpus = tmp_path / "corpus"
     made = run_cli(
         "synth", "--participants", 3, "--labels", 2, "--length", 64, "--features", 2,
@@ -364,7 +402,8 @@ def test_overflowing_noise_scale_is_exit_2_without_output(tmp_path, command):
         result = run_cli(command[0], "--manifest", corpus / MANIFEST_NAME, *command[1:], "--out", out)
     assert result.exit_code == 2, result.output
     assert ("noise scale inf for sensitivity" in result.stderr
-            or "the NMSE of a release overflows" in result.stderr)
+            or "the NMSE of a release overflows" in result.stderr
+            or "the release overflows" in result.stderr)
     assert "overflows" in result.stderr
     assert "RuntimeWarning" not in result.stderr
     assert not out.exists()
@@ -637,7 +676,8 @@ def test_sweep_small_grid(manifest, tmp_path):
     assert result.exit_code == 0, result.output
     sweep = read_sweep_csv(out)
     assert len(sweep.rows) == 4
-    assert sweep.row("cfpa", 8, 24.0).mean_utility > sweep.row("cfpa", 8, 2.4).mean_utility
+    high, low = (sweep_row(sweep, "cfpa", 8, e).mean_utility for e in (24.0, 2.4))
+    assert high > low
 
 
 def test_sweep_rerun_and_jobs_are_byte_identical(manifest, tmp_path):

@@ -265,10 +265,7 @@ def test_fpa_preserves_odd_lengths_and_is_deterministic():
 
 
 def test_fpa_k_out_of_range():
-    x = np.ones(8)
-    for k in (0, 9):
-        with pytest.raises(ParameterError):
-            released_row(x, MechanismConfig("fpa", 1.0), [(1.0, k)], _src(9))
+    # k < 1 is MechanismConfig's (test_mechanism_config_validation)
     with pytest.raises(ConfigurationError, match="k=9 out of range"):
         perturb_corpus(
             _corpus(lengths=(8,) * 4), "category", MechanismConfig("fpa", 1.0, k=9), NoiseSource(9)
@@ -360,14 +357,17 @@ def test_symmetric_noise_matches_a_direct_completion_of_the_noise_bins(mechanism
 
 
 def test_cfpa_validation():
-    # one (sensitivity, k) per chunk of the plan, each k within its chunk
-    # and each sensitivity finite and >= 0; a table for another plan is
+    # each k within its chunk and each sensitivity finite and >= 0; a
+    # table for another plan is
     # test_perturb_corpus_rejects_tables_built_for_another_plan
-    x = np.ones(8)
     config = MechanismConfig("cfpa", 1.0, chunk_size=4)
-    for per_chunk in ([(1.0, 4)], [(1.0, 4), (1.0, 5)], [(-1.0, 4), (1.0, 4)]):
-        with pytest.raises(ParameterError):
-            released_row(x, config, per_chunk, _src(13))
+    with pytest.raises(ParameterError, match="sensitivity must be finite and >= 0"):
+        released_row(np.ones(8), config, [(-1.0, 4), (1.0, 4)], _src(13))
+    with pytest.raises(ConfigurationError, match=r"k=5 out of range \[1, 4\]"):
+        perturb_corpus(
+            _corpus(lengths=(8,) * 4), "category",
+            MechanismConfig("cfpa", 1.0, chunk_size=4, k=5), NoiseSource(13),
+        )
 
 
 # --- dcfpa ---------------------------------------------------------------
@@ -807,17 +807,6 @@ def test_chunk_noise_depends_only_on_its_own_k():
         a, b = (released_row(x, config, [(1.0, k0), (2.0, 3), (0.5, 1)], _src(22)) for k0 in (1, 4))
         assert np.array_equal(a[4:], b[4:]), mech
         assert not np.array_equal(a[:4], b[:4]), mech
-
-
-def test_fpa_layout_validation():
-    plan = chunk_plan(10, 4)
-    assert FpaLayout(plan, (4, 1, 2)).ks == (4, 1, 2)
-    with pytest.raises(ParameterError):
-        FpaLayout(plan, (4, 4))
-    with pytest.raises(ParameterError):
-        FpaLayout(plan, (4, 4, 3))
-    with pytest.raises(ParameterError):
-        FpaLayout(plan, (0, 4, 2))
 
 
 @st.composite

@@ -12,14 +12,12 @@ from privseq.core import (
     ConfigurationError,
     Corpus,
     FeatureMatrix,
-    InternalInvariantError,
     ParameterError,
     chunk_plan,
 )
 from privseq import mechanisms
 from privseq.mechanisms import MechanismConfig, perturb_corpus
 from privseq.metrics import (
-    CorrelationCurve,
     SweepRow,
     UtilitySweep,
     _nmse_ratio,
@@ -31,7 +29,7 @@ from privseq.metrics import (
 from privseq.noise import NoiseSource
 from privseq.sensitivity import build_group_table
 from privseq.tuning import KTable, tune_corpus
-from helpers import read_sweep_csv, released_row
+from helpers import read_sweep_csv, released_row, sweep_row
 
 
 # --- the NMSE rule -------------------------------------------------------------
@@ -113,16 +111,12 @@ def test_corr_curve_zero_variance_is_an_error():
         corr_curve(group)
 
 
-def test_correlation_curve_validation_and_lookup():
-    curve = CorrelationCurve(
-        feature="f0", group_label="a", reference_index=5, points=[(0, 1), (1.0, 0.5)]
-    )
-    assert curve.points == ((0, 1.0), (1, 0.5))
-    assert [type(v) for point in curve.points for v in point] == [int, float, int, float]
-    with pytest.raises(ParameterError):
-        CorrelationCurve(feature="f", group_label="a", reference_index=0, points=((-1, 0.0),))
-    with pytest.raises(ParameterError):
-        CorrelationCurve(feature="f", group_label="a", reference_index=0, points=((0, 1.5),))
+def test_corr_curve_points_are_lags_and_bounded_correlations():
+    # max_lag + 1 points, each an int lag from 0 and a float r in [-1, 1]
+    curve = corr_curve(_ar1_group(40, 16, 0.9, 5), reference_index=2, max_lag=6)
+    assert [d for d, _ in curve.points] == list(range(7))
+    assert all(type(d) is int and type(r) is float for d, r in curve.points)
+    assert all(-1.0 <= r <= 1.0 for _, r in curve.points)
 
 
 def test_correlation_csv(tmp_path):
@@ -138,19 +132,7 @@ def test_correlation_csv(tmp_path):
         assert float(row[1]) == r
 
 
-# --- SweepRow / UtilitySweep --------------------------------------------------
-
-
-def test_sweep_row_reciprocal_invariant():
-    SweepRow(
-        mechanism="lpa", chunk_size=None, epsilon=1.0,
-        mean_utility=2.0, mean_nmse=0.5, runs=1, flagged_rows=0,
-    )
-    with pytest.raises(InternalInvariantError):
-        SweepRow(
-            mechanism="lpa", chunk_size=None, epsilon=1.0,
-            mean_utility=2.1, mean_nmse=0.5, runs=1, flagged_rows=0,
-        )
+# --- SweepRow -------------------------------------------------------------------
 
 
 def test_sweep_row_degenerate_values_allowed():
@@ -162,27 +144,6 @@ def test_sweep_row_degenerate_values_allowed():
         mechanism="fpa", chunk_size=None, epsilon=1.0,
         mean_utility=0.0, mean_nmse=math.inf, runs=1, flagged_rows=0,
     )
-
-
-def test_sweep_row_validation():
-    with pytest.raises(ParameterError):
-        SweepRow(mechanism="dct", chunk_size=None, epsilon=1.0,
-                 mean_utility=2.0, mean_nmse=0.5, runs=1, flagged_rows=0)
-    with pytest.raises(ParameterError):
-        SweepRow(mechanism="cfpa", chunk_size=0, epsilon=1.0,
-                 mean_utility=2.0, mean_nmse=0.5, runs=1, flagged_rows=0)
-    with pytest.raises(ParameterError):
-        SweepRow(mechanism="lpa", chunk_size=None, epsilon=1.0,
-                 mean_utility=2.0, mean_nmse=-0.5, runs=1, flagged_rows=0)
-
-
-def test_utility_sweep_lookup():
-    row = SweepRow(mechanism="cfpa", chunk_size=32, epsilon=2.4,
-                   mean_utility=2.0, mean_nmse=0.5, runs=5, flagged_rows=1)
-    sweep = UtilitySweep(rows=(row,))
-    assert sweep.row("cfpa", 32, 2.4) is row
-    with pytest.raises(ParameterError):
-        sweep.row("cfpa", 64, 2.4)
 
 
 def test_sweep_csv_round_trip(tmp_path):
@@ -307,6 +268,23 @@ def test_run_sweep_matches_direct_mechanism_calls_bitwise():
         assert row.runs == runs
 
 
+def test_run_sweep_rows_hold_their_invariants():
+    # every row run_sweep builds: utility the reciprocal of a non-negative
+    # mean NMSE (inf at 0), and flagged cells in [0, features x recordings
+    # x runs]; the tiny budget flags cells whose noisy mean turns negative
+    corpus = _sweep_corpus()
+    runs = 3
+    sweep = run_sweep(corpus, "category", NoiseSource(seed=8), epsilons=(0.001, 2.4),
+                      chunk_sizes=(8,), runs=runs)
+    assert len(sweep.rows) == 8
+    for row in sweep.rows:
+        assert row.mean_nmse >= 0.0
+        assert row.mean_utility == (math.inf if row.mean_nmse == 0.0 else 1.0 / row.mean_nmse)
+        assert 0 <= row.flagged_rows <= len(corpus.schema) * len(corpus.matrices) * runs
+        assert row.runs == runs
+    assert any(row.flagged_rows > 0 for row in sweep.rows)
+
+
 def test_run_sweep_jobs_and_rerun_invariance():
     corpus = _sweep_corpus()
     kwargs = dict(epsilons=(2.4,), chunk_sizes=(8,), runs=2)
@@ -388,7 +366,8 @@ def test_run_sweep_utility_grows_with_epsilon():
         corpus, "category", NoiseSource(seed=6),
         mechanisms=("cfpa",), epsilons=(0.48, 48.0), chunk_sizes=(8,), runs=5,
     )
-    assert sweep.row("cfpa", 8, 48.0).mean_utility > sweep.row("cfpa", 8, 0.48).mean_utility
+    high, low = (sweep_row(sweep, "cfpa", 8, e).mean_utility for e in (48.0, 0.48))
+    assert high > low
 
 
 def test_run_sweep_k_tables_change_results():
@@ -475,6 +454,8 @@ def test_run_sweep_validation():
         run_sweep(corpus, "category", src, mechanisms=("dct",))
     with pytest.raises(ParameterError):
         run_sweep(corpus, "category", src, mechanisms=("cfpa",), chunk_sizes=())
+    with pytest.raises(ParameterError, match="chunk sizes must be positive"):
+        run_sweep(corpus, "category", src, mechanisms=("cfpa",), chunk_sizes=(0,))
     # a repeated grid value would release its cells again as duplicate rows
     with pytest.raises(ParameterError, match="repeated mechanism 'cfpa'"):
         run_sweep(corpus, "category", src, mechanisms=("cfpa", "lpa", "cfpa"), runs=1)

@@ -4,7 +4,6 @@ The distributional checks are Monte Carlo with fixed seeds, sized so the
 asserted tolerances hold with wide margin; the stream-address checks pin
 the reproducibility contract everything downstream builds on.
 """
-import math
 
 import numpy as np
 import pytest

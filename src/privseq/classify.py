@@ -197,13 +197,12 @@ class FoldResult:
 @dataclass(frozen=True, slots=True)
 class CvSummary:
     """Fold-mean accuracy is the headline number; pooled counts every
-    instance (or recording) equally across folds."""
+    instance equally across folds."""
 
     folds: int
     instance_accuracy: float
     instance_accuracy_pooled: float
     voted_accuracy: float | None = None
-    voted_accuracy_pooled: float | None = None
 
 
 def lopo_cv(
@@ -294,12 +293,6 @@ def lopo_cv(
         instance_accuracy_pooled=correct / total,
         voted_accuracy=(
             math.fsum(f.voted_accuracy for f in folds) / len(folds) if majority else None
-        ),
-        voted_accuracy_pooled=(
-            sum(1 for f in folds for _, t, v in f.voted_predictions if t == v)
-            / sum(len(f.voted_predictions) for f in folds)
-            if majority
-            else None
         ),
     )
     return tuple(folds), summary

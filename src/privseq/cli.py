@@ -14,7 +14,6 @@ internal invariant failure.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import logging
 import os
@@ -30,6 +29,7 @@ from privseq.core import (
     DataError,
     InternalInvariantError,
     ParameterError,
+    _write_csv,
 )
 from privseq.mechanisms import MECHANISMS, MechanismConfig, perturb_corpus
 from privseq.noise import NoiseSource
@@ -72,28 +72,14 @@ def _handled(fn):
     return wrapper
 
 
-def _split_floats(text: str, what: str) -> tuple[float, ...]:
+def _split(text: str, what: str, cast=str) -> tuple:
+    """The non-blank comma-separated values of a flag, stripped and cast;
+    an empty list or a value cast rejects is a ParameterError."""
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(cast(v.strip()) for v in text.split(",") if v.strip())
     except ValueError:
-        raise ParameterError(f"{what} must be comma-separated numbers, got {text!r}")
-    if not values:
-        raise ParameterError(f"{what} is empty")
-    return values
-
-
-def _split_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ParameterError(f"{what} must be comma-separated integers, got {text!r}")
-    if not values:
-        raise ParameterError(f"{what} is empty")
-    return values
-
-
-def _split_names(text: str, what: str) -> tuple[str, ...]:
-    values = tuple(v.strip() for v in text.split(",") if v.strip())
+        kind = "numbers" if cast is float else "integers"
+        raise ParameterError(f"{what} must be comma-separated {kind}, got {text!r}")
     if not values:
         raise ParameterError(f"{what} is empty")
     return values
@@ -135,14 +121,14 @@ def synth(
     if labels.replace(",", "").isdigit() and "," not in labels:
         label_names = tuple(f"l{i}" for i in range(int(labels)))
     else:
-        label_names = _split_names(labels, "--labels")
+        label_names = _split(labels, "--labels")
     if offsets is None:
         base = 3000.0
         span = 300.0
         mid = (len(label_names) - 1) / 2.0
         offset_values = tuple(base + span * (i - mid) for i in range(len(label_names)))
     else:
-        offset_values = _split_floats(offsets, "--offsets")
+        offset_values = _split(offsets, "--offsets", float)
     spec = dataio.SynthSpec(
         participants=participants,
         recordings_per_label=recordings_per_label,
@@ -194,7 +180,6 @@ def perturb(
         raise ParameterError(f"{flag} does not apply to lpa, which keeps no coefficients")
     if mechanism in ("lpa", "fpa") and chunk_size is not None:
         click.echo(f"warning: --chunk-size is ignored by {mechanism}", err=True)
-        chunk_size = None
     config = MechanismConfig(
         mechanism=mechanism,
         epsilon=epsilon,
@@ -243,9 +228,9 @@ def sweep(
     label_kind, seed, jobs, out_path,
 ) -> None:
     """Mean utility per (mechanism, chunk size, epsilon) over repeated runs."""
-    mechanisms = _split_names(mechanisms_text, "--mechanisms")
-    epsilons = _split_floats(epsilons_text, "--epsilons")
-    chunk_sizes = _split_ints(chunk_sizes_text, "--chunk-sizes")
+    mechanisms = _split(mechanisms_text, "--mechanisms")
+    epsilons = _split(epsilons_text, "--epsilons", float)
+    chunk_sizes = _split(chunk_sizes_text, "--chunk-sizes", int)
     corpus = dataio.load_corpus(manifest)
     result = metrics.run_sweep(
         corpus,
@@ -276,9 +261,6 @@ def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed,
     """Pick per-chunk retention counts on a reference corpus."""
     if mechanism == "fpa" and chunk_size is not None:
         click.echo("warning: --chunk-size is ignored by fpa", err=True)
-        chunk_size = None
-    elif mechanism != "fpa" and chunk_size is None:
-        raise ParameterError(f"--chunk-size is required for {mechanism}")
     corpus = dataio.load_corpus(manifest)
     table = tuning.tune_corpus(
         corpus, label_kind, chunk_size, mechanism, epsilon, runs, NoiseSource(seed)
@@ -308,12 +290,9 @@ def corr(manifest, feature, reference, max_lag, domain, label_kind, out_dir) -> 
         for m in corpus.group(label_kind, label):
             col = m.column(feature)
             group.append(diff_transform(col) if domain == "difference" else col)
-        curve = metrics.corr_curve(
-            group, reference_index=reference, max_lag=max_lag,
-            feature=feature, group_label=label,
-        )
+        points = metrics.corr_curve(group, reference_index=reference, max_lag=max_lag)
         path = os.path.join(out_dir, f"corr_{feature}_{label}.csv")
-        metrics.write_correlation_csv(curve, path)
+        metrics.write_correlation_csv(points, path)
         click.echo(
             f"wrote {path} (each lag step spans {loaded.step_seconds!r} s)"
         )
@@ -341,29 +320,22 @@ def classify_cmd(
         corpus, label_kind, config, majority=majority, src=NoiseSource(seed)
     )
     os.makedirs(out_dir, exist_ok=True)
-    folds_path = os.path.join(out_dir, "folds.csv")
-    with open(folds_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("fold", "held_out_participant", "instances", "instance_accuracy", "voted_accuracy")
-        )
-        for i, fold in enumerate(folds):
-            writer.writerow(
-                [
-                    i,
-                    fold.held_out_participant,
-                    len(fold.instance_predictions),
-                    repr(fold.instance_accuracy),
-                    "" if fold.voted_accuracy is None else repr(fold.voted_accuracy),
-                ]
-            )
+    _write_csv(
+        os.path.join(out_dir, "folds.csv"),
+        ("fold", "held_out_participant", "instances", "instance_accuracy", "voted_accuracy"),
+        (
+            [i, fold.held_out_participant, len(fold.instance_predictions),
+             repr(fold.instance_accuracy),
+             "" if fold.voted_accuracy is None else repr(fold.voted_accuracy)]
+            for i, fold in enumerate(folds)
+        ),
+    )
     mode = "majority" if majority else "instance"
     accuracy = summary.voted_accuracy if majority else summary.instance_accuracy
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("label_kind", "mode", "accuracy"))
-        writer.writerow([label_kind, mode, repr(accuracy)])
+    _write_csv(
+        os.path.join(out_dir, "summary.csv"), ("label_kind", "mode", "accuracy"),
+        [[label_kind, mode, repr(accuracy)]],
+    )
     click.echo(
         f"{mode} accuracy {accuracy!r} over {summary.folds} folds "
         f"(instance fold-mean {summary.instance_accuracy!r}, "

@@ -4,16 +4,17 @@ Everything downstream operates on the types defined here: float64
 sample vectors, recordings (time x feature grids), corpora of
 recordings, chunk partitions, and the per-release report of noised
 units, from which it derives every epsilon figure; also the one reader
-of the headered CSV side files. The types that carry input validate it
-on construction and raise typed errors, repairing nothing; a record that
-one package function builds holds what that function checked.
+and the one writer of the headered CSV side files. The types that carry
+input validate it on construction and raise typed errors, repairing
+nothing; a record that one package function builds holds what that
+function checked.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -325,3 +326,12 @@ def _csv_rows(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
                 yield row_no, row
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a headered CSV side file, as UTF-8 in the csv dialect:
+    header, then each row, in order; _csv_rows reads it back."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

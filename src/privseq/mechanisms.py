@@ -309,7 +309,7 @@ def _released(
     if layout is None:
         clean, unit = block, draws[:, :n]
     else:
-        difference = config.mechanism == "dcfpa"
+        difference = config.domain == DIFFERENCE
         spectra = fpa_spectra(block, layout.plan, difference)
         clean, unit = fpa_parts(spectra, layout, draws, difference, config.symmetric)
     return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), layout, lams)
@@ -324,9 +324,10 @@ def clamp_nonnegative(x: RealSeq) -> RealSeq:
 class MechanismConfig:
     """One privatization configuration.
 
-    k = None means full retention (k equal to each chunk's length);
-    chunk_size applies to cfpa/dcfpa only and is ignored by lpa/fpa.
-    clamp zeroes negative outputs after noising; symmetric retains
+    k = None means full retention (k equal to each chunk's length).
+    chunk_size is required by cfpa/dcfpa and is None for lpa/fpa, which
+    release the whole signal as one unit, whatever was passed. clamp
+    zeroes negative outputs after noising; symmetric retains
     conjugate-completed coefficients, so lpa, which keeps none, rejects
     it.
     """
@@ -345,9 +346,10 @@ class MechanismConfig:
             )
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.mechanism in ("cfpa", "dcfpa"):
-            if self.chunk_size is None or self.chunk_size < 1:
-                raise ParameterError(f"{self.mechanism} requires a positive chunk_size")
+        if self.mechanism in ("lpa", "fpa"):
+            object.__setattr__(self, "chunk_size", None)
+        elif self.chunk_size is None or self.chunk_size < 1:
+            raise ParameterError(f"{self.mechanism} requires a positive chunk_size")
         if self.k is not None and self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.symmetric and self.mechanism == "lpa":
@@ -362,9 +364,7 @@ class MechanismConfig:
         return DIFFERENCE if self.mechanism == "dcfpa" else RAW
 
     def plan_for(self, length: int) -> ChunkPlan:
-        if self.mechanism in ("lpa", "fpa"):
-            return chunk_plan(length, length)
-        return chunk_plan(length, self.chunk_size)
+        return chunk_plan(length, self.chunk_size or length)
 
 
 def _feature_units(
@@ -380,10 +380,11 @@ def _feature_units(
     no coefficients and ignores any k; otherwise the layout of each
     chunk's k (from k_table, {(feature, chunk_index): k}, else config.k,
     else the chunk length) and each chunk's L2 sensitivity in the
-    config's domain. The scales are _unit_scales at epsilon, a float or
-    a (budgets, 1) column giving a row per budget. A missing sensitivity
-    or an out-of-range k is a ConfigurationError, raised before any
-    scale is computed."""
+    config's domain. A uniform config.k must fit chunk 0, the longest;
+    a shorter remainder chunk keeps at most its length. The scales are
+    _unit_scales at epsilon, a float or a (budgets, 1) column giving a
+    row per budget. A missing sensitivity or an out-of-range k is a
+    ConfigurationError, raised before any scale is computed."""
     try:
         deltas = [sens.value(feature, i, config.domain, config.norm_order) for i in range(len(plan))]
     except ParameterError as exc:
@@ -395,6 +396,8 @@ def _feature_units(
             if k_table is not None and (feature, ci) not in k_table:
                 raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {ci}")
             k = int(k_table[(feature, ci)] if k_table is not None else config.k or c)
+            if k_table is None and ci:
+                k = min(k, c)
             if not 1 <= k <= c:
                 raise ConfigurationError(
                     f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"

@@ -6,30 +6,31 @@ denominator negative or near zero; such rows are kept and flagged, and
 aggregate means skip them while reporting how many were skipped.
 
 The sweep runner measures mean utility per (mechanism, chunk size,
-epsilon) over repeated noisy executions. Aggregation is two-stage: NMSE
-cells (one per recording x run) are averaged per feature, per-feature
-means are averaged across features, and the row's utility is the
-reciprocal of that final mean. The sweep runs on the release driver
-perturb_corpus runs on (mechanisms._release_blocks), which decides each
-unit's k, sensitivity and noise scale once and releases row blocks of
-one (group, feature), each config over the whole epsilon grid at once;
-run 0 of a cell is bitwise what perturb_corpus releases at that budget.
-The sweep scores each block as it is released (_cell_sums), each
-recording's cells over its own length. Noise streams are addressed by
+epsilon) over repeated noisy executions; its grid is a list of
+MechanismConfigs, which decide what each mechanism makes of a chunk
+size. Aggregation is two-stage: NMSE cells (one per recording x run)
+are averaged per feature, per-feature means are averaged across
+features, and the row's utility is the reciprocal of that final mean.
+The sweep runs on the release driver perturb_corpus runs on
+(mechanisms._release_blocks), which decides each unit's k, sensitivity
+and noise scale once and releases row blocks of one (group, feature),
+each config over the whole epsilon grid at once; run 0 of a cell is
+bitwise what perturb_corpus releases at that budget. The sweep scores
+each block as it is released (_cell_sums), each recording's cells over
+its own length. Noise streams are addressed by
 (recording, feature, run), epsilon never enters a stream address, and
 per-recording partial sums are merged in recording order, so sweeps are
 bitwise reproducible and independent of block size and worker count.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from privseq.core import Corpus, ParameterError, RealSeq
+from privseq.core import Corpus, ParameterError, RealSeq, _write_csv
 from privseq.mechanisms import MECHANISMS, MechanismConfig, _release_blocks, _released
 from privseq.noise import NoiseSource
 from privseq.sensitivity import build_group_table  # noqa: F401 (perfbench traces it here)
@@ -39,7 +40,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "corr_curve",
-    "CorrelationCurve",
     "SweepRow",
     "UtilitySweep",
     "run_sweep",
@@ -84,17 +84,6 @@ def _nmse_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
     return values, values >= 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationCurve:
-    """Pearson correlation against a reference time index, per lag: the
-    (lag, r) points corr_curve builds, lags 0..max_lag and r in [-1, 1]."""
-
-    feature: str
-    group_label: str
-    reference_index: int
-    points: tuple[tuple[int, float], ...]
-
-
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     da = a - a.mean()
     db = b - b.mean()
@@ -109,11 +98,10 @@ def corr_curve(
     group: Sequence[RealSeq],
     reference_index: int = 5,
     max_lag: int = 10,
-    feature: str = "",
-    group_label: str = "",
-) -> CorrelationCurve:
-    """Correlation across the group between the sample at the reference
-    index and the sample at reference + delta_t, for each lag."""
+) -> tuple[tuple[int, float], ...]:
+    """The (lag, r) points of the Pearson correlation across the group
+    between the sample at the reference index and the sample at
+    reference + lag, for lags 0..max_lag; each r is in [-1, 1]."""
     if reference_index < 0 or max_lag < 0:
         raise ParameterError("reference_index and max_lag must be >= 0")
     vecs = [np.asarray(v, dtype=np.float64) for v in group]
@@ -127,23 +115,13 @@ def corr_curve(
             )
     rows = np.stack([v[:need] for v in vecs])
     ref = rows[:, reference_index]
-    points = [
+    return tuple(
         (dt, _pearson(ref, rows[:, reference_index + dt])) for dt in range(max_lag + 1)
-    ]
-    return CorrelationCurve(
-        feature=feature,
-        group_label=group_label,
-        reference_index=reference_index,
-        points=tuple(points),
     )
 
 
-def write_correlation_csv(curve: CorrelationCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("delta_t", "r"))
-        for d, r in curve.points:
-            writer.writerow([d, repr(r)])
+def write_correlation_csv(points: Sequence[tuple[int, float]], path) -> None:
+    _write_csv(path, ("delta_t", "r"), ([d, repr(r)] for d, r in points))
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,21 +146,11 @@ class UtilitySweep:
 
 
 def write_sweep_csv(sweep: UtilitySweep, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_HEADER)
-        for r in sweep.rows:
-            writer.writerow(
-                [
-                    r.mechanism,
-                    "" if r.chunk_size is None else r.chunk_size,
-                    repr(r.epsilon),
-                    repr(r.mean_utility),
-                    repr(r.mean_nmse),
-                    r.runs,
-                    r.flagged_rows,
-                ]
-            )
+    _write_csv(path, _SWEEP_HEADER, (
+        [r.mechanism, "" if r.chunk_size is None else r.chunk_size, repr(r.epsilon),
+         repr(r.mean_utility), repr(r.mean_nmse), r.runs, r.flagged_rows]
+        for r in sweep.rows
+    ))
 
 
 def _reject_repeats(what: str, values: Sequence) -> None:
@@ -195,25 +163,19 @@ def _reject_repeats(what: str, values: Sequence) -> None:
         seen.add(v)
 
 
-def _sweep_configs(
-    mechanisms: Sequence[str], chunk_sizes: Sequence[int]
-) -> list[tuple[str, int | None]]:
+def _sweep_configs(mechanisms: Sequence[str], chunk_sizes: Sequence[int]) -> list[MechanismConfig]:
+    """The (mechanism, chunk size) grid as MechanismConfigs at a
+    placeholder budget, in grid order: a config per mechanism and chunk
+    size (no chunk sizes reads as a missing one), each distinct config
+    once, so lpa and fpa, which ignore the chunk size, appear once.
+    MechanismConfig rejects an unknown mechanism and a chunk size < 1."""
     _reject_repeats("mechanism", mechanisms)
     _reject_repeats("chunk size", chunk_sizes)
-    configs: list[tuple[str, int | None]] = []
-    for mech in mechanisms:
-        if mech not in MECHANISMS:
-            raise ParameterError(f"unknown mechanism {mech!r}")
-        if mech in ("lpa", "fpa"):
-            configs.append((mech, None))
-        else:
-            for c in chunk_sizes:
-                if c < 1:
-                    raise ParameterError(f"chunk sizes must be positive, got {c}")
-                configs.append((mech, int(c)))
+    sizes = [int(c) for c in chunk_sizes] or [None]
+    configs = [MechanismConfig(m, 1.0, chunk_size=c) for m in mechanisms for c in sizes]
     if not configs:
         raise ParameterError("empty sweep grid: no mechanisms")
-    return configs
+    return list(dict.fromkeys(configs))
 
 
 def _cell_sums(corpus: Corpus, rows: Sequence[int], block: np.ndarray, released: np.ndarray):
@@ -275,8 +237,7 @@ def run_sweep(
     if not features:
         raise ParameterError("empty sweep: every feature excluded")
     _, blocks = _release_blocks(
-        corpus, label_kind, [MechanismConfig(mech, 1.0, chunk_size=c) for mech, c in configs],
-        np.array(eps)[:, np.newaxis], src, runs, jobs,
+        corpus, label_kind, configs, np.array(eps)[:, np.newaxis], src, runs, jobs,
         lambda col, rows, block, draws, config, units: _cell_sums(
             corpus, rows, block, _released(block, draws, config, units)
         ),
@@ -299,7 +260,7 @@ def run_sweep(
 
     cells = len(corpus.matrices) * runs
     rows: list[SweepRow] = []
-    for cfg_idx, (mech, c) in enumerate(configs):
+    for cfg_idx, config in enumerate(configs):
         for e_idx, e in enumerate(eps):
             feature_means: list[float] = []
             flagged = 0
@@ -310,14 +271,14 @@ def run_sweep(
                     feature_means.append(float(totals[col][cfg_idx, e_idx]) / count)
             if not feature_means:
                 raise ParameterError(
-                    f"empty sweep cell ({mech}, {c}, {e}): all rows flagged"
+                    f"empty sweep cell ({config.mechanism}, {config.chunk_size}, {e}): all rows flagged"
                 )
             mean_nmse = math.fsum(feature_means) / len(feature_means)
             mean_util = math.inf if mean_nmse == 0.0 else 1.0 / mean_nmse
             rows.append(
                 SweepRow(
-                    mechanism=mech,
-                    chunk_size=c,
+                    mechanism=config.mechanism,
+                    chunk_size=config.chunk_size,
                     epsilon=e,
                     mean_utility=mean_util,
                     mean_nmse=mean_nmse,

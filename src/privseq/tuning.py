@@ -49,7 +49,6 @@ dominated by draw luck.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -65,6 +64,7 @@ from privseq.core import (
     ParameterError,
     RealSeq,
     _csv_rows,
+    _write_csv,
     chunk_plan,
 )
 from privseq.mechanisms import (
@@ -77,6 +77,7 @@ from privseq.mechanisms import (
 )
 from privseq.metrics import _nmse_ratio
 from privseq.noise import NoiseSource
+from privseq.sensitivity import DIFFERENCE
 from privseq.sensitivity import chunk_sensitivities  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
@@ -150,7 +151,7 @@ def _block_scores(
     them over, scored at the _candidate_scales of the units' plan and
     sensitivities and config's budget. One forward transform per run of
     equal-length chunks."""
-    (layout, deltas, _), difference = units, config.mechanism == "dcfpa"
+    (layout, deltas, _), difference = units, config.domain == DIFFERENCE
     plan, (rows, n) = layout.plan, block.shape
     lams = _candidate_scales(plan, deltas, config.epsilon)
     pairs = _noise_pairs(draws, n).reshape(rows, -1, n)
@@ -311,11 +312,12 @@ def tune_corpus(
 ) -> KTable:
     """Tune every (label group, feature, chunk) of a corpus at one
     reference budget, on the chunk plan the mechanism releases the group
-    with (fpa's whole signal, whatever chunk_size says; cfpa and dcfpa
-    need a chunk_size). The table records the mechanism. The release
-    driver, at src.derive(TUNING_STREAM), hands over each zero-padded
-    row block, which _block_scores scores; the scores are summed per
-    (group, feature) in block order, and the first argmin of the mean
+    with, as MechanismConfig decides it (fpa's whole signal, whatever
+    chunk_size says; cfpa and dcfpa need a chunk_size). The table
+    records the mechanism. The release driver, at
+    src.derive(TUNING_STREAM), hands over each zero-padded row block,
+    which _block_scores scores; the scores are summed per (group,
+    feature) in block order, and the first argmin of the mean
     NMSE wins (infinite where every cell is flagged or k exceeds the
     chunk)."""
     if mechanism not in TUNABLE:
@@ -346,15 +348,11 @@ def tune_corpus(
 def write_k_csv(table: KTable, path) -> None:
     """Serialize to the flat CSV shape (group_label, feature, chunk_index,
     k, runs_used, epsilon_used, chunk_size, length, mechanism)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_K_HEADER)
-        for (label, feature, ci), k in sorted(table.entries.items()):
-            plan = table.plans[label]
-            writer.writerow(
-                [label, feature, ci, k, table.runs_used, repr(table.epsilon_used),
-                 plan.chunk_size, plan.total_length, table.mechanism]
-            )
+    _write_csv(path, _K_HEADER, (
+        [label, feature, ci, k, table.runs_used, repr(table.epsilon_used),
+         table.plans[label].chunk_size, table.plans[label].total_length, table.mechanism]
+        for (label, feature, ci), k in sorted(table.entries.items())
+    ))
 
 
 def load_k_csv(path) -> KTable:

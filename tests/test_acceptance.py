@@ -396,7 +396,7 @@ def test_acceptance_07_correlation_reduction():
     orig = corr_curve(signals)
     diffd = corr_curve([np.asarray(diff_transform(s)) for s in signals])
 
-    r_orig, r_diff = dict(orig.points), dict(diffd.points)
+    r_orig, r_diff = dict(orig), dict(diffd)
     r1_orig, r1_diff = r_orig[1], r_diff[1]
     worst_dev = max(abs(r_orig[d] - 0.95 ** d) for d in range(0, 11))
 

@@ -74,6 +74,29 @@ def test_help_everywhere():
         assert result.exit_code == 0, cmd
 
 
+_OPTIONS = {
+    "synth": "--participants --labels --recordings-per-label --length --features --rho --offsets "
+    "--noise-sd --step-seconds --seed --out",
+    "perturb": "--manifest --mechanism --epsilon --chunk-size --k --k-file --clamp --symmetric "
+    "--label-kind --seed --out",
+    "sweep": "--manifest --mechanisms --epsilons --chunk-sizes --runs --k-file --label-kind --seed "
+    "--jobs --out",
+    "tune-k": "--manifest --chunk-size --mechanism --epsilon --runs --label-kind --seed --out",
+    "corr": "--manifest --feature --reference --max-lag --domain --label-kind --out-dir",
+    "classify": "--manifest --window --mean-pool --neighbors --majority --label-kind --seed "
+    "--out-dir",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_OPTIONS))
+def test_help_lists_exactly_its_options(cmd):
+    # a new knob is a deliberate change to this list
+    result = run_cli(cmd, "--help")
+    assert result.exit_code == 0
+    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
+    assert listed == _OPTIONS[cmd].split() + ["--help"]
+
+
 def test_module_entry_point():
     # The child process imports the same package as these tests, wherever
     # that came from (an install, PYTHONPATH or pytest's pythonpath).
@@ -418,6 +441,36 @@ def test_perturb_lpa_warns_and_ignores_chunk_size(manifest, tmp_path):
     assert "ignored" in result.stderr
 
 
+def test_perturb_uniform_k_caps_at_the_remainder_chunk(tmp_path):
+    # --k is one count for every full chunk: the 8-sample remainder of a
+    # 1000-sample signal in 32-sample chunks keeps at most its length,
+    # and the report records the k it used. A k above a full chunk, or
+    # above fpa's whole signal, is still exit 2.
+    corpus = tmp_path / "corpus"
+    result = run_cli(
+        "synth", "--participants", 3, "--labels", 2, "--length", 1000, "--features", 2,
+        "--out", corpus,
+    )
+    assert result.exit_code == 0, result.output
+    result = run_cli(
+        "perturb", "--manifest", corpus / MANIFEST_NAME, "--mechanism", "cfpa",
+        "--chunk-size", 32, "--k", 10, "--epsilon", 1, "--seed", 1, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out" / REPORT_NAME).read_text())
+    want = [(ci, 10 if ci < 31 else 8) for ci in range(32)] * 2
+    for r in report.values():
+        assert [(u["chunk_index"], u["k"]) for u in r["units"]] == want
+    for args in (("cfpa", "--chunk-size", 32, "--k", 40), ("fpa", "--k", 2000)):
+        result = run_cli(
+            "perturb", "--manifest", corpus / MANIFEST_NAME, "--mechanism", *args,
+            "--epsilon", 1, "--seed", 1, "--out", tmp_path / "bad",
+        )
+        assert result.exit_code == 2, (args, result.output)
+        assert "out of range" in result.stderr
+    assert not (tmp_path / "bad").exists()
+
+
 def test_perturb_k_and_k_file_are_mutually_exclusive(manifest, tmp_path):
     k_path = tmp_path / "k8.csv"
     result = run_cli(
@@ -462,16 +515,6 @@ def test_perturb_rejects_variant_flags_the_mechanism_ignores(manifest, tmp_path,
     assert result.exit_code == 2, result.output
     assert f"does not apply to {mechanism}" in result.stderr
     assert not (tmp_path / "out").exists()
-
-
-def test_perturb_help_lists_exactly_its_options():
-    result = run_cli("perturb", "--help")
-    assert result.exit_code == 0
-    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
-    assert listed == [
-        "--manifest", "--mechanism", "--epsilon", "--chunk-size", "--k", "--k-file",
-        "--clamp", "--symmetric", "--label-kind", "--seed", "--out", "--help",
-    ]
 
 
 @pytest.mark.parametrize(
@@ -726,16 +769,6 @@ def test_synth_bad_step_seconds_is_exit_2_before_any_file(tmp_path):
     assert json.loads((out / MANIFEST_NAME).read_text())["step_seconds"] == 0.25
 
 
-def test_sweep_help_lists_exactly_its_options():
-    result = run_cli("sweep", "--help")
-    assert result.exit_code == 0
-    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
-    assert listed == [
-        "--manifest", "--mechanisms", "--epsilons", "--chunk-sizes", "--runs", "--k-file",
-        "--label-kind", "--seed", "--jobs", "--out", "--help",
-    ]
-
-
 @pytest.mark.parametrize(
     "flags", [("--config", "sweep.json"), ("--tune",), ("--tune-epsilon", 4.8),
               ("--tune-runs", 2), ("--tune-mechanism", "cfpa")],
@@ -931,16 +964,6 @@ def test_perturb_k_file_report_matches_the_core(manifest, fault, data):
             assert u["lambda"] == fpa_lambda(lengths[u["chunk_index"]], k, delta, epsilon)
 
 
-def test_tune_k_help_lists_exactly_its_options():
-    result = run_cli("tune-k", "--help")
-    assert result.exit_code == 0
-    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
-    assert listed == [
-        "--manifest", "--chunk-size", "--mechanism", "--epsilon", "--runs", "--label-kind",
-        "--seed", "--out", "--help",
-    ]
-
-
 def test_tune_k_fpa_tunes_the_whole_signal_plan(manifest, tmp_path):
     # fpa releases each group as one whole-signal chunk, so its table is
     # tuned on that plan and perturb and sweep accept it; --chunk-size is
@@ -985,7 +1008,7 @@ def test_tune_k_chunk_size_is_required_only_where_it_applies(manifest, tmp_path)
             "--out", tmp_path / "k.csv",
         )
         assert result.exit_code == 2, (mechanism, result.output)
-        assert f"--chunk-size is required for {mechanism}" in result.stderr
+        assert f"{mechanism} requires a positive chunk_size" in result.stderr
 
 
 def test_k_file_must_match_the_mechanism(manifest, tmp_path):
@@ -1115,16 +1138,6 @@ def test_classify_instance_mode(manifest, tmp_path):
     cells = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
     assert cells[1] == "instance"
     assert float(cells[2]) == 1.0
-
-
-def test_classify_help_lists_exactly_its_options():
-    result = run_cli("classify", "--help")
-    assert result.exit_code == 0
-    listed = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  --")]
-    assert listed == [
-        "--manifest", "--window", "--mean-pool", "--neighbors", "--majority", "--label-kind",
-        "--seed", "--out-dir", "--help",
-    ]
 
 
 def test_classify_too_many_neighbors_is_exit_2(manifest, tmp_path):

@@ -831,9 +831,13 @@ def _report_cases(draw):
 # A positive sensitivity whose scale underflows to 0: the 1-sample
 # remainder chunk at 5e-324 and epsilon 2.
 @example(case=([1, 13], "cfpa", 2.0, 4, None, [1.0, 1.0, 1.0, 5e-324] + [1.0] * 4, None))
-# Chunk 0 underflows and k = 4 exceeds the 1-sample remainder chunk: the
+# Chunk 0 underflows and k = 5 exceeds the 4-sample full chunks: the
 # feature's k is checked before its scales.
-@example(case=([13, 2], "cfpa", 2.0, 4, 4, [5e-324] + [1.0] * 7, None))
+@example(case=([13, 2], "cfpa", 2.0, 4, 5, [5e-324] + [1.0] * 7, None))
+# A uniform k = 4 keeps the 1-sample remainder chunk whole.
+@example(case=([13, 2], "cfpa", 2.0, 4, 4, [1.0] * 8, None))
+# k = 6 exceeds the one 5-sample chunk of a plan of 8-sample chunks.
+@example(case=([5, 3], "dcfpa", 2.0, 8, 6, [1.0] * 2, None))
 # lpa's whole-signal scale underflows.
 @example(case=([3, 4], "lpa", 4.0, None, None, [1.0, 5e-324], None))
 @settings(max_examples=80, deadline=None)
@@ -842,9 +846,11 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     # (above floor(c/2) + 1 included) and its sensitivity (lpa_lambda of
     # the whole signal for lpa, which ignores k and k tables), and is bit
     # for bit the scale the release step multiplies that unit's noise by.
-    # Features are decided in order, each in full before its scales: a k
-    # beyond one of its chunks fails the release, and otherwise so does a
-    # positive sensitivity whose scale would underflow.
+    # A uniform k must fit chunk 0, the longest, and a shorter remainder
+    # keeps at most its length. Features are decided in order, each in
+    # full before its scales: a k beyond one of its chunks fails the
+    # release, and otherwise so does a positive sensitivity whose scale
+    # would underflow.
     lengths, mechanism, epsilon, chunk, k, deltas, tuned = case
     names = ("f0", "f1")
     rng = np.random.default_rng(len(lengths))
@@ -876,7 +882,8 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     if mechanism == "lpa":
         want_k = {key: lengths_of[0] for key in keys}
     else:
-        want_k = dict(zip(keys, tuned or [k or lengths_of[ci] for _, ci in keys]))
+        uniform = [k or lengths_of[0]] + [min(k or c, c) for c in lengths_of[1:]]
+        want_k = dict(zip(keys, tuned or uniform * 2))
 
     def want_lam(c, kc, d):
         return lpa_lambda(d, epsilon) if mechanism == "lpa" else fpa_lambda(c, kc, d, epsilon)

@@ -86,9 +86,7 @@ def _ar1_group(members, length, rho, seed):
 
 def test_corr_curve_tracks_autoregressive_decay():
     rho = 0.8
-    curve = corr_curve(_ar1_group(400, 16, rho, 21), feature="f0", group_label="a")
-    assert curve.reference_index == 5
-    r = dict(curve.points)
+    r = dict(corr_curve(_ar1_group(400, 16, rho, 21)))
     assert sorted(r) == list(range(11)) and r[0] == 1.0
     for dt in range(1, 11):
         assert abs(r[dt] - rho**dt) < 0.1
@@ -113,21 +111,21 @@ def test_corr_curve_zero_variance_is_an_error():
 
 def test_corr_curve_points_are_lags_and_bounded_correlations():
     # max_lag + 1 points, each an int lag from 0 and a float r in [-1, 1]
-    curve = corr_curve(_ar1_group(40, 16, 0.9, 5), reference_index=2, max_lag=6)
-    assert [d for d, _ in curve.points] == list(range(7))
-    assert all(type(d) is int and type(r) is float for d, r in curve.points)
-    assert all(-1.0 <= r <= 1.0 for _, r in curve.points)
+    points = corr_curve(_ar1_group(40, 16, 0.9, 5), reference_index=2, max_lag=6)
+    assert [d for d, _ in points] == list(range(7))
+    assert all(type(d) is int and type(r) is float for d, r in points)
+    assert all(-1.0 <= r <= 1.0 for _, r in points)
 
 
 def test_correlation_csv(tmp_path):
-    curve = corr_curve(_ar1_group(50, 16, 0.6, 4), feature="f0", group_label="a")
+    points = corr_curve(_ar1_group(50, 16, 0.6, 4))
     path = tmp_path / "corr.csv"
-    write_correlation_csv(curve, path)
+    write_correlation_csv(points, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["delta_t", "r"]
     assert len(rows) == 12
-    for (d, r), row in zip(curve.points, rows[1:]):
+    for (d, r), row in zip(points, rows[1:]):
         assert int(row[0]) == d
         assert float(row[1]) == r
 
@@ -135,15 +133,24 @@ def test_correlation_csv(tmp_path):
 # --- SweepRow -------------------------------------------------------------------
 
 
-def test_sweep_row_degenerate_values_allowed():
-    SweepRow(
-        mechanism="fpa", chunk_size=None, epsilon=1.0,
-        mean_utility=math.inf, mean_nmse=0.0, runs=1, flagged_rows=0,
+def test_sweep_row_degenerate_values_allowed(tmp_path):
+    # Three identical recordings: every sensitivity is 0 and every
+    # release noiseless. lpa returns each signal exactly (NMSE 0, utility
+    # inf); the Fourier round trip leaves rounding error, a finite NMSE.
+    x = 30.0 + np.random.default_rng(3).standard_normal((16, 1))
+    corpus = Corpus(
+        tuple(FeatureMatrix(f"r{i}", f"p{i}", {"category": "a"}, ("f0",), x) for i in range(3)),
+        ("f0",),
     )
-    SweepRow(
-        mechanism="fpa", chunk_size=None, epsilon=1.0,
-        mean_utility=0.0, mean_nmse=math.inf, runs=1, flagged_rows=0,
-    )
+    sweep = run_sweep(corpus, "category", NoiseSource(seed=1), mechanisms=("lpa", "fpa", "cfpa"),
+                      epsilons=(1.0,), chunk_sizes=(8,), runs=2)
+    lpa, fpa, cfpa = sweep.rows
+    assert lpa.mean_nmse == 0.0 and lpa.mean_utility == math.inf
+    for row in (fpa, cfpa):
+        assert math.isfinite(row.mean_nmse) and math.isfinite(row.mean_utility), row
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "lpa,,1.0,inf,0.0,2,0"
 
 
 def test_sweep_csv_round_trip(tmp_path):
@@ -450,11 +457,11 @@ def test_run_sweep_validation():
         run_sweep(corpus, "category", src, epsilons=())
     with pytest.raises(ParameterError):
         run_sweep(corpus, "category", src, epsilons=(-1.0,))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="mechanism must be one of"):
         run_sweep(corpus, "category", src, mechanisms=("dct",))
     with pytest.raises(ParameterError):
         run_sweep(corpus, "category", src, mechanisms=("cfpa",), chunk_sizes=())
-    with pytest.raises(ParameterError, match="chunk sizes must be positive"):
+    with pytest.raises(ParameterError, match="cfpa requires a positive chunk_size"):
         run_sweep(corpus, "category", src, mechanisms=("cfpa",), chunk_sizes=(0,))
     # a repeated grid value would release its cells again as duplicate rows
     with pytest.raises(ParameterError, match="repeated mechanism 'cfpa'"):

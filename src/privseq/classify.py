@@ -265,10 +265,7 @@ def lopo_cv(
             ]
             instance_preds.extend((truth, p) for p in rec_preds)
             if majority:
-                votes = np.bincount(
-                    [index.get(p, -1) for p in rec_preds if p in index],
-                    minlength=len(values),
-                )
+                votes = np.bincount([index[p] for p in rec_preds], minlength=len(values))
                 voted.append(
                     (m.recording_id, truth, _vote(votes, values, src, fold_i, rec_i))
                 )

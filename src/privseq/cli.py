@@ -118,7 +118,7 @@ def synth(
     noise_sd, step_seconds, seed, out_dir,
 ) -> None:
     """Generate a correlated synthetic corpus and write it to a directory."""
-    if labels.replace(",", "").isdigit() and "," not in labels:
+    if labels.isdigit():
         label_names = tuple(f"l{i}" for i in range(int(labels)))
     else:
         label_names = _split(labels, "--labels")
@@ -261,6 +261,7 @@ def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed,
     """Pick per-chunk retention counts on a reference corpus."""
     if mechanism == "fpa" and chunk_size is not None:
         click.echo("warning: --chunk-size is ignored by fpa", err=True)
+    MechanismConfig(mechanism, epsilon, chunk_size)  # rejects bad flags before the load
     corpus = dataio.load_corpus(manifest)
     table = tuning.tune_corpus(
         corpus, label_kind, chunk_size, mechanism, epsilon, runs, NoiseSource(seed)
@@ -284,8 +285,13 @@ def corr(manifest, feature, reference, max_lag, domain, label_kind, out_dir) -> 
     corpus = dataio.load_corpus(loaded)
     if feature not in corpus.schema:
         raise ParameterError(f"unknown feature {feature!r}")
+    # feature and labels come from the data, which may hold any string
+    labels = corpus.label_values(label_kind)
+    for name in (f"corr_{feature}_{label}.csv" for label in labels):
+        if not dataio._is_plain_file_name(name):
+            raise DataError(f"{name!r} is not a plain file name to write in {out_dir}")
     os.makedirs(out_dir, exist_ok=True)
-    for label in corpus.label_values(label_kind):
+    for label in labels:
         group = []
         for m in corpus.group(label_kind, label):
             col = m.column(feature)

@@ -119,13 +119,16 @@ class FeatureMatrix:
 class Corpus:
     """Recordings grouped by participant and label, with a fixed schema.
 
-    excluded_features marks columns (all-zero magnitude features) that
-    sensitivity, mechanisms, and aggregate metrics skip.
+    excluded_features is derived from the data, not passed: the schema
+    features that are zero (of either sign) in every recording of a
+    non-empty corpus. Such a feature reveals nothing, so sensitivity,
+    mechanisms and aggregate metrics skip it; every feature that holds a
+    non-zero sample is noised.
     """
 
     matrices: tuple[FeatureMatrix, ...]
     schema: tuple[str, ...]
-    excluded_features: frozenset[str] = field(default_factory=frozenset)
+    excluded_features: frozenset[str] = field(init=False)
 
     def __post_init__(self) -> None:
         schema = tuple(self.schema)
@@ -137,12 +140,14 @@ class Corpus:
                 raise ParameterError(
                     f"recording {m.recording_id!r} feature names do not match the schema"
                 )
-        extra = frozenset(self.excluded_features) - set(schema)
-        if extra:
-            raise ParameterError(f"excluded features not in schema: {sorted(extra)}")
+        # an empty corpus shows no feature to be zero
+        live = np.full(len(schema), not matrices)
+        for m in matrices:
+            live |= np.any(m.values, axis=0)
+        excluded = frozenset(f for f, on in zip(schema, live) if not on)
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "excluded_features", frozenset(self.excluded_features))
+        object.__setattr__(self, "excluded_features", excluded)
 
     @property
     def included_features(self) -> tuple[str, ...]:

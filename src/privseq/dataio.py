@@ -23,7 +23,7 @@ import logging
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NoReturn
 
 import numpy as np
@@ -75,8 +75,9 @@ class RecordingEntry:
 
     trim, when present, keeps only rows [start, end) of the stored CSV,
     for replicating evaluations that skip part of a recording; both
-    bounds must be integers (not bools). recording_id must be a plain
-    file name: write_corpus stores the recording as <recording_id>.csv.
+    bounds must be integers (not bools). file_path must be a non-empty
+    string, and recording_id a plain file name: write_corpus stores the
+    recording as <recording_id>.csv.
     """
 
     file_path: str
@@ -86,8 +87,8 @@ class RecordingEntry:
     trim: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not self.file_path:
-            raise ParameterError("manifest entry needs a file path")
+        if not isinstance(self.file_path, str) or not self.file_path:
+            raise ParameterError(f"manifest entry needs a file path, got {self.file_path!r}")
         if not self.recording_id:
             raise ParameterError("manifest entry needs a recording_id")
         if not _is_plain_file_name(self.recording_id):
@@ -108,19 +109,18 @@ class RecordingEntry:
 
 @dataclass(frozen=True, slots=True)
 class CorpusManifest:
-    """Recording inventory plus schema location and time-step metadata."""
+    """Recording inventory plus schema location and time-step metadata;
+    which features are excluded, Corpus derives from the data."""
 
     recordings: tuple[RecordingEntry, ...]
     schema_path: str
     step_seconds: float = 1.0
-    excluded_features: frozenset[str] = field(default_factory=frozenset)
     base_dir: str = "."
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "recordings", tuple(self.recordings))
-        object.__setattr__(self, "excluded_features", frozenset(self.excluded_features))
-        if not self.schema_path:
-            raise ParameterError("manifest needs a schema path")
+        if not isinstance(self.schema_path, str) or not self.schema_path:
+            raise ParameterError(f"manifest needs a schema path, got {self.schema_path!r}")
         if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
             raise ParameterError(
                 f"step_seconds must be positive and finite, got {self.step_seconds}"
@@ -141,7 +141,8 @@ class CorpusManifest:
 
 
 def read_manifest(path) -> CorpusManifest:
-    """Parse manifest.json; relative paths stay relative to its directory."""
+    """Parse manifest.json; relative paths stay relative to its directory.
+    Keys it does not read, such as an older excluded_features, are ignored."""
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -165,14 +166,10 @@ def read_manifest(path) -> CorpusManifest:
                     trim=None if trim is None else tuple(trim),
                 )
             )
-        excluded = raw.get("excluded_features", [])
-        if not isinstance(excluded, list) or not all(isinstance(f, str) for f in excluded):
-            raise ParameterError(f"excluded_features must be a list of names, got {excluded!r}")
         manifest = CorpusManifest(
             recordings=tuple(entries),
             schema_path=raw["schema"],
             step_seconds=float(raw.get("step_seconds", 1.0)),
-            excluded_features=frozenset(excluded),
             base_dir=os.path.dirname(path) or ".",
         )
     except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
@@ -187,6 +184,8 @@ def _read_schema(path: str) -> tuple[str, ...]:
             names = [line.strip() for line in fh if line.strip()]
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read schema file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not readable as UTF-8: {exc}") from None
     if not names:
@@ -219,6 +218,8 @@ def _load_one(entry: RecordingEntry, schema: tuple[str, ...], base: str) -> Feat
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataError(f"recording file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read recording file: {exc.strerror}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
     if not rows:
@@ -266,19 +267,13 @@ def _load_one(entry: RecordingEntry, schema: tuple[str, ...], base: str) -> Feat
 def load_corpus(manifest, jobs: int = 1) -> Corpus:
     """Assemble a Corpus from a manifest (object or path to one).
 
-    Features that are zero everywhere across the whole load group are
-    added to excluded_features with a logged notice; downstream
-    sensitivity and utility aggregation skip them. A manifest that
-    excludes a feature the schema does not name is a DataError.
+    Features that are zero everywhere in the loaded recordings are the
+    corpus's excluded_features, each logged with a notice; downstream
+    sensitivity and utility aggregation skip them.
     """
-    if isinstance(manifest, CorpusManifest):
-        where = f"manifest in {manifest.base_dir}"
-    else:
-        where, manifest = os.fspath(manifest), read_manifest(manifest)
+    if not isinstance(manifest, CorpusManifest):
+        manifest = read_manifest(manifest)
     schema = _read_schema(os.path.join(manifest.base_dir, manifest.schema_path))
-    unknown = manifest.excluded_features - set(schema)
-    if unknown:
-        raise DataError(f"{where}: excluded features not in schema: {sorted(unknown)}")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(manifest.recordings) <= 1:
@@ -288,21 +283,15 @@ def load_corpus(manifest, jobs: int = 1) -> Corpus:
             matrices = list(
                 pool.map(lambda e: _load_one(e, schema, manifest.base_dir), manifest.recordings)
             )
-    excluded = set(manifest.excluded_features)
-    if matrices:
-        for j, feature in enumerate(schema):
-            if feature in excluded:
-                continue
-            if all(not np.any(m.values[:, j]) for m in matrices):
-                excluded.add(feature)
-                logger.info(
-                    "feature %r is zero everywhere; excluding it from sensitivity "
-                    "and utility aggregation",
-                    feature,
-                )
-    return Corpus(
-        matrices=tuple(matrices), schema=schema, excluded_features=frozenset(excluded)
-    )
+    corpus = Corpus(matrices=tuple(matrices), schema=schema)
+    for feature in schema:
+        if feature in corpus.excluded_features:
+            logger.info(
+                "feature %r is zero everywhere; excluding it from sensitivity "
+                "and utility aggregation",
+                feature,
+            )
+    return corpus
 
 
 def _listed_recordings(manifest_path: str) -> set[str]:
@@ -359,7 +348,6 @@ def write_corpus(
         ),
         schema_path=SCHEMA_NAME,
         step_seconds=step_seconds,
-        excluded_features=corpus.excluded_features,
         base_dir=out_dir,
     )
     # no manifest can vouch for the files of such a directory, which
@@ -387,7 +375,6 @@ def write_corpus(
     payload = {
         "schema": manifest.schema_path,
         "step_seconds": manifest.step_seconds,
-        "excluded_features": sorted(manifest.excluded_features),
         "recordings": [
             {
                 "path": e.file_path,

@@ -582,4 +582,4 @@ def perturb_corpus(
         FeatureMatrix(m.recording_id, m.participant_id, m.labels, m.feature_names, outs.pop(0))
         for m in corpus.matrices
     )
-    return Corpus(matrices, corpus.schema, corpus.excluded_features), reports
+    return Corpus(matrices, corpus.schema), reports

@@ -386,8 +386,9 @@ def build_group_table(
 
     Groups are formed per (label value, feature): for each feature the
     group consists of that feature's signal from every recording with
-    the label. Excluded features get explicit zero entries so lookups
-    stay total while mechanisms skip them.
+    the label. A feature that is zero throughout the group gets
+    sensitivity 0.0 in every chunk, so lookups of excluded features stay
+    total while mechanisms skip them.
     """
     matrices = corpus.group(label_kind, label_value)
     if len(matrices) < 2:
@@ -395,17 +396,11 @@ def build_group_table(
             f"label {label_value!r} has {len(matrices)} recordings; need >= 2"
         )
     entries: dict[tuple[str, int, str, int], float] = {}
-    n_chunks = len(plan)
     for feature in corpus.schema:
-        excluded = feature in corpus.excluded_features
-        group = None if excluded else [m.column(feature) for m in matrices]
+        group = [m.column(feature) for m in matrices]
         for norm in norms:
             for domain in domains:
-                if excluded:
-                    values = [0.0] * n_chunks
-                else:
-                    values = chunk_sensitivities(group, plan, norm, domain)
-                for ci, v in enumerate(values):
+                for ci, v in enumerate(chunk_sensitivities(group, plan, norm, domain)):
                     entries[(feature, ci, domain, norm)] = v
     return SensitivityTable(entries=entries, group_label=label_value, plan=plan)
 

@@ -113,10 +113,10 @@ def tune_k(
     Every k in 1..chunk_length is scored by mean reconstruction NMSE
     over (signal, run) noisy executions at the given budget; ties go to
     the smaller k. The group also supplies the sensitivity, so it must
-    contain at least two signals. This is tune_corpus of the one-label,
-    one-feature corpus of the signals on the plan's chunk size: tuning
-    reads only the plan and whether chunks are differenced, so fpa on a
-    plan tunes as cfpa on it. Run t of signal m reads stream
+    contain at least two signals, not all of them zero. This is
+    tune_corpus of the one-label, one-feature corpus of the signals on
+    the plan's chunk size: tuning reads only the plan and whether chunks
+    are differenced, so fpa on a plan tunes as cfpa on it. Run t of signal m reads stream
     src.derive(TUNING_STREAM, m, 0, t).
     """
     rows = [np.asarray(s, dtype=np.float64) for s in signals]
@@ -125,10 +125,11 @@ def tune_k(
         raise ParameterError(f"tuning needs a group of >= 2 signals, each 1-D of length {n}")
     group = [FeatureMatrix(f"m{m}", f"m{m}", {"group": "g"}, ("x",), row[:, np.newaxis])
              for m, row in enumerate(rows)]
+    corpus = Corpus(tuple(group), ("x",))
+    if corpus.excluded_features:
+        raise ParameterError("tuning needs a group holding a non-zero sample")
     mechanism = {"fpa": "cfpa"}.get(mechanism, mechanism)
-    table = tune_corpus(
-        Corpus(tuple(group), ("x",)), "group", plan.chunk_size, mechanism, epsilon, runs, src
-    )
+    table = tune_corpus(corpus, "group", plan.chunk_size, mechanism, epsilon, runs, src)
     return tuple(table.entries[("g", "x", ci)] for ci in range(len(plan)))
 
 

@@ -50,10 +50,10 @@ def _group(features, *values):
 
 
 def _report(config, sens, features, length):
-    """The report perturb_corpus gives a group of two all-zero recordings
+    """The report perturb_corpus gives a group of two all-one recordings
     when sens, built for config's plan, supplies the sensitivities."""
-    zeros = np.zeros((length, len(features)))
-    corpus = _group(features, zeros, zeros)
+    ones = np.ones((length, len(features)))
+    corpus = _group(features, ones, ones)
     return perturb_corpus(corpus, "category", config, NoiseSource(0), sens_tables={"g": sens})[1]["g"]
 
 
@@ -450,7 +450,7 @@ def _separable_three_class(seed=3):
         for label, offset in offsets.items():
             values = offset + 0.5 * rng.standard_normal((40, 2))
             mats.append(_labeled_matrix(f"r_p{p}_{label}", f"p{p}", label, values))
-    return Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+    return Corpus(matrices=tuple(mats), schema=("f0", "f1"))
 
 
 def _shuffled_three_class(seed=23):
@@ -467,7 +467,7 @@ def _shuffled_three_class(seed=23):
                     f"r_p{p:02d}_{r}", f"p{p:02d}", label, rng.standard_normal((80, 2))
                 )
             )
-    return Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+    return Corpus(matrices=tuple(mats), schema=("f0", "f1"))
 
 
 def _leak_free(corpus, folds, window):

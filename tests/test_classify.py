@@ -186,7 +186,7 @@ def _separable_corpus(participants=4, length=20, noise=0.5, seed=3):
         for label, offset in offsets.items():
             values = offset + noise * rng.standard_normal((length, 2))
             mats.append(_matrix(f"r_p{p}_{label}", f"p{p}", label, values))
-    return Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+    return Corpus(matrices=tuple(mats), schema=("f0", "f1"))
 
 
 def test_lopo_separable_corpus_is_perfect():
@@ -219,7 +219,7 @@ def test_lopo_unlearnable_corpus_sits_at_chance():
             mats.append(
                 _matrix(f"r_p{p}_{label}", f"p{p}", label, rng.standard_normal((30, 2)))
             )
-    corpus = Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+    corpus = Corpus(matrices=tuple(mats), schema=("f0", "f1"))
     _, summary = lopo_cv(
         corpus, "category", ClassifierConfig(window=3, neighbors=5), src=NoiseSource(3)
     )
@@ -252,7 +252,7 @@ def test_lopo_majority_vote_per_recording():
         for label, offset in (("lo", 0.0), ("hi", 100.0)):
             values = offset + 0.3 * rng.standard_normal((3, 2))
             mats.append(_matrix(f"r_p{p}_{label}", f"p{p}", label, values))
-    corpus = Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+    corpus = Corpus(matrices=tuple(mats), schema=("f0", "f1"))
     folds, _ = lopo_cv(
         corpus, "category", ClassifierConfig(window=1, neighbors=3),
         majority=True, src=NoiseSource(7),
@@ -276,15 +276,18 @@ def test_lopo_validation():
     single = Corpus(
         matrices=tuple(m for m in corpus.matrices if m.participant_id == "p0"),
         schema=corpus.schema,
-        excluded_features=frozenset(),
     )
     with pytest.raises(ParameterError, match="participants"):
         lopo_cv(single, "category")
     with pytest.raises(ParameterError, match="neighbors"):
         lopo_cv(corpus, "category", ClassifierConfig(window=10, neighbors=500))
     all_excluded = Corpus(
-        matrices=corpus.matrices, schema=corpus.schema,
-        excluded_features=frozenset(("f0", "f1")),
+        matrices=tuple(
+            FeatureMatrix(m.recording_id, m.participant_id, m.labels, m.feature_names,
+                          np.zeros_like(m.values))
+            for m in corpus.matrices
+        ),
+        schema=corpus.schema,
     )
     with pytest.raises(ParameterError, match="excluded"):
         lopo_cv(all_excluded, "category")

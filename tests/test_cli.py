@@ -669,19 +669,22 @@ def test_perturb_malformed_manifest_is_exit_3(corpus_dir, tmp_path):
         ("recording_id", "sub/x"),
         ("trim", [0.9, 2.7]),
         ("trim", ["0", "3"]),
-        ("excluded_features", "f0"),
-        ("excluded_features", ["nope"]),
+        ("schema", 5),
+        ("schema", "."),
+        ("path", 7),
+        ("path", "."),
         ("step_seconds", math.inf),
     ],
 )
 def test_perturb_bad_manifest_fields_are_exit_3_before_any_write(corpus_dir, tmp_path, field, value):
     # A recording id is a file name in --out, trim bounds are integers,
-    # excluded_features lists schema names, and step_seconds is finite
-    # (json writes inf as Infinity, which strict parsers reject); anything
-    # else is bad input (exit 3), found before the release writes a file.
+    # the schema and recording paths name files, and step_seconds is
+    # finite (json writes inf as Infinity, which strict parsers reject);
+    # anything else is bad input (exit 3), found before the release
+    # writes a file.
     manifest = _copy_corpus(corpus_dir, tmp_path / "in")
     raw = json.loads(manifest.read_text())
-    target = raw if field in ("excluded_features", "step_seconds") else raw["recordings"][0]
+    target = raw if field in ("schema", "step_seconds") else raw["recordings"][0]
     target[field] = value
     manifest.write_text(json.dumps(raw))
     (tmp_path / "work").mkdir()
@@ -692,6 +695,36 @@ def test_perturb_bad_manifest_fields_are_exit_3_before_any_write(corpus_dir, tmp
     assert result.exit_code == 3, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert list((tmp_path / "work").iterdir()) == []
+
+
+def test_perturb_noises_a_feature_an_older_manifest_excluded(tmp_path):
+    # Exclusion is derived from the data: a manifest's excluded_features
+    # key no longer releases a feature that holds non-zero samples as is.
+    src = tmp_path / "c"
+    result = run_cli(
+        "synth", "--participants", 4, "--labels", 2, "--length", 100,
+        "--features", 2, "--seed", 3, "--out", src,
+    )
+    assert result.exit_code == 0, result.output
+    raw = json.loads((src / MANIFEST_NAME).read_text())
+    raw["excluded_features"] = ["f01"]
+    (src / MANIFEST_NAME).write_text(json.dumps(raw))
+    out = tmp_path / "r"
+    result = run_cli(
+        "perturb", "--manifest", src / MANIFEST_NAME, "--mechanism", "cfpa",
+        "--chunk-size", 16, "--epsilon", 1, "--seed", 1, "--out", out,
+    )
+    assert result.exit_code == 0, result.output
+    for label in ("l0", "l1"):
+        assert f"group {label}: total epsilon 2.0 per chunk, 14.0 per sequence" in result.stdout
+    clean, noisy = load_corpus(src / MANIFEST_NAME), load_corpus(out / MANIFEST_NAME)
+    for a, b in zip(clean.matrices, noisy.matrices):
+        assert np.all(a.column("f01") != b.column("f01"))
+    report = json.loads((out / REPORT_NAME).read_text())
+    assert set(report) == {"l0", "l1"}
+    for group in report.values():
+        assert {u["feature"] for u in group["units"]} == {"f00", "f01"}
+    assert "excluded_features" not in json.loads((out / MANIFEST_NAME).read_text())
 
 
 def test_perturb_non_utf8_schema_is_exit_3(corpus_dir, tmp_path):
@@ -1011,6 +1044,22 @@ def test_tune_k_chunk_size_is_required_only_where_it_applies(manifest, tmp_path)
         assert f"{mechanism} requires a positive chunk_size" in result.stderr
 
 
+def test_tune_k_checks_its_flags_before_loading(tmp_path):
+    # a manifest that is not JSON would be exit 3; the flags are wrong first
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for flags, message in (
+        (("--mechanism", "cfpa"), "cfpa requires a positive chunk_size"),
+        (("--chunk-size", 8, "--epsilon", "nan"), "epsilon must be positive and finite"),
+    ):
+        result = run_cli(
+            "tune-k", "--manifest", bad, *flags, "--runs", 1, "--out", tmp_path / "k.csv",
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_k_file_must_match_the_mechanism(manifest, tmp_path):
     # difference-domain counts are not counts for raw chunks of the same plan
     k_path = tmp_path / "k_dcfpa.csv"
@@ -1104,6 +1153,26 @@ def test_corr_unknown_feature_is_exit_2(manifest, tmp_path):
         "corr", "--manifest", manifest, "--feature", "nope", "--out-dir", tmp_path,
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("label", ["x/y", "x/../../y"])
+def test_corr_label_that_is_not_a_file_name_is_exit_3(corpus_dir, tmp_path, label):
+    # corr writes corr_<feature>_<label>.csv; a label from the manifest
+    # that would name a file elsewhere is bad data, found before any write
+    manifest = _copy_corpus(corpus_dir, tmp_path / "in")
+    raw = json.loads(manifest.read_text())
+    for rec in raw["recordings"]:
+        if rec["labels"]["category"] == "l1":
+            rec["labels"]["category"] = label
+    manifest.write_text(json.dumps(raw))
+    out_dir = tmp_path / "co"
+    out_dir.mkdir()
+    (out_dir / "corr_f00_x").mkdir()
+    result = run_cli("corr", "--manifest", manifest, "--feature", "f00", "--out-dir", out_dir)
+    assert result.exit_code == 3, result.output
+    assert "not a plain file name" in result.stderr
+    assert [p.name for p in out_dir.rglob("*")] == ["corr_f00_x"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["co", "in"]
 
 
 # --- classify ----------------------------------------------------------------------

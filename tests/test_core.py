@@ -89,11 +89,16 @@ class TestCorpus:
         with pytest.raises(ParameterError):
             Corpus(matrices=(_matrix(),), schema=("f0", "other"))
 
-    def test_excluded_features_checked_against_schema(self):
-        with pytest.raises(ParameterError):
-            Corpus(matrices=(_matrix(),), schema=("f0", "f1"), excluded_features={"nope"})
-        c = Corpus(matrices=(_matrix(),), schema=("f0", "f1"), excluded_features={"f1"})
+    def test_excluded_features_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            Corpus((_matrix(),), ("f0", "f1"), frozenset({"f1"}))
+        zero_f1 = _matrix("r1", values=np.array([[1.0, 0.0], [2.0, -0.0], [3.0, 0.0]]))
+        c = Corpus(matrices=(zero_f1, zero_f1), schema=("f0", "f1"))
+        assert c.excluded_features == frozenset({"f1"})
         assert c.included_features == ("f0",)
+        # one non-zero sample in any recording keeps a feature
+        c = Corpus(matrices=(zero_f1, _matrix()), schema=("f0", "f1"))
+        assert c.excluded_features == frozenset()
 
     def test_missing_label_kind_raises(self):
         c = Corpus(matrices=(_matrix(),), schema=("f0", "f1"))
@@ -103,6 +108,7 @@ class TestCorpus:
     def test_empty_corpus_allowed(self):
         c = Corpus(matrices=(), schema=("f0",))
         assert c.matrices == () and c.participants() == ()
+        assert c.excluded_features == frozenset()
 
 
 class TestChunkPlan:

@@ -374,7 +374,7 @@ def test_manifest_file_shape(tmp_path):
 
 
 def test_empty_corpus_round_trip(tmp_path):
-    empty = Corpus(matrices=(), schema=("f00",), excluded_features=frozenset())
+    empty = Corpus(matrices=(), schema=("f00",))
     write_corpus(empty, tmp_path / "out")
     loaded = load_corpus(tmp_path / "out" / MANIFEST_NAME)
     assert loaded.matrices == ()
@@ -587,6 +587,8 @@ def test_manifest_failures(tmp_path):
         {**entry, "recording_id": "../escaped"}, {**entry, "recording_id": "sub/x"},
         {**entry, "recording_id": "."}, {**entry, "recording_id": ".."},
         {**entry, "recording_id": "a\0b"}, {**entry, "recording_id": 7},
+        # a path is a string, or os.path.join raises TypeError
+        {**entry, "path": 7},
     ):
         bad.write_text(json.dumps({"schema": SCHEMA_NAME, "recordings": [recording]}))
         with pytest.raises(DataError, match="malformed manifest"):
@@ -600,27 +602,18 @@ def test_manifest_failures(tmp_path):
     with pytest.raises(DataError, match="malformed manifest.*positive and finite"):
         read_manifest(bad)
 
-    # excluded_features is a list of names, not a string of letters
-    for excluded in ("f0", ["f0", 1], {"f0": True}):
-        bad.write_text(json.dumps(
-            {"schema": SCHEMA_NAME, "recordings": [entry], "excluded_features": excluded}
-        ))
-        with pytest.raises(DataError, match="malformed manifest.*excluded_features"):
-            read_manifest(bad)
+    bad.write_text(json.dumps({"schema": 5, "recordings": [entry]}))
+    with pytest.raises(DataError, match="malformed manifest.*schema path"):
+        read_manifest(bad)
 
 
-def test_excluded_feature_outside_the_schema_is_a_data_error(tmp_path):
+def test_excluded_features_key_of_an_older_manifest_is_ignored(tmp_path):
     path = _write_minimal(tmp_path, "f00,f01\n1.0,2.0\n")
     raw = json.loads(path.read_text())
-    raw["excluded_features"] = ["f01", "nope"]
-    path.write_text(json.dumps(raw))
-    with pytest.raises(DataError, match=r"manifest.json: excluded features not in schema: \['nope'\]"):
-        load_corpus(path)
-    with pytest.raises(DataError, match="not in schema"):
-        load_corpus(read_manifest(path))
-    raw["excluded_features"] = ["f01"]
-    path.write_text(json.dumps(raw))
-    assert load_corpus(path).excluded_features == frozenset({"f01"})
+    for excluded in (["f01", "nope"], "f0", 7):
+        raw["excluded_features"] = excluded
+        path.write_text(json.dumps(raw))
+        assert load_corpus(path).excluded_features == frozenset()
 
 
 def test_manifest_rejects_inconsistent_label_kinds():
@@ -674,9 +667,9 @@ def test_all_zero_feature_is_excluded_with_notice(tmp_path, caplog):
                 labels={"category": "a"}, feature_names=("f00", "f01"), values=values,
             )
         )
-    corpus = Corpus(matrices=tuple(matrices), schema=("f00", "f01"),
-                    excluded_features=frozenset())
+    corpus = Corpus(matrices=tuple(matrices), schema=("f00", "f01"))
     write_corpus(corpus, tmp_path / "out")
+    assert "excluded_features" not in json.loads((tmp_path / "out" / MANIFEST_NAME).read_text())
     with caplog.at_level(logging.INFO, logger="privseq.dataio"):
         loaded = load_corpus(tmp_path / "out" / MANIFEST_NAME)
     assert "f01" in loaded.excluded_features

@@ -51,14 +51,17 @@ def _matrix(rid, pid, label, values, names):
 
 
 def _corpus(lengths=(12, 12, 12, 12), excluded=()):
+    """Two groups of two recordings; the columns named in excluded are
+    zeroed, so the corpus excludes them."""
     rng = np.random.default_rng(42)
     names = ("f0", "f1")
     labels = ["a", "a", "b", "b"]
-    mats = [
-        _matrix(f"r{i}", f"p{i}", labels[i], rng.standard_normal((lengths[i], 2)) + 10.0, names)
-        for i in range(4)
-    ]
-    return Corpus(matrices=tuple(mats), schema=names, excluded_features=frozenset(excluded))
+    mats = []
+    for i in range(4):
+        values = rng.standard_normal((lengths[i], 2)) + 10.0
+        values[:, [names.index(f) for f in excluded]] = 0.0
+        mats.append(_matrix(f"r{i}", f"p{i}", labels[i], values, names))
+    return Corpus(matrices=tuple(mats), schema=names)
 
 
 # --- lpa ---------------------------------------------------------------
@@ -438,11 +441,13 @@ def _table(feature_values, plan, domain, norm, group="g"):
 
 
 def _group(names, length, excluded=()):
-    """Group "g" of two all-zero recordings: perturb_corpus reads each
-    sensitivity from the table it is given, so the data add nothing."""
-    mats = tuple(_matrix(f"r{i}", f"p{i}", "g", np.zeros((length, len(names))), tuple(names))
-                 for i in range(2))
-    return Corpus(matrices=mats, schema=tuple(names), excluded_features=frozenset(excluded))
+    """Group "g" of two recordings of ones, zeros in the excluded columns:
+    perturb_corpus reads each sensitivity from the table it is given, so
+    the data add nothing but which features are excluded."""
+    values = np.ones((length, len(names)))
+    values[:, [names.index(f) for f in excluded]] = 0.0
+    mats = tuple(_matrix(f"r{i}", f"p{i}", "g", values, tuple(names)) for i in range(2))
+    return Corpus(matrices=mats, schema=tuple(names))
 
 
 def test_report_parallel_across_chunks():
@@ -590,15 +595,60 @@ def test_perturb_corpus_basic_shape_and_reports():
         )
 
 
-def test_perturb_corpus_excluded_features_pass_through():
+def test_perturb_corpus_releases_a_zero_feature_as_its_zeros():
     corpus = _corpus(excluded=("f1",))
+    assert corpus.excluded_features == frozenset({"f1"})
     config = MechanismConfig(mechanism="lpa", epsilon=1.0)
     noisy, reports = perturb_corpus(corpus, "category", config, NoiseSource(seed=7))
+    assert noisy.excluded_features == frozenset({"f1"})
     for before, after in zip(corpus.matrices, noisy.matrices):
-        assert np.array_equal(after.values[:, 1], before.values[:, 1])
+        assert after.values[:, 1].tobytes() == before.values[:, 1].tobytes()
         assert not np.array_equal(after.values[:, 0], before.values[:, 0])
     for report in reports.values():
         assert "f1" not in report.per_feature_epsilon
+
+
+@st.composite
+def _zero_column_corpora(draw):
+    """1-4 recordings of lengths 1-8 in groups a and b, over 1-3
+    features; each recording's column is zeros, -0.0s or random values."""
+    features = draw(st.integers(1, 3))
+    names = tuple(f"f{j}" for j in range(features))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for i in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 8))
+        kinds = draw(st.lists(st.sampled_from((0.0, -0.0, None)), min_size=features,
+                              max_size=features))
+        values = np.column_stack([
+            rng.standard_normal(length) if z is None else np.full(length, z) for z in kinds
+        ])
+        mats.append(_matrix(f"r{i}", f"p{i}", draw(st.sampled_from("ab")), values, names))
+    return mats, names
+
+
+@given(case=_zero_column_corpora())
+@settings(max_examples=60, deadline=None)
+def test_excluded_features_are_the_all_zero_columns(case):
+    mats, names = case
+    corpus = Corpus(matrices=tuple(mats), schema=names)
+    zero = {f for j, f in enumerate(names) if not any(np.any(m.values[:, j]) for m in mats)}
+    assert corpus.excluded_features == zero
+    assert Corpus(matrices=(), schema=names).excluded_features == frozenset()
+    # release the recordings of every group of two or more
+    labels = [m.labels["category"] for m in mats]
+    kept = Corpus(tuple(m for m in mats if labels.count(m.labels["category"]) >= 2), names)
+    if not kept.matrices:
+        return
+    for mechanism in mechanisms.MECHANISMS:
+        chunk = None if mechanism in ("lpa", "fpa") else 2
+        config = MechanismConfig(mechanism=mechanism, epsilon=1.0, chunk_size=chunk)
+        noisy, reports = perturb_corpus(kept, "category", config, NoiseSource(3))
+        assert all(r.features == kept.included_features for r in reports.values())
+        for before, after in zip(kept.matrices, noisy.matrices):
+            for j, f in enumerate(names):
+                if f in kept.excluded_features:
+                    assert after.values[:, j].tobytes() == before.values[:, j].tobytes()
 
 
 def test_perturb_corpus_jobs_invariant():
@@ -1065,7 +1115,11 @@ def test_cfpa_swap_on_the_pinned_corpus_exceeds_the_chunk_figure():
         seed=29,
     )
     full = synth_corpus(spec)
-    corpus = Corpus(full.matrices, full.schema, frozenset({"f01", "f02", "f03"}))
+    corpus = Corpus(
+        tuple(_matrix(m.recording_id, m.participant_id, m.labels["category"], m.values[:, :1],
+                      ("f00",)) for m in full.matrices),
+        ("f00",),
+    )
     config = MechanismConfig(mechanism="cfpa", epsilon=1.0, chunk_size=32)
     _, reports = perturb_corpus(corpus, "category", config, NoiseSource(0))
     report = reports["l0"]

@@ -191,7 +191,7 @@ def _sweep_corpus():
                 values=values,
             )
         )
-    return Corpus(matrices=tuple(mats), schema=names, excluded_features=frozenset())
+    return Corpus(matrices=tuple(mats), schema=names)
 
 
 def _direct_rows(corpus, src, epsilons, chunk_size, runs):
@@ -313,7 +313,7 @@ def _block_corpus():
         )
         for label, ns in lengths.items() for i, n in enumerate(ns)
     ]
-    return Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset())
+    return Corpus(matrices=tuple(mats), schema=("f0", "f1"))
 
 
 def test_perturb_and_sweep_are_independent_of_block_size():

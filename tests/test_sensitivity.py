@@ -390,14 +390,16 @@ def _matrix(rid, pid, label, values, names=("f0", "f1")):
 
 
 def _corpus(excluded=()):
+    """Groups a and b of two recordings each; the columns named in
+    excluded are zeroed, so the corpus excludes them."""
     rng = np.random.default_rng(5)
-    mats = [
-        _matrix("r0", "p0", "a", rng.standard_normal((6, 2))),
-        _matrix("r1", "p1", "a", rng.standard_normal((6, 2))),
-        _matrix("r2", "p2", "b", rng.standard_normal((6, 2))),
-        _matrix("r3", "p3", "b", rng.standard_normal((6, 2))),
-    ]
-    return Corpus(matrices=tuple(mats), schema=("f0", "f1"), excluded_features=frozenset(excluded))
+    mats = []
+    for rid, pid, label in (("r0", "p0", "a"), ("r1", "p1", "a"), ("r2", "p2", "b"),
+                            ("r3", "p3", "b")):
+        values = rng.standard_normal((6, 2))
+        values[:, [("f0", "f1").index(f) for f in excluded]] = 0.0
+        mats.append(_matrix(rid, pid, label, values))
+    return Corpus(matrices=tuple(mats), schema=("f0", "f1"))
 
 
 def test_table_lookup_and_validation():
@@ -432,15 +434,17 @@ def test_build_group_table_matches_direct_computation():
 
 def test_build_group_table_excluded_features_are_zero():
     corpus = _corpus(excluded=("f0",))
+    assert corpus.excluded_features == frozenset({"f0"})
     table = build_group_table(corpus, "category", "b", chunk_plan(6, 2))
     for ci in range(3):
-        assert table.value("f0", ci, RAW, 1) == 0.0
-        assert table.value("f0", ci, DIFFERENCE, 2) == 0.0
+        for norm in (1, 2):
+            assert table.value("f0", ci, RAW, norm) == 0.0
+            assert table.value("f0", ci, DIFFERENCE, norm) == 0.0
     assert table.value("f1", 0, RAW, 2) > 0.0
 
 
 def test_build_group_table_needs_two_recordings():
     mats = (_matrix("r0", "p0", "a", np.ones((4, 2))),)
-    corpus = Corpus(matrices=mats, schema=("f0", "f1"), excluded_features=frozenset())
+    corpus = Corpus(matrices=mats, schema=("f0", "f1"))
     with pytest.raises(InsufficientGroupError):
         build_group_table(corpus, "category", "a", chunk_plan(4, 4))

@@ -249,6 +249,9 @@ def test_tune_k_validation():
         tune_k(signals[:1], plan, "fpa", 1.0, 4, src)
     with pytest.raises(ParameterError):
         tune_k([signals[0], signals[1][:30]], plan, "fpa", 1.0, 4, src)
+    # an all-zero group is an excluded feature, which has nothing to tune
+    with pytest.raises(ParameterError, match="non-zero sample"):
+        tune_k([np.zeros(32), -np.zeros(32)], plan, "cfpa", 1.0, 4, src)
 
 
 # --- tune_corpus ----------------------------------------------------------
@@ -265,17 +268,17 @@ def _matrix(rid, pid, label, values, names):
 
 
 def _corpus(lengths=(16, 16, 16, 16), excluded=()):
+    """Two groups of two recordings; the columns named in excluded are
+    zeroed, so the corpus excludes them."""
     rng = np.random.default_rng(8)
     names = ("f0", "f1")
     labels = ["a", "a", "b", "b"]
-    mats = [
-        _matrix(
-            f"r{i}", f"p{i}", labels[i],
-            np.cumsum(rng.standard_normal((lengths[i], 2)), axis=0) + 20.0, names,
-        )
-        for i in range(4)
-    ]
-    return Corpus(matrices=tuple(mats), schema=names, excluded_features=frozenset(excluded))
+    mats = []
+    for i in range(4):
+        values = np.cumsum(rng.standard_normal((lengths[i], 2)), axis=0) + 20.0
+        values[:, [names.index(f) for f in excluded]] = 0.0
+        mats.append(_matrix(f"r{i}", f"p{i}", labels[i], values, names))
+    return Corpus(matrices=tuple(mats), schema=names)
 
 
 def test_tune_corpus_covers_all_groups_and_chunks():

@@ -10,11 +10,9 @@ classification harness.
 """
 from privseq.core import (
     ChunkPlan,
-    ConfigurationError,
     Corpus,
     DataError,
     FeatureMatrix,
-    InsufficientGroupError,
     InternalInvariantError,
     MechanismReport,
     ParameterError,
@@ -25,11 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChunkPlan",
-    "ConfigurationError",
     "Corpus",
     "DataError",
     "FeatureMatrix",
-    "InsufficientGroupError",
     "InternalInvariantError",
     "MechanismReport",
     "ParameterError",

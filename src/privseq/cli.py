@@ -10,7 +10,11 @@ twice produces byte-identical outputs. perturb is the exception: without
 --seed its noise comes from fresh OS entropy that is never printed or
 stored, since anyone who knows a release's seed can remove its noise.
 Exit codes: 0 success, 2 usage or configuration error, 3 data error, 4
-internal invariant failure.
+internal invariant failure. Each code has one exception type:
+ParameterError 2, DataError 3, InternalInvariantError 4. Every failure
+to read an input file (missing, unreadable, not UTF-8, a bad CSV field)
+is a DataError, exit 3, naming the file; an output path that cannot be
+written is exit 2, naming the path.
 """
 from __future__ import annotations
 
@@ -24,13 +28,7 @@ import numpy as np
 
 from privseq import classify as classify_mod
 from privseq import dataio, metrics, tuning
-from privseq.core import (
-    ConfigurationError,
-    DataError,
-    InternalInvariantError,
-    ParameterError,
-    _write_csv,
-)
+from privseq.core import DataError, InternalInvariantError, ParameterError, _write_csv
 from privseq.mechanisms import MECHANISMS, MechanismConfig, perturb_corpus
 from privseq.noise import NoiseSource
 from privseq.transform import diff_transform
@@ -53,13 +51,15 @@ _LABEL_KIND_OPT = click.option(
 
 
 def _handled(fn):
-    """Map library errors onto the documented exit codes."""
+    """Map library errors onto the documented exit codes. Inputs are read
+    through core._input_file, which turns every OSError into a
+    DataError, so an OSError left is a write that failed."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParameterError, ConfigurationError) as exc:
+        except (ParameterError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except DataError as exc:
@@ -150,12 +150,12 @@ def synth(
 
 
 @main.command()
-@click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--manifest", required=True, type=click.Path())
 @click.option("--mechanism", required=True, type=click.Choice(MECHANISMS))
 @click.option("--epsilon", required=True, type=float)
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=None, help="Retained coefficients per chunk [default: chunk length]; not for lpa.")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV, tuned for this run's mechanism and chunk plan and naming every group; excludes --k, not for lpa.")
+@click.option("--k-file", type=click.Path(), default=None, help="Tuned retention table CSV, tuned for this run's mechanism and chunk plan and naming every group; excludes --k, not for lpa.")
 @click.option("--clamp", is_flag=True, help="Zero negative outputs after noising.")
 @click.option("--symmetric", is_flag=True, help="Conjugate-complete retained coefficients before inversion.")
 @_LABEL_KIND_OPT
@@ -175,9 +175,8 @@ def perturb(
     """Privatize a corpus and write it with its epsilon report."""
     if k is not None and k_file is not None:
         raise ParameterError("--k and --k-file are mutually exclusive")
-    if mechanism == "lpa" and (k is not None or k_file is not None):
-        flag = "--k" if k is not None else "--k-file"
-        raise ParameterError(f"{flag} does not apply to lpa, which keeps no coefficients")
+    if mechanism == "lpa" and k_file is not None:
+        raise ParameterError("--k-file does not apply to lpa, which keeps no coefficients")
     if mechanism in ("lpa", "fpa") and chunk_size is not None:
         click.echo(f"warning: --chunk-size is ignored by {mechanism}", err=True)
     config = MechanismConfig(
@@ -207,12 +206,12 @@ def perturb(
 
 
 @main.command()
-@click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--manifest", required=True, type=click.Path())
 @click.option("--mechanisms", "mechanisms_text", default=",".join(MECHANISMS), show_default=True, help="Comma-separated subset of the mechanisms.")
 @click.option("--epsilons", "epsilons_text", default=",".join(f"{e:g}" for e in metrics.DEFAULT_EPSILONS), show_default=True, help="Comma-separated budgets.")
 @click.option("--chunk-sizes", "chunk_sizes_text", default=",".join(map(str, metrics.DEFAULT_CHUNK_SIZES)), show_default=True, help="Comma-separated sizes.")
 @click.option("--runs", type=click.IntRange(min=1), default=metrics.DEFAULT_RUNS, show_default=True, help="Noisy executions per cell.")
-@click.option("--k-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Tuned retention table CSV (from tune-k), tuned for every retaining row's mechanism and chunk plan.")
+@click.option("--k-file", type=click.Path(), default=None, help="Tuned retention table CSV (from tune-k), tuned for every retaining row's mechanism and chunk plan.")
 @_LABEL_KIND_OPT
 @_SEED_OPT
 @click.option(
@@ -231,6 +230,7 @@ def sweep(
     mechanisms = _split(mechanisms_text, "--mechanisms")
     epsilons = _split(epsilons_text, "--epsilons", float)
     chunk_sizes = _split(chunk_sizes_text, "--chunk-sizes", int)
+    metrics._sweep_grid(mechanisms, epsilons, chunk_sizes)  # rejects a bad grid before the load
     corpus = dataio.load_corpus(manifest)
     result = metrics.run_sweep(
         corpus,
@@ -248,7 +248,7 @@ def sweep(
 
 
 @main.command(name="tune-k")
-@click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--manifest", required=True, type=click.Path())
 @click.option("--chunk-size", type=click.IntRange(min=1), default=None, help="Chunk size of the plan; required for cfpa and dcfpa, ignored by fpa.")
 @click.option("--mechanism", type=click.Choice(tuning.TUNABLE), default="cfpa", show_default=True)
 @click.option("--epsilon", type=float, default=4.8, show_default=True)
@@ -271,7 +271,7 @@ def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed,
 
 
 @main.command()
-@click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--manifest", required=True, type=click.Path())
 @click.option("--feature", required=True)
 @click.option("--reference", type=click.IntRange(min=0), default=5, show_default=True)
 @click.option("--max-lag", type=click.IntRange(min=0), default=10, show_default=True)
@@ -305,7 +305,7 @@ def corr(manifest, feature, reference, max_lag, domain, label_kind, out_dir) -> 
 
 
 @main.command(name="classify")
-@click.option("--manifest", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--manifest", required=True, type=click.Path())
 @click.option("--window", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--mean-pool", is_flag=True, help="Average each window instead of keeping its first row.")
 @click.option("--neighbors", type=click.IntRange(min=1), default=11, show_default=True)

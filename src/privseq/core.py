@@ -4,25 +4,25 @@ Everything downstream operates on the types defined here: float64
 sample vectors, recordings (time x feature grids), corpora of
 recordings, chunk partitions, and the per-release report of noised
 units, from which it derives every epsilon figure; also the one reader
-and the one writer of the headered CSV side files. The types that carry
-input validate it on construction and raise typed errors, repairing
-nothing; a record that one package function builds holds what that
-function checked.
+of input files and the one writer of the headered CSV side files. The
+types that carry input validate it on construction and raise typed
+errors, repairing nothing; a record that one package function builds
+holds what that function checked. Each error type has one exit code in
+the command line (see cli).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 __all__ = [
     "ParameterError",
-    "InsufficientGroupError",
     "DataError",
-    "ConfigurationError",
     "InternalInvariantError",
     "MECHANISMS",
     "RealSeq",
@@ -39,19 +39,13 @@ MECHANISMS = ("lpa", "fpa", "cfpa", "dcfpa")
 
 
 class ParameterError(ValueError):
-    """An argument violates an operation's precondition."""
-
-
-class InsufficientGroupError(ParameterError):
-    """A participant group is too small for the requested computation."""
+    """An argument or configuration violates an operation's precondition,
+    a group too small for the computation included."""
 
 
 class DataError(ValueError):
-    """External input (files, manifests, CSV cells) is malformed."""
-
-
-class ConfigurationError(ValueError):
-    """A mechanism configuration is inconsistent or incomplete."""
+    """External input (files, manifests, CSV cells) is unreadable or
+    malformed."""
 
 
 class InternalInvariantError(AssertionError):
@@ -313,24 +307,37 @@ class MechanismReport:
         return json.dumps(self.payload(), sort_keys=True, indent=2)
 
 
-def _csv_rows(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(row number, cells) of each data row of a UTF-8 CSV file, in file
-    order, after checking its first row is header. A missing or other
-    header, a row of another width, a csv.Error and bytes that are not
-    UTF-8 are each a DataError naming the file (and the row)."""
+@contextlib.contextmanager
+def _input_file(path, what: str) -> Iterator[TextIO]:
+    """The package's one reader of input files: the UTF-8 text file at
+    path, open for reading with newline="" as csv.reader needs. A
+    missing file, any other OSError, bytes that are not UTF-8 and a
+    csv.Error, in the open or while the caller reads, are each a
+    DataError naming the file and what it is."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if tuple(next(reader, ())) != tuple(header):
-                raise DataError(f"{path}: expected header {','.join(header)}")
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: row {row_no}: expected {len(header)} columns, got {len(row)}"
-                    )
-                yield row_no, row
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
+            yield fh
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read {what}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {what} is not readable as CSV: {exc}") from None
+
+
+@contextlib.contextmanager
+def _csv_rows(path, header: Sequence[str], what: str) -> Iterator[Iterator[list[str]]]:
+    """The data rows of a CSV input file (see _input_file), a csv.reader
+    past the first row, once that row is checked to be header; a missing
+    or other header is a DataError naming the file. Each caller checks
+    the width of the rows it reads, inside the with block."""
+    with _input_file(path, what) as fh:
+        rows = csv.reader(fh)
+        if tuple(next(rows, ())) != tuple(header):
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        yield rows
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -35,6 +35,8 @@ from privseq.core import (
     InternalInvariantError,
     MechanismReport,
     ParameterError,
+    _csv_rows,
+    _input_file,
 )
 from privseq.noise import NoiseSource
 
@@ -75,9 +77,10 @@ class RecordingEntry:
 
     trim, when present, keeps only rows [start, end) of the stored CSV,
     for replicating evaluations that skip part of a recording; both
-    bounds must be integers (not bools). file_path must be a non-empty
-    string, and recording_id a plain file name: write_corpus stores the
-    recording as <recording_id>.csv.
+    bounds must be integers (not bools). file_path, recording_id and
+    participant_id are non-empty strings, labels maps strings to
+    strings, and recording_id is a plain file name: write_corpus stores
+    the recording as <recording_id>.csv.
     """
 
     file_path: str
@@ -87,15 +90,16 @@ class RecordingEntry:
     trim: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.file_path, str) or not self.file_path:
-            raise ParameterError(f"manifest entry needs a file path, got {self.file_path!r}")
-        if not self.recording_id:
-            raise ParameterError("manifest entry needs a recording_id")
+        for name in ("file_path", "recording_id", "participant_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ParameterError(f"manifest entry needs a {name} string, got {value!r}")
         if not _is_plain_file_name(self.recording_id):
             raise ParameterError(f"recording id {self.recording_id!r} is not a plain file name")
-        if not self.participant_id:
-            raise ParameterError("manifest entry needs a participant_id")
-        object.__setattr__(self, "labels", dict(self.labels))
+        labels = dict(self.labels)
+        if not all(isinstance(v, str) for v in (*labels, *labels.values())):
+            raise ParameterError(f"labels must map strings to strings, got {labels!r}")
+        object.__setattr__(self, "labels", labels)
         if self.trim is not None:
             if len(self.trim) != 2:
                 raise ParameterError(f"trim must be [start, end], got {list(self.trim)}")
@@ -109,8 +113,9 @@ class RecordingEntry:
 
 @dataclass(frozen=True, slots=True)
 class CorpusManifest:
-    """Recording inventory plus schema location and time-step metadata;
-    which features are excluded, Corpus derives from the data."""
+    """Recording inventory plus schema location and time-step metadata
+    (step_seconds, a number, not a bool); which features are excluded,
+    Corpus derives from the data."""
 
     recordings: tuple[RecordingEntry, ...]
     schema_path: str
@@ -121,10 +126,12 @@ class CorpusManifest:
         object.__setattr__(self, "recordings", tuple(self.recordings))
         if not isinstance(self.schema_path, str) or not self.schema_path:
             raise ParameterError(f"manifest needs a schema path, got {self.schema_path!r}")
-        if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
-            raise ParameterError(
-                f"step_seconds must be positive and finite, got {self.step_seconds}"
-            )
+        step = self.step_seconds
+        if isinstance(step, bool) or not isinstance(step, numbers.Real):
+            raise ParameterError(f"step_seconds must be a number, got {step!r}")
+        if not (math.isfinite(step) and step > 0):
+            raise ParameterError(f"step_seconds must be positive and finite, got {step}")
+        object.__setattr__(self, "step_seconds", float(step))
         ids = [r.recording_id for r in self.recordings]
         if len(set(ids)) != len(ids):
             raise ParameterError("duplicate recording ids in manifest")
@@ -142,34 +149,34 @@ class CorpusManifest:
 
 def read_manifest(path) -> CorpusManifest:
     """Parse manifest.json; relative paths stay relative to its directory.
-    Keys it does not read, such as an older excluded_features, are ignored."""
+    Keys it does not read, such as an older excluded_features, are ignored;
+    each field it reads must hold a JSON value of its own type (see
+    RecordingEntry and CorpusManifest)."""
     path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _input_file(path, "manifest") as fh:
+        try:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"manifest not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
     try:
         entries = []
-        for i, rec in enumerate(raw["recordings"]):
+        for rec in raw["recordings"]:
             trim = rec.get("trim")
             entries.append(
                 RecordingEntry(
                     file_path=rec["path"],
                     recording_id=rec["recording_id"],
                     participant_id=rec["participant_id"],
-                    labels={str(k): str(v) for k, v in rec["labels"].items()},
+                    labels=rec["labels"],
                     trim=None if trim is None else tuple(trim),
                 )
             )
         manifest = CorpusManifest(
             recordings=tuple(entries),
             schema_path=raw["schema"],
-            step_seconds=float(raw.get("step_seconds", 1.0)),
+            step_seconds=raw.get("step_seconds", 1.0),
             base_dir=os.path.dirname(path) or ".",
         )
     except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
@@ -179,15 +186,8 @@ def read_manifest(path) -> CorpusManifest:
 
 
 def _read_schema(path: str) -> tuple[str, ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip()]
-    except FileNotFoundError:
-        raise DataError(f"schema file not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read schema file: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not readable as UTF-8: {exc}") from None
+    with _input_file(path, "schema file") as fh:
+        names = [line.strip() for line in fh if line.strip()]
     if not names:
         raise DataError(f"{path}: schema file lists no features")
     return tuple(names)
@@ -213,23 +213,8 @@ def _raise_first_bad_row(path: str, schema: tuple[str, ...], body: list[list[str
 
 def _load_one(entry: RecordingEntry, schema: tuple[str, ...], base: str) -> FeatureMatrix:
     path = os.path.join(base, entry.file_path)
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError:
-        raise DataError(f"recording file not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read recording file: {exc.strerror}") from None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: not readable as UTF-8 CSV: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
-    if tuple(header) != schema:
-        raise DataError(
-            f"{path}: header does not match the schema "
-            f"(got {len(header)} columns starting {header[:3]})"
-        )
+    with _csv_rows(path, schema, "recording file") as rows:
+        body = list(rows)
     if not body:
         raise DataError(f"{path}: no data rows")
     # every cell through one float() map; on any failure the row scan
@@ -299,9 +284,9 @@ def _listed_recordings(manifest_path: str) -> set[str]:
     plain file names, so that removing them cannot leave its directory;
     an absent or unreadable manifest lists none."""
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
+        with _input_file(manifest_path, "manifest") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError):
+    except ValueError:  # a DataError, or not JSON
         return set()
     recordings = raw.get("recordings") if isinstance(raw, dict) else None
     if not isinstance(recordings, list):

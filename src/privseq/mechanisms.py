@@ -26,10 +26,10 @@ is 0 releases S exactly.
 
 One place decides each unit's k, sensitivity and lam: _feature_units
 gives a feature's layout (None for LPA, which keeps no coefficients and
-ignores any k), sensitivities and scales (_unit_scales); the report and
-every release read it. A report holds the units with a positive scale,
-and MechanismReport derives every epsilon figure from them.
-perturb_corpus, the sweep and retention tuning share one driver,
+ignores any k table), sensitivities and scales (_unit_scales); the
+report and every release read it. A report holds the units with a
+positive scale, and MechanismReport derives every epsilon figure from
+them. perturb_corpus, the sweep and retention tuning share one driver,
 _release_blocks: it decides each group once and hands each row block of
 a (group, feature), its unit draws and units to a consumer. perturb and
 the sweep release through _released; perturb_corpus is the sweep's run
@@ -62,7 +62,6 @@ from privseq import transform
 from privseq.core import (
     MECHANISMS,
     ChunkPlan,
-    ConfigurationError,
     Corpus,
     FeatureMatrix,
     MechanismReport,
@@ -327,9 +326,8 @@ class MechanismConfig:
     k = None means full retention (k equal to each chunk's length).
     chunk_size is required by cfpa/dcfpa and is None for lpa/fpa, which
     release the whole signal as one unit, whatever was passed. clamp
-    zeroes negative outputs after noising; symmetric retains
-    conjugate-completed coefficients, so lpa, which keeps none, rejects
-    it.
+    zeroes negative outputs after noising; k and symmetric act on
+    retained coefficients, so lpa, which keeps none, rejects both.
     """
 
     mechanism: str
@@ -352,8 +350,9 @@ class MechanismConfig:
             raise ParameterError(f"{self.mechanism} requires a positive chunk_size")
         if self.k is not None and self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.symmetric and self.mechanism == "lpa":
-            raise ParameterError("symmetric does not apply to lpa, which keeps no coefficients")
+        if self.mechanism == "lpa" and (self.k is not None or self.symmetric):
+            name = "k" if self.k is not None else "symmetric"
+            raise ParameterError(f"{name} does not apply to lpa, which keeps no coefficients")
 
     @property
     def norm_order(self) -> int:
@@ -377,29 +376,26 @@ def _feature_units(
 ) -> tuple[FpaLayout | None, list[float], np.ndarray]:
     """(layout, sensitivities, scales) of one feature's units under the
     plan: None and the whole-signal L1 sensitivity for LPA, which keeps
-    no coefficients and ignores any k; otherwise the layout of each
+    no coefficients and ignores any k table; otherwise the layout of each
     chunk's k (from k_table, {(feature, chunk_index): k}, else config.k,
     else the chunk length) and each chunk's L2 sensitivity in the
     config's domain. A uniform config.k must fit chunk 0, the longest;
     a shorter remainder chunk keeps at most its length. The scales are
     _unit_scales at epsilon, a float or a (budgets, 1) column giving a
     row per budget. A missing sensitivity or an out-of-range k is a
-    ConfigurationError, raised before any scale is computed."""
-    try:
-        deltas = [sens.value(feature, i, config.domain, config.norm_order) for i in range(len(plan))]
-    except ParameterError as exc:
-        raise ConfigurationError(str(exc)) from None
+    ParameterError, raised before any scale is computed."""
+    deltas = [sens.value(feature, i, config.domain, config.norm_order) for i in range(len(plan))]
     layout = None
     if config.mechanism != "lpa":
         ks = []
         for ci, c in enumerate(plan.chunk_lengths()):
             if k_table is not None and (feature, ci) not in k_table:
-                raise ConfigurationError(f"k table has no entry for feature {feature!r} chunk {ci}")
+                raise ParameterError(f"k table has no entry for feature {feature!r} chunk {ci}")
             k = int(k_table[(feature, ci)] if k_table is not None else config.k or c)
             if k_table is None and ci:
                 k = min(k, c)
             if not 1 <= k <= c:
-                raise ConfigurationError(
+                raise ParameterError(
                     f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"
                 )
             ks.append(k)
@@ -433,7 +429,7 @@ def _check_plan(what: str, built: ChunkPlan | None, plan: ChunkPlan, mechanism: 
             if built is None
             else f"chunk size {built.chunk_size} over length {built.total_length}"
         )
-        raise ConfigurationError(
+        raise ParameterError(
             f"{what} {had}; {mechanism} needs chunk size {plan.chunk_size} "
             f"over length {plan.total_length}"
         )
@@ -445,15 +441,15 @@ def _group_ks(
     """One group's tuned counts, {(feature, chunk_index): k}, after
     checking that the group was tuned on the plan it is released with,
     and for the same mechanism; a missing group, another plan or another
-    mechanism is a ConfigurationError. None without a table, and for LPA,
+    mechanism is a ParameterError. None without a table, and for LPA,
     which keeps no coefficients."""
     if k_table is None or mechanism == "lpa":
         return None
     if label not in k_table.plans:
-        raise ConfigurationError(f"no k table entries for label {label!r}")
+        raise ParameterError(f"no k table entries for label {label!r}")
     _check_plan(f"k table for label {label!r} was tuned for", k_table.plans[label], plan, mechanism)
     if k_table.mechanism != mechanism:
-        raise ConfigurationError(
+        raise ParameterError(
             f"k table was tuned for {k_table.mechanism}; it does not apply to {mechanism}"
         )
     return k_table.mapping(label)
@@ -496,7 +492,7 @@ def _release_blocks(
             key = (plan, config.domain, config.norm_order)
             if sens_tables is not None:
                 if value not in sens_tables:
-                    raise ConfigurationError(f"no sensitivity table for label {value!r}")
+                    raise ParameterError(f"no sensitivity table for label {value!r}")
                 tables[key] = sens_tables[value]
                 _check_plan(
                     f"sensitivity table for label {value!r} was built for",
@@ -551,7 +547,7 @@ def perturb_corpus(
     Sensitivities are computed per (label value, feature) group unless
     precomputed tables are supplied; a supplied table must have been
     built for the plan this configuration uses on the group, or the run
-    fails with ConfigurationError. A supplied k table likewise must hold
+    fails with ParameterError. A supplied k table likewise must hold
     every group, tuned for the plan the group is released with; lpa
     ignores it. Recordings shorter than their group's maximum length are
     zero-padded for perturbation (matching the padded sensitivity

@@ -163,19 +163,31 @@ def _reject_repeats(what: str, values: Sequence) -> None:
         seen.add(v)
 
 
-def _sweep_configs(mechanisms: Sequence[str], chunk_sizes: Sequence[int]) -> list[MechanismConfig]:
-    """The (mechanism, chunk size) grid as MechanismConfigs at a
-    placeholder budget, in grid order: a config per mechanism and chunk
-    size (no chunk sizes reads as a missing one), each distinct config
-    once, so lpa and fpa, which ignore the chunk size, appear once.
-    MechanismConfig rejects an unknown mechanism and a chunk size < 1."""
+def _sweep_grid(
+    mechanisms: Sequence[str], epsilons: Sequence[float], chunk_sizes: Sequence[int]
+) -> tuple[list[MechanismConfig], list[float]]:
+    """The sweep grid, checked: the (mechanism, chunk size) grid as
+    MechanismConfigs at a placeholder budget, in grid order, and the
+    epsilons as floats. There is a config per mechanism and chunk size
+    (no chunk sizes reads as a missing one), each distinct config once,
+    so lpa and fpa, which ignore the chunk size, appear once.
+    MechanismConfig rejects an unknown mechanism and a chunk size < 1;
+    no epsilons, an epsilon that is not positive and finite, and a value
+    named twice are each a ParameterError."""
+    if not epsilons:
+        raise ParameterError("empty sweep grid: no epsilons")
+    eps = [float(e) for e in epsilons]
+    for e in eps:
+        if not (e > 0 and math.isfinite(e)):
+            raise ParameterError(f"epsilons must be positive and finite, got {e}")
     _reject_repeats("mechanism", mechanisms)
     _reject_repeats("chunk size", chunk_sizes)
     sizes = [int(c) for c in chunk_sizes] or [None]
     configs = [MechanismConfig(m, 1.0, chunk_size=c) for m in mechanisms for c in sizes]
     if not configs:
         raise ParameterError("empty sweep grid: no mechanisms")
-    return list(dict.fromkeys(configs))
+    _reject_repeats("epsilon", eps)
+    return list(dict.fromkeys(configs)), eps
 
 
 def _cell_sums(corpus: Corpus, rows: Sequence[int], block: np.ndarray, released: np.ndarray):
@@ -221,18 +233,10 @@ def run_sweep(
     Without k_table every chunk keeps all its coefficients. A k_table
     supplies the counts of every group instead: each fpa, cfpa or dcfpa
     configuration must use the chunk plan the group was tuned for, and a
-    missing group or another plan is a ConfigurationError. lpa keeps no
-    coefficients and ignores it. A mechanism, chunk size or epsilon named
-    twice is a ParameterError.
+    missing group or another plan is a ParameterError. lpa keeps no
+    coefficients and ignores it. _sweep_grid checks the grid.
     """
-    if not epsilons:
-        raise ParameterError("empty sweep grid: no epsilons")
-    eps = [float(e) for e in epsilons]
-    for e in eps:
-        if not (e > 0 and math.isfinite(e)):
-            raise ParameterError(f"epsilons must be positive and finite, got {e}")
-    configs = _sweep_configs(mechanisms, chunk_sizes)
-    _reject_repeats("epsilon", eps)
+    configs, eps = _sweep_grid(mechanisms, epsilons, chunk_sizes)
     features = corpus.included_features
     if not features:
         raise ParameterError("empty sweep: every feature excluded")

@@ -93,7 +93,6 @@ import numpy as np
 from privseq.core import (
     ChunkPlan,
     Corpus,
-    InsufficientGroupError,
     ParameterError,
     RealSeq,
 )
@@ -114,7 +113,7 @@ DIFFERENCE = "difference"
 def _padded_group(group: Sequence[RealSeq]) -> np.ndarray:
     vecs = [np.asarray(v, dtype=np.float64) for v in group]
     if len(vecs) < 2:
-        raise InsufficientGroupError(
+        raise ParameterError(
             f"sensitivity needs at least 2 vectors, got {len(vecs)}"
         )
     for i, v in enumerate(vecs):
@@ -392,7 +391,7 @@ def build_group_table(
     """
     matrices = corpus.group(label_kind, label_value)
     if len(matrices) < 2:
-        raise InsufficientGroupError(
+        raise ParameterError(
             f"label {label_value!r} has {len(matrices)} recordings; need >= 2"
         )
     entries: dict[tuple[str, int, str, int], float] = {}

@@ -364,29 +364,34 @@ def load_k_csv(path) -> KTable:
     runs_used: int | None = None
     epsilon_used: float | None = None
     mechanism: str | None = None
-    for row_no, row in _csv_rows(path, _K_HEADER):
-        try:
-            key = (row[0], row[1], int(row[2]))
-            k = int(row[3])
-            runs = int(row[4])
-            eps = float(row[5])
-            shape = (int(row[6]), int(row[7]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no}: {exc}") from None
-        if shapes.setdefault(key[0], shape) != shape:
-            raise DataError(
-                f"{path}: row {row_no}: group {key[0]!r} rows name chunk plans "
-                f"{shapes[key[0]]} and {shape} (chunk_size, length)"
-            )
-        if key in entries:
-            raise DataError(f"{path}: row {row_no}: duplicate entry for {key}")
-        if runs_used is None:
-            runs_used, epsilon_used, mechanism = runs, eps, row[8]
-        elif runs != runs_used or eps != epsilon_used or row[8] != mechanism:
-            raise DataError(
-                f"{path}: row {row_no}: inconsistent runs_used/epsilon_used/mechanism"
-            )
-        entries[key] = k
+    with _csv_rows(path, _K_HEADER, "k table") as rows:
+        for row_no, row in enumerate(rows, start=2):
+            if len(row) != len(_K_HEADER):
+                raise DataError(
+                    f"{path}: row {row_no}: expected {len(_K_HEADER)} columns, got {len(row)}"
+                )
+            try:
+                key = (row[0], row[1], int(row[2]))
+                k = int(row[3])
+                runs = int(row[4])
+                eps = float(row[5])
+                shape = (int(row[6]), int(row[7]))
+            except ValueError as exc:
+                raise DataError(f"{path}: row {row_no}: {exc}") from None
+            if shapes.setdefault(key[0], shape) != shape:
+                raise DataError(
+                    f"{path}: row {row_no}: group {key[0]!r} rows name chunk plans "
+                    f"{shapes[key[0]]} and {shape} (chunk_size, length)"
+                )
+            if key in entries:
+                raise DataError(f"{path}: row {row_no}: duplicate entry for {key}")
+            if runs_used is None:
+                runs_used, epsilon_used, mechanism = runs, eps, row[8]
+            elif runs != runs_used or eps != epsilon_used or row[8] != mechanism:
+                raise DataError(
+                    f"{path}: row {row_no}: inconsistent runs_used/epsilon_used/mechanism"
+                )
+            entries[key] = k
     if not entries:
         raise DataError(f"{path}: no entries")
     try:

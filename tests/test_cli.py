@@ -215,6 +215,39 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == {}
 
 
+def _read_opens(path):
+    """(enclosing function, line) of each call in a module that opens a
+    file for reading: open() or .open() in a mode without w, a or x, and
+    .read_text() or .read_bytes()."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                modes = [k.value for k in child.keywords if k.arg == "mode"] + child.args[1:2]
+                mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+                if (name == "open" and not set("wax") & set(str(mode))) or name in (
+                    "read_text", "read_bytes"
+                ):
+                    found.append((func, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_reader_opens_every_input_file():
+    # core._input_file turns every read failure into a DataError naming
+    # the file; a second reader could let one escape as a traceback
+    root = Path(privseq.__file__).resolve().parent
+    opens = {p.name: found for p in sorted(root.glob("*.py")) if (found := _read_opens(p))}
+    assert [(name, func) for name, found in opens.items() for func, _ in found] == [
+        ("core.py", "_input_file")
+    ]
+
+
 def test_readme_names_only_real_report_keys():
     # the report.json record the README shows, and every *_epsilon name it
     # gives, exist in a real report's payload (or as report properties)
@@ -501,7 +534,7 @@ def test_perturb_lpa_rejects_retention_flags(manifest, tmp_path):
             flag, value, "--out", tmp_path / "out",
         )
         assert result.exit_code == 2, (flag, result.output)
-        assert f"{flag} does not apply to lpa" in result.stderr
+        assert f"{flag.lstrip('-')} does not apply to lpa" in result.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -674,14 +707,20 @@ def test_perturb_malformed_manifest_is_exit_3(corpus_dir, tmp_path):
         ("path", 7),
         ("path", "."),
         ("step_seconds", math.inf),
+        ("step_seconds", True),
+        ("step_seconds", "0.5"),
+        ("labels", {"category": None}),
+        ("labels", {"category": 1}),
+        ("participant_id", 7),
     ],
 )
 def test_perturb_bad_manifest_fields_are_exit_3_before_any_write(corpus_dir, tmp_path, field, value):
     # A recording id is a file name in --out, trim bounds are integers,
-    # the schema and recording paths name files, and step_seconds is
-    # finite (json writes inf as Infinity, which strict parsers reject);
-    # anything else is bad input (exit 3), found before the release
-    # writes a file.
+    # the schema and recording paths name files, and step_seconds is a
+    # finite number (json writes inf as Infinity, which strict parsers
+    # reject); labels and ids are strings, so a null label cannot merge
+    # with a label "None". Anything else is bad input (exit 3), found
+    # before the release writes a file.
     manifest = _copy_corpus(corpus_dir, tmp_path / "in")
     raw = json.loads(manifest.read_text())
     target = raw if field in ("schema", "step_seconds") else raw["recordings"][0]
@@ -727,16 +766,67 @@ def test_perturb_noises_a_feature_an_older_manifest_excluded(tmp_path):
     assert "excluded_features" not in json.loads((out / MANIFEST_NAME).read_text())
 
 
-def test_perturb_non_utf8_schema_is_exit_3(corpus_dir, tmp_path):
-    manifest = _copy_corpus(corpus_dir, tmp_path / "broken")
-    schema = manifest.parent / json.loads(manifest.read_text())["schema"]
-    schema.write_bytes(schema.read_bytes() + b"\xff\n")
+@pytest.fixture(scope="module")
+def k_csv(manifest, tmp_path_factory):
+    path = tmp_path_factory.mktemp("tuned") / "k.csv"
     result = run_cli(
-        "perturb", "--manifest", manifest, "--mechanism", "lpa",
-        "--epsilon", 2.4, "--out", tmp_path / "out",
+        "tune-k", "--manifest", manifest, "--chunk-size", 8, "--runs", 1, "--out", path,
     )
-    assert result.exit_code == 3
-    assert "UTF-8" in result.stderr
+    assert result.exit_code == 0, result.output
+    return path
+
+
+def _break_file(path, fault):
+    """Break an input file as fault says; returns what the error names."""
+    if fault == "missing":
+        path.unlink()
+        return "not found"
+    if fault == "directory":
+        path.unlink()
+        path.mkdir()
+        return "Is a directory"
+    if fault == "not-utf8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        return "is not UTF-8"
+    # a cell over the csv module's field size limit
+    path.write_bytes(path.read_bytes() + b"1" * 200_000 + b"\n")
+    return "field larger than field limit"
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        (name, fault)
+        for name in ("manifest", "schema", "recording", "k-file")
+        for fault in ("missing", "directory", "not-utf8", "over-csv-limit")
+        if fault != "over-csv-limit" or name in ("recording", "k-file")
+    ],
+)
+def test_unreadable_input_file_is_exit_3_naming_it(corpus_dir, k_csv, tmp_path, name, fault):
+    # Every input file goes through one reader: whatever stops the read
+    # is bad data (exit 3) naming the file, never a traceback, and
+    # nothing is written.
+    manifest = _copy_corpus(corpus_dir, tmp_path / "in")
+    k_file = tmp_path / "k.csv"
+    k_file.write_bytes(k_csv.read_bytes())
+    raw = json.loads(manifest.read_text())
+    target = {
+        "manifest": manifest,
+        "schema": manifest.parent / raw["schema"],
+        "recording": manifest.parent / raw["recordings"][-1]["path"],
+        "k-file": k_file,
+    }[name]
+    reason = _break_file(target, fault)
+    result = run_cli(
+        "perturb", "--manifest", manifest, "--mechanism", "cfpa", "--chunk-size", 8,
+        "--k-file", k_file, "--epsilon", 2.4, "--seed", 1, "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert str(target) in result.stderr
+    assert reason in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -786,6 +876,35 @@ def test_sweep_repeated_grid_values_are_exit_2(manifest, tmp_path, grid, named):
     assert result.exit_code == 2, result.output
     assert named in result.stderr
     assert not out.exists()
+
+
+def test_sweep_checks_its_grid_before_loading(tmp_path):
+    # a manifest that is not JSON would be exit 3; the grid is wrong first
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for flags, message in (
+        (("--mechanisms", "bogus"), "mechanism must be one of"),
+        (("--epsilons", "nan"), "epsilons must be positive and finite"),
+        (("--chunk-sizes", "0"), "cfpa requires a positive chunk_size"),
+    ):
+        result = run_cli("sweep", "--manifest", bad, *flags, "--out", tmp_path / "s.csv")
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("sweep", "--runs", 1, "--epsilons", 2.4), ("tune-k", "--chunk-size", 8, "--runs", 1)],
+    ids=["sweep", "tune-k"],
+)
+def test_unwritable_output_path_is_exit_2_naming_it(manifest, tmp_path, command):
+    out = tmp_path / "nodir" / "out.csv"
+    result = run_cli(*command, "--manifest", manifest, "--out", out)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert str(out) in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_bad_step_seconds_is_exit_2_before_any_file(tmp_path):

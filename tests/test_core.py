@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from privseq import core
+
 from privseq.core import (
     ChunkPlan,
-    ConfigurationError,
     Corpus,
     DataError,
     FeatureMatrix,
-    InsufficientGroupError,
     InternalInvariantError,
     MechanismReport,
     ParameterError,
@@ -33,11 +33,15 @@ def _matrix(rid="r0", pid="p0", label="a", names=("f0", "f1"), values=None):
 
 class TestErrors:
     def test_hierarchy(self):
+        # one exception type per exit code of the command line: 2, 3, 4
         assert issubclass(ParameterError, ValueError)
-        assert issubclass(InsufficientGroupError, ParameterError)
         assert issubclass(DataError, ValueError)
-        assert issubclass(ConfigurationError, ValueError)
         assert issubclass(InternalInvariantError, AssertionError)
+        defined = {
+            name for name, v in vars(core).items()
+            if isinstance(v, type) and issubclass(v, BaseException) and v.__module__ == core.__name__
+        }
+        assert defined == {"ParameterError", "DataError", "InternalInvariantError"}
 
 
 class TestFeatureMatrix:

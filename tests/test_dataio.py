@@ -526,7 +526,7 @@ def test_loader_reports_unreadable_files_as_data_errors(tmp_path):
     with pytest.raises(DataError, match="field larger than field limit"):
         load_corpus(path)
     (tmp_path / "r0.csv").write_bytes(b"f00,f01\n1.0,\xff\n")
-    with pytest.raises(DataError, match="r0.csv: not readable as UTF-8 CSV"):
+    with pytest.raises(DataError, match="r0.csv: recording file is not UTF-8"):
         load_corpus(path)
 
 
@@ -549,6 +549,11 @@ def test_loader_rejects_empty_and_missing_files(tmp_path):
 def test_manifest_failures(tmp_path):
     with pytest.raises(DataError, match="not found"):
         read_manifest(tmp_path / "missing.json")
+    with pytest.raises(DataError, match="cannot read manifest: Is a directory"):
+        read_manifest(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b'{"schema": "\xe9"}')
+    with pytest.raises(DataError, match="latin1.json: manifest is not UTF-8"):
+        read_manifest(tmp_path / "latin1.json")
 
     bad = tmp_path / MANIFEST_NAME
     bad.write_text("{not json")
@@ -589,6 +594,10 @@ def test_manifest_failures(tmp_path):
         {**entry, "recording_id": "a\0b"}, {**entry, "recording_id": 7},
         # a path is a string, or os.path.join raises TypeError
         {**entry, "path": 7},
+        # ids and labels are JSON strings: str() would read null as a
+        # label "None", which merges with a real one
+        {**entry, "participant_id": 7}, {**entry, "labels": {"category": None}},
+        {**entry, "labels": {"category": 1}},
     ):
         bad.write_text(json.dumps({"schema": SCHEMA_NAME, "recordings": [recording]}))
         with pytest.raises(DataError, match="malformed manifest"):
@@ -601,6 +610,11 @@ def test_manifest_failures(tmp_path):
     ))
     with pytest.raises(DataError, match="malformed manifest.*positive and finite"):
         read_manifest(bad)
+    # and a JSON number: float() would read true as 1.0 and "0.5" as 0.5
+    for step in (True, "0.5"):
+        bad.write_text(json.dumps({"schema": SCHEMA_NAME, "recordings": [entry], "step_seconds": step}))
+        with pytest.raises(DataError, match="malformed manifest.*step_seconds must be a number"):
+            read_manifest(bad)
 
     bad.write_text(json.dumps({"schema": 5, "recordings": [entry]}))
     with pytest.raises(DataError, match="malformed manifest.*schema path"):

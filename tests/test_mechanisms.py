@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from privseq import mechanisms, transform
 from privseq.core import (
-    ConfigurationError,
     Corpus,
     FeatureMatrix,
     ParameterError,
@@ -269,7 +268,7 @@ def test_fpa_preserves_odd_lengths_and_is_deterministic():
 
 def test_fpa_k_out_of_range():
     # k < 1 is MechanismConfig's (test_mechanism_config_validation)
-    with pytest.raises(ConfigurationError, match="k=9 out of range"):
+    with pytest.raises(ParameterError, match="k=9 out of range"):
         perturb_corpus(
             _corpus(lengths=(8,) * 4), "category", MechanismConfig("fpa", 1.0, k=9), NoiseSource(9)
         )
@@ -366,7 +365,7 @@ def test_cfpa_validation():
     config = MechanismConfig("cfpa", 1.0, chunk_size=4)
     with pytest.raises(ParameterError, match="sensitivity must be finite and >= 0"):
         released_row(np.ones(8), config, [(-1.0, 4), (1.0, 4)], _src(13))
-    with pytest.raises(ConfigurationError, match=r"k=5 out of range \[1, 4\]"):
+    with pytest.raises(ParameterError, match=r"k=5 out of range \[1, 4\]"):
         perturb_corpus(
             _corpus(lengths=(8,) * 4), "category",
             MechanismConfig("cfpa", 1.0, chunk_size=4, k=5), NoiseSource(13),
@@ -416,6 +415,8 @@ def test_mechanism_config_validation():
     # a variant flag that would change nothing is rejected, not ignored
     with pytest.raises(ParameterError, match="symmetric does not apply to lpa"):
         MechanismConfig(mechanism="lpa", epsilon=1.0, symmetric=True)
+    with pytest.raises(ParameterError, match="k does not apply to lpa"):
+        MechanismConfig("lpa", 1.0, k=3)
     MechanismConfig("dcfpa", 1.0, 4, symmetric=True)
 
 
@@ -537,7 +538,7 @@ def test_report_skips_excluded_features():
 def test_report_missing_sensitivity_is_configuration_error():
     config = MechanismConfig(mechanism="fpa", epsilon=1.0)
     sens = _table({"f0": 1.0}, chunk_plan(8, 8), RAW, 2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match=r"no sensitivity entry for \('f1', 0"):
         perturb_corpus(_group(["f0", "f1"], 8), "category", config, NoiseSource(0),
                        sens_tables={"g": sens})
 
@@ -568,9 +569,9 @@ def test_report_k_table_entries():
                               sens_tables={"g": sens}, k_table=table)[1]["g"]
 
     assert [u.k for u in release({0: 2, 1: 3}).per_unit] == [2, 3]
-    with pytest.raises(ConfigurationError, match="no entry for feature 'f0' chunk 1"):
+    with pytest.raises(ParameterError, match="no entry for feature 'f0' chunk 1"):
         release({0: 2})
-    with pytest.raises(ConfigurationError, match="k=9 out of range"):
+    with pytest.raises(ParameterError, match="k=9 out of range"):
         release({0: 9, 1: 1})
 
 
@@ -686,7 +687,7 @@ def test_perturb_corpus_precomputed_tables_match_inline():
     )
     for m1, m2 in zip(inline.matrices, pre.matrices):
         assert np.array_equal(m1.values, m2.values)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="no sensitivity table for label 'b'"):
         perturb_corpus(
             corpus, "category", config, NoiseSource(seed=13), sens_tables={"a": tables["a"]}
         )
@@ -704,11 +705,11 @@ def test_perturb_corpus_rejects_tables_built_for_another_plan():
         for value in ("a", "b")
     }
     config = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=6)
-    with pytest.raises(ConfigurationError, match="chunk size 4 over length 12"):
+    with pytest.raises(ParameterError, match="chunk size 4 over length 12"):
         perturb_corpus(corpus, "category", config, NoiseSource(seed=13), sens_tables=tables)
     matching = MechanismConfig(mechanism="cfpa", epsilon=2.4, chunk_size=4)
     planless = {v: SensitivityTable(t.entries, v) for v, t in tables.items()}
-    with pytest.raises(ConfigurationError, match="no recorded chunk plan"):
+    with pytest.raises(ParameterError, match="no recorded chunk plan"):
         perturb_corpus(corpus, "category", matching, NoiseSource(seed=13), sens_tables=planless)
     pre, _ = perturb_corpus(corpus, "category", matching, NoiseSource(seed=13), sens_tables=tables)
     inline, _ = perturb_corpus(corpus, "category", matching, NoiseSource(seed=13))
@@ -746,10 +747,10 @@ def test_perturb_corpus_rejects_k_tables_for_another_plan_or_group():
         (_k_table(plan=chunk_plan(8, 4)), "tuned for chunk size 4 over length 8"),
         (_k_table(values=("a",)), "no k table entries for label 'b'"),
     ):
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ParameterError, match=message):
             perturb_corpus(corpus, "category", config, NoiseSource(seed=16), k_table=table)
     fpa = MechanismConfig(mechanism="fpa", epsilon=2.4)
-    with pytest.raises(ConfigurationError, match="fpa needs chunk size 12 over length 12"):
+    with pytest.raises(ParameterError, match="fpa needs chunk size 12 over length 12"):
         perturb_corpus(corpus, "category", fpa, NoiseSource(seed=16), k_table=_k_table())
 
 
@@ -867,7 +868,9 @@ def _report_cases(draw):
     lengths = draw(st.lists(st.integers(1, 20), min_size=2, max_size=3))
     mechanism = draw(st.sampled_from(("lpa", "fpa", "cfpa", "dcfpa")))
     epsilon = draw(st.floats(0.01, 50.0))
-    retention = draw(st.sampled_from(("full", "uniform", "table")))
+    # lpa keeps no coefficients, so MechanismConfig rejects a k for it
+    kinds = ("full", "table") if mechanism == "lpa" else ("full", "uniform", "table")
+    retention = draw(st.sampled_from(kinds))
     n = max(lengths)
     chunk = draw(st.integers(1, n + 2)) if mechanism in ("cfpa", "dcfpa") else None
     chunks = chunk_plan(n, chunk or n).chunk_lengths() * 2
@@ -946,12 +949,12 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     for f in names:
         units = [(c, want_k[(f, ci)], delta_of[(f, ci)]) for ci, c in enumerate(lengths_of)]
         if any(kc > c for c, kc, _ in units):
-            error = ConfigurationError
+            message = "out of range"
         elif any(underflows(*unit) for unit in units):
-            error = ParameterError
+            message = "underflows"
         else:
             continue
-        with pytest.raises(error):
+        with pytest.raises(ParameterError, match=message):
             perturb_corpus(
                 corpus, "category", config, NoiseSource(3), sens_tables={"a": sens}, k_table=k_table
             )

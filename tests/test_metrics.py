@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from privseq.core import (
-    ConfigurationError,
     Corpus,
     FeatureMatrix,
     ParameterError,
@@ -407,7 +406,7 @@ def test_run_sweep_k_tables_change_results():
         plans=plans,
         mechanism="cfpa",
     )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ParameterError, match="k table has no entry for feature 'f0' chunk 1"):
         run_sweep(corpus, "category", NoiseSource(seed=7), k_table=bad, **kwargs)
 
 
@@ -428,7 +427,7 @@ def test_run_sweep_rejects_k_tables_for_another_plan_or_group():
         (("cfpa",), (16,), "tuned for chunk size 8 over length 24; cfpa needs chunk size 16"),
         (("fpa",), (8,), "fpa needs chunk size 24 over length 24"),
     ):
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ParameterError, match=message):
             run_sweep(corpus, "category", NoiseSource(seed=7),
                       mechanisms=mechanisms, chunk_sizes=sizes, **kwargs)
     only_a = KTable(
@@ -438,7 +437,7 @@ def test_run_sweep_rejects_k_tables_for_another_plan_or_group():
         plans={"a": plans["a"]},
         mechanism="dcfpa",
     )
-    with pytest.raises(ConfigurationError, match="no k table entries for label 'b'"):
+    with pytest.raises(ParameterError, match="no k table entries for label 'b'"):
         run_sweep(corpus, "category", NoiseSource(seed=7), mechanisms=("dcfpa",),
                   chunk_sizes=(8,), epsilons=(2.4,), runs=1, k_table=only_a)
     sweep = run_sweep(corpus, "category", NoiseSource(seed=7), mechanisms=("lpa", "cfpa"),

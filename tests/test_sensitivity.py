@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from privseq.core import (
     Corpus,
     FeatureMatrix,
-    InsufficientGroupError,
     ParameterError,
     chunk_plan,
 )
@@ -101,7 +100,7 @@ def test_feature_sensitivity_pads_short_vectors():
 
 
 def test_feature_sensitivity_needs_two_vectors():
-    with pytest.raises(InsufficientGroupError):
+    with pytest.raises(ParameterError, match="sensitivity needs at least 2 vectors, got 1"):
         whole_signal([[1.0, 2.0]], 1)
     with pytest.raises(ParameterError):
         whole_signal([[1.0], []], 1)
@@ -446,5 +445,5 @@ def test_build_group_table_excluded_features_are_zero():
 def test_build_group_table_needs_two_recordings():
     mats = (_matrix("r0", "p0", "a", np.ones((4, 2))),)
     corpus = Corpus(matrices=mats, schema=("f0", "f1"))
-    with pytest.raises(InsufficientGroupError):
+    with pytest.raises(ParameterError, match=r"label 'a' has 1 recordings; need >= 2"):
         build_group_table(corpus, "category", "a", chunk_plan(4, 4))

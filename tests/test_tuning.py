@@ -389,6 +389,11 @@ def test_k_csv_loader_errors(tmp_path):
     head = "group_label,feature,chunk_index,k,runs_used,epsilon_used,chunk_size,length,mechanism\n"
     path = tmp_path / "ks.csv"
 
+    with pytest.raises(DataError, match="k table not found"):
+        load_k_csv(path)
+    with pytest.raises(DataError, match="cannot read k table: Is a directory"):
+        load_k_csv(tmp_path)
+
     path.write_text("group,feature\n")
     with pytest.raises(DataError):
         load_k_csv(path)

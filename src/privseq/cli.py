@@ -14,7 +14,8 @@ internal invariant failure. Each code has one exception type:
 ParameterError 2, DataError 3, InternalInvariantError 4. Every failure
 to read an input file (missing, unreadable, not UTF-8, a bad CSV field)
 is a DataError, exit 3, naming the file; an output path that cannot be
-written is exit 2, naming the path.
+written is exit 2, naming the path, and is found before the input is
+read where the path alone shows it (_check_out).
 """
 from __future__ import annotations
 
@@ -85,6 +86,18 @@ def _split(text: str, what: str, cast=str) -> tuple:
     return values
 
 
+def _check_out(path, makes_dirs: bool = False) -> None:
+    """Reject, before any work, an output path whose write would fail on
+    what is already there: a file's parent must be an existing
+    directory; a directory, which the write makes with any missing
+    parents, may meet no existing non-directory on its way."""
+    where = os.fspath(path) if makes_dirs else os.path.dirname(path) or "."
+    while makes_dirs and where and not os.path.lexists(where):
+        where = os.path.dirname(where)
+    if where and not os.path.isdir(where):
+        raise ParameterError(f"cannot write {path}: {where} is not an existing directory")
+
+
 @click.group()
 def main() -> None:
     """Differentially private release of correlated time series."""
@@ -140,6 +153,7 @@ def synth(
         noise_sd=noise_sd,
         seed=seed,
     )
+    _check_out(out_dir, makes_dirs=True)
     corpus = dataio.synth_corpus(spec)
     dataio.write_corpus(corpus, out_dir, step_seconds=step_seconds)
     click.echo(
@@ -187,6 +201,7 @@ def perturb(
         symmetric=symmetric,
         clamp=clamp,
     )
+    _check_out(out_dir, makes_dirs=True)
     loaded = dataio.read_manifest(manifest)
     corpus = dataio.load_corpus(loaded)
     k_table = tuning.load_k_csv(k_file) if k_file is not None else None
@@ -231,6 +246,7 @@ def sweep(
     epsilons = _split(epsilons_text, "--epsilons", float)
     chunk_sizes = _split(chunk_sizes_text, "--chunk-sizes", int)
     metrics._sweep_grid(mechanisms, epsilons, chunk_sizes)  # rejects a bad grid before the load
+    _check_out(out_path)
     corpus = dataio.load_corpus(manifest)
     result = metrics.run_sweep(
         corpus,
@@ -262,6 +278,7 @@ def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed,
     if mechanism == "fpa" and chunk_size is not None:
         click.echo("warning: --chunk-size is ignored by fpa", err=True)
     MechanismConfig(mechanism, epsilon, chunk_size)  # rejects bad flags before the load
+    _check_out(out_path)
     corpus = dataio.load_corpus(manifest)
     table = tuning.tune_corpus(
         corpus, label_kind, chunk_size, mechanism, epsilon, runs, NoiseSource(seed)
@@ -281,6 +298,7 @@ def tune_k_cmd(manifest, chunk_size, mechanism, epsilon, runs, label_kind, seed,
 @_handled
 def corr(manifest, feature, reference, max_lag, domain, label_kind, out_dir) -> None:
     """Per-label correlation curves of one feature across the group."""
+    _check_out(out_dir, makes_dirs=True)
     loaded = dataio.read_manifest(manifest)
     corpus = dataio.load_corpus(loaded)
     if feature not in corpus.schema:
@@ -318,6 +336,7 @@ def classify_cmd(
     manifest, window, mean_pool, neighbors, majority, label_kind, seed, out_dir,
 ) -> None:
     """Leave-one-person-out kNN accuracy of a (possibly privatized) corpus."""
+    _check_out(out_dir, makes_dirs=True)
     corpus = dataio.load_corpus(manifest)
     config = classify_mod.ClassifierConfig(
         window=window, mean_pool=mean_pool, neighbors=neighbors

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -50,6 +51,14 @@ class DataError(ValueError):
 
 class InternalInvariantError(AssertionError):
     """A should-never-happen internal consistency violation."""
+
+
+def _integer(what: str, value) -> int:
+    """value as an int; a ParameterError unless it is an integer
+    (a numbers.Integral, numpy's included) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # Canonical array alias: a 1-D float64 ndarray of finite samples with
@@ -184,13 +193,14 @@ class ChunkPlan:
     boundaries: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        n, c = self.total_length, self.chunk_size
+        n, c = _integer("total_length", self.total_length), _integer("chunk_size", self.chunk_size)
         if n < 1:
             raise ParameterError("total_length must be >= 1")
         if c < 1:
             raise ParameterError("chunk_size must be >= 1")
-        bounds = tuple((s, int(min(s + c, n))) for s in range(0, n, c))
-        object.__setattr__(self, "boundaries", bounds)
+        object.__setattr__(self, "total_length", n)
+        object.__setattr__(self, "chunk_size", c)
+        object.__setattr__(self, "boundaries", tuple((s, min(s + c, n)) for s in range(0, n, c)))
 
     def __len__(self) -> int:
         return len(self.boundaries)

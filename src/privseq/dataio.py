@@ -37,6 +37,7 @@ from privseq.core import (
     ParameterError,
     _csv_rows,
     _input_file,
+    _integer,
 )
 from privseq.noise import NoiseSource
 
@@ -103,9 +104,7 @@ class RecordingEntry:
         if self.trim is not None:
             if len(self.trim) != 2:
                 raise ParameterError(f"trim must be [start, end], got {list(self.trim)}")
-            if any(isinstance(b, bool) or not isinstance(b, numbers.Integral) for b in self.trim):
-                raise ParameterError(f"trim bounds must be integers, got {list(self.trim)}")
-            start, end = int(self.trim[0]), int(self.trim[1])
+            start, end = (_integer("a trim bound", b) for b in self.trim)
             if start < 0 or end <= start:
                 raise ParameterError(f"trim range [{start}, {end}) is empty or negative")
             object.__setattr__(self, "trim", (start, end))
@@ -421,6 +420,8 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("participants", "recordings_per_label", "length", "features", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.participants < 1:
             raise ParameterError(f"participants must be >= 1, got {self.participants}")
         if self.recordings_per_label < 1:

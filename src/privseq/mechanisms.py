@@ -13,23 +13,23 @@ draws per chunk, one (real, imaginary) pair per bin). fpa_lambda scales it by th
 L1 sensitivity of those 2k values, sqrt(n) sqrt(g(n, k)) times the L2
 sensitivity; g = k until the retained bins include mirror pairs.
 
-Every release is S + lam * N, with one noise scale lam per unit. LPA
-has one unit, the whole signal: S is the signal and N its first n unit
-draws. The Fourier mechanisms have one unit per chunk and are linear in
-the retained coefficients: S inverts the truncated clean coefficients
-and N the unit-scale Laplace coefficient noise (fpa_spectra, fpa_parts),
-one transform call per distinct chunk length. One mask per run of
+Every release is S + lam * N, with one noise scale lam per unit, and
+every mechanism's units are the chunks of its plan. LPA has one unit,
+the whole-signal chunk, whose k is its length n: S is the signal and N
+its first n unit draws. The Fourier mechanisms are linear in the
+retained coefficients: S inverts the truncated clean coefficients and N
+the unit-scale Laplace coefficient noise (fpa_spectra, fpa_parts), one
+transform call per distinct chunk length. One mask per run of
 equal-length chunks picks the bins each chunk keeps (bins j < k, and
 with symmetric completion their conjugate mirrors); the mask,
 differencing and the running sum act on S and N alike. A unit whose lam
 is 0 releases S exactly.
 
 One place decides each unit's k, sensitivity and lam: _feature_units
-gives a feature's layout (None for LPA, which keeps no coefficients and
-ignores any k table), sensitivities and scales (_unit_scales); the
-report and every release read it. A report holds the units with a
-positive scale, and MechanismReport derives every epsilon figure from
-them. perturb_corpus, the sweep and retention tuning share one driver,
+gives a feature's FeatureUnits (LPA ignores any k table); the report
+and every release read it. A report holds the units with a positive
+scale, and MechanismReport derives every epsilon figure from them.
+perturb_corpus, the sweep and retention tuning share one driver,
 _release_blocks: it decides each group once and hands each row block of
 a (group, feature), its unit draws and units to a consumer. perturb and
 the sweep release through _released; perturb_corpus is the sweep's run
@@ -40,7 +40,7 @@ Noise streams: each (recording, feature, run) reads one vector of 2n
 unit-Laplace draws from the origin of its NoiseSource. LPA adds the
 first n, which are the draws an n-draw call on the same stream gives.
 Bin j of the chunk starting at sample s reads the pair at draws
-2(s + j) and 2(s + j) + 1 as its real and imaginary part (FpaLayout),
+2(s + j) and 2(s + j) + 1 as its real and imaginary part (fpa_parts),
 whether or not the bin is retained or its noise scale is zero. A bin's
 noise thus depends on neither k nor the budget: CFPA on a single
 full-length chunk is bit-identical to FPA on the same stream, the noise
@@ -54,7 +54,7 @@ import concurrent.futures
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from privseq.core import (
     ParameterError,
     RealSeq,
     ReportUnit,
+    _integer,
     chunk_plan,
 )
 from privseq.noise import NoiseSource, unit_laplace
@@ -173,25 +174,17 @@ def _uniform_blocks(plan: ChunkPlan) -> list[tuple[int, int, int, int]]:
     return blocks + ([(full, 1, rest, full * plan.chunk_size)] if rest else [])
 
 
-class FpaLayout:
-    """Where FPA keeps coefficients and reads unit draws, for one chunk
-    plan and its per-chunk retention counts.
+class FeatureUnits(NamedTuple):
+    """One feature's units under a chunk plan, one per chunk: each
+    chunk's k, sensitivity and noise scale. LPA's one unit is the
+    whole-signal chunk, its k the length; an FPA chunk keeps k in [1,
+    its length]. lams holds a scale per chunk, or a row per budget for a
+    (budgets, 1) epsilon column. _feature_units is the one builder."""
 
-    A row holds 2n unit draws, n the plan's total length. Chunk i,
-    starting at sample start_i, retains bins 0..k_i-1; bin j reads the
-    complex pair at draws 2(start_i + j) (real part) and
-    2(start_i + j) + 1 (imaginary part).
-    Each bin's noise thus depends on its position alone, and chunk i's
-    noise on its own k_i alone. _feature_units, its one builder, gives a
-    k in [1, length] for every chunk.
-    """
-
-    __slots__ = ("plan", "ks", "lengths")
-
-    def __init__(self, plan: ChunkPlan, ks: Sequence[int]):
-        self.plan = plan
-        self.ks = tuple(ks)
-        self.lengths = np.asarray(plan.chunk_lengths())
+    plan: ChunkPlan
+    ks: tuple[int, ...]
+    deltas: list[float]
+    lams: np.ndarray
 
 
 def fpa_spectra(block: np.ndarray, plan: ChunkPlan, difference: bool) -> list[np.ndarray]:
@@ -217,26 +210,30 @@ def _noise_pairs(draws: np.ndarray, n: int) -> np.ndarray:
 
 def fpa_parts(
     spectra: Sequence[np.ndarray],
-    layout: FpaLayout,
+    plan: ChunkPlan,
+    ks: Sequence[int],
     draws: np.ndarray,
     difference: bool,
     symmetric: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S, N): S (a row per spectra row) inverts the truncated clean
     coefficients, N (a row per draws row) the unit Laplace coefficient
-    noise read from the first 2n draws of each draws row in layout
-    order, n the plan's total length. Both are completed alike when
-    symmetric is set and, when difference is, summed back. Each run of
-    equal-length chunks is inverted in one transform call, with one mask
-    of the bins j < k each chunk keeps; symmetric completion fills each
-    bin outside it whose mirror c - j is inside with that bin's conjugate."""
+    noise read from the first 2n draws of each draws row, n the plan's
+    total length: chunk i, starting at sample s, keeps bins j < ks[i],
+    and bin j reads draws 2(s + j) (real part) and 2(s + j) + 1
+    (imaginary part), so its noise depends on its position alone. Both
+    are completed alike when symmetric is set and, when difference is,
+    summed back. Each run of equal-length chunks is inverted in one
+    transform call, with one mask of the bins each chunk keeps;
+    symmetric completion fills each bin outside it whose mirror c - j is
+    inside with that bin's conjugate."""
     rows_s = spectra[0].shape[0]
     rows_n = draws.shape[0]
-    pairs = _noise_pairs(draws, layout.plan.total_length)
-    clean = np.empty((rows_s, layout.plan.total_length))
-    unit = np.empty((rows_n, layout.plan.total_length))
-    ks = np.asarray(layout.ks)
-    for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(layout.plan)):
+    pairs = _noise_pairs(draws, plan.total_length)
+    clean = np.empty((rows_s, plan.total_length))
+    unit = np.empty((rows_n, plan.total_length))
+    ks = np.asarray(ks)
+    for spec, (first, count, c, start) in zip(spectra, _uniform_blocks(plan)):
         keep = np.arange(c) < ks[first : first + count, None]
         bins = np.zeros((rows_s + rows_n, count, c), dtype=np.complex128)
         noise = pairs[:, start : start + count * c].reshape(rows_n, count, c)
@@ -255,27 +252,14 @@ def fpa_parts(
     return clean, unit
 
 
-def _unit_scales(
-    layout: FpaLayout | None, deltas: Sequence[float], epsilon: float
-) -> np.ndarray:
-    """The noise scale of every unit, given its sensitivity: lpa_lambda
-    of LPA's one unit (layout None), fpa_lambda of each FPA chunk."""
-    if layout is None:
-        return lpa_lambda(deltas, epsilon)
-    return _fpa_scales(layout.lengths, layout.ks, deltas, epsilon)
-
-
-def _release(
-    clean: np.ndarray, unit: np.ndarray, layout: FpaLayout | None, lams: np.ndarray
-) -> np.ndarray:
+def _release(clean: np.ndarray, unit: np.ndarray, units: FeatureUnits) -> np.ndarray:
     """S + lam * N for (rows, 1, n) clean and (rows, runs, n) unit parts,
-    each unit's scale (_unit_scales) broadcast over its samples: one unit
-    over the whole row when layout is None (LPA), each chunk of the
-    layout otherwise. (budgets, units) scales release (budgets, rows,
-    runs, n) at once, each element as in a one-budget call. A unit whose
-    scale is 0 releases S exactly, signed zeros included. A release that
-    overflows (a finite scale times a large draw) is a ParameterError."""
-    scale = lams if layout is None else np.repeat(lams, layout.lengths, axis=-1)
+    each unit's scale broadcast over its chunk's samples. (budgets,
+    units) scales release (budgets, rows, runs, n) at once, each element
+    as in a one-budget call. A unit whose scale is 0 releases S exactly,
+    signed zeros included. A release that overflows (a finite scale
+    times a large draw) is a ParameterError."""
+    scale = np.repeat(units.lams, units.plan.chunk_lengths(), axis=-1)
     scale = scale[..., np.newaxis, np.newaxis, :]
     try:
         with np.errstate(over="raise"):
@@ -283,35 +267,34 @@ def _release(
             out += clean
     except FloatingPointError:
         raise ParameterError("the release overflows: its noise is too large to represent") from None
-    if not lams.all():
+    if not units.lams.all():
         np.copyto(out, clean, where=scale == 0.0)
     return out
 
 
 def _draws(streams: Sequence[NoiseSource], n: int) -> np.ndarray:
-    """One row of 2n unit draws per stream, what an FPA layout of a
-    length-n signal reads; LPA reads the first n, which are the draws of
-    an n-draw call on the same stream."""
+    """One row of 2n unit draws per stream, what fpa_parts reads for a
+    length-n signal; LPA reads the first n, which are the draws of an
+    n-draw call on the same stream."""
     return np.stack([unit_laplace(s.generator(), 2 * n) for s in streams])
 
 
 def _released(
-    block: np.ndarray, draws: np.ndarray, config: MechanismConfig, units: tuple
+    block: np.ndarray, draws: np.ndarray, config: MechanismConfig, units: FeatureUnits
 ) -> np.ndarray:
     """Every row of a (rows, n) block released under config at its
-    decided units (layout, sensitivities, scales; _feature_units), once
-    per noise stream: draws holds runs consecutive rows per block row, a
-    row per stream, and the result is (..., rows, runs, n). S is the
-    block and N the first n draws for LPA (layout None), fpa_parts of
-    the block's spectra for FPA."""
-    (layout, _, lams), (rows, n) = units, block.shape
-    if layout is None:
+    decided units (_feature_units), once per noise stream: draws holds
+    runs consecutive rows per block row, a row per stream, and the
+    result is (..., rows, runs, n). S is the block and N the first n
+    draws for LPA, fpa_parts of the block's spectra for FPA."""
+    rows, n = block.shape
+    if config.mechanism == "lpa":
         clean, unit = block, draws[:, :n]
     else:
         difference = config.domain == DIFFERENCE
-        spectra = fpa_spectra(block, layout.plan, difference)
-        clean, unit = fpa_parts(spectra, layout, draws, difference, config.symmetric)
-    return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), layout, lams)
+        spectra = fpa_spectra(block, units.plan, difference)
+        clean, unit = fpa_parts(spectra, units.plan, units.ks, draws, difference, config.symmetric)
+    return _release(clean[:, np.newaxis], unit.reshape(rows, -1, n), units)
 
 
 def clamp_nonnegative(x: RealSeq) -> RealSeq:
@@ -346,7 +329,10 @@ class MechanismConfig:
             raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.mechanism in ("lpa", "fpa"):
             object.__setattr__(self, "chunk_size", None)
-        elif self.chunk_size is None or self.chunk_size < 1:
+        for name in ("chunk_size", "k"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.mechanism in ("cfpa", "dcfpa") and (self.chunk_size is None or self.chunk_size < 1):
             raise ParameterError(f"{self.mechanism} requires a positive chunk_size")
         if self.k is not None and self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
@@ -373,20 +359,21 @@ def _feature_units(
     feature: str,
     k_table: Mapping[tuple[str, int], int] | None,
     epsilon,
-) -> tuple[FpaLayout | None, list[float], np.ndarray]:
-    """(layout, sensitivities, scales) of one feature's units under the
-    plan: None and the whole-signal L1 sensitivity for LPA, which keeps
-    no coefficients and ignores any k table; otherwise the layout of each
-    chunk's k (from k_table, {(feature, chunk_index): k}, else config.k,
-    else the chunk length) and each chunk's L2 sensitivity in the
-    config's domain. A uniform config.k must fit chunk 0, the longest;
-    a shorter remainder chunk keeps at most its length. The scales are
-    _unit_scales at epsilon, a float or a (budgets, 1) column giving a
-    row per budget. A missing sensitivity or an out-of-range k is a
+) -> FeatureUnits:
+    """One feature's units under the plan: each chunk's sensitivity in
+    the config's domain and norm, its k and its scale at epsilon, a
+    float or a (budgets, 1) column giving a row per budget. LPA's one
+    chunk keeps the whole signal, k its length, at lpa_lambda of its L1
+    sensitivity; it ignores any k table. Each FPA chunk's k comes from
+    k_table, {(feature, chunk_index): k}, else config.k, else the chunk
+    length, at fpa_lambda of its L2 sensitivity. A uniform config.k must
+    fit chunk 0, the longest; a shorter remainder chunk keeps at most
+    its length. A missing sensitivity or an out-of-range k is a
     ParameterError, raised before any scale is computed."""
     deltas = [sens.value(feature, i, config.domain, config.norm_order) for i in range(len(plan))]
-    layout = None
-    if config.mechanism != "lpa":
+    if config.mechanism == "lpa":
+        ks, lams = [plan.total_length], lpa_lambda(deltas, epsilon)
+    else:
         ks = []
         for ci, c in enumerate(plan.chunk_lengths()):
             if k_table is not None and (feature, ci) not in k_table:
@@ -399,24 +386,22 @@ def _feature_units(
                     f"k={k} out of range [1, {c}] for feature {feature!r} chunk {ci}"
                 )
             ks.append(k)
-        layout = FpaLayout(plan, ks)
-    return layout, deltas, _unit_scales(layout, deltas, epsilon)
+        lams = _fpa_scales(plan.chunk_lengths(), ks, deltas, epsilon)
+    return FeatureUnits(plan, tuple(ks), deltas, lams)
 
 
 def _report(
-    config: MechanismConfig, length: int, decided: Sequence[tuple[str, tuple]]
+    config: MechanismConfig, decided: Sequence[tuple[str, FeatureUnits]]
 ) -> MechanismReport:
-    """The epsilon report of one release from its decided units:
-    (feature, (layout, sensitivities, scales)) pairs of one length-length
-    group at config.epsilon, a ReportUnit for each unit with a positive
-    scale. MechanismReport derives the chunk and sequence figures from
-    them; a zero-sensitivity unit is left out and adds 0 to both."""
+    """The epsilon report of one release from its decided units,
+    (feature, units) pairs of one group at config.epsilon: a ReportUnit
+    for each unit with a positive scale. MechanismReport derives the
+    chunk and sequence figures from them; a zero-sensitivity unit is
+    left out and adds 0 to both."""
     units = [
         ReportUnit(feature, ci, delta, float(lam), k, config.epsilon)
-        for feature, (layout, deltas, lams) in decided
-        for ci, (delta, lam, k) in enumerate(
-            zip(deltas, lams, [length] if layout is None else layout.ks)
-        )
+        for feature, u in decided
+        for ci, (delta, lam, k) in enumerate(zip(u.deltas, u.lams, u.ks))
         if lam > 0.0
     ]
     return MechanismReport(config.mechanism, tuple(f for f, _ in decided), tuple(units))
@@ -464,19 +449,19 @@ def _release_blocks(
     every included feature of every recording, with runs noise streams,
     under each config at epsilon (a float, or a (budgets, 1) column).
 
-    Each group is decided once, first: its length n and, per included
-    column, each config's _feature_units. The sensitivity table is
-    sens_tables[label], which must have been built for the config's
-    plan, or else one built per (plan, domain, norm). Then each row block
-    of a (group, column) is zero-padded to n, at most BLOCK_VALUES //
-    ((runs + 1) n) rows (twice as many when jobs > 1; see BLOCK_VALUES),
-    and run t of recording r reads the 2n unit
+    Each group is decided once, first: per included column, each
+    config's _feature_units on its plan of the group's length n. The
+    sensitivity table is sens_tables[label], which must have been built
+    for the config's plan, or else one built per (plan, domain, norm).
+    Then each row block of a (group, column) is zero-padded to n, at
+    most BLOCK_VALUES // ((runs + 1) n) rows (twice as many when jobs >
+    1; see BLOCK_VALUES), and run t of recording r reads the 2n unit
     draws of stream src.derive(r, col, t), runs consecutive draw rows
     per block row. Each config's units go with the block and its draws
     to consume(col, rows, block, draws, config, units); a release
     consumer calls _released. Blocks run on jobs threads when jobs > 1.
-    Returns {label: (n, {col: units per config})} and, per block in a
-    fixed order, (label, col, rows, consume's results per config)."""
+    Returns {label: {col: units per config}} and, per block in a fixed
+    order, (label, col, rows, consume's results per config)."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if runs < 1:
@@ -507,13 +492,14 @@ def _release_blocks(
                 if feature not in corpus.excluded_features:
                     units = _feature_units(config, plan, tables[key], feature, ks, epsilon)
                     cells.setdefault(col, []).append(units)
-        groups[value] = (n, cells)
+        groups[value] = cells
         step = max(1, budget // ((runs + 1) * n))
         for col in cells:
             blocks += [(value, col, rows[lo : lo + step]) for lo in range(0, len(rows), step)]
 
     def one_block(value: str, col: int, rows: list[int]) -> list:
-        n, cells = groups[value]
+        cells = groups[value]
+        n = cells[col][0].plan.total_length
         block = np.zeros((len(rows), n))
         for row, r in enumerate(rows):
             x = corpus.matrices[r].values[:, col]
@@ -569,8 +555,8 @@ def perturb_corpus(
         corpus, label_kind, [config], config.epsilon, src, 1, jobs, write, sens_tables, k_table
     )
     reports = {
-        value: _report(config, n, [(corpus.schema[col], units) for col, (units,) in cells.items()])
-        for value, (n, cells) in groups.items()
+        value: _report(config, [(corpus.schema[col], units) for col, (units,) in cells.items()])
+        for value, cells in groups.items()
     }
     # FeatureMatrix keeps its own copy; popping each buffer as it is used
     # keeps a second copy of the whole corpus from being alive at once.

@@ -12,12 +12,13 @@ and goes when that binding does.
 
 Tuning consumes the release driver of perturb_corpus and the sweep
 (mechanisms._release_blocks): its groups, zero-padded row blocks, unit
-draws and per-unit decision (_feature_units), whose sensitivities give
-the scale of every (k, chunk) at once (_candidate_scales). The driver
-runs at src.derive(TUNING_STREAM), so run t of recording r, feature f
-reads stream src.derive(TUNING_STREAM, r, f, t), which no release under
-src reads; bin j's noise N_j sits at a fixed place in it
-(mechanisms.FpaLayout), whatever k is.
+draws and per-unit decision (_feature_units), whose plan and
+sensitivities give the scale of every (k, chunk) at once
+(_candidate_scales). The driver runs at src.derive(TUNING_STREAM), so
+run t of recording r, feature f reads stream
+src.derive(TUNING_STREAM, r, f, t), which no release under src reads;
+bin j's noise N_j sits at a fixed place in it (mechanisms.fpa_parts),
+whatever k is.
 
 Scores come from the chunk spectrum X, with no inverse transform. The
 release at k keeps the real part of the inverse of Z_j = X_j + lam N_j
@@ -68,6 +69,7 @@ from privseq.core import (
     chunk_plan,
 )
 from privseq.mechanisms import (
+    FeatureUnits,
     MechanismConfig,
     _fpa_scales,
     _noise_pairs,
@@ -143,7 +145,7 @@ def _candidate_scales(plan: ChunkPlan, deltas: Sequence[float], epsilon: float) 
 
 
 def _block_scores(
-    block: np.ndarray, draws: np.ndarray, config: MechanismConfig, units: tuple
+    block: np.ndarray, draws: np.ndarray, config: MechanismConfig, units: FeatureUnits
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum of valid NMSE cells, valid count) of every (k, chunk) over
     the rows and runs of a row block, (longest chunk, chunks) each, 0
@@ -152,9 +154,8 @@ def _block_scores(
     them over, scored at the _candidate_scales of the units' plan and
     sensitivities and config's budget. One forward transform per run of
     equal-length chunks."""
-    (layout, deltas, _), difference = units, config.domain == DIFFERENCE
-    plan, (rows, n) = layout.plan, block.shape
-    lams = _candidate_scales(plan, deltas, config.epsilon)
+    plan, (rows, n), difference = units.plan, block.shape, config.domain == DIFFERENCE
+    lams = _candidate_scales(plan, units.deltas, config.epsilon)
     pairs = _noise_pairs(draws, n).reshape(rows, -1, n)
     totals = np.zeros(lams.shape)
     counts = np.zeros(lams.shape, dtype=np.int64)
@@ -341,7 +342,7 @@ def tune_corpus(
             entries[(label, corpus.schema[col], ci)] = int(k) + 1
     return KTable(
         entries=entries, runs_used=runs, epsilon_used=float(epsilon),
-        plans={label: config.plan_for(groups[label][0]) for label, _ in sums},
+        plans={label: groups[label][col][0].plan for label, col in sums},
         mechanism=mechanism,
     )
 

@@ -1,10 +1,10 @@
 """Shared test helpers.
 
 released_row puts one signal through the release core at sensitivities
-a test picks: the units perturb_corpus would decide for one (group,
-feature) — the layout, the given sensitivities and their scales —
-released by mechanisms._released on the 2n unit draws of one stream,
-the draws perturb_corpus reads for that recording and feature.
+a test picks: the units mechanisms._feature_units decides for one
+feature from a sensitivity table and a k table holding the given
+values, released by mechanisms._released on the 2n unit draws of one
+stream, the draws perturb_corpus reads for that recording and feature.
 read_sweep_csv reads back what metrics.write_sweep_csv wrote, and
 sweep_row finds one cell among a sweep's rows.
 """
@@ -12,19 +12,22 @@ import csv
 
 import numpy as np
 
-from privseq.mechanisms import FpaLayout, _draws, _released, _unit_scales
+from privseq.mechanisms import _draws, _feature_units, _released
 from privseq.metrics import SweepRow, UtilitySweep
+from privseq.sensitivity import SensitivityTable
 
 
 def released_row(x, config, per_chunk, src):
     """x under config at per_chunk, one (sensitivity, k) per chunk of
     config.plan_for(len(x)); lpa takes one pair and ignores its k."""
     x = np.asarray(x, dtype=np.float64)[np.newaxis, :]
-    deltas = [d for d, _ in per_chunk]
-    layout = None
-    if config.mechanism != "lpa":
-        layout = FpaLayout(config.plan_for(x.shape[1]), [k for _, k in per_chunk])
-    units = (layout, deltas, _unit_scales(layout, deltas, config.epsilon))
+    plan = config.plan_for(x.shape[1])
+    sens = SensitivityTable(
+        {("x", ci, config.domain, config.norm_order): d for ci, (d, _) in enumerate(per_chunk)},
+        plan=plan,
+    )
+    ks = {("x", ci): k for ci, (_, k) in enumerate(per_chunk)}
+    units = _feature_units(config, plan, sens, "x", ks, config.epsilon)
     return _released(x, _draws([src], x.shape[1]), config, units)[0, 0]
 
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privseq
+from privseq import dataio
 from privseq.cli import _handled, main
 from privseq.core import (
     Corpus,
@@ -245,6 +246,38 @@ def test_one_reader_opens_every_input_file():
     opens = {p.name: found for p in sorted(root.glob("*.py")) if (found := _read_opens(p))}
     assert [(name, func) for name, found in opens.items() for func, _ in found] == [
         ("core.py", "_input_file")
+    ]
+
+
+def _unit_record_builds(path):
+    """(enclosing function, line) of each call in a module that builds a
+    mechanisms.FeatureUnits: the class called by any name ending in
+    FeatureUnits, its _make, or any _replace."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call):
+                names = {getattr(child.func, "id", None), getattr(child.func, "attr", None)}
+                owner = getattr(child.func, "value", None)
+                names |= {getattr(owner, "id", None), getattr(owner, "attr", None)}
+                if names & {"FeatureUnits", "_replace"}:
+                    found.append((func, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_function_decides_every_unit():
+    # perturb, the sweep, tuning and the report read the units that
+    # mechanisms._feature_units decides; a second builder would be a
+    # second decision of a unit's k, sensitivity or scale
+    root = Path(privseq.__file__).resolve().parent
+    builds = {p.name: found for p in sorted(root.glob("*.py")) if (found := _unit_record_builds(p))}
+    assert [(name, func) for name, found in builds.items() for func, _ in found] == [
+        ("mechanisms.py", "_feature_units")
     ]
 
 
@@ -905,6 +938,47 @@ def test_unwritable_output_path_is_exit_2_naming_it(manifest, tmp_path, command)
     assert isinstance(result.exception, SystemExit)
     assert str(out) in result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+_OUT_FLAGS = {
+    "synth": ("--participants", 2, "--labels", 2, "--length", 8, "--features", 1, "--out"),
+    "perturb": ("--manifest", "m.json", "--mechanism", "lpa", "--epsilon", 1, "--seed", 0, "--out"),
+    "sweep": ("--manifest", "m.json", "--runs", 1, "--out"),
+    "tune-k": ("--manifest", "m.json", "--chunk-size", 8, "--out"),
+    "corr": ("--manifest", "m.json", "--feature", "f00", "--out-dir"),
+    "classify": ("--manifest", "m.json", "--out-dir"),
+}
+
+
+class _Loaded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", list(_OUT_FLAGS))
+def test_unwritable_output_path_is_exit_2_before_the_input_is_read(tmp_path, monkeypatch, command):
+    # The write at the end would fail on what the path meets: a regular
+    # file on the way, or a missing parent of an output file. Output
+    # directories are made with their missing parents, so a path under a
+    # missing directory reaches the input.
+    def load(*args, **kwargs):
+        raise _Loaded
+    for name in ("read_manifest", "load_corpus", "synth_corpus"):
+        monkeypatch.setattr(dataio, name, load)
+    (tmp_path / "afile").write_text("")
+    makes_dirs = "--out-dir" in _OUT_FLAGS[command] or command in ("synth", "perturb")
+    # each bad path and what the message names: a directory's first
+    # existing non-directory, a file's parent
+    bad = {"afile/out": "afile", "afile/sub/out": "afile" if makes_dirs else "afile/sub"}
+    if not makes_dirs:
+        bad["nodir/out.csv"] = "nodir"
+    for out, where in bad.items():
+        result = run_cli(command, *_OUT_FLAGS[command], tmp_path / out)
+        assert result.exit_code == 2, (out, result.output)
+        assert isinstance(result.exception, SystemExit), (out, result.exception)
+        assert f"{tmp_path / out}: {tmp_path / where} is not an existing directory" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    ok = tmp_path / ("nodir/sub/out" if makes_dirs else "out.csv")
+    assert isinstance(run_cli(command, *_OUT_FLAGS[command], ok).exception, _Loaded)
 
 
 def test_synth_bad_step_seconds_is_exit_2_before_any_file(tmp_path):

@@ -133,6 +133,15 @@ class TestChunkPlan:
             with pytest.raises(ParameterError):
                 build(8, 0)
 
+    def test_sizes_are_integers(self):
+        # a float or a bool is not a size, numpy's integers are
+        for n, c in ((64.0, 16), (64, 16.0), (64, True), (True, 1), (64, "16")):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                ChunkPlan(n, c)
+        plan = ChunkPlan(np.int64(64), np.int32(16))
+        assert plan == ChunkPlan(64, 16)
+        assert type(plan.total_length) is type(plan.chunk_size) is int
+
     def test_constructor_derives_the_builder_plan(self):
         # (n, c) fix the boundaries: contiguous chunks of c from 0, the
         # last one ending at n; there is no other way to state them

@@ -210,6 +210,17 @@ def test_synth_spec_validation():
             _spec(**overrides)
 
 
+@pytest.mark.parametrize(
+    "field", ["participants", "recordings_per_label", "length", "features", "seed"]
+)
+def test_synth_spec_counts_are_integers(field):
+    for bad in (2.5, 4.0, True, "4"):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer, got {bad!r}"):
+            _spec(**{field: bad})
+    spec = _spec(**{field: np.int64(4)})
+    assert getattr(spec, field) == 4 and type(getattr(spec, field)) is int
+
+
 def test_synth_overflow_is_a_parameter_error_without_warnings():
     spec = _spec(offsets=(1e308, 1e308), noise_sd=1e308)
     with warnings.catch_warnings():

@@ -18,7 +18,6 @@ from privseq.core import (
     chunk_plan,
 )
 from privseq.mechanisms import (
-    FpaLayout,
     MechanismConfig,
     clamp_nonnegative,
     fpa_lambda,
@@ -345,8 +344,7 @@ def test_symmetric_noise_matches_a_direct_completion_of_the_noise_bins(mechanism
     pairs.real, pairs.imag = draws[:, 0::2], draws[:, 1::2]
     spectra = mechanisms.fpa_spectra(np.zeros((1, 23)), plan, difference)
     for ks in ((1, 1, 1), (3, 5, 7), (8, 8, 7), (5, 2, 4), (6, 8, 1)):
-        layout = FpaLayout(plan, ks)
-        _, unit = mechanisms.fpa_parts(spectra, layout, draws, difference, symmetric=True)
+        _, unit = mechanisms.fpa_parts(spectra, plan, ks, draws, difference, symmetric=True)
         for (s, e), k in zip(plan.boundaries, ks):
             bins = np.zeros((3, e - s), dtype=np.complex128)
             bins[:, :k] = pairs[:, s : s + k]
@@ -363,8 +361,14 @@ def test_cfpa_validation():
     # table for another plan is
     # test_perturb_corpus_rejects_tables_built_for_another_plan
     config = MechanismConfig("cfpa", 1.0, chunk_size=4)
-    with pytest.raises(ParameterError, match="sensitivity must be finite and >= 0"):
+    # the table meets a negative sensitivity first; _noise_scale rejects
+    # any that reaches it
+    bad = r"sensitivity for \('x', 0, 'raw', 2\) must be finite and >= 0, got -1.0"
+    with pytest.raises(ParameterError, match=bad):
         released_row(np.ones(8), config, [(-1.0, 4), (1.0, 4)], _src(13))
+    for delta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match=f"sensitivity must be finite and >= 0, got {delta}"):
+            fpa_lambda(4, 4, delta, 1.0)
     with pytest.raises(ParameterError, match=r"k=5 out of range \[1, 4\]"):
         perturb_corpus(
             _corpus(lengths=(8,) * 4), "category",
@@ -418,6 +422,18 @@ def test_mechanism_config_validation():
     with pytest.raises(ParameterError, match="k does not apply to lpa"):
         MechanismConfig("lpa", 1.0, k=3)
     MechanismConfig("dcfpa", 1.0, 4, symmetric=True)
+
+
+def test_mechanism_config_counts_are_integers():
+    # a float k was truncated and a bool was a count; numpy's integers
+    # are integers, and lpa and fpa ignore any chunk_size
+    for field, bad in itertools.product(("chunk_size", "k"), (2.5, 16.0, True, "16")):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer, got {bad!r}"):
+            MechanismConfig("cfpa", 1.0, **{"chunk_size": 16, field: bad})
+    config = MechanismConfig("dcfpa", 1.0, np.int64(16), np.int32(3))
+    assert (config.chunk_size, config.k) == (16, 3)
+    assert type(config.chunk_size) is type(config.k) is int
+    assert MechanismConfig("fpa", 1.0, chunk_size=16.0).chunk_size is None
 
 
 def test_mechanism_config_derived_properties():
@@ -963,9 +979,9 @@ def test_report_lambdas_are_fpa_lambda_of_the_true_chunk(case):
     core_scales = []
     real_release = mechanisms._release
 
-    def recording_release(clean, unit, layout, lams):
-        core_scales.append((lengths_of if layout is None else layout.ks, lams))
-        return real_release(clean, unit, layout, lams)
+    def recording_release(clean, unit, units):
+        core_scales.append((units.ks, units.lams))
+        return real_release(clean, unit, units)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mechanisms, "_release", recording_release)

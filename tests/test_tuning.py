@@ -194,7 +194,7 @@ def test_spectral_scores_equal_the_mechanisms_own_releases(c, count, rest, mecha
     # the block and its draws as the release driver hands them over:
     # runs consecutive draw rows per member
     draws = mechanisms._draws([src.derive(m, t) for m in range(members) for t in range(runs)], n)
-    units = (mechanisms.FpaLayout(plan, [1] * len(plan)), deltas, None)
+    units = mechanisms.FeatureUnits(plan, (1,) * len(plan), list(deltas), None)
     config = MechanismConfig(mechanism, epsilon, c)
     totals, counts = tuning._block_scores(np.stack(signals), draws, config, units)
     want = _reference_totals(signals, plan, mechanism, epsilon, runs, src.derive, deltas)
